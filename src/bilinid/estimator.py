@@ -22,7 +22,7 @@ closed-form autocovariance of the effective noise zeta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .sysmodel import (
     NoiseSpec,
     StateSpaceModel,
     Trajectory,
+    _as_columns,
     controllability_gramian,
     default_decay_rate,
     input_gramian,
@@ -92,9 +93,7 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
     y, when given, must hold the full output sequence y_0..y_T; the
     design keeps the slice aligned with the rows.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = _as_columns(u)
     T = u.shape[0] - 1
     p = u.shape[1]
     if L < 1:
@@ -149,8 +148,9 @@ def estimate_markov(design: DesignSystem, rank_tol: float = RANK_TOL) -> Estimat
     eigs = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     full_rank = lam_min > rank_tol * lam_max and lam_max > 0.0
-    # QR-based solve in both modes; in the full-rank regime it coincides
-    # with the normal-equation solution at much better conditioning.
+    # SVD-based solve (LAPACK gelsd) in both modes; in the full-rank regime
+    # it coincides with the normal-equation solution at much better
+    # conditioning.
     theta = np.linalg.lstsq(U, y, rcond=None)[0]
     residual = float(np.linalg.norm(y - U @ theta))
     return EstimateReport(
@@ -212,16 +212,7 @@ class BoundTerms:
     delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_w_sq": self.sigma_w_sq,
-            "sigma_e_sq": self.sigma_e_sq,
-            "K": self.K,
-            "Xi": self.Xi,
-            "beta": self.beta,
-            "rho": self.rho,
-            "phi": self.phi,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 def bound_terms(model: StateSpaceModel, noise: NoiseSpec, L: int, beta: float,
@@ -308,15 +299,13 @@ def choose_L(model: StateSpaceModel, noise: NoiseSpec, T: int, delta: float,
     if rho is None:
         rho = default_decay_rate(model)
     n, p = model.n, model.p
-    phi = transient_factor(model.A, rho)
     BC = float(np.linalg.norm(model.B, 2)) * float(np.linalg.norm(model.C, 2))
-    start = 2 * n if (2 * n) % 2 == 0 else 2 * n + 1
     last_gap = None
-    for L in range(start, L_max + 1, 2):
+    for L in range(2 * n, L_max + 1, 2):
         if T <= L:
             break
         terms = bound_terms(model, noise, L, beta, delta, rho=rho)
-        bias = 2.0 * beta**2 * BC * phi * rho**L / (1.0 - rho)
+        bias = 2.0 * beta**2 * BC * terms.phi * rho**L / (1.0 - rho)
         noise_floor = math.sqrt(p * p * L * terms.Xi / (delta * (T - L)))
         if bias <= noise_floor:
             return L
@@ -378,24 +367,6 @@ def prediction_bound(design: DesignSystem, report: EstimateReport, G_true: np.nd
             + noise.sigma_z**2)
 
 
-def _delta_toeplitz(tau: int, tau_prime: int, L: int) -> np.ndarray:
-    """L x L Toeplitz matrix with (i, j) entry 1 when tau - tau' = i - j."""
-    D = np.zeros((L, L))
-    for i in range(L):
-        for j in range(L):
-            if tau - tau_prime - i + j == 0:
-                D[i, j] = 1.0
-    return D
-
-
-def _delta_row(t: int, i: int, L: int) -> np.ndarray:
-    """1 x L indicator row with entry j equal to 1 when t - i = j."""
-    row = np.zeros(L)
-    if 0 <= t - i < L:
-        row[t - i] = 1.0
-    return row
-
-
 def effective_noise_autocov(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
                             tau: int, tau_prime: int, L: int) -> float:
     """Closed-form conditional autocovariance of the effective noise.
@@ -406,9 +377,7 @@ def effective_noise_autocov(model: StateSpaceModel, noise: NoiseSpec, u: np.ndar
     windows, the noise carried by the truncated state, the two
     state/window cross terms, plus the measurement-noise diagonal.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = _as_columns(u)
     T = u.shape[0] - 1
     if not (L <= tau <= T - 1 and L <= tau_prime <= T - 1):
         raise ParameterError(f"need L <= tau, tau' <= T-1; got tau={tau}, tau'={tau_prime}, T={T}")
@@ -424,8 +393,9 @@ def effective_noise_autocov(model: StateSpaceModel, noise: NoiseSpec, u: np.ndar
     for _ in range(max(tau, tau_prime) + 1):
         powers.append(powers[-1] @ A)
 
-    # window overlap of the stacked process noises
-    D = _delta_toeplitz(tau, tau_prime, L)
+    # window overlap of the stacked process noises: blocks i and j of the
+    # two windows hold the same draw when tau - tau' = i - j
+    D = np.eye(L, k=tau_prime - tau)
     term_w = float(f @ np.kron(np.kron(D, Sw), np.outer(u_a, u_b)) @ f)
 
     # noise carried by the truncated states

@@ -15,7 +15,7 @@ holds with probability 1 - delta:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,16 +42,7 @@ class PECertificate:
     delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_min": self.lambda_min,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "regime": self.regime,
-            "required_T": self.required_T,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 def min_eig_design(design: DesignSystem) -> float:

@@ -12,9 +12,11 @@ count.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .sysmodel import (
     InputDesign,
     NoiseSpec,
     StateSpaceModel,
+    _as_columns,
     derive_rng,
     markov_params,
     random_model,
@@ -35,6 +38,17 @@ TRIAL_COLUMNS = ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
 AGG_COLUMNS = ("rho", "L", "T", "mean_err", "std_err")
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     family: str = "exponential"
@@ -42,6 +56,12 @@ class NoiseConfig:
     centered: bool = True
     sigma_w: float = 1.0   # gaussian: isotropic process-noise variance
     sigma_z: float = 1.0   # gaussian: measurement-noise std
+
+    def __post_init__(self):
+        for name in ("rate", "sigma_w", "sigma_z"):
+            _require_finite(f"noise.{name}", getattr(self, name))
+        if not isinstance(self.centered, bool):
+            raise ParameterError(f"noise.centered must be true or false, got {self.centered!r}")
 
     def to_spec(self, n: int) -> NoiseSpec:
         if self.family == "exponential":
@@ -55,6 +75,10 @@ class NoiseConfig:
 class InputConfig:
     kind: str = "gaussian_isotropic"
     beta: float | None = None
+
+    def __post_init__(self):
+        if self.beta is not None:
+            _require_finite("input.beta", self.beta)
 
     def to_design(self, p: int) -> InputDesign:
         if self.kind == "gaussian_isotropic":
@@ -80,11 +104,25 @@ class ExperimentConfig:
     output_path: str = "results"
 
     def __post_init__(self):
+        for name in ("n", "p", "trials", "base_seed"):
+            _require_int(name, getattr(self, name))
+        _require_finite("delta", self.delta)
+        if not isinstance(self.output_path, str):
+            raise ParameterError(f"output_path must be a string, got {self.output_path!r}")
+        for name, check in (("rho_values", _require_finite), ("L_values", _require_int),
+                            ("T_values", _require_int)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple, np.ndarray)):
+                raise ParameterError(f"{name} must be a list, got {values!r}")
+            for v in values:
+                check(name, v)
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
         object.__setattr__(self, "L_values", tuple(int(L) for L in self.L_values))
         object.__setattr__(self, "T_values", tuple(int(T) for T in self.T_values))
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ParameterError("base_seed must be >= 0")
         if not all(0.0 < r < 1.0 for r in self.rho_values):
             raise ParameterError("every rho must lie in (0, 1)")
         if not self.rho_values or not self.L_values or not self.T_values:
@@ -103,6 +141,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ParameterError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         try:
             if "noise" in d:
@@ -137,8 +177,7 @@ class TrialRecord:
     runtime_ms: int
 
     def row(self) -> list:
-        return [self.rho, self.L, self.T, self.trial, self.err_G_fro2,
-                self.lambda_min, self.solver_mode, self.bound_value, self.runtime_ms]
+        return list(astuple(self))
 
 
 def _run_trial(config: ExperimentConfig, rho: float, L: int, T: int,
@@ -301,9 +340,7 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
     Vectorized over draws; one process/measurement noise draw per step in
     a fixed order, so the result is fully determined by the seed.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = _as_columns(u)
     times = sorted(set(int(t) for t in times))
     t_max = times[-1]
     if t_max > u.shape[0] - 1:

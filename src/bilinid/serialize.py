@@ -96,10 +96,6 @@ def save_json(path, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def report_to_flat_csv(report: dict) -> str:
     """Two-column key,value rendering of a (possibly nested) report dict."""
     lines = ["key,value"]

@@ -22,9 +22,6 @@ import numpy as np
 
 from .exceptions import NumericalError, ParameterError
 
-GRAMIAN_MAX_ITERS = 100_000
-TRANSIENT_TAIL_EPS = 1e-12
-
 
 def derive_rng(base_seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by (base_seed, key).
@@ -49,6 +46,12 @@ def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = 
     if cols is not None and M.shape[1] != cols:
         raise ParameterError(f"{name} must have {cols} columns, got {M.shape[1]}")
     return M
+
+
+def _as_columns(a) -> np.ndarray:
+    """Float array of a sequence, with a column axis added to 1-D input."""
+    a = np.asarray(a, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -163,6 +166,8 @@ class NoiseSpec:
 
     @classmethod
     def exponential(cls, n: int, rate: float = 1.0, centered: bool = True) -> "NoiseSpec":
+        if not rate > 0:
+            raise ParameterError("exponential rate must be positive")
         return cls(sigma_w=np.eye(n) / rate**2, sigma_z=1.0 / rate,
                    family="exponential", rate=rate, centered=centered)
 
@@ -220,9 +225,7 @@ class InputDesign:
         if self.kind == "fixed_sequence":
             if self.sequence is None:
                 raise ParameterError("fixed_sequence requires the sequence")
-            seq = np.asarray(self.sequence, dtype=float)
-            if seq.ndim == 1:
-                seq = seq[:, None]
+            seq = _as_columns(self.sequence)
             if seq.shape[1] != self.p:
                 raise ParameterError(f"fixed sequence must have {self.p} columns")
             object.__setattr__(self, "sequence", _freeze(seq))
@@ -237,9 +240,7 @@ class InputDesign:
 
     @classmethod
     def fixed(cls, sequence) -> "InputDesign":
-        seq = np.asarray(sequence, dtype=float)
-        if seq.ndim == 1:
-            seq = seq[:, None]
+        seq = _as_columns(sequence)
         return cls(kind="fixed_sequence", p=seq.shape[1], sequence=seq)
 
     def sample_iid(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -281,9 +282,7 @@ class Trajectory:
     z: np.ndarray | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
+        u = _as_columns(self.u)
         y = np.asarray(self.y, dtype=float).ravel()
         if u.shape[0] != self.T + 1 or y.shape[0] != self.T + 1:
             raise ParameterError("u and y must both have T+1 entries")
@@ -364,9 +363,7 @@ def simulate(model: StateSpaceModel, noise: NoiseSpec, inputs, T: int, seed,
             raise ParameterError("input design dimension does not match the model")
         u = inputs.sample_sequence(T, rng)
     else:
-        u = np.asarray(inputs, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
+        u = _as_columns(inputs)
         if u.shape != (T + 1, model.p):
             raise ParameterError(f"input sequence must have shape {(T + 1, model.p)}, got {u.shape}")
     w = noise.sample_w(T, rng)
@@ -402,47 +399,41 @@ def transient_factor(A: np.ndarray, rho: float) -> float:
     """Worst-case transient amplification sup_k ||A^k|| / rho^k.
 
     Requires spectral_radius(A) < rho < 1 (otherwise the supremum may be
-    infinite).  The scan over k is truncated once the tail is provably
-    below the running supremum: powers of the rescaled matrix A/rho are
-    tracked, and by submultiplicativity all terms past an index K with
-    ||(A/rho)^K|| < 1 stay below the supremum already seen.
+    infinite).  Powers of the rescaled matrix M = A/rho are scanned one
+    at a time, and the scan stops at the first K with ||M^K|| < 1: by
+    submultiplicativity every later power M^(qK+r) has norm below
+    ||M^r||, a term already seen, so the running supremum is final.
+    Raises NumericalError when no such K appears within 2,000,000 powers.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     sr = spectral_radius(A)
     if not (sr < rho < 1.0):
         raise ParameterError(
             f"need spectral_radius(A) < rho < 1, got spectral radius {sr:.6g}, rho {rho}")
-    ratio = sr / rho
-    if ratio > 0.0:
-        k_max = max(64, int(math.ceil(math.log(TRANSIENT_TAIL_EPS) / math.log(ratio))))
-    else:
-        k_max = 64
-    hard_cap = 2_000_000
+    cap = 2_000_000
     M = A / rho
     power = np.eye(A.shape[0])
     sup = 1.0  # k = 0 term
-    k = 0
-    while True:
-        target = min(k_max, hard_cap)
-        while k < target:
-            power = power @ M
-            k += 1
-            sup = max(sup, float(np.linalg.norm(power, 2)))
-        if float(np.linalg.norm(power, 2)) < 1.0:
+    for _ in range(cap):
+        power = power @ M
+        norm = float(np.linalg.norm(power, 2))
+        if norm < 1.0:
             return sup
-        if k_max >= hard_cap:
-            raise NumericalError(
-                f"transient factor scan did not certify decay within {hard_cap} powers")
-        k_max *= 2
+        sup = max(sup, norm)
+    raise NumericalError(f"transient factor scan did not certify decay within {cap} powers")
 
 
 def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
                             horizon: int | None = None) -> np.ndarray:
     """Gramian sum_i A^i sigma_w (A^i)^T.
 
-    horizon=None gives the infinite-horizon fixed point of
-    X -> A X A^T + sigma_w (requires spectral radius < 1); an integer
-    horizon gives the exact truncated sum over i = 0..horizon.
+    horizon=None gives the infinite sum, the fixed point of
+    X -> A X A^T + sigma_w (requires spectral radius < 1), by Smith
+    doubling: X <- X + A_k X A_k^T with A_k <- A_k^2, so that after k
+    steps X sums the first 2^k terms.  It stops once the added term is at
+    most 1e-13 of ||X|| (2-norm) and raises NumericalError if that takes
+    more than 64 doublings.  An integer horizon gives the exact truncated
+    sum over i = 0..horizon.
     """
     A = model.A
     S = _as_matrix(sigma_w, rows=model.n, cols=model.n, name="sigma_w")
@@ -450,25 +441,21 @@ def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
         if horizon < 0:
             raise ParameterError("horizon must be >= 0")
         G = np.zeros_like(S)
-        term = S.copy()
         Ai = np.eye(model.n)
         for _ in range(horizon + 1):
             G += Ai @ S @ Ai.T
             Ai = Ai @ A
         return 0.5 * (G + G.T)
     model.require_stable()
-    G = S.copy()
-    for _ in range(GRAMIAN_MAX_ITERS):
-        G_next = A @ G @ A.T + S
-        diff = float(np.linalg.norm(G_next - G, 2))
-        scale = max(float(np.linalg.norm(G_next, 2)), np.finfo(float).tiny)
-        if diff <= 1e-13 * scale:
-            return 0.5 * (G_next + G_next.T)
-        G = G_next
-    residual = float(np.linalg.norm(A @ G @ A.T + S - G, 2))
-    raise NumericalError(
-        f"Gramian iteration did not converge in {GRAMIAN_MAX_ITERS} steps "
-        f"(residual {residual:.3e})")
+    X, Ak = S, A
+    for _ in range(64):
+        term = Ak @ X @ Ak.T
+        X = X + term
+        Ak = Ak @ Ak
+        scale = max(float(np.linalg.norm(X, 2)), np.finfo(float).tiny)
+        if float(np.linalg.norm(term, 2)) <= 1e-13 * scale:
+            return 0.5 * (X + X.T)
+    raise NumericalError("Gramian doubling did not converge in 64 steps")
 
 
 def input_gramian(model: StateSpaceModel, u: np.ndarray) -> np.ndarray:
@@ -477,9 +464,7 @@ def input_gramian(model: StateSpaceModel, u: np.ndarray) -> np.ndarray:
     Equals s s^T with s = sum_{i=0..T} A^i B u_{T-i}, the double sum over
     (i, j) of A^i B u_{T-i} u_{T-j}^T B^T (A^j)^T.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = _as_columns(u)
     if u.shape[1] != model.p:
         raise ParameterError("input sequence dimension does not match the model")
     s = np.zeros(model.n)

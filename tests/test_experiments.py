@@ -268,6 +268,28 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert main(["estimate", "--config", str(bad)]) == 2
 
 
+_SMALL = '"n": 2, "p": 1, "L_values": [4], "T_values": [60]'
+
+
+@pytest.mark.parametrize("text, code", [
+    ('{"n": "5"}', 2),
+    ('{"p": true}', 2),
+    ('[1, 2]', 2),
+    ('{"noise": {"rate": NaN}}', 2),
+    ('{"input": {"kind": "bounded_sphere", "beta": Infinity}}', 2),
+    ('{"trials": 1.5}', 2),
+    ('{"noise": {"rate": 0}}', 2),
+    ('{"base_seed": -1}', 2),
+    # finite but extreme values fail inside the numerics: exit 3
+    ('{%s, "input": {"kind": "bounded_sphere", "beta": 1e300}}' % _SMALL, 3),
+    ('{%s, "noise": {"rate": 1e300}}' % _SMALL, 3),
+])
+def test_cli_malformed_config_exit_codes(tmp_path, text, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "est")]) == code
+
+
 def test_cli_seed_override_changes_results(config_file, tmp_path):
     assert main(["exp", "figure1", "--config", str(config_file),
                  "--out", str(tmp_path / "s1"), "--seed", "1"]) == 0

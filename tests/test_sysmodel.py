@@ -174,6 +174,34 @@ def test_transient_factor_dominates_all_powers():
         assert np.linalg.norm(np.linalg.matrix_power(A, k), 2) <= phi * rho**k + 1e-12
 
 
+def _brute_force_transient_factor(A, rho, k_max):
+    """max_{0 <= k <= k_max} ||(A/rho)^k||_2 with no early exit."""
+    M = A / rho
+    power, sup = np.eye(A.shape[0]), 1.0
+    for _ in range(k_max):
+        power = power @ M
+        sup = max(sup, float(np.linalg.norm(power, 2)))
+    return sup
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transient_factor_matches_brute_force_scan_nonnormal(seed):
+    rng = np.random.default_rng(seed)
+    A = 3.0 * np.triu(rng.standard_normal((5, 5))) + 0.1 * rng.standard_normal((5, 5))
+    A *= 0.9 / spectral_radius(A)
+    # decay is certified within 40 powers for these seeds; scan 50x further
+    assert transient_factor(A, 0.93) == _brute_force_transient_factor(A, 0.93, 2000)
+
+
+def test_transient_factor_matches_brute_force_scan_jordan_block():
+    # 6x6 Jordan block, rho just above the spectral radius: the norms peak
+    # near 5.8e5 and first drop below one at k = 495
+    A = 0.9 * np.eye(6) + np.eye(6, k=1)
+    phi = transient_factor(A, 0.95)
+    assert phi > 5e5
+    assert phi == _brute_force_transient_factor(A, 0.95, 3000)
+
+
 # ------------------------------------------------------------------- Gramians
 
 def test_gramian_single_term_for_zero_dynamics():
@@ -194,8 +222,10 @@ def test_gramian_zero_noise_is_zero():
     assert np.all(controllability_gramian(m, np.zeros((3, 3)), horizon=10) == 0.0)
 
 
-def test_gramian_fixed_point_residual():
-    m = random_model(4, 2, 0.95, seed=8)
+@pytest.mark.parametrize("radius", [0.95, 0.999])
+def test_gramian_fixed_point_residual(radius):
+    m = random_model(4, 2, radius, seed=8)
+    m = StateSpaceModel(A=m.A * (radius / spectral_radius(m.A)), B=m.B, C=m.C)
     S = 0.7 * np.eye(4)
     g = controllability_gramian(m, S)
     res = np.linalg.norm(m.A @ g @ m.A.T + S - g) / np.linalg.norm(g)
