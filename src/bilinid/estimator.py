@@ -91,9 +91,12 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
     """Build the Kronecker-row design from an input sequence u_0..u_T.
 
     y, when given, must hold the full output sequence y_0..y_T; the
-    design keeps the slice aligned with the rows.
+    design keeps the slice aligned with the rows.  A NaN or infinite
+    input raises ParameterError.
     """
     u = _as_columns(u)
+    if not np.all(np.isfinite(u)):
+        raise ParameterError("input sequence u must be finite")
     T = u.shape[0] - 1
     p = u.shape[1]
     if L < 1:

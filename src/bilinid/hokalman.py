@@ -34,7 +34,9 @@ class HankelSet:
 
     H_minus / H_plus drop the last / first p columns of H; L_hat is the
     best rank-n approximation of H_minus (by SVD truncation) and
-    sigma_min_L its n-th singular value.
+    sigma_min_L its n-th singular value.  U_n and Vt_n are the rank-n
+    singular vectors of H_minus, signed so that the largest-magnitude
+    entry of each column of U_n is positive (L_hat = U_n diag(s) Vt_n).
     """
 
     H: np.ndarray
@@ -43,6 +45,8 @@ class HankelSet:
     L_hat: np.ndarray
     sigma_min_L: float
     singular_values: np.ndarray
+    U_n: np.ndarray
+    Vt_n: np.ndarray
     n: int
     p: int
     L: int
@@ -103,23 +107,17 @@ def build_hankel(G, n: int) -> HankelSet:
     H_minus = H[:, :-p]
     H_plus = H[:, p:]
     U, s, Vt = np.linalg.svd(H_minus, full_matrices=False)
-    L_hat = (U[:, :n] * s[:n]) @ Vt[:n]
+    U_n, Vt_n = U[:, :n].copy(), Vt[:n].copy()
+    # Fixed sign convention: the largest-magnitude entry of each left
+    # singular vector is positive.  Flipping a pair leaves L_hat unchanged.
+    for k in range(n):
+        if U_n[int(np.argmax(np.abs(U_n[:, k]))), k] < 0.0:
+            U_n[:, k] = -U_n[:, k]
+            Vt_n[k] = -Vt_n[k]
+    L_hat = (U_n * s[:n]) @ Vt_n
     return HankelSet(H=H, H_minus=H_minus, H_plus=H_plus, L_hat=L_hat,
                      sigma_min_L=float(s[n - 1]), singular_values=s,
-                     n=n, p=p, L=L)
-
-
-def _signed_svd(M: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-n SVD factors with a fixed sign convention: the largest-magnitude
-    entry of each left singular vector is positive."""
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    U, s, Vt = U[:, :n].copy(), s[:n].copy(), Vt[:n].copy()
-    for k in range(n):
-        idx = int(np.argmax(np.abs(U[:, k])))
-        if U[idx, k] < 0.0:
-            U[:, k] = -U[:, k]
-            Vt[k] = -Vt[k]
-    return U, s, Vt
+                     U_n=U_n, Vt_n=Vt_n, n=n, p=p, L=L)
 
 
 def ho_kalman(G, n: int) -> Realization:
@@ -143,10 +141,9 @@ def ho_kalman(G, n: int) -> Realization:
         raise DegenerateRealizationError(
             f"rank-{n} truncation refused: sigma_{n} = {s[n - 1]:.3e} "
             f"(ratio {s[n - 1] / s[0]:.3e} to sigma_1)")
-    U, sn, Vt = _signed_svd(hankel.H_minus, n)
-    root = np.sqrt(sn)
-    O = U * root
-    Q = root[:, None] * Vt
+    root = np.sqrt(s[:n])
+    O = hankel.U_n * root
+    Q = root[:, None] * hankel.Vt_n
     A = np.linalg.pinv(O) @ hankel.H_plus @ np.linalg.pinv(Q)
     p = hankel.p
     return Realization(A=A, B=Q[:, :p].copy(), C=O[:p].copy(), O=O, Q=Q, n=n, p=p)

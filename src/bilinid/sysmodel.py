@@ -228,6 +228,8 @@ class InputDesign:
             seq = _as_columns(self.sequence)
             if seq.shape[1] != self.p:
                 raise ParameterError(f"fixed sequence must have {self.p} columns")
+            if not np.all(np.isfinite(seq)):
+                raise ParameterError("fixed sequence must be finite")
             object.__setattr__(self, "sequence", _freeze(seq))
 
     @classmethod

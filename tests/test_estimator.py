@@ -87,6 +87,14 @@ def test_design_requires_enough_samples():
         design_from_inputs(np.zeros((5, 1)), L=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_design_rejects_non_finite_inputs(bad):
+    u = np.ones((12, 2))
+    u[7, 1] = bad
+    with pytest.raises(ParameterError):
+        design_from_inputs(u, L=3)
+
+
 def test_vec_convention_bilinear_identity():
     rng = np.random.default_rng(1)
     p, L = 3, 5

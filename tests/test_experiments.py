@@ -12,6 +12,7 @@ from bilinid.experiments import (
     InputConfig,
     NoiseConfig,
     batch_simulate_outputs,
+    final_output_draws,
     format_aggregate_csv,
     format_trial_csv,
     run_double_descent,
@@ -159,6 +160,19 @@ def test_validation_passes_on_small_config():
     assert rep["passed"], rep
     assert {c["name"] for c in rep["checks"]} == {
         "autocovariance_mc", "m4_gaussian", "bound_coverage", "prediction_bound"}
+    pred = rep["checks"][-1]
+    # Gaussian noise: the exact prediction MSE is reported beside the MC one
+    assert pred["details"]["min_exact_margin"] > 0.0
+
+
+def test_validation_exact_margin_null_for_exponential_noise():
+    cfg = _small_config(L_values=(3,), T_values=(150,), noise=NoiseConfig())
+    rep = run_validation(cfg, autocov_draws=2_000, m4_directions=2,
+                         m4_samples=2_000, coverage_trials=3,
+                         prediction_resamples=200)
+    pred = rep["checks"][-1]
+    assert pred["name"] == "prediction_bound"
+    assert pred["details"]["min_exact_margin"] is None
 
 
 def test_validation_measurement_noise_only_subcase():
@@ -192,6 +206,63 @@ def test_batch_outputs_match_simulator_when_noiseless():
     ys = batch_simulate_outputs(m, NoiseSpec.none(2), u, [3, 7, 10], 5, seed=2)
     for k, t in enumerate((3, 7, 10)):
         assert np.allclose(ys[:, k], traj.y[t], atol=1e-12)
+
+
+# ------------------------------------------------------ final-output sampler
+
+def _sampler_model():
+    return StateSpaceModel(A=[[0.5, 0.3, 0.0], [0.0, -0.4, 0.2], [0.1, 0.0, 0.6]],
+                           B=[[1.0, 0.0], [0.5, -1.0], [0.0, 0.8]],
+                           C=[[0.7, -0.2, 0.3], [0.1, 0.9, -0.5]])
+
+
+def test_final_output_draws_noiseless_matches_simulator():
+    m = _sampler_model()
+    u = np.random.default_rng(0).standard_normal((13, 2))
+    traj = simulate(m, NoiseSpec.none(3), u, T=12, seed=1)
+    ys = final_output_draws(m, NoiseSpec.none(3), u, 5, seed=2)
+    assert ys.shape == (5,)
+    assert np.allclose(ys, traj.y[12], rtol=0.0, atol=1e-12)
+
+
+def test_final_output_draws_gaussian_moments_match_step_simulator():
+    # Non-isotropic process noise: the one-draw sampler and the step-by-step
+    # rollout agree in mean and variance within 4 standard errors.
+    m = _sampler_model()
+    root = np.array([[0.6, 0.0, 0.0], [0.3, 0.4, 0.0], [-0.2, 0.1, 0.5]])
+    noise = NoiseSpec.gaussian(root @ root.T, 0.3)
+    u = np.random.default_rng(1).standard_normal((9, 2))
+    draws = 400_000
+    fast = final_output_draws(m, noise, u, draws, seed=3)
+    step = batch_simulate_outputs(m, noise, u, [8], draws, seed=4)[:, 0]
+    se_mean = np.sqrt((fast.var() + step.var()) / draws)
+    assert abs(fast.mean() - step.mean()) <= 4.0 * se_mean
+    sq = [(x - x.mean()) ** 2 for x in (fast, step)]
+    se_var = np.sqrt((sq[0].var() + sq[1].var()) / draws)
+    assert abs(fast.var() - step.var()) <= 4.0 * se_var
+
+
+def test_final_output_draws_scalar_system_by_hand():
+    # y_3 = u_3 c x_3 + z_3 with x_3 = sum_i a^(2-i) (b u_i + w_i): mean
+    # u_3 c b (a^2 u_0 + a u_1 + u_2), variance sz^2 + sw (u_3 c)^2 (1 + a^2 + a^4).
+    a, b, c, sw, sz = 0.9, 1.5, -0.8, 0.4, 0.2
+    m = StateSpaceModel(A=[[a]], B=[[b]], C=[[c]])
+    u = np.array([0.7, -1.2, 0.4, 1.1])
+    mean = u[3] * c * b * (a**2 * u[0] + a * u[1] + u[2])
+    var = sz**2 + sw * (u[3] * c) ** 2 * (1 + a**2 + a**4)
+    draws = 400_000
+    ys = final_output_draws(m, NoiseSpec.gaussian([[sw]], sz), u, draws, seed=7)
+    assert abs(ys.mean() - mean) <= 4.0 * np.sqrt(var / draws)
+    assert abs(ys.var() - var) <= 4.0 * var * np.sqrt(2.0 / draws)
+
+
+def test_final_output_draws_exponential_delegates_to_step_simulator():
+    m = _sampler_model()
+    noise = NoiseSpec.exponential(3, rate=2.0)
+    u = np.random.default_rng(5).standard_normal((7, 2))
+    ys = final_output_draws(m, noise, u, 1_000, seed=6)
+    ref = batch_simulate_outputs(m, noise, u, [6], 1_000, seed=6)[:, 0]
+    assert np.array_equal(ys, ref)
 
 
 # ------------------------------------------------------------------------- CLI

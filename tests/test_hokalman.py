@@ -128,6 +128,19 @@ def test_ho_kalman_deterministic_sign_convention():
         assert col[np.argmax(np.abs(col))] > 0.0
 
 
+def test_ho_kalman_factors_come_from_the_hankel_svd():
+    # build_hankel's signed rank-n SVD factors are the ones ho_kalman splits
+    m = random_model(3, 2, 0.8, seed=9)
+    G = markov_params(m, 8).G
+    h = build_hankel(G, n=3)
+    real = ho_kalman(G, n=3)
+    root = np.sqrt(h.singular_values[:3])
+    assert np.array_equal(real.O, h.U_n * root)
+    assert np.array_equal(real.Q, root[:, None] * h.Vt_n)
+    assert np.allclose(h.U_n.T @ h.U_n, np.eye(3), atol=1e-12)
+    assert np.allclose(h.Vt_n @ h.Vt_n.T, np.eye(3), atol=1e-12)
+
+
 # ---------------------------------------------------------- align_realizations
 
 def test_align_identical_realizations():

@@ -324,6 +324,14 @@ def test_fixed_sequence_replay_and_length_check():
         design.sample_sequence(6, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fixed_sequence_rejects_non_finite_entries(bad):
+    seq = np.zeros((6, 2))
+    seq[3, 0] = bad
+    with pytest.raises(ParameterError):
+        InputDesign.fixed(seq)
+
+
 def test_derive_rng_is_stable_and_key_sensitive():
     a = derive_rng(7, 1, 2).standard_normal(4)
     b = derive_rng(7, 1, 2).standard_normal(4)
