@@ -116,8 +116,7 @@ def cmd_hokalman(args) -> int:
     realization = hokalman.ho_kalman(report.G_hat, n)
     err_fro = float(np.linalg.norm(report.G_hat - G_true))
     bounds = hokalman.realization_error_bounds(
-        hankel.H, hokalman.build_hankel(report.G_hat, n).H,
-        hankel.sigma_min_L, err_fro, L)
+        hankel.H, realization.hankel.H, hankel.sigma_min_L, err_fro, L)
     base = _out_path(args, config.output_path + ".realization")
     for name, M in (("A", realization.A), ("B", realization.B), ("C", realization.C)):
         serialize.save_matrix(base.with_suffix(base.suffix + f".{name}.csv"), M)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import InfeasibleError, ParameterError
+from .exceptions import InfeasibleError, NumericalError, ParameterError
 from .sysmodel import (
     MarkovParams,
     NoiseSpec,
@@ -92,7 +92,8 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
 
     y, when given, must hold the full output sequence y_0..y_T; the
     design keeps the slice aligned with the rows.  A NaN or infinite
-    input raises ParameterError.
+    input raises ParameterError; a NaN or infinite output in that slice
+    (an overflow of the simulated system) raises NumericalError.
     """
     u = _as_columns(u)
     if not np.all(np.isfinite(u)):
@@ -117,6 +118,8 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
         if y.shape[0] != T + 1:
             raise ParameterError("y must hold the full output sequence y_0..y_T")
         y_slice = y[L + 1: T + 1].copy()
+        if not np.all(np.isfinite(y_slice)):
+            raise NumericalError("output sequence y must be finite")
     return DesignSystem(U_tilde=U_tilde, y=y_slice, L=L, T=T, p=p)
 
 
@@ -142,19 +145,22 @@ def estimate_markov(design: DesignSystem, rank_tol: float = RANK_TOL) -> Estimat
 
     When the Gram matrix is full rank (smallest eigenvalue above
     rank_tol times the largest) the unique normal-equation solution is
-    returned; otherwise the minimum-Euclidean-norm minimizer is used and
-    flagged, which keeps interpolation-regime sweeps running instead of
-    failing.
+    returned, solved on the Gram matrix already formed for the rank test;
+    otherwise the minimum-Euclidean-norm minimizer is used and flagged,
+    which keeps interpolation-regime sweeps running instead of failing.
     """
     U, y = design.U_tilde, design.y
     gram = U.T @ U
     eigs = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     full_rank = lam_min > rank_tol * lam_max and lam_max > 0.0
-    # SVD-based solve (LAPACK gelsd) in both modes; in the full-rank regime
-    # it coincides with the normal-equation solution at much better
-    # conditioning.
-    theta = np.linalg.lstsq(U, y, rcond=None)[0]
+    if full_rank:
+        # Normal equations: accurate to about eps * cond(U)^2, and the
+        # certified rank keeps cond(U)^2 below 1 / rank_tol.
+        theta = np.linalg.solve(gram, U.T @ y)
+    else:
+        # Minimum-norm solution by SVD (LAPACK gelsd).
+        theta = np.linalg.lstsq(U, y, rcond=None)[0]
     residual = float(np.linalg.norm(y - U @ theta))
     return EstimateReport(
         G_hat=unvec(theta, design.p, design.p * design.L),

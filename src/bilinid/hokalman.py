@@ -54,7 +54,11 @@ class HankelSet:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """Recovered (A, B, C) with the factors they came from (O Q = L_hat)."""
+    """Recovered (A, B, C) with the factors they came from (O Q = L_hat).
+
+    hankel is the HankelSet that ho_kalman built and factored (None for a
+    Realization assembled by hand).
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -63,6 +67,7 @@ class Realization:
     Q: np.ndarray
     n: int
     p: int
+    hankel: HankelSet | None = None
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,8 @@ def ho_kalman(G, n: int) -> Realization:
         p = hankel.p
         return Realization(A=np.zeros((n, n)), B=np.zeros((n, p)), C=np.zeros((p, n)),
                            O=np.zeros((hankel.H_minus.shape[0], n)),
-                           Q=np.zeros((n, hankel.H_minus.shape[1])), n=n, p=p)
+                           Q=np.zeros((n, hankel.H_minus.shape[1])), n=n, p=p,
+                           hankel=hankel)
     if s[n - 1] / s[0] < DEGENERATE_RATIO:
         raise DegenerateRealizationError(
             f"rank-{n} truncation refused: sigma_{n} = {s[n - 1]:.3e} "
@@ -146,7 +152,8 @@ def ho_kalman(G, n: int) -> Realization:
     Q = root[:, None] * hankel.Vt_n
     A = np.linalg.pinv(O) @ hankel.H_plus @ np.linalg.pinv(Q)
     p = hankel.p
-    return Realization(A=A, B=Q[:, :p].copy(), C=O[:p].copy(), O=O, Q=Q, n=n, p=p)
+    return Realization(A=A, B=Q[:, :p].copy(), C=O[:p].copy(), O=O, Q=Q, n=n, p=p,
+                       hankel=hankel)
 
 
 def align_realizations(ref: Realization, other: Realization) -> Alignment:

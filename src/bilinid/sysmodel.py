@@ -16,7 +16,7 @@ controllability Gramians).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,16 +103,17 @@ class StateSpaceModel:
         return rho
 
 
-def _check_psd(S: np.ndarray, tol: float = 1e-10) -> None:
+def _psd_factor(S: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Factor R with R R^T = S, valid for singular PSD matrices.
+
+    Raises ParameterError unless S is symmetric positive semidefinite
+    (to within tol).
+    """
     if np.max(np.abs(S - S.T), initial=0.0) > tol:
         raise ParameterError("process-noise covariance must be symmetric")
-    if S.size and float(np.min(np.linalg.eigvalsh(S))) < -tol:
-        raise ParameterError("process-noise covariance must be positive semidefinite")
-
-
-def _psd_factor(S: np.ndarray) -> np.ndarray:
-    """Factor R with R R^T = S, valid for singular PSD matrices."""
     lam, V = np.linalg.eigh(S)
+    if lam.size and float(lam[0]) < -tol:
+        raise ParameterError("process-noise covariance must be positive semidefinite")
     lam = np.clip(lam, 0.0, None)
     return V * np.sqrt(lam)
 
@@ -138,12 +139,14 @@ class NoiseSpec:
     family: str = "gaussian"
     rate: float = 1.0
     centered: bool = True
+    # R with R R^T = sigma_w, factored once for the Gaussian sampler
+    w_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         S = _as_matrix(self.sigma_w, name="sigma_w")
         if S.shape[0] != S.shape[1]:
             raise ParameterError("sigma_w must be square")
-        _check_psd(S)
+        factor = _psd_factor(S)
         if self.sigma_z < 0:
             raise ParameterError("sigma_z must be nonnegative")
         if self.family not in ("gaussian", "exponential"):
@@ -157,6 +160,7 @@ class NoiseSpec:
                     "exponential noise has entrywise covariance I/rate^2; "
                     "construct it with NoiseSpec.exponential()")
         object.__setattr__(self, "sigma_w", _freeze(S))
+        object.__setattr__(self, "w_factor", _freeze(factor))
         object.__setattr__(self, "sigma_z", float(self.sigma_z))
 
     @classmethod
@@ -184,8 +188,7 @@ class NoiseSpec:
         if self.family == "exponential":
             draws = rng.exponential(scale=1.0 / self.rate, size=(count, self.n))
             return draws - (1.0 / self.rate if self.centered else 0.0)
-        factor = _psd_factor(self.sigma_w)
-        return rng.standard_normal((count, self.n)) @ factor.T
+        return rng.standard_normal((count, self.n)) @ self.w_factor.T
 
     def sample_z(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count measurement-noise scalars, shape (count,)."""

@@ -7,6 +7,7 @@ from bilinid import (
     InfeasibleError,
     InputDesign,
     NoiseSpec,
+    NumericalError,
     ParameterError,
     StateSpaceModel,
     bound_data_dependent,
@@ -95,6 +96,19 @@ def test_design_rejects_non_finite_inputs(bad):
         design_from_inputs(u, L=3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_design_rejects_non_finite_outputs(bad):
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((12, 2))
+    y = rng.standard_normal(12)
+    y[9] = bad
+    with pytest.raises(NumericalError):
+        design_from_inputs(u, L=3, y=y)
+    # outputs before the first row are not part of the regression
+    y[9], y[2] = 0.0, bad
+    assert np.all(np.isfinite(design_from_inputs(u, L=3, y=y).y))
+
+
 def test_vec_convention_bilinear_identity():
     rng = np.random.default_rng(1)
     p, L = 3, 5
@@ -146,6 +160,25 @@ def test_normal_equations_residual_in_full_rank_mode():
     rhs = d.U_tilde.T @ d.y
     lhs = report.gram @ vec(report.G_hat)
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_full_rank_solve_agrees_with_lstsq_on_ill_conditioned_design():
+    # singular values spaced from 1 to 1e-3: kappa^2 = 1e6, still full rank
+    rng = np.random.default_rng(21)
+    p, L, rows = 2, 3, 200
+    cols = p * p * L
+    Q1 = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    sv = np.logspace(0.0, -3.0, cols)
+    U = (Q1 * sv) @ Q2.T
+    y = U @ rng.standard_normal(cols) + 1e-3 * rng.standard_normal(rows)
+    d = DesignSystem(U_tilde=U, y=y, L=L, T=rows + L, p=p)
+    report = estimate_markov(d)
+    assert report.solver_mode == "full_rank"
+    ref = np.linalg.lstsq(U, y, rcond=None)[0]
+    kappa_sq = (sv[0] / sv[-1]) ** 2
+    tol = 100 * np.finfo(float).eps * kappa_sq * np.linalg.norm(ref)
+    assert np.linalg.norm(vec(report.G_hat) - ref) <= tol
 
 
 def test_regression_identity_against_effective_noise():

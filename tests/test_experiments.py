@@ -292,6 +292,19 @@ def test_cli_simulate_estimate_hokalman(config_file, tmp_path):
     assert {"n", "p", "L", "sigma_min_L", "robustness_ok"} == set(meta)
 
 
+@pytest.mark.parametrize("command, suffixes", [
+    ("estimate", (".G.csv", ".report.json")),
+    ("hokalman", (".A.csv", ".B.csv", ".C.csv", ".json")),
+])
+def test_cli_rerun_to_same_out_is_byte_identical(config_file, tmp_path, command, suffixes):
+    out = tmp_path / "run"
+    paths = [tmp_path / f"run{suffix}" for suffix in suffixes]
+    assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+    first = [path.read_bytes() for path in paths]
+    assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+    assert [path.read_bytes() for path in paths] == first
+
+
 def test_cli_pe_check_and_campaign(config_file, tmp_path):
     assert main(["pe-check", "--config", str(config_file)]) == 0
     cert = json.loads((tmp_path / "out.pe.json").read_text())

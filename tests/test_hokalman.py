@@ -141,6 +141,16 @@ def test_ho_kalman_factors_come_from_the_hankel_svd():
     assert np.allclose(h.Vt_n @ h.Vt_n.T, np.eye(3), atol=1e-12)
 
 
+def test_ho_kalman_keeps_the_hankel_it_factored():
+    m = random_model(3, 2, 0.8, seed=10)
+    G = markov_params(m, 8).G + 1e-3 * np.random.default_rng(0).standard_normal((2, 16))
+    real = ho_kalman(G, n=3)
+    h = build_hankel(G, n=3)
+    assert real.hankel.n == 3
+    for name in ("H", "H_minus", "H_plus", "L_hat", "singular_values", "U_n", "Vt_n"):
+        assert np.array_equal(getattr(real.hankel, name), getattr(h, name))
+
+
 # ---------------------------------------------------------- align_realizations
 
 def test_align_identical_realizations():

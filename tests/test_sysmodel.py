@@ -291,6 +291,19 @@ def test_exponential_spec_pins_implied_covariance():
         NoiseSpec(sigma_w=2.0 * np.eye(2), sigma_z=1.0, family="exponential", rate=1.0)
 
 
+def test_gaussian_draws_match_per_call_factorization():
+    # the factor is computed once per spec; every draw equals the one made
+    # by factoring sigma_w afresh on each call
+    S = np.array([[1.0, 0.6, 0.1], [0.6, 2.0, -0.3], [0.1, -0.3, 0.5]])
+    spec = NoiseSpec.gaussian(S, 0.0)
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    for count in range(1, 51):
+        lam, V = np.linalg.eigh(S)
+        factor = V * np.sqrt(np.clip(lam, 0.0, None))
+        expected = ref_rng.standard_normal((count, 3)) @ factor.T
+        assert np.array_equal(spec.sample_w(count, rng), expected)
+
+
 def test_gaussian_sample_covariance_matches_spec():
     S = np.array([[1.0, 0.6], [0.6, 2.0]])
     spec = NoiseSpec.gaussian(S, 0.0)
