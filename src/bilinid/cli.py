@@ -65,11 +65,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_report(config: ExperimentConfig):
+def _fit(config: ExperimentConfig):
     model, noise, design_in, _, L, T, rng = _single_run_pieces(config)
     traj = simulate(model, noise, design_in, T, rng)
     design = estimator.build_design(traj, L)
-    report = estimator.estimate_markov(design)
+    return model, noise, traj, design, estimator.estimate_markov(design)
+
+
+def cmd_estimate(args) -> int:
+    config = _load_config(args)
+    model, noise, traj, design, report = _fit(config)
+    L, T = design.L, design.T
     G = markov_params(model, L).G
     record = {
         "lambda_min": report.lambda_min,
@@ -88,12 +94,6 @@ def _estimate_report(config: ExperimentConfig):
         record["bound_value"] = bound.value
         record["bound_fro"] = bound.fro_value
         record["bound_terms"] = terms.to_dict()
-    return model, traj, design, report, record
-
-
-def cmd_estimate(args) -> int:
-    config = _load_config(args)
-    _, _, _, report, record = _estimate_report(config)
     base = _out_path(args, config.output_path + ".estimate")
     serialize.save_matrix(base.with_suffix(base.suffix + ".G.csv"), report.G_hat)
     if args.format == "csv":
@@ -108,7 +108,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_hokalman(args) -> int:
     config = _load_config(args)
-    model, _, _, report, _ = _estimate_report(config)
+    model, _, _, _, report = _fit(config)
     L = config.L_values[0]
     n = config.n
     G_true = markov_params(model, L).G
@@ -145,9 +145,8 @@ def cmd_pe_check(args) -> int:
         cert = excitation.pe_certificate(design, config.delta,
                                          excitation.REGIME_FOURTH_MOMENT,
                                          m4=excitation.GAUSSIAN_M4)
-    out = _out_path(args, config.output_path + ".pe.json")
+    out = _out_path(args, config.output_path + f".pe.{args.format}")
     if args.format == "csv":
-        out = out if out.suffix == ".csv" else out.with_suffix(".csv")
         out.write_text(serialize.report_to_flat_csv(cert.to_dict()))
     else:
         serialize.save_json(out, cert.to_dict())

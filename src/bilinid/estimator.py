@@ -59,6 +59,11 @@ class DesignSystem:
 
     Row t (for t = L+1 .. T) of U_tilde is ubar_{t-1} (x) u_t, a vector of
     length p^2 L; y holds the aligned outputs y_{L+1} .. y_T.
+
+    U_tilde built by design_from_inputs is column-major (Fortran order):
+    each of its p^2 L columns is one contiguous product of an input
+    component with a lagged one, which is far cheaper to fill than
+    T - L short rows, and the Gram product and solvers take either order.
     """
 
     U_tilde: np.ndarray
@@ -87,13 +92,36 @@ def stack_recent_inputs(u: np.ndarray, t: int, L: int) -> np.ndarray:
     return u[t - L + 1: t + 1][::-1].reshape(-1)
 
 
+def _kron_rows(lags: list[np.ndarray], cur: np.ndarray) -> np.ndarray:
+    """Kronecker rows [lags[0][t]; ...; lags[L-1][t]] (x) cur[t], shape (count, p^2 L).
+
+    Column (j p + i) p + k is lags[j][:, i] * cur[:, k].  The columns are
+    written as contiguous rows of a (p^2 L, count) buffer, one vector
+    product per column, and the result is the buffer's transpose: a
+    column-major view.  A product that overflows raises NumericalError.
+    """
+    count, p = cur.shape
+    buf = np.empty((p * p * len(lags), count))
+    cur_t = cur.T
+    try:
+        with np.errstate(over="raise"):
+            for j, lag in enumerate(lags):
+                for i in range(p):
+                    k0 = (j * p + i) * p
+                    np.multiply(lag[:, i], cur_t, out=buf[k0:k0 + p])
+    except FloatingPointError as exc:
+        raise NumericalError("Kronecker design rows overflow the float range") from exc
+    return buf.T
+
+
 def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> DesignSystem:
     """Build the Kronecker-row design from an input sequence u_0..u_T.
 
     y, when given, must hold the full output sequence y_0..y_T; the
     design keeps the slice aligned with the rows.  A NaN or infinite
-    input raises ParameterError; a NaN or infinite output in that slice
-    (an overflow of the simulated system) raises NumericalError.
+    input raises ParameterError; a Kronecker product beyond the float
+    range, or a NaN or infinite output in that slice (an overflow of the
+    simulated system), raises NumericalError.
     """
     u = _as_columns(u)
     if not np.all(np.isfinite(u)):
@@ -106,11 +134,7 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
         raise ParameterError(f"need T >= L + 1 rows, got T={T}, L={L}")
     rows = T - L
     # Block j of ubar_{t-1} is u_{t-1-j}; sliding the row index gives u[L-j : T-j].
-    ubar = np.empty((rows, p * L))
-    for j in range(L):
-        ubar[:, j * p:(j + 1) * p] = u[L - j: T - j]
-    ucur = u[L + 1: T + 1]
-    U_tilde = np.einsum("ti,tj->tij", ubar, ucur).reshape(rows, p * p * L)
+    U_tilde = _kron_rows([u[L - j: T - j] for j in range(L)], u[L + 1: T + 1])
     if y is None:
         y_slice = np.zeros(rows)
     else:

@@ -83,6 +83,29 @@ def test_design_rows_match_explicit_kron():
         assert np.array_equal(d.U_tilde[i], row)
 
 
+def _einsum_design_rows(u, L):
+    """Row build by one einsum over a stacked ubar copy (an independent oracle)."""
+    T, p = u.shape[0] - 1, u.shape[1]
+    ubar = np.hstack([u[L - j: T - j] for j in range(L)])
+    return np.einsum("ti,tj->tij", ubar, u[L + 1:]).reshape(T - L, p * p * L)
+
+
+@pytest.mark.parametrize("p,L", [(1, 1), (2, 4), (3, 3)])
+def test_design_bit_identical_to_einsum_build_and_column_major(p, L):
+    u = np.random.default_rng(p * 10 + L).standard_normal((200, p))
+    U = design_from_inputs(u, L).U_tilde
+    assert np.array_equal(U, _einsum_design_rows(u, L))
+    # each column is one contiguous vector product; the speed of the build
+    # and of the Gram product depends on this layout
+    assert U.flags.f_contiguous
+
+
+def test_design_overflowing_products_raise_numerical_error():
+    u = np.full((12, 2), 1e200)
+    with pytest.raises(NumericalError, match="overflow"):
+        design_from_inputs(u, L=3)
+
+
 def test_design_requires_enough_samples():
     with pytest.raises(ParameterError):
         design_from_inputs(np.zeros((5, 1)), L=4)

@@ -13,7 +13,7 @@ from bilinid import (
     pe_required_samples,
 )
 from bilinid.estimator import DesignSystem, design_from_inputs
-from bilinid.excitation import REGIME_BOUNDED, REGIME_FOURTH_MOMENT
+from bilinid.excitation import REGIME_BOUNDED, REGIME_FOURTH_MOMENT, _covariate_rows
 from bilinid.sysmodel import derive_rng
 
 
@@ -194,3 +194,29 @@ def test_m4_deterministic_given_seed():
                     n_samples=2000, seed=11)
     assert np.array_equal(a.estimates, b.estimates)
     assert a.value == b.value
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 3])
+def test_covariate_rows_are_kronecker_rows_of_sequence_windows(p, L):
+    seq = np.random.default_rng(10 * p + L).standard_normal((9, p))
+    rows = _covariate_rows(InputDesign.fixed(seq), L, 40, np.random.default_rng(2))
+    # every admissible window s..s+L of the sequence, row by row
+    candidates = np.array([np.kron(seq[s: s + L][::-1].reshape(-1), seq[s + L])
+                           for s in range(seq.shape[0] - L)])
+    assert rows.shape == (40, p * p * L)
+    for row in rows:
+        assert np.any(np.all(candidates == row, axis=1))
+
+
+def test_m4_matches_brute_force_fourth_power():
+    design, L, seed = InputDesign.gaussian(2), 2, 13
+    directions = np.random.default_rng(1).standard_normal((3, 8))
+    est = estimate_m4(design, L=L, n_directions=3, n_samples=5000, seed=seed,
+                      directions=directions)
+    for k, v in enumerate(directions):
+        rows = _covariate_rows(design, L, 5000, derive_rng(seed, 1, k))
+        proj = rows @ (v / np.linalg.norm(v))
+        assert est.estimates[k] == pytest.approx(np.mean(proj**4), rel=1e-12)
+        assert est.std_errors[k] == pytest.approx(
+            np.std(proj**4, ddof=1) / math.sqrt(5000), rel=1e-12)

@@ -315,6 +315,17 @@ def test_cli_pe_check_and_campaign(config_file, tmp_path):
     assert (tmp_path / "cert.csv").read_text().startswith("key,value")
 
 
+def test_cli_pe_check_csv_writes_the_given_out_path(config_file, tmp_path):
+    out = tmp_path / "report.txt"
+    assert main(["pe-check", "--config", str(config_file), "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("key,value")
+    assert not (tmp_path / "report.csv").exists()
+    # without --out the default path still carries the format's suffix
+    assert main(["pe-check", "--config", str(config_file), "--format", "csv"]) == 0
+    assert (tmp_path / "out.pe.csv").read_text().startswith("key,value")
+
+
 def test_cli_experiments_byte_identical_reruns(config_file, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -372,6 +383,17 @@ def test_cli_malformed_config_exit_codes(tmp_path, text, code):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "est")]) == code
+
+
+@pytest.mark.parametrize("command", ["pe-campaign", "pe-check"])
+def test_cli_overflowing_design_exits_3(tmp_path, capsys, command):
+    # the inputs are finite, but their Kronecker products (1e400) are not
+    path = tmp_path / "cfg.json"
+    path.write_text('{%s, "trials": 2, "input": {"kind": "bounded_sphere", "beta": 1e200}}'
+                    % _SMALL)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    if command == "pe-campaign":
+        assert "Kronecker design rows overflow" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_results(config_file, tmp_path):
