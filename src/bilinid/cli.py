@@ -41,14 +41,13 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _single_run_pieces(config: ExperimentConfig):
-    rho = config.rho_values[0]
     L = config.L_values[0]
     T = config.T_values[0]
     rng = derive_rng(config.base_seed, 0)
-    model = random_model(config.n, config.p, rho, rng)
+    model = random_model(config.n, config.p, config.rho_values[0], rng)
     noise = config.noise.to_spec(config.n)
     design_in = config.input.to_design(config.p)
-    return model, noise, design_in, rho, L, T, rng
+    return model, noise, design_in, L, T, rng
 
 
 def _out_path(args, default: str) -> Path:
@@ -57,7 +56,7 @@ def _out_path(args, default: str) -> Path:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    model, noise, design_in, _, _, T, rng = _single_run_pieces(config)
+    model, noise, design_in, _, T, rng = _single_run_pieces(config)
     traj = simulate(model, noise, design_in, T, rng, diagnostics=args.diagnostics)
     out = _out_path(args, config.output_path + ".traj.csv")
     serialize.save_trajectory(out, traj)
@@ -66,7 +65,7 @@ def cmd_simulate(args) -> int:
 
 
 def _fit(config: ExperimentConfig):
-    model, noise, design_in, _, L, T, rng = _single_run_pieces(config)
+    model, noise, design_in, L, T, rng = _single_run_pieces(config)
     traj = simulate(model, noise, design_in, T, rng)
     design = estimator.build_design(traj, L)
     return model, noise, traj, design, estimator.estimate_markov(design)
@@ -134,7 +133,7 @@ def cmd_hokalman(args) -> int:
 
 def cmd_pe_check(args) -> int:
     config = _load_config(args)
-    model, noise, design_in, _, L, T, rng = _single_run_pieces(config)
+    model, noise, design_in, L, T, rng = _single_run_pieces(config)
     traj = simulate(model, noise, design_in, T, rng)
     design = estimator.build_design(traj, L)
     if args.regime == "bounded_a":
@@ -213,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
         p_cmd.add_argument("--out", default=None, help="output path")
         p_cmd.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
-        p_cmd.add_argument("--format", choices=("csv", "json"), default="json")
 
     p_sim = sub.add_parser("simulate", help="simulate one trajectory to CSV")
     common(p_sim)
@@ -223,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate Markov blocks from one trajectory")
     common(p_est)
+    p_est.add_argument("--format", choices=("csv", "json"), default="json")
     p_est.set_defaults(func=cmd_estimate)
 
     p_hk = sub.add_parser("hokalman", help="recover a state-space realization")
@@ -231,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pe = sub.add_parser("pe-check", help="excitation certificate for one design")
     common(p_pe)
+    p_pe.add_argument("--format", choices=("csv", "json"), default="json")
     p_pe.add_argument("--regime", choices=("bounded_a", "fourth_moment_b"),
                       default="fourth_moment_b")
     p_pe.set_defaults(func=cmd_pe_check)

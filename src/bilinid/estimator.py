@@ -402,50 +402,29 @@ def prediction_bound(design: DesignSystem, report: EstimateReport, G_true: np.nd
 
 def effective_noise_autocov(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
                             tau: int, tau_prime: int, L: int) -> float:
-    """Closed-form conditional autocovariance of the effective noise.
+    """Closed-form conditional autocovariance Cov(zeta_a, zeta_b | u) for
+    a = tau+1, b = tau'+1.
 
-    zeta_{t} = (wbar_{t-1} (x) u_t)^T vec(F) + u_t^T C A^L x_{t-L} + z_t
-    for t = tau+1 and t = tau'+1, conditioned on the fixed input sequence.
-    Four contributions survive: the overlap of the two process-noise
-    windows, the noise carried by the truncated state, the two
-    state/window cross terms, plus the measurement-noise diagonal.
+    Given u, the noise part of zeta_t is sum_{i<t} u_t^T C A^{t-1-i} w_i + z_t,
+    so with m = min(a, b) only the process noises w_0..w_{m-1} are shared:
+
+        Cov = g_a^T Gamma_w^{(m-1)} g_b + sigma_z^2 [a = b],
+        g_a = (A^{a-m})^T C^T u_a,
+
+    where Gamma_w^{(h)} = sum_{j=0..h} A^j Sigma_w (A^j)^T.  The paper's
+    four terms (window overlap, truncated state, two state/window cross
+    terms) split that one sum at t - L, so they add up to this value and
+    it does not depend on L; L only bounds the lags, L <= tau, tau' <= T-1.
     """
     u = _as_columns(u)
     T = u.shape[0] - 1
     if not (L <= tau <= T - 1 and L <= tau_prime <= T - 1):
         raise ParameterError(f"need L <= tau, tau' <= T-1; got tau={tau}, tau'={tau_prime}, T={T}")
     A, C = model.A, model.C
-    Sw = noise.sigma_w
-    n = model.n
-    mp = markov_params(model, L)
-    f = vec(mp.F)
-    u_a = u[tau + 1]
-    u_b = u[tau_prime + 1]
-
-    powers = [np.eye(n)]
-    for _ in range(max(tau, tau_prime) + 1):
-        powers.append(powers[-1] @ A)
-
-    # window overlap of the stacked process noises: blocks i and j of the
-    # two windows hold the same draw when tau - tau' = i - j
-    D = np.eye(L, k=tau_prime - tau)
-    term_w = float(f @ np.kron(np.kron(D, Sw), np.outer(u_a, u_b)) @ f)
-
-    # noise carried by the truncated states
-    term_e = 0.0
-    for i in range(min(tau, tau_prime) - L + 1):
-        term_e += float(u_a @ C @ powers[tau - i] @ Sw @ powers[tau_prime - i].T @ C.T @ u_b)
-
-    def cross(t_state: int, t_window: int, u_state: np.ndarray, u_window: np.ndarray) -> float:
-        S = np.zeros((n, n * L))
-        for i in range(t_state - L + 1):
-            block = t_window - i
-            if 0 <= block < L:
-                S[:, block * n:(block + 1) * n] += powers[t_state - L - i] @ Sw
-        lead = u_state @ C @ powers[L] @ S
-        return float(np.kron(lead, u_window) @ f)
-
-    term_cross = (cross(tau_prime, tau, u_b, u_a)
-                  + cross(tau, tau_prime, u_a, u_b))
-    term_z = noise.sigma_z**2 if tau == tau_prime else 0.0
-    return term_w + term_e + term_cross + term_z
+    a, b = tau + 1, tau_prime + 1
+    m = min(a, b)
+    g_a = np.linalg.matrix_power(A.T, a - m) @ (C.T @ u[a])
+    g_b = np.linalg.matrix_power(A.T, b - m) @ (C.T @ u[b])
+    gamma_w = controllability_gramian(model, noise.sigma_w, horizon=m - 1)
+    term_z = noise.sigma_z**2 if a == b else 0.0
+    return float(g_a @ gamma_w @ g_b) + term_z

@@ -216,9 +216,6 @@ class SweepResult:
     aggregate: list  # rows [rho, L, T, mean_err, std_err]
     threshold_T: dict | None = None  # L -> interpolation threshold, when relevant
 
-    def trial_rows(self) -> list:
-        return [r.row() for r in self.records]
-
 
 def _aggregate(records: list) -> list:
     cells: dict[tuple, list] = {}
@@ -382,20 +379,21 @@ def _final_output_moments(model: StateSpaceModel, noise: NoiseSpec,
 
 
 def final_output_draws(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
-                       n_draws: int, seed) -> np.ndarray:
+                       n_draws: int, seed) -> tuple[np.ndarray, tuple[float, float] | None]:
     """n_draws independent samples of y_t at t = len(u) - 1, given the fixed
-    input sequence u_0..u_t.
+    input sequence u_0..u_t, and the (mean, variance) they were drawn from.
 
     Under Gaussian noise y_t is itself Gaussian, so one standard normal per
     draw reproduces the law of the step-by-step rollout exactly (see
     _final_output_moments).  Every other family delegates to
-    batch_simulate_outputs.
+    batch_simulate_outputs and returns None for the moments.
     """
     u = _as_columns(u)
     if noise.family != "gaussian":
-        return batch_simulate_outputs(model, noise, u, [u.shape[0] - 1], n_draws, seed)[:, 0]
+        return batch_simulate_outputs(model, noise, u, [u.shape[0] - 1], n_draws, seed)[:, 0], None
     mean, var = _final_output_moments(model, noise, u)
-    return mean + math.sqrt(var) * np.random.default_rng(seed).standard_normal(n_draws)
+    draws = mean + math.sqrt(var) * np.random.default_rng(seed).standard_normal(n_draws)
+    return draws, (mean, var)
 
 
 def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
@@ -471,12 +469,12 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
                 hist = traj.u[T - L + 1: T + 1]
                 y_hat = estimator.predict(report.G_hat, hist, u_next)
                 u_ext = np.vstack([traj.u, u_next[None, :]])
-                ys = final_output_draws(model, noise, u_ext, prediction_resamples,
-                                        derive_rng(base_seed, 2, trial))
+                ys, moments = final_output_draws(model, noise, u_ext, prediction_resamples,
+                                                 derive_rng(base_seed, 2, trial))
                 pred_mse = float(np.mean((y_hat - ys) ** 2))
                 pred_ok = bool(pred_mse <= pred_bound)
-                if noise.family == "gaussian":
-                    mean, var = _final_output_moments(model, noise, u_ext)
+                if moments is not None:
+                    mean, var = moments
                     pred_mse_exact = (y_hat - mean) ** 2 + var
         return CoverageTrial(err_ellipsoidal=err, bound_value=bound,
                              covered=bool(err <= bound), pred_mse=pred_mse,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,3 +506,67 @@ def test_autocov_rejects_out_of_range_lags():
         effective_noise_autocov(m, noise, u, 1, 3, L=2)
     with pytest.raises(ParameterError):
         effective_noise_autocov(m, noise, u, 3, 7, L=2)
+
+
+def _autocov_by_explicit_sum(model, noise, u, tau, tau_p):
+    # sum_{i<m} u_a' C A^(a-1-i) Sigma_w (A^(b-1-i))' C' u_b + sigma_z^2 [a = b]
+    # for a = tau+1, b = tau'+1, m = min(a, b), with its own powers of A
+    a, b = tau + 1, tau_p + 1
+    powers = [np.eye(model.n)]
+    for _ in range(max(a, b)):
+        powers.append(powers[-1] @ model.A)
+    total = 0.0
+    for i in range(min(a, b)):
+        total += float(u[a] @ model.C @ powers[a - 1 - i] @ noise.sigma_w
+                       @ powers[b - 1 - i].T @ model.C.T @ u[b])
+    return total + (noise.sigma_z ** 2 if a == b else 0.0)
+
+
+def _non_normal_autocov_case(p, seed):
+    # upper-triangular A with a strong off-diagonal part, correlated Sigma_w
+    rng = np.random.default_rng(seed)
+    n = 4
+    A = np.triu(0.6 * rng.standard_normal((n, n)), k=1) + np.diag([0.7, -0.5, 0.3, 0.6])
+    root = np.tril(rng.standard_normal((n, n)))
+    model = StateSpaceModel(A=A, B=rng.standard_normal((n, p)), C=rng.standard_normal((p, n)))
+    noise = NoiseSpec.gaussian(0.2 * root @ root.T, 0.3)
+    return model, noise, rng.standard_normal((11, p))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_autocov_matches_explicit_noise_sum(p):
+    # every lag pair for L=2, T=10, so |tau - tau'| runs up to 7 > L
+    model, noise, u = _non_normal_autocov_case(p, seed=50 + p)
+    L, T = 2, 10
+    var = {tau: _autocov_by_explicit_sum(model, noise, u, tau, tau) for tau in range(L, T)}
+    for tau in range(L, T):
+        for tau_p in range(L, T):
+            want = _autocov_by_explicit_sum(model, noise, u, tau, tau_p)
+            got = effective_noise_autocov(model, noise, u, tau, tau_p, L)
+            # absolute floor: 1e-12 of the Cauchy-Schwarz bound sqrt(var_a var_b)
+            floor = 1e-12 * math.sqrt(var[tau] * var[tau_p])
+            assert got == pytest.approx(want, rel=1e-12, abs=floor)
+
+
+def test_autocov_does_not_depend_on_L():
+    model, noise, u = _non_normal_autocov_case(3, seed=55)
+    for tau in range(4, 10):
+        for tau_p in range(4, 10):
+            short = effective_noise_autocov(model, noise, u, tau, tau_p, L=1)
+            long = effective_noise_autocov(model, noise, u, tau, tau_p, L=4)
+            assert short == pytest.approx(long, rel=1e-12, abs=1e-15)
+
+
+def test_autocov_memory_stays_small():
+    n, p, L = 8, 4, 60
+    model = random_model(n, p, 0.9, seed=56)
+    noise = NoiseSpec.gaussian(np.eye(n), 0.1)
+    u = np.random.default_rng(57).standard_normal((2 * L + 1, p))
+    effective_noise_autocov(model, noise, u, L, L, L)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        effective_noise_autocov(model, noise, u, L + 5, 2 * L - 1, L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -220,7 +220,7 @@ def test_final_output_draws_noiseless_matches_simulator():
     m = _sampler_model()
     u = np.random.default_rng(0).standard_normal((13, 2))
     traj = simulate(m, NoiseSpec.none(3), u, T=12, seed=1)
-    ys = final_output_draws(m, NoiseSpec.none(3), u, 5, seed=2)
+    ys, _ = final_output_draws(m, NoiseSpec.none(3), u, 5, seed=2)
     assert ys.shape == (5,)
     assert np.allclose(ys, traj.y[12], rtol=0.0, atol=1e-12)
 
@@ -233,7 +233,7 @@ def test_final_output_draws_gaussian_moments_match_step_simulator():
     noise = NoiseSpec.gaussian(root @ root.T, 0.3)
     u = np.random.default_rng(1).standard_normal((9, 2))
     draws = 400_000
-    fast = final_output_draws(m, noise, u, draws, seed=3)
+    fast, _ = final_output_draws(m, noise, u, draws, seed=3)
     step = batch_simulate_outputs(m, noise, u, [8], draws, seed=4)[:, 0]
     se_mean = np.sqrt((fast.var() + step.var()) / draws)
     assert abs(fast.mean() - step.mean()) <= 4.0 * se_mean
@@ -251,7 +251,7 @@ def test_final_output_draws_scalar_system_by_hand():
     mean = u[3] * c * b * (a**2 * u[0] + a * u[1] + u[2])
     var = sz**2 + sw * (u[3] * c) ** 2 * (1 + a**2 + a**4)
     draws = 400_000
-    ys = final_output_draws(m, NoiseSpec.gaussian([[sw]], sz), u, draws, seed=7)
+    ys, _ = final_output_draws(m, NoiseSpec.gaussian([[sw]], sz), u, draws, seed=7)
     assert abs(ys.mean() - mean) <= 4.0 * np.sqrt(var / draws)
     assert abs(ys.var() - var) <= 4.0 * var * np.sqrt(2.0 / draws)
 
@@ -260,9 +260,22 @@ def test_final_output_draws_exponential_delegates_to_step_simulator():
     m = _sampler_model()
     noise = NoiseSpec.exponential(3, rate=2.0)
     u = np.random.default_rng(5).standard_normal((7, 2))
-    ys = final_output_draws(m, noise, u, 1_000, seed=6)
+    ys, _ = final_output_draws(m, noise, u, 1_000, seed=6)
     ref = batch_simulate_outputs(m, noise, u, [6], 1_000, seed=6)[:, 0]
     assert np.array_equal(ys, ref)
+
+
+def test_final_output_draws_returns_the_moments_it_sampled_from():
+    a, b, c, sw, sz = 0.9, 1.5, -0.8, 0.4, 0.2
+    m = StateSpaceModel(A=[[a]], B=[[b]], C=[[c]])
+    u = np.array([0.7, -1.2, 0.4, 1.1])
+    ys, (mean, var) = final_output_draws(m, NoiseSpec.gaussian([[sw]], sz), u, 10, seed=7)
+    assert mean == pytest.approx(u[3] * c * b * (a**2 * u[0] + a * u[1] + u[2]), rel=1e-12)
+    assert var == pytest.approx(sz**2 + sw * (u[3] * c) ** 2 * (1 + a**2 + a**4), rel=1e-12)
+    assert np.array_equal(ys, mean + np.sqrt(var) * np.random.default_rng(7).standard_normal(10))
+    u2 = np.random.default_rng(9).standard_normal((4, 2))
+    _, moments = final_output_draws(_sampler_model(), NoiseSpec.exponential(3), u2, 10, seed=8)
+    assert moments is None
 
 
 # ------------------------------------------------------------------------- CLI
@@ -353,6 +366,16 @@ def test_cli_validate(config_file, tmp_path):
     report = json.loads((tmp_path / "val.json").read_text())
     assert code == (0 if report["passed"] else 4)
     assert report["passed"]
+
+
+def test_cli_format_only_on_commands_that_read_it(config_file, tmp_path):
+    assert main(["estimate", "--config", str(config_file), "--format", "csv",
+                 "--out", str(tmp_path / "est")]) == 0
+    assert (tmp_path / "est.report.csv").read_text().startswith("key,value")
+    assert not (tmp_path / "est.report.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", str(config_file), "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_cli_config_errors_exit_2(tmp_path):
