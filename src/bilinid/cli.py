@@ -4,8 +4,8 @@ Subcommands: simulate, estimate, hokalman, pe-check, exp figure1,
 exp double-descent, validate.  All read an ExperimentConfig JSON file;
 single-run commands use the first entry of each sweep list.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 validation-suite failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(or memory exhaustion), 4 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -268,6 +268,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

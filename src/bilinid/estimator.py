@@ -164,11 +164,11 @@ class EstimateReport:
     solver_mode: str  # "full_rank" | "min_norm"
 
 
-def estimate_markov(design: DesignSystem, rank_tol: float = RANK_TOL) -> EstimateReport:
+def estimate_markov(design: DesignSystem) -> EstimateReport:
     """Solve the least-squares problem for G.
 
     When the Gram matrix is full rank (smallest eigenvalue above
-    rank_tol times the largest) the unique normal-equation solution is
+    RANK_TOL times the largest) the unique normal-equation solution is
     returned, solved on the Gram matrix already formed for the rank test;
     otherwise the minimum-Euclidean-norm minimizer is used and flagged,
     which keeps interpolation-regime sweeps running instead of failing.
@@ -177,10 +177,10 @@ def estimate_markov(design: DesignSystem, rank_tol: float = RANK_TOL) -> Estimat
     gram = U.T @ U
     eigs = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    full_rank = lam_min > rank_tol * lam_max and lam_max > 0.0
+    full_rank = lam_min > RANK_TOL * lam_max and lam_max > 0.0
     if full_rank:
         # Normal equations: accurate to about eps * cond(U)^2, and the
-        # certified rank keeps cond(U)^2 below 1 / rank_tol.
+        # certified rank keeps cond(U)^2 below 1 / RANK_TOL.
         theta = np.linalg.solve(gram, U.T @ y)
     else:
         # Minimum-norm solution by SVD (LAPACK gelsd).

@@ -68,17 +68,16 @@ def _check_regime_args(regime: str, beta, m4) -> None:
 
 
 def pe_required_samples(p: int, L: int, delta: float, regime: str,
-                        beta: float | None = None, m4: float | None = None,
-                        epsilon: float = 0.5) -> int:
+                        beta: float | None = None, m4: float | None = None) -> int:
     """Samples T - L guaranteeing excitation with probability 1 - delta.
 
     regime "fourth_moment_b":
         32 (L+1) m4 (log(2(L+1)/delta) + p^2 L log(1 + 16 p^2 L / delta)).
 
-    regime "bounded_a" (two-sided concentration; epsilon is the relative
-    eigenvalue slack, 1/2 by default so the guarantee matches the
-    (T-L)/4 threshold):
-        2 (L+1) L beta^4 / epsilon^2 (log(2(L+1)/delta) + p^2 L log 9).
+    regime "bounded_a" (two-sided concentration with relative eigenvalue
+    slack epsilon = 1/2, so the guarantee matches the (T-L)/4 threshold):
+        2 (L+1) L beta^4 / epsilon^2 (log(2(L+1)/delta) + p^2 L log 9)
+        = 8 (L+1) L beta^4 (log(2(L+1)/delta) + p^2 L log 9).
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError("delta must lie in (0, 1)")
@@ -90,9 +89,7 @@ def pe_required_samples(p: int, L: int, delta: float, regime: str,
         need = 32.0 * (L + 1) * m4 * (math.log(2.0 * (L + 1) / delta)
                                       + d * math.log(1.0 + 16.0 * d / delta))
     else:
-        if not (0.0 < epsilon < 1.0):
-            raise ParameterError("epsilon must lie in (0, 1)")
-        need = (2.0 * (L + 1) * L * beta**4 / epsilon**2
+        need = (8.0 * (L + 1) * L * beta**4
                 * (math.log(2.0 * (L + 1) / delta) + d * math.log(9.0)))
     return int(math.ceil(need))
 

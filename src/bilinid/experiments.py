@@ -11,6 +11,7 @@ count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -453,7 +454,7 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
         rng = derive_rng(base_seed, 1, trial)
         model = random_model(n, p, rho, rng)
         u_next = design_in.sample_sequence(0, rng)[0]
-        traj = simulate(model, noise, design_in, T, rng, diagnostics=False)
+        traj = simulate(model, noise, design_in, T, rng)
         design = estimator.build_design(traj, L)
         report = estimator.estimate_markov(design)
         G = markov_params(model, L).G
@@ -465,23 +466,29 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
         if prediction_resamples > 0 and report.solver_mode == "full_rank":
             pred_bound = estimator.prediction_bound(
                 design, report, G, model, noise, traj, u_next, beta=beta)
-            if pred_bound is not None:
-                hist = traj.u[T - L + 1: T + 1]
-                y_hat = estimator.predict(report.G_hat, hist, u_next)
-                u_ext = np.vstack([traj.u, u_next[None, :]])
-                ys, moments = final_output_draws(model, noise, u_ext, prediction_resamples,
-                                                 derive_rng(base_seed, 2, trial))
-                pred_mse = float(np.mean((y_hat - ys) ** 2))
-                pred_ok = bool(pred_mse <= pred_bound)
-                if moments is not None:
-                    mean, var = moments
-                    pred_mse_exact = (y_hat - mean) ** 2 + var
+            hist = traj.u[T - L + 1: T + 1]
+            y_hat = estimator.predict(report.G_hat, hist, u_next)
+            u_ext = np.vstack([traj.u, u_next[None, :]])
+            ys, moments = final_output_draws(model, noise, u_ext, prediction_resamples,
+                                             derive_rng(base_seed, 2, trial))
+            pred_mse = float(np.mean((y_hat - ys) ** 2))
+            pred_ok = bool(pred_mse <= pred_bound)
+            if moments is not None:
+                mean, var = moments
+                pred_mse_exact = (y_hat - mean) ** 2 + var
         return CoverageTrial(err_ellipsoidal=err, bound_value=bound,
                              covered=bool(err <= bound), pred_mse=pred_mse,
                              pred_bound=pred_bound, pred_ok=pred_ok,
                              pred_mse_exact=pred_mse_exact)
 
     return _map_trials(range(trials), one, threads)
+
+
+def _check(name: str, margin: float, details: dict) -> dict:
+    """One validation check: it passes exactly when its margin is >= 0
+    (a NaN margin fails)."""
+    return {"name": name, "passed": bool(margin >= 0.0), "margin": margin,
+            "details": details}
 
 
 def run_validation(config: ExperimentConfig,
@@ -493,7 +500,7 @@ def run_validation(config: ExperimentConfig,
                    threads: int = 1) -> dict:
     """Oracle-equivalence suite: closed forms against Monte Carlo.
 
-    Checks, with measured margins:
+    Checks, each passing exactly when its measured margin is >= 0:
     - the closed-form effective-noise autocovariance against the sample
       covariance over noise redraws (3 standard errors per lag pair);
     - the Gaussian fourth-moment constant (every direction estimate at
@@ -501,12 +508,20 @@ def run_validation(config: ExperimentConfig,
     - coverage of the high-probability error bound (frequency at least
       1 - delta - 0.05);
     - the one-step prediction bound (holds in every sampled trial).
+
+    The coverage cell (first L and T of the config) must give the fit
+    more rows than unknowns, T - L > p^2 L; otherwise every fit is
+    minimum-norm, no bound applies, and ParameterError is raised before
+    anything is drawn.
     """
-    checks = []
     delta = config.delta
+    L, T_cov = config.L_values[0], config.T_values[0]
+    rows, unknowns = T_cov - L, config.p ** 2 * L
+    if rows <= unknowns:
+        raise ParameterError(f"validate needs T - L > p^2 L for the coverage fit; "
+                             f"T={T_cov}, L={L} give {rows} rows for {unknowns} unknowns")
 
     # --- autocovariance vs Monte Carlo --------------------------------
-    L = config.L_values[0]
     T = L + 5
     rng = derive_rng(config.base_seed, 10)
     model = random_model(config.n, config.p, config.rho_values[0], rng)
@@ -515,19 +530,12 @@ def run_validation(config: ExperimentConfig,
     taus = list(range(L, T))
     cov_mc, se_mc = zeta_covariance_mc(model, noise, u, taus, autocov_draws,
                                        derive_rng(config.base_seed, 11))
-    worst = 0.0
-    for i, tau in enumerate(taus):
-        for j, tau_p in enumerate(taus):
-            closed = estimator.effective_noise_autocov(model, noise, u, tau, tau_p, L)
-            se = max(float(se_mc[i, j]), 1e-300)
-            worst = max(worst, abs(closed - float(cov_mc[i, j])) / se)
-    checks.append({
-        "name": "autocovariance_mc",
-        "passed": bool(worst <= 3.0),
-        "margin": 3.0 - worst,
-        "details": {"worst_se_ratio": worst, "draws": autocov_draws,
-                    "pairs": len(taus) ** 2},
-    })
+    closed = np.array([estimator.effective_noise_autocov(model, noise, u, tau, tau_p, L)
+                       for tau, tau_p in itertools.product(taus, taus)]).reshape(cov_mc.shape)
+    worst = float(np.max(np.abs(closed - cov_mc) / np.maximum(se_mc, 1e-300)))
+    checks = [_check("autocovariance_mc", 3.0 - worst,
+                     {"worst_se_ratio": worst, "draws": autocov_draws,
+                      "pairs": len(taus) ** 2})]
 
     # --- Gaussian fourth-moment constant ------------------------------
     m4_L = 3
@@ -535,40 +543,28 @@ def run_validation(config: ExperimentConfig,
                                  m4_directions, m4_samples,
                                  seed=config.base_seed + 20)
     slack = excitation.GAUSSIAN_M4 + 3.0 * est.std_errors - est.estimates
-    checks.append({
-        "name": "m4_gaussian",
-        "passed": bool(np.all(slack >= 0.0)),
-        "margin": float(np.min(slack)),
-        "details": {"max_estimate": float(est.value), "directions": int(len(est.estimates)),
-                    "samples": m4_samples, "L": m4_L, "p": config.p},
-    })
+    checks.append(_check("m4_gaussian", float(np.min(slack)),
+                         {"max_estimate": float(est.value), "directions": int(len(est.estimates)),
+                          "samples": m4_samples, "L": m4_L, "p": config.p}))
 
     # --- bound coverage and prediction bound --------------------------
     cov_trials = bound_coverage_trials(
-        config.n, config.p, config.rho_values[0], L, config.T_values[0],
+        config.n, config.p, config.rho_values[0], L, T_cov,
         config.noise, config.input, delta, coverage_trials, config.base_seed + 30,
         prediction_resamples=prediction_resamples, threads=threads)
     frequency = float(np.mean([t.covered for t in cov_trials]))
     target = (1.0 - delta) - 0.05
-    checks.append({
-        "name": "bound_coverage",
-        "passed": bool(frequency >= target),
-        "margin": frequency - target,
-        "details": {"frequency": frequency, "target": target, "trials": coverage_trials},
-    })
+    checks.append(_check("bound_coverage", frequency - target,
+                         {"frequency": frequency, "target": target, "trials": coverage_trials}))
     pred_checked = [t for t in cov_trials if t.pred_ok is not None]
-    pred_all_ok = all(t.pred_ok for t in pred_checked) if pred_checked else False
-    pred_margin = min((t.pred_bound - t.pred_mse for t in pred_checked), default=float("nan"))
+    # np.min, not min: a NaN gap must give a NaN margin wherever it falls
+    gaps = [t.pred_bound - t.pred_mse for t in pred_checked]
     exact = [t.pred_bound - t.pred_mse_exact for t in pred_checked
              if t.pred_mse_exact is not None]
-    checks.append({
-        "name": "prediction_bound",
-        "passed": bool(pred_all_ok and pred_checked),
-        "margin": pred_margin,
-        "details": {"trials_checked": len(pred_checked),
-                    "resamples": prediction_resamples,
-                    "min_exact_margin": min(exact, default=None)},
-    })
+    checks.append(_check("prediction_bound", float(np.min(gaps)) if gaps else float("nan"),
+                         {"trials_checked": len(pred_checked),
+                          "resamples": prediction_resamples,
+                          "min_exact_margin": min(exact, default=None)}))
 
     return {
         "passed": all(c["passed"] for c in checks),

@@ -196,6 +196,20 @@ def test_validation_loose_delta_coverage():
     assert cov["details"]["frequency"] >= 0.45
 
 
+def test_validation_check_passes_exactly_when_margin_nonnegative(monkeypatch):
+    # a zero fourth-moment constant makes m4_gaussian fail, so both verdicts occur
+    from bilinid import excitation
+    monkeypatch.setattr(excitation, "GAUSSIAN_M4", 0.0)
+    cfg = _small_config(L_values=(3,), T_values=(150,))
+    rep = run_validation(cfg, autocov_draws=2_000, m4_directions=2,
+                         m4_samples=2_000, coverage_trials=3,
+                         prediction_resamples=200)
+    verdicts = [c["passed"] for c in rep["checks"]]
+    assert verdicts == [c["margin"] >= 0.0 for c in rep["checks"]]
+    assert True in verdicts and False in verdicts
+    assert rep["passed"] is all(verdicts)
+
+
 # --------------------------------------------------------- batch simulation MC
 
 def test_batch_outputs_match_simulator_when_noiseless():
@@ -425,3 +439,40 @@ def test_cli_seed_override_changes_results(config_file, tmp_path):
     assert main(["exp", "figure1", "--config", str(config_file),
                  "--out", str(tmp_path / "s2"), "--seed", "2"]) == 0
     assert (tmp_path / "s1.csv").read_text() != (tmp_path / "s2.csv").read_text()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_validate_report_is_strict_json(config_file, tmp_path):
+    code = main(["validate", "--config", str(config_file),
+                 "--out", str(tmp_path / "val.json")])
+    report = json.loads((tmp_path / "val.json").read_text(), parse_constant=_reject_constant)
+    assert all(c["passed"] == (c["margin"] >= 0.0) for c in report["checks"])
+    assert report["passed"] == all(c["passed"] for c in report["checks"])
+    assert code == (0 if report["passed"] else 4)
+
+
+@pytest.mark.parametrize("T", [12, 20])
+def test_cli_validate_rank_deficient_coverage_exits_2(tmp_path, capsys, T):
+    # p = 2, L = 4: 16 unknowns, so T - L rows (8, or a square 16) leave
+    # every coverage fit min-norm
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 2, "p": 2, "L_values": [4], "T_values": [%d]}' % T)
+    out = tmp_path / "val.json"
+    assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{T - 4} rows for 16 unknowns" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["estimate"], ["hokalman"], ["pe-check"],
+                                     ["exp", "figure1"], ["exp", "double-descent"],
+                                     ["validate"]], ids=" ".join)
+def test_cli_unallocatable_horizon_exits_3(tmp_path, capsys, command):
+    # a horizon beyond the address space is refused before any page is touched
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 2, "p": 1, "L_values": [4], "T_values": [%d], "trials": 1}' % 10**17)
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
