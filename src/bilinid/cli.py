@@ -94,12 +94,12 @@ def cmd_estimate(args) -> int:
         record["bound_fro"] = bound.fro_value
         record["bound_terms"] = terms.to_dict()
     base = _out_path(args, config.output_path + ".estimate")
-    serialize.save_matrix(base.with_suffix(base.suffix + ".G.csv"), report.G_hat)
+    serialize.save_matrix(Path(f"{base}.G.csv"), report.G_hat)
     if args.format == "csv":
-        report_path = base.with_suffix(base.suffix + ".report.csv")
+        report_path = Path(f"{base}.report.csv")
         report_path.write_text(serialize.report_to_flat_csv(record))
     else:
-        report_path = base.with_suffix(base.suffix + ".report.json")
+        report_path = Path(f"{base}.report.json")
         serialize.save_json(report_path, record)
     print(f"wrote estimate report to {report_path}")
     return 0
@@ -118,8 +118,8 @@ def cmd_hokalman(args) -> int:
         hankel.H, realization.hankel.H, hankel.sigma_min_L, err_fro, L)
     base = _out_path(args, config.output_path + ".realization")
     for name, M in (("A", realization.A), ("B", realization.B), ("C", realization.C)):
-        serialize.save_matrix(base.with_suffix(base.suffix + f".{name}.csv"), M)
-    meta_path = base.with_suffix(base.suffix + ".json")
+        serialize.save_matrix(Path(f"{base}.{name}.csv"), M)
+    meta_path = Path(f"{base}.json")
     serialize.save_json(meta_path, {
         "n": n,
         "p": config.p,
@@ -156,8 +156,8 @@ def cmd_pe_check(args) -> int:
 
 
 def _write_sweep(result, base: Path) -> None:
-    trial_path = base.with_suffix(base.suffix + ".csv")
-    agg_path = base.with_suffix(base.suffix + ".agg.csv")
+    trial_path = Path(f"{base}.csv")
+    agg_path = Path(f"{base}.agg.csv")
     trial_path.write_text(format_trial_csv(result))
     agg_path.write_text(format_aggregate_csv(result))
     print(f"wrote {trial_path} and {agg_path}")

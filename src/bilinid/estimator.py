@@ -76,10 +76,6 @@ class DesignSystem:
     def rows(self) -> int:
         return self.U_tilde.shape[0]
 
-    @property
-    def columns(self) -> int:
-        return self.U_tilde.shape[1]
-
     def gram(self) -> np.ndarray:
         return self.U_tilde.T @ self.U_tilde
 
@@ -368,22 +364,22 @@ def predict(G_hat: np.ndarray, u_hist: np.ndarray, u_next: np.ndarray) -> float:
 
 def prediction_bound(design: DesignSystem, report: EstimateReport, G_true: np.ndarray,
                      model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory,
-                     u_next: np.ndarray, beta: float | None = None) -> float | None:
+                     u_next: np.ndarray) -> float | None:
     """Mean-squared-error bound for the one-step prediction (oracle mode).
 
         2 ||vec(G_hat) - vec(G)||_V^2 ||ubar_T (x) u_{T+1}||_{V^-1}^2
         + 2 beta^2 ||C A^L||^2 ||Gamma_u^(T) + Gamma_w^(T)||
         + beta^2 ||Sigma_w|| ||F||_F^2 + sigma_z^2.
 
-    Requires the true G (validation facility).  Returns None when the Gram
-    matrix is singular, in which case no bound is available.
+    beta is the largest input norm over u_0..u_T and u_{T+1}.  Requires
+    the true G (validation facility).  Returns None when the Gram matrix
+    is singular, in which case no bound is available.
     """
     if report.solver_mode != "full_rank" or report.lambda_min <= 0.0:
         return None
     u_next = np.asarray(u_next, dtype=float).ravel()
     L, T = design.L, design.T
-    if beta is None:
-        beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
+    beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
     ubar = stack_recent_inputs(traj.u, T, L)
     k = np.kron(ubar, u_next)
     ell_sq = ellipsoidal_error(report.G_hat, G_true, design) ** 2

@@ -178,13 +178,5 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
 def _covariate_rows(design: InputDesign, L: int, count: int,
                     rng: np.random.Generator) -> np.ndarray:
     """count independent covariate rows ubar_{t-1} (x) u_t, shape (count, p^2 L)."""
-    p = design.p
-    if design.kind == "fixed_sequence":
-        seq = design.sequence
-        if seq.shape[0] < L + 1:
-            raise ParameterError("fixed sequence shorter than one covariate window")
-        starts = rng.integers(0, seq.shape[0] - L, size=count)
-        windows = np.stack([seq[s: s + L + 1] for s in starts])
-    else:
-        windows = design.sample_iid(count * (L + 1), rng).reshape(count, L + 1, p)
+    windows = design.sample_iid(count * (L + 1), rng).reshape(count, L + 1, design.p)
     return _kron_rows([windows[:, L - 1 - j] for j in range(L)], windows[:, L])

@@ -82,12 +82,7 @@ class InputConfig:
             _require_finite("input.beta", self.beta)
 
     def to_design(self, p: int) -> InputDesign:
-        if self.kind == "gaussian_isotropic":
-            return InputDesign.gaussian(p)
-        if self.kind == "bounded_sphere":
-            return InputDesign.sphere(p, beta=self.beta)
-        raise ParameterError(f"unknown input kind {self.kind!r} (configs cannot "
-                             "carry fixed sequences)")
+        return InputDesign(kind=self.kind, p=p, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -465,7 +460,7 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
         pred_mse = pred_bound = pred_ok = pred_mse_exact = None
         if prediction_resamples > 0 and report.solver_mode == "full_rank":
             pred_bound = estimator.prediction_bound(
-                design, report, G, model, noise, traj, u_next, beta=beta)
+                design, report, G, model, noise, traj, u_next)
             hist = traj.u[T - L + 1: T + 1]
             y_hat = estimator.predict(report.G_hat, hist, u_next)
             u_ext = np.vstack([traj.u, u_next[None, :]])
@@ -520,6 +515,12 @@ def run_validation(config: ExperimentConfig,
     if rows <= unknowns:
         raise ParameterError(f"validate needs T - L > p^2 L for the coverage fit; "
                              f"T={T_cov}, L={L} give {rows} rows for {unknowns} unknowns")
+    # the coverage cell runs first, so a cell that cannot be allocated fails
+    # before the other checks' Monte Carlo; every check has its own stream
+    cov_trials = bound_coverage_trials(
+        config.n, config.p, config.rho_values[0], L, T_cov,
+        config.noise, config.input, delta, coverage_trials, config.base_seed + 30,
+        prediction_resamples=prediction_resamples, threads=threads)
 
     # --- autocovariance vs Monte Carlo --------------------------------
     T = L + 5
@@ -548,10 +549,6 @@ def run_validation(config: ExperimentConfig,
                           "samples": m4_samples, "L": m4_L, "p": config.p}))
 
     # --- bound coverage and prediction bound --------------------------
-    cov_trials = bound_coverage_trials(
-        config.n, config.p, config.rho_values[0], L, T_cov,
-        config.noise, config.input, delta, coverage_trials, config.base_seed + 30,
-        prediction_resamples=prediction_resamples, threads=threads)
     frequency = float(np.mean([t.covered for t in cov_trials]))
     target = (1.0 - delta) - 0.05
     checks.append(_check("bound_coverage", frequency - target,

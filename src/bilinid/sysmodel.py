@@ -200,23 +200,24 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class InputDesign:
-    """Input law used to excite the system.
+    """Random input law used to excite the system.
 
     kinds:
     - "gaussian_isotropic": u ~ N(0, I_p); zero mean, identity covariance.
     - "bounded_sphere": u uniform on the sphere of radius beta, so
       ||u|| = beta exactly; beta = sqrt(p) (the default) makes the
       covariance the identity.
-    - "fixed_sequence": replay the stored sequence.
+
+    Fixed (deterministic) inputs have no design: pass the (T+1, p) array
+    itself to simulate or design_from_inputs.
     """
 
     kind: str
     p: int
     beta: float | None = None
-    sequence: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian_isotropic", "bounded_sphere", "fixed_sequence"):
+        if self.kind not in ("gaussian_isotropic", "bounded_sphere"):
             raise ParameterError(f"unknown input kind {self.kind!r}")
         if self.p < 1:
             raise ParameterError("input dimension must be >= 1")
@@ -225,15 +226,6 @@ class InputDesign:
             if beta <= 0:
                 raise ParameterError("sphere radius must be positive")
             object.__setattr__(self, "beta", beta)
-        if self.kind == "fixed_sequence":
-            if self.sequence is None:
-                raise ParameterError("fixed_sequence requires the sequence")
-            seq = _as_columns(self.sequence)
-            if seq.shape[1] != self.p:
-                raise ParameterError(f"fixed sequence must have {self.p} columns")
-            if not np.all(np.isfinite(seq)):
-                raise ParameterError("fixed sequence must be finite")
-            object.__setattr__(self, "sequence", _freeze(seq))
 
     @classmethod
     def gaussian(cls, p: int) -> "InputDesign":
@@ -243,29 +235,17 @@ class InputDesign:
     def sphere(cls, p: int, beta: float | None = None) -> "InputDesign":
         return cls(kind="bounded_sphere", p=p, beta=beta)
 
-    @classmethod
-    def fixed(cls, sequence) -> "InputDesign":
-        seq = _as_columns(sequence)
-        return cls(kind="fixed_sequence", p=seq.shape[1], sequence=seq)
-
     def sample_iid(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """count i.i.d. input vectors, shape (count, p); stochastic kinds only."""
+        """count i.i.d. input vectors, shape (count, p)."""
+        raw = rng.standard_normal((count, self.p))
         if self.kind == "gaussian_isotropic":
-            return rng.standard_normal((count, self.p))
-        if self.kind == "bounded_sphere":
-            raw = rng.standard_normal((count, self.p))
-            norms = np.linalg.norm(raw, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            return self.beta * raw / norms
-        raise ParameterError("fixed_sequence is not an i.i.d. design")
+            return raw
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return self.beta * raw / norms
 
     def sample_sequence(self, T: int, rng: np.random.Generator) -> np.ndarray:
         """Input sequence u_0..u_T, shape (T+1, p)."""
-        if self.kind == "fixed_sequence":
-            if self.sequence.shape[0] < T + 1:
-                raise ParameterError(
-                    f"fixed sequence has {self.sequence.shape[0]} steps, need {T + 1}")
-            return np.array(self.sequence[: T + 1])
         return self.sample_iid(T + 1, rng)
 
 
@@ -354,9 +334,10 @@ def simulate(model: StateSpaceModel, noise: NoiseSpec, inputs, T: int, seed,
              diagnostics: bool = False) -> Trajectory:
     """Roll the system forward from the zero state for T steps.
 
-    inputs is an InputDesign or a concrete (T+1, p) sequence.  Draw order
-    (inputs, then process noise, then measurement noise) is fixed so that
-    a seed fully determines the trajectory.
+    inputs is a random InputDesign, sampled from the seed's generator, or
+    a fixed (T+1, p) input array, used as given.  Draw order (inputs, then
+    process noise, then measurement noise) is fixed so that a seed fully
+    determines the trajectory.
     """
     if T < 1:
         raise ParameterError("horizon T must be >= 1")

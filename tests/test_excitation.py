@@ -174,10 +174,26 @@ def test_m4_gaussian_scalar_direction_near_nine():
     assert abs(est.estimates[0] - GAUSSIAN_M4) <= 3.0 * est.std_errors[0]
 
 
-def test_m4_zero_inputs():
-    design = InputDesign.fixed(np.zeros((10, 2)))
-    est = estimate_m4(design, L=2, n_directions=5, n_samples=1000, seed=0)
-    assert est.value == 0.0
+def _gaussian_m4_exact(v, p, L):
+    # v^T (ubar (x) u) = ubar^T W u with W = unvec(v) (pL x p); given u it is
+    # N(0, ||W u||^2), and Isserlis gives E[(u^T M u)^2] = (tr M)^2 + 2 ||M||_F^2
+    # for M = W^T W, tr M = ||v||^2 = 1; at most 9, equal iff rank W = 1
+    W = (v / np.linalg.norm(v)).reshape(p * L, p)
+    M = W.T @ W
+    return 3.0 * (1.0 + 2.0 * float(np.sum(M * M)))
+
+
+@pytest.mark.parametrize("p,L", [(2, 3), (1, 4), (3, 2)])
+def test_m4_gaussian_matches_exact_fourth_moment(p, L):
+    rng = np.random.default_rng(100 * p + L)
+    rank_one = np.kron(rng.standard_normal(p * L), rng.standard_normal(p))
+    directions = np.vstack([rng.standard_normal((4, p * p * L)), rank_one])
+    est = estimate_m4(InputDesign.gaussian(p), L=L, n_directions=5,
+                      n_samples=100_000, seed=7, directions=directions)
+    exact = np.array([_gaussian_m4_exact(v, p, L) for v in directions])
+    assert exact[-1] == pytest.approx(GAUSSIAN_M4, rel=1e-12)
+    assert np.all(exact <= GAUSSIAN_M4 * (1.0 + 1e-12))
+    assert np.all(np.abs(est.estimates - exact) <= 4.0 * est.std_errors)
 
 
 @pytest.mark.parametrize("p,L", [(2, 3), (3, 4), (1, 4), (3, 1)])
@@ -199,14 +215,12 @@ def test_m4_deterministic_given_seed():
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("L", [1, 3])
 def test_covariate_rows_are_kronecker_rows_of_sequence_windows(p, L):
-    seq = np.random.default_rng(10 * p + L).standard_normal((9, p))
-    rows = _covariate_rows(InputDesign.fixed(seq), L, 40, np.random.default_rng(2))
-    # every admissible window s..s+L of the sequence, row by row
-    candidates = np.array([np.kron(seq[s: s + L][::-1].reshape(-1), seq[s + L])
-                           for s in range(seq.shape[0] - L)])
+    rows = _covariate_rows(InputDesign.gaussian(p), L, 40, np.random.default_rng(2))
+    # the same draws, as 40 windows u_{t-L}..u_t
+    windows = np.random.default_rng(2).standard_normal((40 * (L + 1), p)).reshape(40, L + 1, p)
     assert rows.shape == (40, p * p * L)
-    for row in rows:
-        assert np.any(np.all(candidates == row, axis=1))
+    for row, w in zip(rows, windows):
+        assert np.array_equal(row, np.kron(w[:L][::-1].reshape(-1), w[L]))
 
 
 def test_m4_matches_brute_force_fourth_power():

@@ -332,6 +332,21 @@ def test_cli_rerun_to_same_out_is_byte_identical(config_file, tmp_path, command,
     assert [path.read_bytes() for path in paths] == first
 
 
+@pytest.mark.parametrize("command, written", [
+    (["estimate"], ("..G.csv", "..report.json")),
+    (["hokalman"], ("..A.csv", "..B.csv", "..C.csv", "..json")),
+    (["exp", "figure1"], ("..csv", "..agg.csv")),
+    (["exp", "double-descent"], ("..csv", "..agg.csv")),
+], ids=["estimate", "hokalman", "exp figure1", "exp double-descent"])
+def test_cli_out_dot_appends_suffixes_to_the_name(config_file, tmp_path, monkeypatch,
+                                                  command, written):
+    # every sibling output is "<--out><suffix>", so --out . names them "..G.csv" etc.
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", str(config_file), "--out", "."]) == 0
+    for name in written:
+        assert (tmp_path / name).is_file()
+
+
 def test_cli_pe_check_and_campaign(config_file, tmp_path):
     assert main(["pe-check", "--config", str(config_file)]) == 0
     cert = json.loads((tmp_path / "out.pe.json").read_text())

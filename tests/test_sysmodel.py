@@ -328,23 +328,6 @@ def test_gaussian_inputs_zero_mean_identity_covariance():
     assert np.allclose(u.T @ u / u.shape[0], np.eye(2), atol=0.02)
 
 
-def test_fixed_sequence_replay_and_length_check():
-    seq = np.arange(12.0).reshape(6, 2)
-    design = InputDesign.fixed(seq)
-    got = design.sample_sequence(5, np.random.default_rng(0))
-    assert np.array_equal(got, seq)
-    with pytest.raises(ParameterError):
-        design.sample_sequence(6, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_fixed_sequence_rejects_non_finite_entries(bad):
-    seq = np.zeros((6, 2))
-    seq[3, 0] = bad
-    with pytest.raises(ParameterError):
-        InputDesign.fixed(seq)
-
-
 def test_derive_rng_is_stable_and_key_sensitive():
     a = derive_rng(7, 1, 2).standard_normal(4)
     b = derive_rng(7, 1, 2).standard_normal(4)
