@@ -97,7 +97,7 @@ def cmd_estimate(args) -> int:
     serialize.save_matrix(Path(f"{base}.G.csv"), report.G_hat)
     if args.format == "csv":
         report_path = Path(f"{base}.report.csv")
-        report_path.write_text(serialize.report_to_flat_csv(record))
+        serialize.write_text(report_path, serialize.report_to_flat_csv(record))
     else:
         report_path = Path(f"{base}.report.json")
         serialize.save_json(report_path, record)
@@ -146,7 +146,7 @@ def cmd_pe_check(args) -> int:
                                          m4=excitation.GAUSSIAN_M4)
     out = _out_path(args, config.output_path + f".pe.{args.format}")
     if args.format == "csv":
-        out.write_text(serialize.report_to_flat_csv(cert.to_dict()))
+        serialize.write_text(out, serialize.report_to_flat_csv(cert.to_dict()))
     else:
         serialize.save_json(out, cert.to_dict())
     print(f"lambda_min={cert.lambda_min:.6g} threshold={cert.threshold:.6g} "
@@ -158,8 +158,8 @@ def cmd_pe_check(args) -> int:
 def _write_sweep(result, base: Path) -> None:
     trial_path = Path(f"{base}.csv")
     agg_path = Path(f"{base}.agg.csv")
-    trial_path.write_text(format_trial_csv(result))
-    agg_path.write_text(format_aggregate_csv(result))
+    serialize.write_text(trial_path, format_trial_csv(result))
+    serialize.write_text(agg_path, format_aggregate_csv(result))
     print(f"wrote {trial_path} and {agg_path}")
 
 

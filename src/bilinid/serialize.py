@@ -4,12 +4,14 @@ Matrix CSV carries a single comment header `# rows=<r> cols=<c>` followed
 by comma-separated rows.  Trajectory CSV has a column-name header
 `t,u_1..u_p,y` plus optional diagnostic columns `x_1..x_n,w_1..w_n,z`.
 Floats are written with shortest round-trip repr, so rewriting identical
-data yields byte-identical files.
+data yields byte-identical files.  Every output is written by write_text.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,33 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path, replacing an existing regular file.
+
+    A regular file is unlinked first and the text goes to a new file of
+    the same name.  On ext4 (default auto_da_alloc), closing a file that
+    was truncated over existing data forces a flush of tens of
+    milliseconds, and so does renaming over one; unlinking first makes a
+    rewrite cost what a first write costs.  Anything else is written
+    through as it stands: a missing path is created, a symlink updates
+    its target and stays a link, and a device or FIFO receives the text.
+    A regular file that may not be unlinked (in a directory the user
+    cannot write, say) is truncated and rewritten in place.
+
+    Because the file is a new inode, a hard link to the old output and a
+    reader that holds it open keep the old bytes, and the new file takes
+    its permissions from the umask.  Nothing is flushed: a system crash
+    soon after a rewrite can leave the file empty or missing, as one soon
+    after a first write can.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except (FileNotFoundError, PermissionError):
+        pass
+    Path(path).write_text(text)
+
+
 def matrix_to_lines(M: np.ndarray) -> list[str]:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     lines = [f"# rows={M.shape[0]} cols={M.shape[1]}"]
@@ -31,7 +60,7 @@ def matrix_to_lines(M: np.ndarray) -> list[str]:
 
 
 def save_matrix(path, M: np.ndarray) -> None:
-    Path(path).write_text("\n".join(matrix_to_lines(M)) + "\n")
+    write_text(path, "\n".join(matrix_to_lines(M)) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -67,7 +96,7 @@ def save_trajectory(path, traj: Trajectory) -> None:
             row += [_fmt(v) for v in w_t]
             row += [_fmt(traj.z[t])]
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_trajectory(path) -> Trajectory:
@@ -93,7 +122,7 @@ def load_trajectory(path) -> Trajectory:
 
 
 def save_json(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def report_to_flat_csv(report: dict) -> str:

@@ -203,7 +203,8 @@ class InputDesign:
     """Random input law used to excite the system.
 
     kinds:
-    - "gaussian_isotropic": u ~ N(0, I_p); zero mean, identity covariance.
+    - "gaussian_isotropic": u ~ N(0, I_p); zero mean, identity covariance;
+      it takes no beta.
     - "bounded_sphere": u uniform on the sphere of radius beta, so
       ||u|| = beta exactly; beta = sqrt(p) (the default) makes the
       covariance the identity.
@@ -226,6 +227,8 @@ class InputDesign:
             if beta <= 0:
                 raise ParameterError("sphere radius must be positive")
             object.__setattr__(self, "beta", beta)
+        elif self.beta is not None:
+            raise ParameterError(f"input kind {self.kind!r} takes no beta")
 
     @classmethod
     def gaussian(cls, p: int) -> "InputDesign":

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bilinid import (
     InfeasibleError,
@@ -82,6 +85,29 @@ def test_design_rows_match_explicit_kron():
     for i, t in enumerate(range(L + 1, 12)):
         row = np.kron(stack_recent_inputs(u, t - 1, L), u[t])
         assert np.array_equal(d.U_tilde[i], row)
+
+
+@st.composite
+def _inputs_and_markov(draw):
+    p = draw(st.integers(1, 3))
+    L = draw(st.integers(1, 4))
+    T = L + draw(st.integers(1, 12))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    u = draw(arrays(np.float64, (T + 1, p), elements=entries))
+    G = draw(arrays(np.float64, (p, p * L), elements=entries))
+    return u, G, L
+
+
+@given(_inputs_and_markov())
+def test_design_rows_are_the_bilinear_form_of_vec_G(case):
+    # u_t' G ubar_{t-1} = (ubar_{t-1} (x) u_t)' vec(G) for every row t = L+1..T
+    u, G, L = case
+    U = design_from_inputs(u, L).U_tilde
+    for i, t in enumerate(range(L + 1, u.shape[0])):
+        ubar = np.concatenate([u[t - 1 - j] for j in range(L)])
+        scale = np.abs(u[t]) @ np.abs(G) @ np.abs(ubar)
+        # tiny absorbs roundoff among subnormal products, which have no relative accuracy
+        assert abs(u[t] @ G @ ubar - U[i] @ vec(G)) <= 1e-12 * scale + np.finfo(float).tiny
 
 
 def _einsum_design_rows(u, L):

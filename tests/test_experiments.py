@@ -294,17 +294,6 @@ def test_final_output_draws_returns_the_moments_it_sampled_from():
 
 # ------------------------------------------------------------------------- CLI
 
-@pytest.fixture()
-def config_file(tmp_path):
-    cfg = dict(n=2, p=1, rho_values=[0.6], L_values=[4], T_values=[120], trials=3,
-               noise=dict(family="gaussian", sigma_w=0.25, sigma_z=0.5),
-               input=dict(kind="gaussian_isotropic"), delta=0.1, base_seed=3,
-               output_path=str(tmp_path / "out"))
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
 def test_cli_simulate_estimate_hokalman(config_file, tmp_path):
     assert main(["simulate", "--config", str(config_file), "--diagnostics"]) == 0
     assert (tmp_path / "out.traj.csv").exists()
@@ -427,6 +416,7 @@ _SMALL = '"n": 2, "p": 1, "L_values": [4], "T_values": [60]'
     ('{"trials": 1.5}', 2),
     ('{"noise": {"rate": 0}}', 2),
     ('{"base_seed": -1}', 2),
+    ('{"input": {"kind": "gaussian_isotropic", "beta": -3}}', 2),
     # finite but extreme values fail inside the numerics: exit 3
     ('{%s, "input": {"kind": "bounded_sphere", "beta": 1e300}}' % _SMALL, 3),
     ('{%s, "noise": {"rate": 1e300}}' % _SMALL, 3),
