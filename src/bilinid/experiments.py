@@ -50,26 +50,50 @@ def _require_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
+# the keys each noise family reads, and the value a key that is not given takes
+NOISE_DEFAULTS = {
+    "exponential": {"rate": 1.0, "centered": True},
+    "gaussian": {"sigma_w": 1.0, "sigma_z": 1.0},
+}
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
+    """Noise law of a config.  A key left out (None) takes its family's
+    default from NOISE_DEFAULTS; a key the family does not read is refused."""
+
     family: str = "exponential"
-    rate: float = 1.0
-    centered: bool = True
-    sigma_w: float = 1.0   # gaussian: isotropic process-noise variance
-    sigma_z: float = 1.0   # gaussian: measurement-noise std
+    rate: float | None = None      # exponential: entry rate; sigma_z = 1/rate
+    centered: bool | None = None   # exponential: subtract the mean
+    sigma_w: float | None = None   # gaussian: isotropic process-noise variance
+    sigma_z: float | None = None   # gaussian: measurement-noise std
 
     def __post_init__(self):
-        for name in ("rate", "sigma_w", "sigma_z"):
-            _require_finite(f"noise.{name}", getattr(self, name))
-        if not isinstance(self.centered, bool):
-            raise ParameterError(f"noise.centered must be true or false, got {self.centered!r}")
+        if self.family not in NOISE_DEFAULTS:
+            raise ParameterError(f"unknown noise family {self.family!r}")
+        for name in ("rate", "centered", "sigma_w", "sigma_z"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name not in NOISE_DEFAULTS[self.family]:
+                raise ParameterError(f"noise family {self.family!r} takes no {name}")
+            if name != "centered":
+                _require_finite(f"noise.{name}", value)
+            elif not isinstance(value, bool):
+                raise ParameterError(f"noise.centered must be true or false, got {value!r}")
+        # the spec's own checks (rate > 0, sigma_w >= 0, sigma_z >= 0) run when
+        # the config is parsed, also for commands that never draw noise
+        self.to_spec(1)
+
+    def _get(self, name: str):
+        value = getattr(self, name)
+        return NOISE_DEFAULTS[self.family][name] if value is None else value
 
     def to_spec(self, n: int) -> NoiseSpec:
         if self.family == "exponential":
-            return NoiseSpec.exponential(n, rate=self.rate, centered=self.centered)
-        if self.family == "gaussian":
-            return NoiseSpec.gaussian(self.sigma_w * np.eye(n), self.sigma_z)
-        raise ParameterError(f"unknown noise family {self.family!r}")
+            return NoiseSpec.exponential(n, rate=self._get("rate"),
+                                         centered=self._get("centered"))
+        return NoiseSpec.gaussian(self._get("sigma_w") * np.eye(n), self._get("sigma_z"))
 
 
 @dataclass(frozen=True)
@@ -176,13 +200,11 @@ class TrialRecord:
         return list(astuple(self))
 
 
-def _run_trial(config: ExperimentConfig, rho: float, L: int, T: int,
-               key: tuple[int, ...]) -> TrialRecord:
+def _run_trial(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign,
+               rho: float, L: int, T: int, key: tuple[int, ...]) -> TrialRecord:
     start = time.perf_counter()
     rng = derive_rng(config.base_seed, *key)
     model = random_model(config.n, config.p, rho, rng)
-    noise = config.noise.to_spec(config.n)
-    design_in = config.input.to_design(config.p)
     traj = simulate(model, noise, design_in, T, rng)
     design = estimator.build_design(traj, L)
     report = estimator.estimate_markov(design)
@@ -238,7 +260,9 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             for i_T, T in enumerate(config.T_values):
                 for trial in range(config.trials):
                     tasks.append((rho, L, T, (i_r, i_L, i_T, trial)))
-    records = _map_trials(tasks, lambda t: _run_trial(config, *t), threads)
+    noise = config.noise.to_spec(config.n)
+    design_in = config.input.to_design(config.p)
+    records = _map_trials(tasks, lambda t: _run_trial(config, noise, design_in, *t), threads)
     return SweepResult(records=records, aggregate=_aggregate(records))
 
 
@@ -286,15 +310,17 @@ def _cell_str(v) -> str:
     return str(v)
 
 
-def run_pe_campaign(config: ExperimentConfig, m4: float = excitation.GAUSSIAN_M4,
-                    T: int | None = None, threads: int = 1) -> dict:
+def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
+                    threads: int = 1) -> dict:
     """Excitation frequency at the fourth-moment-regime required length.
 
     Draws `trials` independent input sequences of length T (defaulting to
     the required length) and reports how often lambda_min of the Gram
-    matrix clears the quarter-sample threshold.
+    matrix clears the quarter-sample threshold.  The required length uses
+    the Gaussian fourth-moment constant excitation.GAUSSIAN_M4.
     """
     p, L, delta = config.p, config.L_values[0], config.delta
+    m4 = excitation.GAUSSIAN_M4
     design_in = config.input.to_design(p)
     required = excitation.pe_required_samples(
         p, L, delta, excitation.REGIME_FOURTH_MOMENT, m4=m4)

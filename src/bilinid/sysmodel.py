@@ -123,21 +123,25 @@ class NoiseSpec:
     """Process/measurement noise description.
 
     sigma_w is the n x n process-noise covariance, sigma_z the measurement
-    noise standard deviation.  family selects the sampling law:
+    noise standard deviation.  The samplers and every closed form (bound
+    constants, effective-noise autocovariance, prediction bound) read these
+    same two values; family selects only the shape of the law:
 
     - "gaussian": w ~ N(0, sigma_w), z ~ N(0, sigma_z^2).
-    - "exponential": every entry of w and z is an independent draw with
-      density rate * exp(-rate * x) on x >= 0.  With centered=True the
-      mean 1/rate is subtracted, which restores the zero-mean assumption;
-      centered=False reproduces the raw skewed draws.  Either way the
-      entry variance is 1/rate^2, so sigma_w = I/rate^2 and
-      sigma_z = 1/rate are implied and enforced.
+    - "exponential": every entry of w and z is an independent exponential
+      draw with mean sigma_z.  With centered=True that mean is subtracted,
+      which restores the zero-mean assumption; centered=False keeps the raw
+      skewed draws.  Either way the entry variance is sigma_z^2, so
+      sigma_w must equal sigma_z^2 I with sigma_z > 0.
+      NoiseSpec.exponential(n, rate) builds the spec of rate `rate`
+      (sigma_z = 1/rate).
+
+    centered=False is refused for the Gaussian family, which never reads it.
     """
 
     sigma_w: np.ndarray
     sigma_z: float
     family: str = "gaussian"
-    rate: float = 1.0
     centered: bool = True
     # R with R R^T = sigma_w, factored once for the Gaussian sampler
     w_factor: np.ndarray = field(init=False, repr=False)
@@ -152,13 +156,14 @@ class NoiseSpec:
         if self.family not in ("gaussian", "exponential"):
             raise ParameterError(f"unknown noise family {self.family!r}")
         if self.family == "exponential":
-            if self.rate <= 0:
-                raise ParameterError("exponential rate must be positive")
-            implied = np.eye(S.shape[0]) / self.rate**2
-            if not np.allclose(S, implied, atol=1e-10):
+            if not self.sigma_z > 0:
+                raise ParameterError("exponential noise needs sigma_z > 0")
+            if not np.allclose(S, self.sigma_z**2 * np.eye(S.shape[0]), atol=1e-10):
                 raise ParameterError(
-                    "exponential noise has entrywise covariance I/rate^2; "
+                    "exponential noise has entrywise covariance sigma_z^2 I; "
                     "construct it with NoiseSpec.exponential()")
+        elif not self.centered:
+            raise ParameterError("gaussian noise is zero-mean; it takes no centered=False")
         object.__setattr__(self, "sigma_w", _freeze(S))
         object.__setattr__(self, "w_factor", _freeze(factor))
         object.__setattr__(self, "sigma_z", float(self.sigma_z))
@@ -173,7 +178,7 @@ class NoiseSpec:
         if not rate > 0:
             raise ParameterError("exponential rate must be positive")
         return cls(sigma_w=np.eye(n) / rate**2, sigma_z=1.0 / rate,
-                   family="exponential", rate=rate, centered=centered)
+                   family="exponential", centered=centered)
 
     @classmethod
     def none(cls, n: int) -> "NoiseSpec":
@@ -183,18 +188,21 @@ class NoiseSpec:
     def n(self) -> int:
         return self.sigma_w.shape[0]
 
+    def _exponential(self, size, rng: np.random.Generator) -> np.ndarray:
+        """Exponential draws of mean sigma_z, shifted to zero mean when centered."""
+        draws = rng.exponential(scale=self.sigma_z, size=size)
+        return draws - (self.sigma_z if self.centered else 0.0)
+
     def sample_w(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count process-noise vectors, shape (count, n)."""
         if self.family == "exponential":
-            draws = rng.exponential(scale=1.0 / self.rate, size=(count, self.n))
-            return draws - (1.0 / self.rate if self.centered else 0.0)
+            return self._exponential((count, self.n), rng)
         return rng.standard_normal((count, self.n)) @ self.w_factor.T
 
     def sample_z(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count measurement-noise scalars, shape (count,)."""
         if self.family == "exponential":
-            draws = rng.exponential(scale=1.0 / self.rate, size=count)
-            return draws - (1.0 / self.rate if self.centered else 0.0)
+            return self._exponential(count, rng)
         return self.sigma_z * rng.standard_normal(count)
 
 
@@ -358,10 +366,13 @@ def simulate(model: StateSpaceModel, noise: NoiseSpec, inputs, T: int, seed,
     w = noise.sample_w(T, rng)
     z = noise.sample_z(T + 1, rng)
 
-    A, B, C = model.A, model.B, model.C
+    A, C = model.A, model.C
+    # every step's B u[t] in one stacked product of mat-vecs, bitwise equal
+    # to B @ u[t]; the single GEMM u[:-1] @ B.T can differ in the last bit
+    Bu = (model.B[None] @ u[:-1, :, None])[..., 0]
     x = np.zeros((T + 1, model.n))
     for t in range(T):
-        x[t + 1] = A @ x[t] + B @ u[t] + w[t]
+        x[t + 1] = A @ x[t] + Bu[t] + w[t]
     y = np.einsum("ti,ij,tj->t", u, C, x) + z
 
     if diagnostics:

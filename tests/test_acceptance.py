@@ -112,7 +112,7 @@ def test_criterion_4_excitation_certificate_frequency():
         n=2, p=2, rho_values=(0.5,), L_values=(4,), T_values=(100,), trials=200,
         noise=NoiseConfig(family="gaussian", sigma_w=1.0, sigma_z=1.0),
         input=InputConfig(kind="gaussian_isotropic"), delta=0.1, base_seed=17)
-    out = run_pe_campaign(cfg, m4=GAUSSIAN_M4)
+    out = run_pe_campaign(cfg)
     elapsed = time.perf_counter() - start
     passed = out["frequency"] >= 0.90 and elapsed <= 600.0
     _report("4 excitation certificate", passed,

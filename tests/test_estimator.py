@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -99,6 +99,10 @@ def _inputs_and_markov(draw):
 
 
 @given(_inputs_and_markov())
+# a subnormal G, whose products round differently in the two orders
+# (1.5e-323 against 1e-323): the example pool drew it only when the whole
+# suite was loaded, so it is pinned here
+@example((np.full((3, 1), 1.5), np.array([[5e-324]]), 1))
 def test_design_rows_are_the_bilinear_form_of_vec_G(case):
     # u_t' G ubar_{t-1} = (ubar_{t-1} (x) u_t)' vec(G) for every row t = L+1..T
     u, G, L = case

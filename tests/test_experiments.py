@@ -427,6 +427,41 @@ def test_cli_malformed_config_exit_codes(tmp_path, text, code):
     assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "est")]) == code
 
 
+_SUBCOMMANDS = (["simulate"], ["estimate"], ["hokalman"], ["pe-check"], ["pe-campaign"],
+                ["exp", "figure1"], ["exp", "double-descent"], ["validate"])
+
+
+@pytest.mark.parametrize("noise", [
+    {"family": "exponential", "sigma_w": 0.01},
+    {"family": "gaussian", "rate": 2.0},
+    {"family": "gaussian", "centered": False},
+    {"family": "laplace"},
+    {"family": "exponential", "rate": 0},
+    {"family": "gaussian", "sigma_w": -1.0},
+])
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=" ".join)
+def test_cli_bad_noise_config_exits_2_on_every_subcommand(tmp_path, capsys, noise, command):
+    # keys the family ignores, an unknown family and values its spec refuses:
+    # every subcommand refuses the config when it is parsed, whether or not
+    # it draws noise
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
+                                "trials": 1, "noise": noise}))
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_noise_config_defaults_only_the_keys_of_its_family():
+    assert NoiseConfig().to_spec(2).sigma_z == 1.0
+    spec = NoiseConfig(family="gaussian", sigma_z=0.5).to_spec(2)
+    assert np.array_equal(spec.sigma_w, np.eye(2)) and spec.sigma_z == 0.5
+    spec = NoiseConfig(rate=4.0, centered=False).to_spec(2)
+    assert spec.sigma_z == 0.25 and not spec.centered
+    cfg = ExperimentConfig(noise=NoiseConfig(family="gaussian", sigma_w=0.25))
+    assert ExperimentConfig.from_dict({**cfg.to_dict(), "base_seed": 3}).noise == cfg.noise
+
+
 @pytest.mark.parametrize("command", ["pe-campaign", "pe-check"])
 def test_cli_overflowing_design_exits_3(tmp_path, capsys, command):
     # the inputs are finite, but their Kronecker products (1e400) are not

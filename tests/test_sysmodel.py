@@ -288,7 +288,28 @@ def test_noise_rejects_asymmetric_or_indefinite_covariance():
 
 def test_exponential_spec_pins_implied_covariance():
     with pytest.raises(ParameterError):
-        NoiseSpec(sigma_w=2.0 * np.eye(2), sigma_z=1.0, family="exponential", rate=1.0)
+        NoiseSpec(sigma_w=2.0 * np.eye(2), sigma_z=1.0, family="exponential")
+
+
+def test_exponential_sample_z_has_std_sigma_z():
+    for centered in (True, False):
+        spec = NoiseSpec(sigma_w=25.0 * np.eye(1), sigma_z=5.0, family="exponential",
+                         centered=centered)
+        draws = spec.sample_z(200_000, np.random.default_rng(3))
+        assert draws.std(ddof=1) == pytest.approx(5.0, rel=0.02)
+
+
+def test_exponential_spec_rejects_sigma_z_that_disagrees_with_sigma_w():
+    # sigma_z is the scale of every exponential draw, so it must match sigma_w
+    with pytest.raises(ParameterError):
+        NoiseSpec(sigma_w=np.eye(2), sigma_z=5.0, family="exponential")
+    with pytest.raises(ParameterError):
+        NoiseSpec(sigma_w=np.zeros((2, 2)), sigma_z=0.0, family="exponential")
+
+
+def test_gaussian_spec_rejects_centered_false():
+    with pytest.raises(ParameterError):
+        NoiseSpec(sigma_w=np.eye(2), sigma_z=1.0, family="gaussian", centered=False)
 
 
 def test_gaussian_draws_match_per_call_factorization():
