@@ -13,15 +13,16 @@ from .estimator import (
     BoundTerms,
     DesignSystem,
     EstimateReport,
+    FitResult,
     bound_data_dependent,
     bound_terms,
-    build_design,
     choose_L,
     design_from_inputs,
     effective_noise_autocov,
     ellipsoidal_error,
     empirical_input_bound,
     estimate_markov,
+    fit,
     predict,
     prediction_bound,
     surrogate_input_bound,
@@ -48,8 +49,8 @@ from .experiments import (
     InputConfig,
     NoiseConfig,
     run_double_descent,
-    run_figure1,
     run_pe_campaign,
+    run_sweep,
     run_validation,
 )
 from .hokalman import (

@@ -23,8 +23,8 @@ from .experiments import (
     format_aggregate_csv,
     format_trial_csv,
     run_double_descent,
-    run_figure1,
     run_pe_campaign,
+    run_sweep,
     run_validation,
 )
 from .sysmodel import derive_rng, markov_params, random_model, simulate
@@ -40,14 +40,14 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _single_run_pieces(config: ExperimentConfig):
-    L = config.L_values[0]
-    T = config.T_values[0]
+def _single_run_pieces(config: ExperimentConfig, diagnostics: bool = False):
+    """Model, noise and simulated trajectory of the config's first cell, and its L."""
     rng = derive_rng(config.base_seed, 0)
     model = random_model(config.n, config.p, config.rho_values[0], rng)
     noise = config.noise.to_spec(config.n)
-    design_in = config.input.to_design(config.p)
-    return model, noise, design_in, L, T, rng
+    traj = simulate(model, noise, config.input.to_design(config.p), config.T_values[0], rng,
+                    diagnostics=diagnostics)
+    return model, noise, traj, config.L_values[0]
 
 
 def _out_path(args, default: str) -> Path:
@@ -56,45 +56,31 @@ def _out_path(args, default: str) -> Path:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    model, noise, design_in, _, T, rng = _single_run_pieces(config)
-    traj = simulate(model, noise, design_in, T, rng, diagnostics=args.diagnostics)
+    _, _, traj, _ = _single_run_pieces(config, diagnostics=args.diagnostics)
     out = _out_path(args, config.output_path + ".traj.csv")
     serialize.save_trajectory(out, traj)
-    print(f"wrote trajectory ({T + 1} steps) to {out}")
+    print(f"wrote trajectory ({traj.T + 1} steps) to {out}")
     return 0
-
-
-def _fit(config: ExperimentConfig):
-    model, noise, design_in, L, T, rng = _single_run_pieces(config)
-    traj = simulate(model, noise, design_in, T, rng)
-    design = estimator.build_design(traj, L)
-    return model, noise, traj, design, estimator.estimate_markov(design)
 
 
 def cmd_estimate(args) -> int:
     config = _load_config(args)
-    model, noise, traj, design, report = _fit(config)
-    L, T = design.L, design.T
-    G = markov_params(model, L).G
+    model, noise, traj, L = _single_run_pieces(config)
+    fit = estimator.fit(model, noise, traj, L, config.delta)
     record = {
-        "lambda_min": report.lambda_min,
-        "residual_norm": report.residual_norm,
-        "solver_mode": report.solver_mode,
-        "err_fro": float(np.linalg.norm(report.G_hat - G)),
-        "err_ellipsoidal": estimator.ellipsoidal_error(report.G_hat, G, design),
+        "lambda_min": fit.report.lambda_min,
+        "residual_norm": fit.report.residual_norm,
+        "solver_mode": fit.report.solver_mode,
+        "err_fro": fit.err_fro,
+        "err_ellipsoidal": estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design),
         "bound_value": None,
         "bound_terms": None,
     }
-    if report.solver_mode == "full_rank":
-        beta = estimator.empirical_input_bound(traj.u)
-        terms = estimator.bound_terms(model, noise, L, beta, config.delta)
-        bound = estimator.bound_data_dependent(model, terms, L, T,
-                                               lambda_min=report.lambda_min)
-        record["bound_value"] = bound.value
-        record["bound_fro"] = bound.fro_value
-        record["bound_terms"] = terms.to_dict()
+    if fit.bound is not None:
+        record.update(bound_value=fit.bound.value, bound_fro=fit.bound.fro_value,
+                      bound_terms=fit.terms.to_dict())
     base = _out_path(args, config.output_path + ".estimate")
-    serialize.save_matrix(Path(f"{base}.G.csv"), report.G_hat)
+    serialize.save_matrix(Path(f"{base}.G.csv"), fit.report.G_hat)
     if args.format == "csv":
         report_path = Path(f"{base}.report.csv")
         serialize.write_text(report_path, serialize.report_to_flat_csv(record))
@@ -107,8 +93,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_hokalman(args) -> int:
     config = _load_config(args)
-    model, _, _, _, report = _fit(config)
-    L = config.L_values[0]
+    model, _, traj, L = _single_run_pieces(config)
+    report = estimator.estimate_markov(estimator.design_from_inputs(traj.u, L, traj.y))
     n = config.n
     G_true = markov_params(model, L).G
     hankel = hokalman.build_hankel(G_true, n)
@@ -133,9 +119,8 @@ def cmd_hokalman(args) -> int:
 
 def cmd_pe_check(args) -> int:
     config = _load_config(args)
-    model, noise, design_in, L, T, rng = _single_run_pieces(config)
-    traj = simulate(model, noise, design_in, T, rng)
-    design = estimator.build_design(traj, L)
+    _, _, traj, L = _single_run_pieces(config)
+    design = estimator.design_from_inputs(traj.u, L, traj.y)
     if args.regime == "bounded_a":
         beta = estimator.empirical_input_bound(traj.u)
         cert = excitation.pe_certificate(design, config.delta,
@@ -165,7 +150,7 @@ def _write_sweep(result, base: Path) -> None:
 
 def cmd_exp_figure1(args) -> int:
     config = _load_config(args)
-    result = run_figure1(config, threads=args.threads)
+    result = run_sweep(config, threads=args.threads)
     _write_sweep(result, _out_path(args, config.output_path + ".figure1"))
     return 0
 

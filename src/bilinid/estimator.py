@@ -16,7 +16,8 @@ Besides the estimator this module evaluates the finite-sample machinery
 around it: the design-weighted (ellipsoidal) error norm, a high-probability
 error bound with fully explicit constants, the block-count selection rule,
 one-step output prediction with its mean-squared-error bound, and the
-closed-form autocovariance of the effective noise zeta.
+closed-form autocovariance of the effective noise zeta.  fit chains design,
+least squares and bound for every sweep trial, coverage trial and CLI estimate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .exceptions import InfeasibleError, NumericalError, ParameterError
 from .sysmodel import (
-    MarkovParams,
     NoiseSpec,
     StateSpaceModel,
     Trajectory,
@@ -141,11 +141,6 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
         if not np.all(np.isfinite(y_slice)):
             raise NumericalError("output sequence y must be finite")
     return DesignSystem(U_tilde=U_tilde, y=y_slice, L=L, T=T, p=p)
-
-
-def build_design(traj: Trajectory, L: int) -> DesignSystem:
-    """Design matrix and target vector for a simulated trajectory."""
-    return design_from_inputs(traj.u, L, traj.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +304,35 @@ def bound_data_dependent(model: StateSpaceModel, terms: BoundTerms, L: int, T: i
     if lambda_min is not None and lambda_min > 0.0:
         fro = value / math.sqrt(lambda_min)
     return BoundReport(value=value, fro_value=fro)
+
+
+@dataclass(frozen=True, eq=False)
+class FitResult:
+    """A fit of G beside the true G; a min-norm fit has no terms or bound (None)."""
+
+    design: DesignSystem
+    report: EstimateReport
+    G: np.ndarray
+    err_fro: float  # ||G_hat - G||_F
+    terms: BoundTerms | None
+    bound: BoundReport | None
+
+
+def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
+        delta: float, beta: float | None = None) -> FitResult:
+    """Design, least-squares G and, for a full-rank fit, the data-dependent
+    error bound; beta defaults to the largest input norm of the trajectory."""
+    design = design_from_inputs(traj.u, L, traj.y)
+    report = estimate_markov(design)
+    G = markov_params(model, L).G
+    terms = bound = None
+    if report.solver_mode == "full_rank":
+        if beta is None:
+            beta = empirical_input_bound(traj.u)
+        terms = bound_terms(model, noise, L, beta, delta)
+        bound = bound_data_dependent(model, terms, L, design.T, lambda_min=report.lambda_min)
+    return FitResult(design=design, report=report, G=G,
+                     err_fro=float(np.linalg.norm(report.G_hat - G)), terms=terms, bound=bound)
 
 
 def choose_L(model: StateSpaceModel, noise: NoiseSpec, T: int, delta: float,

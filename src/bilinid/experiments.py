@@ -29,7 +29,6 @@ from .sysmodel import (
     StateSpaceModel,
     _as_columns,
     derive_rng,
-    markov_params,
     random_model,
     simulate,
 )
@@ -139,6 +138,8 @@ class ExperimentConfig:
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
         object.__setattr__(self, "L_values", tuple(int(L) for L in self.L_values))
         object.__setattr__(self, "T_values", tuple(int(T) for T in self.T_values))
+        if min(self.n, self.p, *self.L_values) < 1:
+            raise ParameterError("n, p and every L must be >= 1")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if self.base_seed < 0:
@@ -206,19 +207,12 @@ def _run_trial(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesig
     rng = derive_rng(config.base_seed, *key)
     model = random_model(config.n, config.p, rho, rng)
     traj = simulate(model, noise, design_in, T, rng)
-    design = estimator.build_design(traj, L)
-    report = estimator.estimate_markov(design)
-    G = markov_params(model, L).G
-    err2 = float(np.linalg.norm(report.G_hat - G)) ** 2
-    bound_value = float("nan")
-    if report.solver_mode == "full_rank":
-        beta = estimator.empirical_input_bound(traj.u)
-        terms = estimator.bound_terms(model, noise, L, beta, config.delta)
-        bound_value = estimator.bound_data_dependent(model, terms, L, T).value
+    fit = estimator.fit(model, noise, traj, L, config.delta)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    return TrialRecord(rho=rho, L=L, T=T, trial=key[-1], err_G_fro2=err2,
-                       lambda_min=report.lambda_min, solver_mode=report.solver_mode,
-                       bound_value=bound_value, runtime_ms=runtime_ms)
+    return TrialRecord(rho=rho, L=L, T=T, trial=key[-1], err_G_fro2=fit.err_fro ** 2,
+                       lambda_min=fit.report.lambda_min, solver_mode=fit.report.solver_mode,
+                       bound_value=fit.bound.value if fit.bound else math.nan,
+                       runtime_ms=runtime_ms)
 
 
 def _map_trials(tasks, fn, threads: int):
@@ -264,11 +258,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     design_in = config.input.to_design(config.p)
     records = _map_trials(tasks, lambda t: _run_trial(config, noise, design_in, *t), threads)
     return SweepResult(records=records, aggregate=_aggregate(records))
-
-
-def run_figure1(config: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Memory trade-off sweep: squared Frobenius error over (rho, L, T)."""
-    return run_sweep(config, threads=threads)
 
 
 def run_double_descent(config: ExperimentConfig, threads: int = 1) -> SweepResult:
@@ -459,7 +448,10 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
     """Per-trial comparison of realized errors against their bounds.
 
     Each trial draws a fresh model and trajectory, fits G, and checks the
-    design-weighted error against the high-probability bound.  With
+    design-weighted error against the high-probability bound.  A min-norm
+    fit, possible only in an ill-conditioned cell just above the
+    T - L > p^2 L that validate requires, has no bound: bound_value is NaN
+    and covered is False.  With
     prediction_resamples > 0 the one-step prediction is also checked: the
     fitted G is frozen, the noise is redrawn that many times with the
     inputs held fixed, and the empirical mean squared prediction error is
@@ -476,19 +468,16 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
         model = random_model(n, p, rho, rng)
         u_next = design_in.sample_sequence(0, rng)[0]
         traj = simulate(model, noise, design_in, T, rng)
-        design = estimator.build_design(traj, L)
-        report = estimator.estimate_markov(design)
-        G = markov_params(model, L).G
         beta = max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
-        terms = estimator.bound_terms(model, noise, L, beta, delta)
-        err = estimator.ellipsoidal_error(report.G_hat, G, design)
-        bound = estimator.bound_data_dependent(model, terms, L, T).value
+        fit = estimator.fit(model, noise, traj, L, delta, beta=beta)
+        err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
+        bound = fit.bound.value if fit.bound else math.nan
         pred_mse = pred_bound = pred_ok = pred_mse_exact = None
-        if prediction_resamples > 0 and report.solver_mode == "full_rank":
+        if prediction_resamples > 0 and fit.bound:
             pred_bound = estimator.prediction_bound(
-                design, report, G, model, noise, traj, u_next)
+                fit.design, fit.report, fit.G, model, noise, traj, u_next)
             hist = traj.u[T - L + 1: T + 1]
-            y_hat = estimator.predict(report.G_hat, hist, u_next)
+            y_hat = estimator.predict(fit.report.G_hat, hist, u_next)
             u_ext = np.vstack([traj.u, u_next[None, :]])
             ys, moments = final_output_draws(model, noise, u_ext, prediction_resamples,
                                              derive_rng(base_seed, 2, trial))

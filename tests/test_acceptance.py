@@ -16,11 +16,10 @@ from bilinid import (
     NoiseSpec,
     StateSpaceModel,
     align_realizations,
-    build_design,
     build_hankel,
     effective_noise_autocov,
     estimate_m4,
-    estimate_markov,
+    fit,
     ho_kalman,
     markov_params,
     random_model,
@@ -33,8 +32,8 @@ from bilinid.experiments import (
     NoiseConfig,
     bound_coverage_trials,
     run_double_descent,
-    run_figure1,
     run_pe_campaign,
+    run_sweep,
     zeta_covariance_mc,
 )
 
@@ -53,7 +52,7 @@ def test_criterion_1_error_rate_in_trajectory_length():
         T_values=(400, 800, 1600, 3200), trials=20,
         noise=NoiseConfig(family="exponential", rate=1.0, centered=True),
         input=InputConfig(kind="gaussian_isotropic"), delta=0.1, base_seed=2024)
-    res = run_figure1(cfg)
+    res = run_sweep(cfg)
     agg = {row[2]: row[3] for row in res.aggregate}
     Ts = np.array(sorted(agg))
     means = np.array([agg[T] for T in Ts])
@@ -92,7 +91,7 @@ def test_criterion_3_memory_tradeoff_crossing():
         n=5, p=3, rho_values=(0.5, 0.99), L_values=(12, 50), T_values=(1600,),
         trials=20, noise=NoiseConfig(family="exponential", rate=30.0, centered=True),
         input=InputConfig(kind="gaussian_isotropic"), delta=0.1, base_seed=11)
-    res = run_figure1(cfg)
+    res = run_sweep(cfg)
     cells = {(row[0], row[1]): (row[3], row[4]) for row in res.aggregate}
     short_ok = cells[(0.5, 12)][0] < cells[(0.5, 50)][0]
     long_ok = cells[(0.99, 50)][0] < cells[(0.99, 12)][0]
@@ -160,8 +159,7 @@ def test_criterion_6_exact_recovery_nilpotent():
         m = StateSpaceModel(A=A, B=B, C=C)
         traj = simulate(m, NoiseSpec.none(n), InputDesign.gaussian(p), T,
                         seed=10_000 + seed)
-        report = estimate_markov(build_design(traj, L))
-        err = float(np.linalg.norm(report.G_hat - markov_params(m, L).G))
+        err = fit(m, NoiseSpec.none(n), traj, L, delta=0.1).err_fro
         worst = max(worst, err)
     passed = worst <= 1e-8
     _report("6 exact recovery", passed, f"worst error over 20 seeds = {worst:.3e}")

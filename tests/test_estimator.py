@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +18,13 @@ from bilinid import (
     StateSpaceModel,
     bound_data_dependent,
     bound_terms,
-    build_design,
     choose_L,
     controllability_gramian,
     effective_noise_autocov,
     ellipsoidal_error,
     empirical_input_bound,
     estimate_markov,
+    fit,
     markov_params,
     predict,
     prediction_bound,
@@ -31,6 +33,7 @@ from bilinid import (
     surrogate_input_bound,
     transient_factor,
 )
+from bilinid import estimator
 from bilinid.estimator import (
     DesignSystem,
     design_from_inputs,
@@ -49,7 +52,7 @@ def _nilpotent_model(n, p, seed):
     return StateSpaceModel(A=A, B=B, C=C)
 
 
-# --------------------------------------------------------------- build_design
+# --------------------------------------------------------- design_from_inputs
 
 def test_design_single_row_hand_kronecker():
     u = np.array([1.0, 2.0, 3.0, 4.0])
@@ -179,7 +182,7 @@ def test_exact_recovery_nilpotent_noiseless():
     m = _nilpotent_model(3, 2, seed=0)
     L, T = 4, 68
     traj = simulate(m, NoiseSpec.none(3), InputDesign.gaussian(2), T, seed=1)
-    report = estimate_markov(build_design(traj, L))
+    report = estimate_markov(design_from_inputs(traj.u, L, traj.y))
     G = markov_params(m, L).G
     assert report.solver_mode == "full_rank"
     assert np.linalg.norm(report.G_hat - G) <= 1e-8
@@ -199,7 +202,7 @@ def test_underdetermined_interpolates_with_min_norm():
     L = 4
     T = L + 10  # 10 rows < p^2 L = 16 columns
     traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=5)
-    report = estimate_markov(build_design(traj, L))
+    report = estimate_markov(design_from_inputs(traj.u, L, traj.y))
     assert report.solver_mode == "min_norm"
     assert report.residual_norm <= 1e-8
 
@@ -208,7 +211,7 @@ def test_normal_equations_residual_in_full_rank_mode():
     m = random_model(3, 2, 0.6, seed=7)
     noise = NoiseSpec.exponential(3, rate=1.0)
     traj = simulate(m, noise, InputDesign.gaussian(2), T=150, seed=8)
-    d = build_design(traj, 5)
+    d = design_from_inputs(traj.u, 5, traj.y)
     report = estimate_markov(d)
     assert report.solver_mode == "full_rank"
     rhs = d.U_tilde.T @ d.y
@@ -240,7 +243,7 @@ def test_regression_identity_against_effective_noise():
     noise = NoiseSpec.gaussian(0.3 * np.eye(2), 0.5)
     L, T = 4, 60
     traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=13, diagnostics=True)
-    d = build_design(traj, L)
+    d = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(d)
     mp = markov_params(m, L)
     AL = np.linalg.matrix_power(m.A, L)
@@ -259,7 +262,7 @@ def test_regression_identity_against_effective_noise():
 def test_ellipsoidal_error_zero_at_truth():
     m = random_model(2, 1, 0.5, seed=0)
     traj = simulate(m, NoiseSpec.none(2), InputDesign.gaussian(1), T=30, seed=1)
-    d = build_design(traj, 3)
+    d = design_from_inputs(traj.u, 3, traj.y)
     G = markov_params(m, 3).G
     assert ellipsoidal_error(G, G, d) == 0.0
 
@@ -375,6 +378,83 @@ def test_input_bound_helpers():
         math.sqrt(2 * math.log(1000.0)))
 
 
+# ------------------------------------------------------------------------- fit
+
+def test_fit_full_rank_is_design_solve_and_bound():
+    m = random_model(3, 2, 0.6, seed=7)
+    noise = NoiseSpec.exponential(3, rate=1.0)
+    L, T, delta = 5, 150, 0.1
+    traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=8)
+    f = fit(m, noise, traj, L, delta)
+    design = design_from_inputs(traj.u, L, traj.y)
+    assert np.array_equal(f.design.U_tilde, design.U_tilde)
+    assert np.array_equal(f.report.G_hat, estimate_markov(design).G_hat)
+    assert f.report.solver_mode == "full_rank"
+    assert np.array_equal(f.G, markov_params(m, L).G)
+    assert f.err_fro == float(np.linalg.norm(f.report.G_hat - f.G))
+    terms = bound_terms(m, noise, L, empirical_input_bound(traj.u), delta)
+    assert f.terms == terms
+    assert f.bound == bound_data_dependent(m, terms, L, T, lambda_min=f.report.lambda_min)
+    assert f.bound.fro_value is not None
+
+
+def test_fit_min_norm_has_no_bound():
+    m = random_model(2, 2, 0.5, seed=3)
+    noise = NoiseSpec.gaussian(0.2 * np.eye(2), 0.3)
+    L = 4
+    traj = simulate(m, noise, InputDesign.gaussian(2), L + 10, seed=5)  # 10 rows < 16
+    f = fit(m, noise, traj, L, delta=0.1)
+    assert f.report.solver_mode == "min_norm"
+    assert f.terms is None and f.bound is None
+    assert f.err_fro == float(np.linalg.norm(f.report.G_hat - markov_params(m, L).G))
+
+
+def test_fit_takes_an_explicit_beta():
+    m = random_model(2, 1, 0.5, seed=4)
+    noise = NoiseSpec.gaussian(np.eye(2), 1.0)
+    traj = simulate(m, noise, InputDesign.gaussian(1), 80, seed=6)
+    f = fit(m, noise, traj, 3, 0.1, beta=7.5)
+    assert f.terms.beta == 7.5
+    assert f.bound == bound_data_dependent(m, bound_terms(m, noise, 3, 7.5, 0.1), 3, 80,
+                                           lambda_min=f.report.lambda_min)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_fit_recovers_G_from_noiseless_nilpotent_data(n, p, data):
+    # A^L = 0 for L >= n, so without noise y_t = u_t' G ubar_{t-1} exactly
+    L = data.draw(st.integers(n, 5), label="L")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    m = _nilpotent_model(n, p, seed)
+    T = L + 2 * p * p * L
+    traj = simulate(m, NoiseSpec.none(n), InputDesign.gaussian(p), T, seed=seed + 1)
+    assert fit(m, NoiseSpec.none(n), traj, L, delta=0.1).err_fro <= 1e-8
+
+
+def _callers(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every call to name in the package."""
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                found.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(estimator.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return sorted(found)
+
+
+def test_fit_is_the_one_path_to_the_bound():
+    assert _callers("bound_data_dependent") == [("estimator", "fit")]
+    assert _callers("bound_terms") == [("estimator", "choose_L"), ("estimator", "fit")]
+
+
 # -------------------------------------------------------------------- choose_L
 
 def test_choose_L_minimal_for_fast_decay():
@@ -436,7 +516,7 @@ def test_predict_exact_for_noiseless_nilpotent_model():
     rng = np.random.default_rng(22)
     u_full = rng.standard_normal((T + 2, 2))
     traj = simulate(m, NoiseSpec.none(3), u_full[:T + 1], T, seed=0)
-    report = estimate_markov(build_design(traj, L))
+    report = estimate_markov(design_from_inputs(traj.u, L, traj.y))
     full = simulate(m, NoiseSpec.none(3), u_full, T + 1, seed=0)
     y_hat = predict(report.G_hat, traj.u[T - L + 1: T + 1], u_full[T + 1])
     assert y_hat == pytest.approx(full.y[T + 1], abs=1e-8)
@@ -455,7 +535,7 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     rng = np.random.default_rng(32)
     u_full = rng.standard_normal((T + 2, p))
     traj = simulate(m, noise, u_full[:T + 1], T, seed=33)
-    design = build_design(traj, L)
+    design = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(design)
     G = markov_params(m, L).G
     u_next = u_full[T + 1]
@@ -473,7 +553,7 @@ def test_prediction_bound_omitted_when_gram_singular():
     L = 4
     T = L + 10  # underdetermined
     traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=5)
-    design = build_design(traj, L)
+    design = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(design)
     G = markov_params(m, L).G
     u_next = np.ones(2)

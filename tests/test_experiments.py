@@ -16,8 +16,8 @@ from bilinid.experiments import (
     format_aggregate_csv,
     format_trial_csv,
     run_double_descent,
-    run_figure1,
     run_pe_campaign,
+    run_sweep,
     run_validation,
 )
 
@@ -68,8 +68,8 @@ def test_config_validation():
 
 def test_figure1_schema_and_determinism():
     cfg = _small_config(trials=2)
-    a = run_figure1(cfg)
-    b = run_figure1(cfg, threads=4)
+    a = run_sweep(cfg)
+    b = run_sweep(cfg, threads=4)
     assert TRIAL_COLUMNS == ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
                              "solver_mode", "bound_value", "runtime_ms")
     csv_a = format_trial_csv(a)
@@ -84,14 +84,14 @@ def test_figure1_schema_and_determinism():
 def test_figure1_zero_noise_near_nilpotent_cell_is_exact():
     cfg = _small_config(rho_values=(1e-12,), trials=3,
                         noise=NoiseConfig(family="gaussian", sigma_w=0.0, sigma_z=0.0))
-    res = run_figure1(cfg)
+    res = run_sweep(cfg)
     assert res.aggregate[0][3] <= 1e-12
 
 
 def test_figure1_repeat_run_identical_up_to_runtime():
     cfg = _small_config(trials=1)
-    a = format_trial_csv(run_figure1(cfg))
-    b = format_trial_csv(run_figure1(cfg))
+    a = format_trial_csv(run_sweep(cfg))
+    b = format_trial_csv(run_sweep(cfg))
     assert _strip_runtime(a) == _strip_runtime(b)
 
 
@@ -124,14 +124,14 @@ def test_double_descent_interpolation_cells_use_min_norm():
 
 def test_square_design_interpolates():
     # at T - L = p^2 L the least-squares fit passes through every sample
-    from bilinid import InputDesign, build_design, estimate_markov, random_model
+    from bilinid import InputDesign, design_from_inputs, estimate_markov, random_model
 
     L, p = 30, 3
     T = L + p * p * L
     m = random_model(5, p, 0.6, seed=1)
     noise = NoiseSpec.gaussian(np.eye(5), 1.0)
     traj = simulate(m, noise, InputDesign.gaussian(p), T, seed=2)
-    report = estimate_markov(build_design(traj, L))
+    report = estimate_markov(design_from_inputs(traj.u, L, traj.y))
     assert report.residual_norm <= 1e-8
 
 
@@ -447,6 +447,20 @@ def test_cli_bad_noise_config_exits_2_on_every_subcommand(tmp_path, capsys, nois
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
                                 "trials": 1, "noise": noise}))
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("override", [{"n": 0}, {"p": 0}, {"L_values": [0]}],
+                         ids=["n=0", "p=0", "L=0"])
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=" ".join)
+def test_cli_nonpositive_size_exits_2_on_every_subcommand(tmp_path, capsys, override, command):
+    # sizes below 1 are refused when the config is parsed, also by the
+    # commands that never build a model (pe-campaign) or a design (simulate)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [3], "T_values": [60],
+                                "trials": 1, **override}))
     assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
