@@ -7,7 +7,11 @@ For t > L the output decomposes as
 where ubar_{t-1} stacks the L most recent inputs (current first), (x) is
 the Kronecker product, and zeta_t collects the process-noise, truncated-
 state, and measurement-noise contributions.  Estimation is ordinary least
-squares on the (T-L) x p^2 L design matrix of Kronecker rows.
+squares on the (T-L) x p^2 L design matrix of Kronecker rows, solved by
+the normal equations on the smaller of its two Gram matrices (U^T U for a
+tall design, U U^T for a wide one, whose solution is the minimum-norm
+interpolator); LAPACK gelsd runs only when that Gram is not certified
+full rank.
 
 Vectorization is column-major throughout, so that
 u^T G ubar = (ubar (x) u)^T vec(G) holds identically.
@@ -158,29 +162,45 @@ class EstimateReport:
 def estimate_markov(design: DesignSystem) -> EstimateReport:
     """Solve the least-squares problem for G.
 
-    When the Gram matrix is full rank (smallest eigenvalue above
-    RANK_TOL times the largest) the unique normal-equation solution is
-    returned, solved on the Gram matrix already formed for the rank test;
-    otherwise the minimum-Euclidean-norm minimizer is used and flagged,
-    which keeps interpolation-regime sweeps running instead of failing.
+    One rule for every design: form the smaller of the two Gram matrices,
+    U^T U when rows >= columns and the row Gram S = U U^T when rows <
+    columns, and certify it when its smallest eigenvalue is above
+    RANK_TOL times its largest.  A certified Gram is solved by the normal
+    equations; LAPACK gelsd runs only when the Gram is not certified.
+
+    - rows >= columns, certified: the unique solution theta = (U^T U)^-1 U^T y,
+      flagged full_rank.
+    - rows < columns, certified: U has full row rank and
+      theta = U^T S^-1 y is its exact minimum-norm interpolator.  S and
+      U^T U share their nonzero spectrum, so lambda_max is that of S, and
+      lambda_min is exactly 0.0 (rank U <= rows < columns).
+    - otherwise: the minimum-norm minimizer by SVD (gelsd).
+
+    Every fit but the certified tall one is flagged min_norm, which keeps
+    interpolation-regime sweeps running instead of failing.  gram is
+    U^T U in every mode.
     """
     U, y = design.U_tilde, design.y
     gram = U.T @ U
-    eigs = np.linalg.eigvalsh(gram)
+    wide = U.shape[0] < U.shape[1]
+    small = U @ U.T if wide else gram
+    eigs = np.linalg.eigvalsh(small)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    full_rank = lam_min > RANK_TOL * lam_max and lam_max > 0.0
-    if full_rank:
-        # Normal equations: accurate to about eps * cond(U)^2, and the
-        # certified rank keeps cond(U)^2 below 1 / RANK_TOL.
+    certified = lam_min > RANK_TOL * lam_max and lam_max > 0.0
+    # Normal equations on a certified Gram: accurate to about eps * cond(U)^2,
+    # and the certificate keeps cond(U)^2 below 1 / RANK_TOL.
+    if certified and wide:
+        theta = U.T @ np.linalg.solve(small, y)
+    elif certified:
         theta = np.linalg.solve(gram, U.T @ y)
     else:
-        # Minimum-norm solution by SVD (LAPACK gelsd).
         theta = np.linalg.lstsq(U, y, rcond=None)[0]
     residual = float(np.linalg.norm(y - U @ theta))
+    full_rank = certified and not wide
     return EstimateReport(
         G_hat=unvec(theta, design.p, design.p * design.L),
         gram=gram,
-        lambda_min=lam_min,
+        lambda_min=0.0 if wide else lam_min,
         lambda_max=lam_max,
         residual_norm=residual,
         solver_mode="full_rank" if full_rank else "min_norm",
@@ -386,33 +406,34 @@ def predict(G_hat: np.ndarray, u_hist: np.ndarray, u_next: np.ndarray) -> float:
     return float(u_next @ G_hat @ ubar)
 
 
-def prediction_bound(design: DesignSystem, report: EstimateReport, G_true: np.ndarray,
-                     model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory,
-                     u_next: np.ndarray) -> float | None:
+def prediction_bound(fit: FitResult, err_ellipsoidal: float, model: StateSpaceModel,
+                     noise: NoiseSpec, traj: Trajectory, u_next: np.ndarray) -> float | None:
     """Mean-squared-error bound for the one-step prediction (oracle mode).
 
         2 ||vec(G_hat) - vec(G)||_V^2 ||ubar_T (x) u_{T+1}||_{V^-1}^2
         + 2 beta^2 ||C A^L||^2 ||Gamma_u^(T) + Gamma_w^(T)||
         + beta^2 ||Sigma_w|| ||F||_F^2 + sigma_z^2.
 
-    beta is the largest input norm over u_0..u_T and u_{T+1}.  Requires
-    the true G (validation facility).  Returns None when the Gram matrix
-    is singular, in which case no bound is available.
+    fit is the fit of traj, err_ellipsoidal its design-weighted error
+    ellipsoidal_error(fit.report.G_hat, fit.G, fit.design), and beta the
+    fit's fit.terms.beta, which must cover u_{T+1} as well: fit with
+    beta = max(empirical_input_bound(traj.u), ||u_next||).  Requires the
+    true G (validation facility).  Returns None for a min_norm fit, whose
+    Gram matrix is singular, in which case no bound is available.
     """
-    if report.solver_mode != "full_rank" or report.lambda_min <= 0.0:
+    if fit.terms is None:
         return None
     u_next = np.asarray(u_next, dtype=float).ravel()
-    L, T = design.L, design.T
-    beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
+    L, T = fit.design.L, fit.design.T
+    beta = fit.terms.beta
     ubar = stack_recent_inputs(traj.u, T, L)
     k = np.kron(ubar, u_next)
-    ell_sq = ellipsoidal_error(report.G_hat, G_true, design) ** 2
-    k_weight = float(k @ np.linalg.solve(report.gram, k))
+    k_weight = float(k @ np.linalg.solve(fit.report.gram, k))
     mp = markov_params(model, L)
     CAL = model.C @ np.linalg.matrix_power(model.A, L)
     gamma_w = controllability_gramian(model, noise.sigma_w, horizon=T)
     gamma_u = input_gramian(model, traj.u)
-    return (2.0 * ell_sq * k_weight
+    return (2.0 * err_ellipsoidal**2 * k_weight
             + 2.0 * beta**2 * float(np.linalg.norm(CAL, 2))**2
             * float(np.linalg.norm(gamma_u + gamma_w, 2))
             + beta**2 * float(np.linalg.norm(noise.sigma_w, 2))

@@ -474,8 +474,7 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
         bound = fit.bound.value if fit.bound else math.nan
         pred_mse = pred_bound = pred_ok = pred_mse_exact = None
         if prediction_resamples > 0 and fit.bound:
-            pred_bound = estimator.prediction_bound(
-                fit.design, fit.report, fit.G, model, noise, traj, u_next)
+            pred_bound = estimator.prediction_bound(fit, err, model, noise, traj, u_next)
             hist = traj.u[T - L + 1: T + 1]
             y_hat = estimator.predict(fit.report.G_hat, hist, u_next)
             u_ext = np.vstack([traj.u, u_next[None, :]])

@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,72 @@ def test_full_rank_solve_agrees_with_lstsq_on_ill_conditioned_design():
     assert report.solver_mode == "full_rank"
     ref = np.linalg.lstsq(U, y, rcond=None)[0]
     kappa_sq = (sv[0] / sv[-1]) ** 2
+    tol = 100 * np.finfo(float).eps * kappa_sq * np.linalg.norm(ref)
+    assert np.linalg.norm(vec(report.G_hat) - ref) <= tol
+
+
+def test_wide_solve_agrees_with_lstsq_on_ill_conditioned_design():
+    # rows < cols, singular values spaced from 1 to 1e-3: kappa^2 = 1e6, full row rank
+    rng = np.random.default_rng(22)
+    p, L, rows = 3, 5, 30
+    cols = p * p * L
+    Q1 = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+    sv = np.logspace(0.0, -3.0, rows)
+    U = (Q1 * sv) @ Q2.T
+    y = rng.standard_normal(rows)
+    d = DesignSystem(U_tilde=U, y=y, L=L, T=rows + L, p=p)
+    report = estimate_markov(d)
+    assert report.solver_mode == "min_norm"
+    ref = np.linalg.lstsq(U, y, rcond=None)[0]
+    kappa_sq = (sv[0] / sv[-1]) ** 2
+    tol = 100 * np.finfo(float).eps * kappa_sq * np.linalg.norm(ref)
+    assert np.linalg.norm(vec(report.G_hat) - ref) <= tol
+    assert report.lambda_min == 0.0
+    sigma_max_sq = np.linalg.svd(U, compute_uv=False)[0] ** 2
+    assert report.lambda_max == pytest.approx(sigma_max_sq, rel=1e-12)
+
+
+def test_wide_design_with_repeated_rows_falls_back_to_lstsq():
+    # two identical rows with different targets: the row Gram is singular
+    rng = np.random.default_rng(23)
+    p, L, rows = 2, 3, 6
+    U = rng.standard_normal((rows, p * p * L))
+    U[3] = U[1]
+    y = rng.standard_normal(rows)
+    report = estimate_markov(DesignSystem(U_tilde=U, y=y, L=L, T=rows + L, p=p))
+    assert report.solver_mode == "min_norm"
+    assert report.lambda_min == 0.0
+    assert np.array_equal(vec(report.G_hat), np.linalg.lstsq(U, y, rcond=None)[0])
+
+
+def test_all_zero_wide_design_gives_zero_estimate_without_warnings():
+    p, L, rows = 2, 3, 6
+    y = np.random.default_rng(24).standard_normal(rows)
+    d = DesignSystem(U_tilde=np.zeros((rows, p * p * L)), y=y, L=L, T=rows + L, p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = estimate_markov(d)
+    assert report.solver_mode == "min_norm"
+    assert np.all(report.G_hat == 0.0)
+    assert report.lambda_min == 0.0 and report.lambda_max == 0.0
+
+
+@given(st.integers(1, 3), st.data())
+def test_wide_fit_interpolates_and_agrees_with_lstsq(p, data):
+    # p = L = 1 has a single column, so no design with rows >= 1 is wide
+    L = data.draw(st.integers(2 if p == 1 else 1, 5), label="L")
+    cols = p * p * L
+    rows = data.draw(st.integers(1, cols - 1), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    T = L + rows
+    d = design_from_inputs(rng.standard_normal((T + 1, p)), L, rng.standard_normal(T + 1))
+    report = estimate_markov(d)
+    assert report.solver_mode == "min_norm"
+    assert report.residual_norm <= 1e-8 * max(1.0, np.linalg.norm(d.y))
+    ref = np.linalg.lstsq(d.U_tilde, d.y, rcond=None)[0]
+    sv = np.linalg.svd(d.U_tilde, compute_uv=False)
+    kappa_sq = (sv[0] / sv[-1]) ** 2 if sv[-1] > 0.0 else math.inf
     tol = 100 * np.finfo(float).eps * kappa_sq * np.linalg.norm(ref)
     assert np.linalg.norm(vec(report.G_hat) - ref) <= tol
 
@@ -535,13 +602,13 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     rng = np.random.default_rng(32)
     u_full = rng.standard_normal((T + 2, p))
     traj = simulate(m, noise, u_full[:T + 1], T, seed=33)
-    design = design_from_inputs(traj.u, L, traj.y)
-    report = estimate_markov(design)
-    G = markov_params(m, L).G
     u_next = u_full[T + 1]
-    bound = prediction_bound(design, report, G, m, noise, traj, u_next)
+    beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
+    f = fit(m, noise, traj, L, delta=0.1, beta=beta)
+    err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
+    bound = prediction_bound(f, err, m, noise, traj, u_next)
     assert bound is not None
-    y_hat = predict(report.G_hat, traj.u[T - L + 1: T + 1], u_next)
+    y_hat = predict(f.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
     ys = batch_simulate_outputs(m, noise, u_full, [T + 1], 100_000, 34)
     mse = float(np.mean((y_hat - ys[:, 0]) ** 2))
     assert mse <= bound
@@ -553,11 +620,10 @@ def test_prediction_bound_omitted_when_gram_singular():
     L = 4
     T = L + 10  # underdetermined
     traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=5)
-    design = design_from_inputs(traj.u, L, traj.y)
-    report = estimate_markov(design)
-    G = markov_params(m, L).G
     u_next = np.ones(2)
-    assert prediction_bound(design, report, G, m, noise, traj, u_next) is None
+    f = fit(m, noise, traj, L, delta=0.1)
+    err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
+    assert prediction_bound(f, err, m, noise, traj, u_next) is None
 
 
 # -------------------------------------------------- effective-noise autocovariance
