@@ -81,6 +81,7 @@ class DesignSystem:
         return self.U_tilde.shape[0]
 
     def gram(self) -> np.ndarray:
+        """U^T U, the p^2 L x p^2 L Gram matrix; the package forms it only here."""
         return self.U_tilde.T @ self.U_tilde
 
 
@@ -152,7 +153,6 @@ class EstimateReport:
     """Least-squares solution together with its conditioning diagnostics."""
 
     G_hat: np.ndarray
-    gram: np.ndarray
     lambda_min: float
     lambda_max: float
     residual_norm: float
@@ -177,20 +177,18 @@ def estimate_markov(design: DesignSystem) -> EstimateReport:
     - otherwise: the minimum-norm minimizer by SVD (gelsd).
 
     Every fit but the certified tall one is flagged min_norm, which keeps
-    interpolation-regime sweeps running instead of failing.  gram is
-    U^T U in every mode.
+    interpolation-regime sweeps running instead of failing.
     """
     U, y = design.U_tilde, design.y
-    gram = U.T @ U
     wide = U.shape[0] < U.shape[1]
-    small = U @ U.T if wide else gram
-    eigs = np.linalg.eigvalsh(small)
+    gram = U @ U.T if wide else design.gram()
+    eigs = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     certified = lam_min > RANK_TOL * lam_max and lam_max > 0.0
     # Normal equations on a certified Gram: accurate to about eps * cond(U)^2,
     # and the certificate keeps cond(U)^2 below 1 / RANK_TOL.
     if certified and wide:
-        theta = U.T @ np.linalg.solve(small, y)
+        theta = U.T @ np.linalg.solve(gram, y)
     elif certified:
         theta = np.linalg.solve(gram, U.T @ y)
     else:
@@ -199,7 +197,6 @@ def estimate_markov(design: DesignSystem) -> EstimateReport:
     full_rank = certified and not wide
     return EstimateReport(
         G_hat=unvec(theta, design.p, design.p * design.L),
-        gram=gram,
         lambda_min=0.0 if wide else lam_min,
         lambda_max=lam_max,
         residual_norm=residual,
@@ -428,7 +425,7 @@ def prediction_bound(fit: FitResult, err_ellipsoidal: float, model: StateSpaceMo
     beta = fit.terms.beta
     ubar = stack_recent_inputs(traj.u, T, L)
     k = np.kron(ubar, u_next)
-    k_weight = float(k @ np.linalg.solve(fit.report.gram, k))
+    k_weight = float(k @ np.linalg.solve(fit.design.gram(), k))
     mp = markov_params(model, L)
     CAL = model.C @ np.linalg.matrix_power(model.A, L)
     gamma_w = controllability_gramian(model, noise.sigma_w, horizon=T)

@@ -48,11 +48,13 @@ class PECertificate:
 def min_eig_design(design: DesignSystem) -> float:
     """Smallest eigenvalue of the Gram matrix, clamped at zero.
 
-    Symmetric eigensolve on the p^2 L x p^2 L Gram matrix; tiny negative
-    values (within 1e-10 numerical slack) are rounded up to zero.
+    A design with fewer rows than p^2 L columns gets 0.0, as estimate_markov
+    reports, without forming the Gram; otherwise a negative roundoff of the
+    symmetric eigensolve is rounded up to zero.
     """
-    gram = design.gram()
-    lam = float(np.linalg.eigvalsh(gram)[0])
+    if design.rows < design.U_tilde.shape[1]:
+        return 0.0
+    lam = float(np.linalg.eigvalsh(design.gram())[0])
     return max(lam, 0.0)
 
 

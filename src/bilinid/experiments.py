@@ -304,9 +304,10 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
     """Excitation frequency at the fourth-moment-regime required length.
 
     Draws `trials` independent input sequences of length T (defaulting to
-    the required length) and reports how often lambda_min of the Gram
-    matrix clears the quarter-sample threshold.  The required length uses
-    the Gaussian fourth-moment constant excitation.GAUSSIAN_M4.
+    the required length) and reports how often the excitation certificate
+    of a trial's design, excitation.pe_certificate, passes.  The required
+    length and the certificate use the Gaussian fourth-moment constant
+    excitation.GAUSSIAN_M4.
     """
     p, L, delta = config.p, config.L_values[0], config.delta
     m4 = excitation.GAUSSIAN_M4
@@ -318,20 +319,19 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
     if T <= L:
         raise ParameterError("campaign length T must exceed L")
 
-    def one(trial: int) -> bool:
+    def one(trial: int) -> excitation.PECertificate:
         rng = derive_rng(config.base_seed, 0, trial)
         u = design_in.sample_sequence(T, rng)
-        design = estimator.design_from_inputs(u, L)
-        lam = excitation.min_eig_design(design)
-        return bool(lam >= (T - L) / 4.0)
+        return excitation.pe_certificate(estimator.design_from_inputs(u, L), delta,
+                                         excitation.REGIME_FOURTH_MOMENT, m4=m4)
 
-    outcomes = _map_trials(range(config.trials), one, threads)
+    certs = _map_trials(range(config.trials), one, threads)
     return {
-        "frequency": float(np.mean(outcomes)),
+        "frequency": float(np.mean([cert.passed for cert in certs])),
         "required_T": L + required,
         "required_samples": required,
         "campaign_T": T,
-        "threshold": (T - L) / 4.0,
+        "threshold": certs[0].threshold,
         "trials": config.trials,
         "p": p,
         "L": L,
@@ -443,22 +443,20 @@ class CoverageTrial:
 def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
                           noise_cfg: NoiseConfig, input_cfg: InputConfig,
                           delta: float, trials: int, base_seed: int,
-                          prediction_resamples: int = 0,
-                          threads: int = 1) -> list[CoverageTrial]:
+                          prediction_resamples: int, threads: int = 1) -> list[CoverageTrial]:
     """Per-trial comparison of realized errors against their bounds.
 
     Each trial draws a fresh model and trajectory, fits G, and checks the
     design-weighted error against the high-probability bound.  A min-norm
     fit, possible only in an ill-conditioned cell just above the
     T - L > p^2 L that validate requires, has no bound: bound_value is NaN
-    and covered is False.  With
-    prediction_resamples > 0 the one-step prediction is also checked: the
-    fitted G is frozen, the noise is redrawn that many times with the
-    inputs held fixed, and the empirical mean squared prediction error is
-    compared against its bound.  The resamples come from
-    final_output_draws; under Gaussian noise they are exact in law (one
-    Gaussian draw each rather than a T-step rollout), and the exact MSE
-    is reported beside the Monte Carlo one as pred_mse_exact.
+    and covered is False.  A fit with a bound also has its one-step
+    prediction checked: the fitted G is frozen, the noise is redrawn
+    prediction_resamples times with the inputs held fixed, and the
+    empirical mean squared prediction error is compared against its bound.
+    The resamples come from final_output_draws; under Gaussian noise they
+    are exact in law (one Gaussian draw each rather than a T-step rollout),
+    and the exact MSE is reported beside the Monte Carlo one as pred_mse_exact.
     """
     noise = noise_cfg.to_spec(n)
     design_in = input_cfg.to_design(p)
@@ -473,7 +471,7 @@ def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
         err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
         bound = fit.bound.value if fit.bound else math.nan
         pred_mse = pred_bound = pred_ok = pred_mse_exact = None
-        if prediction_resamples > 0 and fit.bound:
+        if fit.bound:
             pred_bound = estimator.prediction_bound(fit, err, model, noise, traj, u_next)
             hist = traj.u[T - L + 1: T + 1]
             y_hat = estimator.predict(fit.report.G_hat, hist, u_next)

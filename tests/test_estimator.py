@@ -216,7 +216,7 @@ def test_normal_equations_residual_in_full_rank_mode():
     report = estimate_markov(d)
     assert report.solver_mode == "full_rank"
     rhs = d.U_tilde.T @ d.y
-    lhs = report.gram @ vec(report.G_hat)
+    lhs = d.gram() @ vec(report.G_hat)
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
@@ -497,29 +497,77 @@ def test_fit_recovers_G_from_noiseless_nilpotent_data(n, p, data):
     assert fit(m, NoiseSpec.none(n), traj, L, delta=0.1).err_fro <= 1e-8
 
 
-def _callers(name: str) -> list[tuple[str, str | None]]:
-    """(module, innermost enclosing function) of every call to name in the package."""
+def _where(match, trees=None) -> list[tuple[str, str | None]]:
+    """(module, dotted enclosing class and function names) of every node
+    for which match holds, in the package or in the given {module: tree}."""
     found = []
 
     def visit(node, module, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if called == name:
-                found.append((module, scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if match(node):
+            found.append((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
-    for path in sorted(Path(estimator.__file__).resolve().parent.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    if trees is None:
+        trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+                 for path in Path(estimator.__file__).resolve().parent.glob("*.py")}
+    for module, tree in trees.items():
+        visit(tree, module, None)
     return sorted(found)
+
+
+def _callers(name: str) -> list[tuple[str, str | None]]:
+    """Where in the package name is called."""
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name
+
+    return _where(match)
+
+
+def _is_column_gram(node) -> bool:
+    """node is X.T @ X, np.dot(X.T, X), np.matmul(X.T, X) or X.T.dot(X)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        left, right = node.left, node.right
+    elif isinstance(node, ast.Call) and len(node.args) == 2 and getattr(
+            node.func, "attr", None) in ("dot", "matmul"):
+        left, right = node.args
+    elif isinstance(node, ast.Call) and len(node.args) == 1 and getattr(
+            node.func, "attr", None) == "dot":
+        left, right = node.func.value, node.args[0]
+    else:
+        return False
+    return (isinstance(left, ast.Attribute) and left.attr == "T"
+            and ast.dump(left.value) == ast.dump(right))
 
 
 def test_fit_is_the_one_path_to_the_bound():
     assert _callers("bound_data_dependent") == [("estimator", "fit")]
     assert _callers("bound_terms") == [("estimator", "choose_L"), ("estimator", "fit")]
+
+
+def test_column_gram_detects_every_spelling():
+    tree = ast.parse(
+        "def f(U, V):\n"
+        "    U.T @ U\n"
+        "    np.dot(self.U.T, self.U)\n"
+        "    np.matmul(U.T, U)\n"
+        "    U.T.dot(U)\n"
+        "    U @ U.T\n"
+        "    U.T @ V\n"
+        "    U.T @ y\n")
+    assert _where(_is_column_gram, {"m": tree}) == [("m", "f")] * 4
+
+
+def test_design_gram_is_the_one_column_gram():
+    # the other X^T X is the sample covariance of Monte Carlo draws of zeta
+    assert _where(_is_column_gram) == [("estimator", "DesignSystem.gram"),
+                                       ("experiments", "zeta_covariance_mc")]
 
 
 # -------------------------------------------------------------------- choose_L

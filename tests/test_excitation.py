@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bilinid import (
     GAUSSIAN_M4,
     InputDesign,
     ParameterError,
     estimate_m4,
+    estimate_markov,
     min_eig_design,
     pe_certificate,
     pe_required_samples,
@@ -34,6 +37,29 @@ def test_min_eig_rank_deficient_is_zero():
     rng = np.random.default_rng(0)
     d = _toy_design(rng.standard_normal((4, 6)))
     assert min_eig_design(d) == 0.0
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_min_eig_of_a_wide_design_is_the_estimate_value_zero(p, L, data):
+    # fewer rows than p^2 L: U^T U is singular, and pe-check and estimate
+    # must report the same 0.0 rather than an eigensolver's roundoff
+    assume(p * p * L > 1)
+    rows = data.draw(st.integers(1, p * p * L - 1), label="rows")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    u = np.random.default_rng(seed).standard_normal((L + rows + 1, p))
+    d = design_from_inputs(u, L)
+    assert min_eig_design(d) == estimate_markov(d).lambda_min == 0.0
+
+
+def test_wide_designs_never_form_the_column_gram(monkeypatch):
+    def refuse(self):
+        raise AssertionError("U^T U formed for a wide design")
+
+    monkeypatch.setattr(DesignSystem, "gram", refuse)
+    d = design_from_inputs(np.random.default_rng(2).standard_normal((10, 2)), L=3)
+    assert d.rows < d.U_tilde.shape[1]
+    assert min_eig_design(d) == 0.0
+    assert estimate_markov(d).solver_mode == "min_norm"
 
 
 def test_min_eig_matches_dense_eigensolver_oracle():

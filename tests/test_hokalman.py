@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bilinid import (
     DegenerateRealizationError,
@@ -82,6 +84,24 @@ def test_ho_kalman_exact_markov_matching():
     CAi = real.C.copy()
     for i in range(L):
         assert np.linalg.norm(CAi @ real.B - mp.block(i)) <= 1e-8
+        CAi = CAi @ real.A
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_ho_kalman_matches_markov_blocks_of_an_orthogonally_similar_system(n, p, seed):
+    # (Q^T A Q, Q^T B, C Q) has the Markov blocks of (A, B, C), so its
+    # realization must reproduce the original system's blocks
+    m = random_model(n, p, 0.8, seed=seed)
+    L = 2 * n + 2
+    mp = markov_params(m, L)
+    s = build_hankel(mp.G, n).singular_values
+    assume(s[n - 1] >= 1e-6 * s[0])
+    Q, _ = np.linalg.qr(np.random.default_rng(seed + 1).standard_normal((n, n)))
+    similar = StateSpaceModel(A=Q.T @ m.A @ Q, B=Q.T @ m.B, C=m.C @ Q)
+    real = ho_kalman(markov_params(similar, L).G, n=n)
+    CAi = real.C.copy()
+    for i in range(L):
+        assert np.linalg.norm(CAi @ real.B - mp.block(i)) <= 1e-8 * np.linalg.norm(mp.G)
         CAi = CAi @ real.A
 
 

@@ -9,7 +9,11 @@ import os
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bilinid import serialize
 from bilinid.cli import main
@@ -35,6 +39,18 @@ def test_write_text_rewrites_in_place_a_file_it_may_not_unlink(tmp_path, monkeyp
     serialize.write_text(out, "second\n")
     assert os.path.samefile(out, old)
     assert old.read_text() == "second\n"
+
+
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
+              elements=st.floats(width=64)))
+def test_save_load_save_matrix_is_byte_identical(tmp_path_factory, M):
+    first, second = (tmp_path_factory.getbasetemp() / f"{name}.csv"
+                     for name in ("first", "second"))
+    serialize.save_matrix(first, M)
+    loaded = serialize.load_matrix(first)
+    serialize.save_matrix(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+    assert np.array_equal(loaded, M, equal_nan=True)
 
 
 @pytest.mark.parametrize("command", [
