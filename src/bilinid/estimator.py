@@ -7,11 +7,22 @@ For t > L the output decomposes as
 where ubar_{t-1} stacks the L most recent inputs (current first), (x) is
 the Kronecker product, and zeta_t collects the process-noise, truncated-
 state, and measurement-noise contributions.  Estimation is ordinary least
-squares on the (T-L) x p^2 L design matrix of Kronecker rows, solved by
+squares on the (T-L) x p^2 L design matrix U of Kronecker rows, solved by
 the normal equations on the smaller of its two Gram matrices (U^T U for a
 tall design, U U^T for a wide one, whose solution is the minimum-norm
-interpolator); LAPACK gelsd runs only when that Gram is not certified
-full rank.
+interpolator).
+
+A design has one of two representations.  With at most p^2 L rows (a
+wide or square design) it keeps its rows, which the minimum-norm solve
+and the exact interpolation residual need, and which hold at most
+(p^2 L)^2 entries.  A taller design is never materialized: its rows are
+built BLOCK_ROWS at a time into one reused buffer, and it keeps only
+V = U^T U, U^T y and y^T y, so building and fitting it take
+O((p^2 L)^2 + BLOCK_ROWS p^2 L) memory whatever T is.  Its squared
+residual y^T y - theta^T U^T y is accurate to about eps y^T y, and a Gram
+that is not certified full rank is solved by lstsq(V, U^T y,
+rcond=RANK_TOL); a design that keeps its rows falls back to LAPACK gelsd
+on U instead.
 
 Vectorization is column-major throughout, so that
 u^T G ubar = (ubar (x) u)^T vec(G) holds identically.
@@ -27,6 +38,7 @@ least squares and bound for every sweep trial, coverage trial and CLI estimate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +57,9 @@ from .sysmodel import (
 )
 
 RANK_TOL = 1e-10
+# Rows of a tall design built and accumulated at a time, in one reused
+# (p^2 L) x BLOCK_ROWS buffer.
+BLOCK_ROWS = 16384
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -57,14 +72,23 @@ def unvec(v: np.ndarray, p: int, cols: int) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape((p, cols), order="F")
 
 
+def _column_gram(U: np.ndarray) -> np.ndarray:
+    """U^T U; the package forms a column Gram matrix only here."""
+    return U.T @ U
+
+
 @dataclass(frozen=True, eq=False)
 class DesignSystem:
     """Regression data extracted from one trajectory.
 
-    Row t (for t = L+1 .. T) of U_tilde is ubar_{t-1} (x) u_t, a vector of
-    length p^2 L; y holds the aligned outputs y_{L+1} .. y_T.
+    Row t (for t = L+1 .. T) of the design U is ubar_{t-1} (x) u_t, a
+    vector of length p^2 L, aligned with the output y_t; there are
+    rows = T - L of them.  A design of at most p^2 L rows keeps them:
+    U_tilde is U, y the aligned outputs, and V, Uty and yty are None.  A
+    taller design keeps only V = U^T U, Uty = U^T y and yty = y^T y, and
+    its U_tilde and y are empty, of shapes (0, p^2 L) and (0,).
 
-    U_tilde built by design_from_inputs is column-major (Fortran order):
+    A U_tilde built by design_from_inputs is column-major (Fortran order):
     each of its p^2 L columns is one contiguous product of an input
     component with a lagged one, which is far cheaper to fill than
     T - L short rows, and the Gram product and solvers take either order.
@@ -75,14 +99,45 @@ class DesignSystem:
     L: int
     T: int
     p: int
+    rows: int
+    V: np.ndarray | None
+    Uty: np.ndarray | None
+    yty: float | None
 
-    @property
-    def rows(self) -> int:
-        return self.U_tilde.shape[0]
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray | None]],
+                    L: int, T: int, p: int) -> DesignSystem:
+        """The design of T - L rows given as consecutive blocks (U_i, y_i).
+
+        y_i None stands for outputs that are not given, read as zeros.  A
+        design of at most p^2 L rows keeps them, so they come as one block
+        (U, y), which the design holds.  A taller one sums U_i^T U_i,
+        U_i^T y_i and y_i^T y_i over its blocks and holds none of them, so
+        the caller may refill one buffer for every block.
+        """
+        d, rows = p * p * L, T - L
+        if rows <= d:
+            [(U, y)] = blocks
+            y = np.zeros(rows) if y is None else np.array(y, dtype=float)
+            V = Uty = yty = None
+        else:
+            V, Uty, yty, U = None, np.zeros(d), 0.0, np.empty((0, d))
+            for block, y_block in blocks:
+                gram = _column_gram(block)
+                if V is None:
+                    V = gram
+                else:
+                    V += gram
+                if y_block is not None:
+                    Uty += block.T @ y_block
+                    yty += float(y_block @ y_block)
+            y = np.empty(0)
+        return cls(U_tilde=U, y=y, L=L, T=T, p=p, rows=rows, V=V, Uty=Uty, yty=yty)
 
     def gram(self) -> np.ndarray:
-        """U^T U, the p^2 L x p^2 L Gram matrix; the package forms it only here."""
-        return self.U_tilde.T @ self.U_tilde
+        """U^T U, the p^2 L x p^2 L Gram matrix; a design that keeps its
+        rows forms it from them on each call."""
+        return _column_gram(self.U_tilde) if self.V is None else self.V
 
 
 def stack_recent_inputs(u: np.ndarray, t: int, L: int) -> np.ndarray:
@@ -93,16 +148,18 @@ def stack_recent_inputs(u: np.ndarray, t: int, L: int) -> np.ndarray:
     return u[t - L + 1: t + 1][::-1].reshape(-1)
 
 
-def _kron_rows(lags: list[np.ndarray], cur: np.ndarray) -> np.ndarray:
+def _kron_rows(lags: list[np.ndarray], cur: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Kronecker rows [lags[0][t]; ...; lags[L-1][t]] (x) cur[t], shape (count, p^2 L).
 
     Column (j p + i) p + k is lags[j][:, i] * cur[:, k].  The columns are
-    written as contiguous rows of a (p^2 L, count) buffer, one vector
-    product per column, and the result is the buffer's transpose: a
-    column-major view.  A product that overflows raises NumericalError.
+    written as contiguous rows of a (p^2 L, count) buffer, out or a new
+    one, one vector product per column, and the result is the buffer's
+    transpose: a column-major view.  A product that overflows raises
+    NumericalError.
     """
     count, p = cur.shape
-    buf = np.empty((p * p * len(lags), count))
+    buf = np.empty((p * p * len(lags), count)) if out is None else out
     cur_t = cur.T
     try:
         with np.errstate(over="raise"):
@@ -119,7 +176,9 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
     """Build the Kronecker-row design from an input sequence u_0..u_T.
 
     y, when given, must hold the full output sequence y_0..y_T; the
-    design keeps the slice aligned with the rows.  A NaN or infinite
+    design uses the slice aligned with the rows.  A design of more than
+    p^2 L rows is built BLOCK_ROWS rows at a time into one buffer and
+    keeps only its statistics (see DesignSystem).  A NaN or infinite
     input raises ParameterError; a Kronecker product beyond the float
     range, or a NaN or infinite output in that slice (an overflow of the
     simulated system), raises NumericalError.
@@ -134,18 +193,27 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
     if T < L + 1:
         raise ParameterError(f"need T >= L + 1 rows, got T={T}, L={L}")
     rows = T - L
-    # Block j of ubar_{t-1} is u_{t-1-j}; sliding the row index gives u[L-j : T-j].
-    U_tilde = _kron_rows([u[L - j: T - j] for j in range(L)], u[L + 1: T + 1])
-    if y is None:
-        y_slice = np.zeros(rows)
-    else:
+    if y is not None:
         y = np.asarray(y, dtype=float).ravel()
         if y.shape[0] != T + 1:
             raise ParameterError("y must hold the full output sequence y_0..y_T")
-        y_slice = y[L + 1: T + 1].copy()
-        if not np.all(np.isfinite(y_slice)):
+        y = y[L + 1: T + 1]
+        if not np.all(np.isfinite(y)):
             raise NumericalError("output sequence y must be finite")
-    return DesignSystem(U_tilde=U_tilde, y=y_slice, L=L, T=T, p=p)
+    # Block j of ubar_{t-1} is u_{t-1-j}; sliding the row index gives u[L-j : T-j].
+    lags = [u[L - j: T - j] for j in range(L)]
+    cur = u[L + 1: T + 1]
+    block = rows if rows <= p * p * L else min(rows, BLOCK_ROWS)
+    buf = np.empty((p * p * L, block))
+
+    def blocks():
+        for start in range(0, rows, block):
+            stop = min(start + block, rows)
+            U = _kron_rows([lag[start:stop] for lag in lags], cur[start:stop],
+                           out=buf[:, :stop - start])
+            yield U, None if y is None else y[start:stop]
+
+    return DesignSystem.from_blocks(blocks(), L, T, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +227,14 @@ class EstimateReport:
     solver_mode: str  # "full_rank" | "min_norm"
 
 
+def _lambda_min(eig: float) -> float:
+    """lambda_min of U^T U from the eigensolver's smallest eigenvalue eig,
+    clamped at zero: U^T U is positive semidefinite, so a negative eig is
+    roundoff.  estimate_markov and excitation.min_eig_design both report
+    this value."""
+    return max(eig, 0.0)
+
+
 def estimate_markov(design: DesignSystem) -> EstimateReport:
     """Solve the least-squares problem for G.
 
@@ -166,7 +242,7 @@ def estimate_markov(design: DesignSystem) -> EstimateReport:
     U^T U when rows >= columns and the row Gram S = U U^T when rows <
     columns, and certify it when its smallest eigenvalue is above
     RANK_TOL times its largest.  A certified Gram is solved by the normal
-    equations; LAPACK gelsd runs only when the Gram is not certified.
+    equations.
 
     - rows >= columns, certified: the unique solution theta = (U^T U)^-1 U^T y,
       flagged full_rank.
@@ -174,30 +250,42 @@ def estimate_markov(design: DesignSystem) -> EstimateReport:
       theta = U^T S^-1 y is its exact minimum-norm interpolator.  S and
       U^T U share their nonzero spectrum, so lambda_max is that of S, and
       lambda_min is exactly 0.0 (rank U <= rows < columns).
-    - otherwise: the minimum-norm minimizer by SVD (gelsd).
+    - otherwise: the minimum-norm minimizer, by LAPACK gelsd on U for a
+      design that keeps its rows, and by lstsq(V, U^T y, rcond=RANK_TOL)
+      on V = U^T U for a taller one.
 
-    Every fit but the certified tall one is flagged min_norm, which keeps
+    A taller design holds no rows, so its residual norm is
+    sqrt(y^T y - theta^T U^T y), whose square is accurate to about
+    eps y^T y; a design that keeps its rows gets ||y - U theta|| directly.  Every fit but the
+    certified tall one is flagged min_norm, which keeps
     interpolation-regime sweeps running instead of failing.
     """
     U, y = design.U_tilde, design.y
-    wide = U.shape[0] < U.shape[1]
+    wide = design.rows < U.shape[1]
     gram = U @ U.T if wide else design.gram()
     eigs = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     certified = lam_min > RANK_TOL * lam_max and lam_max > 0.0
     # Normal equations on a certified Gram: accurate to about eps * cond(U)^2,
     # and the certificate keeps cond(U)^2 below 1 / RANK_TOL.
-    if certified and wide:
-        theta = U.T @ np.linalg.solve(gram, y)
-    elif certified:
-        theta = np.linalg.solve(gram, U.T @ y)
+    if design.V is not None:
+        if certified:
+            theta = np.linalg.solve(gram, design.Uty)
+        else:
+            theta = np.linalg.lstsq(gram, design.Uty, rcond=RANK_TOL)[0]
+        residual = math.sqrt(max(design.yty - float(theta @ design.Uty), 0.0))
     else:
-        theta = np.linalg.lstsq(U, y, rcond=None)[0]
-    residual = float(np.linalg.norm(y - U @ theta))
+        if certified and wide:
+            theta = U.T @ np.linalg.solve(gram, y)
+        elif certified:
+            theta = np.linalg.solve(gram, U.T @ y)
+        else:
+            theta = np.linalg.lstsq(U, y, rcond=None)[0]
+        residual = float(np.linalg.norm(y - U @ theta))
     full_rank = certified and not wide
     return EstimateReport(
         G_hat=unvec(theta, design.p, design.p * design.L),
-        lambda_min=0.0 if wide else lam_min,
+        lambda_min=0.0 if wide else _lambda_min(lam_min),
         lambda_max=lam_max,
         residual_norm=residual,
         solver_mode="full_rank" if full_rank else "min_norm",
@@ -207,15 +295,18 @@ def estimate_markov(design: DesignSystem) -> EstimateReport:
 def ellipsoidal_error(G_hat: np.ndarray, G_true: np.ndarray, design: DesignSystem) -> float:
     """Design-weighted error ||vec(G_hat) - vec(G)||_V with V = U^T U.
 
-    Evaluated in the factored form ||U (vec(G_hat) - vec(G))||_2 for
-    numerical stability.
+    Evaluated in the factored form ||U (vec(G_hat) - vec(G))||_2 when the
+    design keeps its rows, and as sqrt(Delta^T V Delta), accurate to about
+    eps kappa(V) relative, when it keeps only V.
     """
     G_hat = np.atleast_2d(np.asarray(G_hat, dtype=float))
     G_true = np.atleast_2d(np.asarray(G_true, dtype=float))
     if G_hat.shape != G_true.shape:
         raise ParameterError(f"shape mismatch: {G_hat.shape} vs {G_true.shape}")
     delta = vec(G_hat) - vec(G_true)
-    return float(np.linalg.norm(design.U_tilde @ delta))
+    if design.V is None:
+        return float(np.linalg.norm(design.U_tilde @ delta))
+    return math.sqrt(max(float(delta @ design.gram() @ delta), 0.0))
 
 
 def empirical_input_bound(u: np.ndarray) -> float:

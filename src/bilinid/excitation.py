@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimator import DesignSystem, _kron_rows
+from .estimator import DesignSystem, _kron_rows, _lambda_min
 from .exceptions import ParameterError
 from .sysmodel import InputDesign, derive_rng
 
@@ -48,14 +48,14 @@ class PECertificate:
 def min_eig_design(design: DesignSystem) -> float:
     """Smallest eigenvalue of the Gram matrix, clamped at zero.
 
-    A design with fewer rows than p^2 L columns gets 0.0, as estimate_markov
-    reports, without forming the Gram; otherwise a negative roundoff of the
-    symmetric eigensolve is rounded up to zero.
+    The value estimate_markov reports: 0.0 for a design with fewer rows
+    than p^2 L columns, without forming the Gram, and otherwise the
+    smallest eigenvalue of design.gram() with a negative roundoff rounded
+    up to zero (estimator._lambda_min).
     """
     if design.rows < design.U_tilde.shape[1]:
         return 0.0
-    lam = float(np.linalg.eigvalsh(design.gram())[0])
-    return max(lam, 0.0)
+    return _lambda_min(float(np.linalg.eigvalsh(design.gram())[0]))
 
 
 def _check_regime_args(regime: str, beta, m4) -> None:

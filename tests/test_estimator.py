@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -91,6 +94,13 @@ def test_design_rows_match_explicit_kron():
         assert np.array_equal(d.U_tilde[i], row)
 
 
+def _einsum_design_rows(u, L):
+    """Row build by one einsum over a stacked ubar copy (an independent oracle)."""
+    T, p = u.shape[0] - 1, u.shape[1]
+    ubar = np.hstack([u[L - j: T - j] for j in range(L)])
+    return np.einsum("ti,tj->tij", ubar, u[L + 1:]).reshape(T - L, p * p * L)
+
+
 @st.composite
 def _inputs_and_markov(draw):
     p = draw(st.integers(1, 3))
@@ -110,7 +120,7 @@ def _inputs_and_markov(draw):
 def test_design_rows_are_the_bilinear_form_of_vec_G(case):
     # u_t' G ubar_{t-1} = (ubar_{t-1} (x) u_t)' vec(G) for every row t = L+1..T
     u, G, L = case
-    U = design_from_inputs(u, L).U_tilde
+    U = _einsum_design_rows(u, L)
     for i, t in enumerate(range(L + 1, u.shape[0])):
         ubar = np.concatenate([u[t - 1 - j] for j in range(L)])
         scale = np.abs(u[t]) @ np.abs(G) @ np.abs(ubar)
@@ -118,16 +128,10 @@ def test_design_rows_are_the_bilinear_form_of_vec_G(case):
         assert abs(u[t] @ G @ ubar - U[i] @ vec(G)) <= 1e-12 * scale + np.finfo(float).tiny
 
 
-def _einsum_design_rows(u, L):
-    """Row build by one einsum over a stacked ubar copy (an independent oracle)."""
-    T, p = u.shape[0] - 1, u.shape[1]
-    ubar = np.hstack([u[L - j: T - j] for j in range(L)])
-    return np.einsum("ti,tj->tij", ubar, u[L + 1:]).reshape(T - L, p * p * L)
-
-
 @pytest.mark.parametrize("p,L", [(1, 1), (2, 4), (3, 3)])
 def test_design_bit_identical_to_einsum_build_and_column_major(p, L):
-    u = np.random.default_rng(p * 10 + L).standard_normal((200, p))
+    # a square design, the tallest that keeps its rows
+    u = np.random.default_rng(p * 10 + L).standard_normal((L + 1 + p * p * L, p))
     U = design_from_inputs(u, L).U_tilde
     assert np.array_equal(U, _einsum_design_rows(u, L))
     # each column is one contiguous vector product; the speed of the build
@@ -177,6 +181,97 @@ def test_vec_convention_bilinear_identity():
     assert np.array_equal(unvec(vec(G), p, p * L), G)
 
 
+# ------------------------------------------------------- blocked statistics
+
+@pytest.mark.parametrize("rows", [estimator.BLOCK_ROWS - 1, estimator.BLOCK_ROWS,
+                                  estimator.BLOCK_ROWS + 1, 2 * estimator.BLOCK_ROWS + 1])
+def test_block_statistics_match_the_dense_build(rows):
+    p, L = 1, 2
+    rng = np.random.default_rng(rows)
+    u = rng.standard_normal((L + 1 + rows, p))
+    y = rng.standard_normal(L + 1 + rows)
+    d = design_from_inputs(u, L, y)
+    U, y_rows = _einsum_design_rows(u, L), y[L + 1:]
+    assert d.rows == rows and d.U_tilde.shape == (0, p * p * L)
+    for got, dense in ((d.gram(), U.T @ U), (d.Uty, U.T @ y_rows), (d.yty, y_rows @ y_rows)):
+        assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("p,L", [(1, 2), (2, 3)])
+def test_design_keeps_its_rows_exactly_when_rows_at_most_columns(p, L):
+    cols = p * p * L
+    rng = np.random.default_rng(cols)
+    for rows in (cols - 1, cols, cols + 1):
+        u = rng.standard_normal((L + 1 + rows, p))
+        d = design_from_inputs(u, L, rng.standard_normal(L + 1 + rows))
+        kept = rows <= cols
+        assert d.rows == rows
+        assert d.U_tilde.shape == ((rows, cols) if kept else (0, cols))
+        assert d.y.shape == ((rows,) if kept else (0,))
+        assert (d.V is None) == kept
+        if kept:
+            assert np.array_equal(d.U_tilde, _einsum_design_rows(u, L))
+
+
+def test_tall_residual_and_ellipsoidal_error_match_the_dense_design():
+    m = random_model(3, 2, 0.6, seed=31)
+    noise = NoiseSpec.gaussian(0.5 * np.eye(3), 0.7)
+    L, T = 3, 3 * estimator.BLOCK_ROWS // 2
+    traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=32)
+    d = design_from_inputs(traj.u, L, traj.y)
+    report = estimate_markov(d)
+    assert report.solver_mode == "full_rank"
+    U, y = _einsum_design_rows(traj.u, L), traj.y[L + 1:]
+    theta = vec(report.G_hat)
+    assert report.residual_norm == pytest.approx(np.linalg.norm(y - U @ theta), rel=1e-8)
+    G = markov_params(m, L).G
+    assert ellipsoidal_error(report.G_hat, G, d) == pytest.approx(
+        np.linalg.norm(U @ (theta - vec(G))), rel=1e-8)
+
+
+@pytest.mark.parametrize("inputs", ["repeated_component", "zero_component", "all_zero"])
+def test_singular_tall_design_falls_back_to_the_dense_min_norm_fit(inputs):
+    # p = 2, L = 3: 56 rows of 12 columns, a Gram that is not full rank
+    rng = np.random.default_rng(33)
+    v = rng.standard_normal(60)
+    u = {"repeated_component": np.column_stack([v, v]),
+         "zero_component": np.column_stack([v, np.zeros(60)]),
+         "all_zero": np.zeros((60, 2))}[inputs]
+    y = rng.standard_normal(60)
+    d = design_from_inputs(u, 3, y)
+    report = estimate_markov(d)
+    assert report.solver_mode == "min_norm"
+    U = _einsum_design_rows(u, 3)
+    ref = np.linalg.lstsq(U, y[4:], rcond=None)[0]
+    assert np.linalg.norm(vec(report.G_hat) - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+    assert report.residual_norm == pytest.approx(np.linalg.norm(y[4:] - U @ ref), rel=1e-12)
+
+
+def test_long_trajectory_fits_in_bounded_memory():
+    # T = 1e6, p = 2, L = 16: a dense design would take 488 MiB
+    script = (
+        "import numpy as np\n"
+        "from bilinid.estimator import design_from_inputs, estimate_markov\n"
+        "rng = np.random.default_rng(0)\n"
+        "T, L = 10**6, 16\n"
+        "u = rng.standard_normal((T + 1, 2))\n"
+        "y = rng.standard_normal(T + 1)\n"
+        "report = estimate_markov(design_from_inputs(u, L, y))\n"
+        "assert report.solver_mode == 'full_rank'\n")
+    # A process's ru_maxrss also counts the image it replaced by exec: a
+    # direct child of this test process would report the test process's
+    # size.  A small launcher in between reads its child's own peak.
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", launcher, script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) * 1024 < 200e6  # ru_maxrss is in KiB on Linux
+
+
 # ------------------------------------------------------------ estimate_markov
 
 def test_exact_recovery_nilpotent_noiseless():
@@ -215,7 +310,7 @@ def test_normal_equations_residual_in_full_rank_mode():
     d = design_from_inputs(traj.u, 5, traj.y)
     report = estimate_markov(d)
     assert report.solver_mode == "full_rank"
-    rhs = d.U_tilde.T @ d.y
+    rhs = _einsum_design_rows(traj.u, 5).T @ traj.y[6:]
     lhs = d.gram() @ vec(report.G_hat)
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
@@ -230,7 +325,7 @@ def test_full_rank_solve_agrees_with_lstsq_on_ill_conditioned_design():
     sv = np.logspace(0.0, -3.0, cols)
     U = (Q1 * sv) @ Q2.T
     y = U @ rng.standard_normal(cols) + 1e-3 * rng.standard_normal(rows)
-    d = DesignSystem(U_tilde=U, y=y, L=L, T=rows + L, p=p)
+    d = DesignSystem.from_blocks([(U, y)], L=L, T=rows + L, p=p)
     report = estimate_markov(d)
     assert report.solver_mode == "full_rank"
     ref = np.linalg.lstsq(U, y, rcond=None)[0]
@@ -249,7 +344,7 @@ def test_wide_solve_agrees_with_lstsq_on_ill_conditioned_design():
     sv = np.logspace(0.0, -3.0, rows)
     U = (Q1 * sv) @ Q2.T
     y = rng.standard_normal(rows)
-    d = DesignSystem(U_tilde=U, y=y, L=L, T=rows + L, p=p)
+    d = DesignSystem.from_blocks([(U, y)], L=L, T=rows + L, p=p)
     report = estimate_markov(d)
     assert report.solver_mode == "min_norm"
     ref = np.linalg.lstsq(U, y, rcond=None)[0]
@@ -268,7 +363,7 @@ def test_wide_design_with_repeated_rows_falls_back_to_lstsq():
     U = rng.standard_normal((rows, p * p * L))
     U[3] = U[1]
     y = rng.standard_normal(rows)
-    report = estimate_markov(DesignSystem(U_tilde=U, y=y, L=L, T=rows + L, p=p))
+    report = estimate_markov(DesignSystem.from_blocks([(U, y)], L=L, T=rows + L, p=p))
     assert report.solver_mode == "min_norm"
     assert report.lambda_min == 0.0
     assert np.array_equal(vec(report.G_hat), np.linalg.lstsq(U, y, rcond=None)[0])
@@ -277,7 +372,7 @@ def test_wide_design_with_repeated_rows_falls_back_to_lstsq():
 def test_all_zero_wide_design_gives_zero_estimate_without_warnings():
     p, L, rows = 2, 3, 6
     y = np.random.default_rng(24).standard_normal(rows)
-    d = DesignSystem(U_tilde=np.zeros((rows, p * p * L)), y=y, L=L, T=rows + L, p=p)
+    d = DesignSystem.from_blocks([(np.zeros((rows, p * p * L)), y)], L=L, T=rows + L, p=p)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = estimate_markov(d)
@@ -320,7 +415,8 @@ def test_regression_identity_against_effective_noise():
         for t in range(L + 1, T + 1)
     ])
     delta = vec(report.G_hat) - vec(mp.G)
-    oracle = np.linalg.solve(d.U_tilde.T @ d.U_tilde, d.U_tilde.T @ zeta)
+    U = _einsum_design_rows(traj.u, L)
+    oracle = np.linalg.solve(U.T @ U, U.T @ zeta)
     assert np.linalg.norm(delta - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
 
 
@@ -336,7 +432,7 @@ def test_ellipsoidal_error_zero_at_truth():
 
 def test_ellipsoidal_error_orthonormal_design_is_euclidean():
     k = 6
-    d = DesignSystem(U_tilde=np.eye(k), y=np.zeros(k), L=3, T=9, p=1)
+    d = DesignSystem.from_blocks([(np.eye(k), None)], L=k, T=2 * k, p=1)
     rng = np.random.default_rng(5)
     Ga = rng.standard_normal((1, 6))
     Gb = rng.standard_normal((1, 6))
@@ -351,7 +447,8 @@ def test_ellipsoidal_error_matches_dense_quadratic_oracle():
     Ga = rng.standard_normal((2, 4))
     Gb = rng.standard_normal((2, 4))
     delta = vec(Ga) - vec(Gb)
-    oracle = math.sqrt(delta @ (d.U_tilde.T @ d.U_tilde) @ delta)
+    U = _einsum_design_rows(u, 2)
+    oracle = math.sqrt(delta @ (U.T @ U) @ delta)
     assert ellipsoidal_error(Ga, Gb, d) == pytest.approx(oracle, abs=1e-9)
 
 
@@ -359,10 +456,11 @@ def test_ellipsoidal_factored_form_for_many_deltas():
     rng = np.random.default_rng(7)
     u = rng.standard_normal((20, 1))
     d = design_from_inputs(u, L=3)
-    gram = d.U_tilde.T @ d.U_tilde
+    gram = d.gram()
+    U = _einsum_design_rows(u, 3)
     for _ in range(25):
         delta = rng.standard_normal(3)
-        a = np.linalg.norm(d.U_tilde @ delta)
+        a = np.linalg.norm(U @ delta)
         b = math.sqrt(delta @ gram @ delta)
         assert a == pytest.approx(b, abs=1e-10 * max(1.0, b))
 
@@ -455,6 +553,7 @@ def test_fit_full_rank_is_design_solve_and_bound():
     f = fit(m, noise, traj, L, delta)
     design = design_from_inputs(traj.u, L, traj.y)
     assert np.array_equal(f.design.U_tilde, design.U_tilde)
+    assert np.array_equal(f.design.gram(), design.gram())
     assert np.array_equal(f.report.G_hat, estimate_markov(design).G_hat)
     assert f.report.solver_mode == "full_rank"
     assert np.array_equal(f.G, markov_params(m, L).G)
@@ -566,7 +665,7 @@ def test_column_gram_detects_every_spelling():
 
 def test_design_gram_is_the_one_column_gram():
     # the other X^T X is the sample covariance of Monte Carlo draws of zeta
-    assert _where(_is_column_gram) == [("estimator", "DesignSystem.gram"),
+    assert _where(_is_column_gram) == [("estimator", "_column_gram"),
                                        ("experiments", "zeta_covariance_mc")]
 
 

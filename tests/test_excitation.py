@@ -20,10 +20,11 @@ from bilinid.excitation import REGIME_BOUNDED, REGIME_FOURTH_MOMENT, _covariate_
 from bilinid.sysmodel import derive_rng
 
 
-def _toy_design(U, L=1, p=1):
+def _toy_design(U):
+    """The p = 1 design with the given rows and no outputs; L is the column count."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    return DesignSystem(U_tilde=U, y=np.zeros(U.shape[0]), L=L,
-                        T=L + U.shape[0], p=p)
+    rows, L = U.shape
+    return DesignSystem.from_blocks([(U, None)], L=L, T=L + rows, p=1)
 
 
 # -------------------------------------------------------------- min_eig_design
@@ -49,6 +50,15 @@ def test_min_eig_of_a_wide_design_is_the_estimate_value_zero(p, L, data):
     u = np.random.default_rng(seed).standard_normal((L + rows + 1, p))
     d = design_from_inputs(u, L)
     assert min_eig_design(d) == estimate_markov(d).lambda_min == 0.0
+
+
+def test_min_eig_of_a_singular_tall_design_is_the_estimate_value_zero():
+    # u = [v, v], p = 2, L = 3: 56 rows of 12 columns and a singular U^T U,
+    # whose smallest eigenvalue the eigensolver returns as -1e-13 roundoff
+    v = np.random.default_rng(0).standard_normal(60)
+    d = design_from_inputs(np.column_stack([v, v]), L=3)
+    assert d.rows > d.U_tilde.shape[1]
+    assert estimate_markov(d).lambda_min == min_eig_design(d) == 0.0
 
 
 def test_wide_designs_never_form_the_column_gram(monkeypatch):
@@ -148,7 +158,7 @@ def test_certificate_repeated_input_vector_fails():
 
 
 def test_certificate_regime_constants():
-    d = _toy_design(np.eye(4), L=2, p=1)
+    d = _toy_design(np.eye(4))
     beta = 1.7
     cert_a = pe_certificate(d, 0.2, REGIME_BOUNDED, beta=beta)
     assert cert_a.gamma1 == pytest.approx(beta**4 * d.L)
@@ -186,7 +196,7 @@ def test_certificate_frequency_at_required_length():
 
 
 def test_certificate_serializes_expected_fields():
-    d = _toy_design(np.eye(4), L=2, p=1)
+    d = _toy_design(np.eye(4))
     cert = pe_certificate(d, 0.1, REGIME_FOURTH_MOMENT, m4=9.0)
     assert set(cert.to_dict()) == {"lambda_min", "threshold", "passed", "regime",
                                    "required_T", "gamma1", "gamma2", "delta"}
