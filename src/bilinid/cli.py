@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def _load_config(args) -> ExperimentConfig:
         raise ParameterError(f"config file not found: {path}")
     config = ExperimentConfig.from_json(path.read_text())
     if args.seed is not None:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "base_seed": args.seed})
+        config = dataclasses.replace(config, base_seed=args.seed)
     return config
 
 
@@ -67,18 +68,16 @@ def cmd_estimate(args) -> int:
     config = _load_config(args)
     model, noise, traj, L = _single_run_pieces(config)
     fit = estimator.fit(model, noise, traj, L, config.delta)
-    record = {
+    record = {  # a min-norm fit has no bound: its three bound keys are None
         "lambda_min": fit.report.lambda_min,
         "residual_norm": fit.report.residual_norm,
         "solver_mode": fit.report.solver_mode,
         "err_fro": fit.err_fro,
         "err_ellipsoidal": estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design),
-        "bound_value": None,
-        "bound_terms": None,
+        "bound_value": fit.bound.value if fit.bound else None,
+        "bound_fro": fit.bound.fro_value if fit.bound else None,
+        "bound_terms": fit.terms.to_dict() if fit.terms else None,
     }
-    if fit.bound is not None:
-        record.update(bound_value=fit.bound.value, bound_fro=fit.bound.fro_value,
-                      bound_terms=fit.terms.to_dict())
     base = _out_path(args, config.output_path + ".estimate")
     serialize.save_matrix(Path(f"{base}.G.csv"), fit.report.G_hat)
     if args.format == "csv":
@@ -121,14 +120,10 @@ def cmd_pe_check(args) -> int:
     config = _load_config(args)
     _, _, traj, L = _single_run_pieces(config)
     design = estimator.design_from_inputs(traj.u, L, traj.y)
-    if args.regime == "bounded_a":
-        beta = estimator.empirical_input_bound(traj.u)
-        cert = excitation.pe_certificate(design, config.delta,
-                                         excitation.REGIME_BOUNDED, beta=beta)
-    else:
-        cert = excitation.pe_certificate(design, config.delta,
-                                         excitation.REGIME_FOURTH_MOMENT,
-                                         m4=excitation.GAUSSIAN_M4)
+    # bounded_a reads beta, the largest input norm; fourth_moment_b reads m4
+    cert = excitation.pe_certificate(design, config.delta, args.regime,
+                                     beta=estimator.empirical_input_bound(traj.u),
+                                     m4=excitation.GAUSSIAN_M4)
     out = _out_path(args, config.output_path + f".pe.{args.format}")
     if args.format == "csv":
         serialize.write_text(out, serialize.report_to_flat_csv(cert.to_dict()))
@@ -216,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pe = sub.add_parser("pe-check", help="excitation certificate for one design")
     common(p_pe)
     p_pe.add_argument("--format", choices=("csv", "json"), default="json")
-    p_pe.add_argument("--regime", choices=("bounded_a", "fourth_moment_b"),
-                      default="fourth_moment_b")
+    p_pe.add_argument("--regime", default=excitation.REGIME_FOURTH_MOMENT,
+                      choices=(excitation.REGIME_BOUNDED, excitation.REGIME_FOURTH_MOMENT))
     p_pe.set_defaults(func=cmd_pe_check)
 
     p_camp = sub.add_parser("pe-campaign", help="excitation frequency at the required length")

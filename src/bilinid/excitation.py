@@ -58,42 +58,46 @@ def min_eig_design(design: DesignSystem) -> float:
     return _lambda_min(float(np.linalg.eigvalsh(design.gram())[0]))
 
 
-def _check_regime_args(regime: str, beta, m4) -> None:
+def _regime_terms(regime: str, p: int, L: int, delta: float,
+                  beta: float | None, m4: float | None) -> tuple[float, float, int]:
+    """(gamma1, gamma2, required samples) of a regime, after validating delta,
+    p, L and the regime's own parameter: the one place that reads the regime."""
+    if not (0.0 < delta < 1.0):
+        raise ParameterError("delta must lie in (0, 1)")
+    if p < 1 or L < 1:
+        raise ParameterError("p and L must be >= 1")
+    d = p * p * L
     if regime == REGIME_BOUNDED:
-        if beta is None or beta <= 0:
-            raise ParameterError("regime bounded_a requires beta > 0")
+        if beta is None or not 0.0 < beta < math.inf:
+            raise ParameterError("regime bounded_a requires a finite beta > 0")
+        gamma1, gamma2 = beta**4 * L, 1.0
+        need = (8.0 * (L + 1) * L * beta**4
+                * (math.log(2.0 * (L + 1) / delta) + d * math.log(9.0)))
     elif regime == REGIME_FOURTH_MOMENT:
-        if m4 is None or m4 <= 0:
-            raise ParameterError("regime fourth_moment_b requires m4 > 0")
+        if m4 is None or not 0.0 < m4 < math.inf:
+            raise ParameterError("regime fourth_moment_b requires a finite m4 > 0")
+        gamma1, gamma2 = m4, math.log(1.0 + 16.0 * d / delta)
+        need = 32.0 * (L + 1) * m4 * (math.log(2.0 * (L + 1) / delta) + d * gamma2)
     else:
         raise ParameterError(f"unknown regime {regime!r}")
+    return float(gamma1), float(gamma2), int(math.ceil(need))
 
 
 def pe_required_samples(p: int, L: int, delta: float, regime: str,
                         beta: float | None = None, m4: float | None = None) -> int:
     """Samples T - L guaranteeing excitation with probability 1 - delta.
 
-    regime "fourth_moment_b":
+    regime "fourth_moment_b" reads m4 (beta is ignored):
         32 (L+1) m4 (log(2(L+1)/delta) + p^2 L log(1 + 16 p^2 L / delta)).
 
-    regime "bounded_a" (two-sided concentration with relative eigenvalue
-    slack epsilon = 1/2, so the guarantee matches the (T-L)/4 threshold):
+    regime "bounded_a" reads beta (m4 is ignored); two-sided concentration
+    with relative eigenvalue slack epsilon = 1/2, so the guarantee matches
+    the (T-L)/4 threshold:
         2 (L+1) L beta^4 / epsilon^2 (log(2(L+1)/delta) + p^2 L log 9)
         = 8 (L+1) L beta^4 (log(2(L+1)/delta) + p^2 L log 9).
+    A missing, nonpositive or non-finite regime parameter raises ParameterError.
     """
-    if not (0.0 < delta < 1.0):
-        raise ParameterError("delta must lie in (0, 1)")
-    if p < 1 or L < 1:
-        raise ParameterError("p and L must be >= 1")
-    _check_regime_args(regime, beta, m4)
-    d = p * p * L
-    if regime == REGIME_FOURTH_MOMENT:
-        need = 32.0 * (L + 1) * m4 * (math.log(2.0 * (L + 1) / delta)
-                                      + d * math.log(1.0 + 16.0 * d / delta))
-    else:
-        need = (8.0 * (L + 1) * L * beta**4
-                * (math.log(2.0 * (L + 1) / delta) + d * math.log(9.0)))
-    return int(math.ceil(need))
+    return _regime_terms(regime, p, L, delta, beta, m4)[2]
 
 
 def pe_certificate(design: DesignSystem, delta: float, regime: str,
@@ -103,26 +107,21 @@ def pe_certificate(design: DesignSystem, delta: float, regime: str,
     passed is the literal comparison lambda_min >= (T - L)/4 with no
     hidden slack; required_T reports the trajectory length L + (required
     samples) at which the chosen regime guarantees that event with
-    probability 1 - delta.
+    probability 1 - delta.  gamma1, gamma2 are beta^4 L and 1 ("bounded_a"),
+    m4 and log(1 + 16 p^2 L / delta) ("fourth_moment_b").  Invalid
+    arguments raise ParameterError before the eigensolve.
     """
-    _check_regime_args(regime, beta, m4)
-    samples = design.rows
+    gamma1, gamma2, required = _regime_terms(regime, design.p, design.L, delta, beta, m4)
     lam = min_eig_design(design)
-    threshold = samples / 4.0
-    required = pe_required_samples(design.p, design.L, delta, regime, beta=beta, m4=m4)
-    d = design.p ** 2 * design.L
-    if regime == REGIME_BOUNDED:
-        gamma1, gamma2 = beta**4 * design.L, 1.0
-    else:
-        gamma1, gamma2 = m4, math.log(1.0 + 16.0 * d / delta)
+    threshold = design.rows / 4.0
     return PECertificate(
         lambda_min=lam,
         threshold=threshold,
         passed=bool(lam >= threshold),
         regime=regime,
         required_T=design.L + required,
-        gamma1=float(gamma1),
-        gamma2=float(gamma2),
+        gamma1=gamma1,
+        gamma2=gamma2,
         delta=delta,
     )
 

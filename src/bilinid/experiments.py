@@ -440,34 +440,35 @@ class CoverageTrial:
     pred_mse_exact: float | None = None  # Gaussian noise: exact E(y_hat - y)^2
 
 
-def bound_coverage_trials(n: int, p: int, rho: float, L: int, T: int,
-                          noise_cfg: NoiseConfig, input_cfg: InputConfig,
-                          delta: float, trials: int, base_seed: int,
+def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
                           prediction_resamples: int, threads: int = 1) -> list[CoverageTrial]:
     """Per-trial comparison of realized errors against their bounds.
 
-    Each trial draws a fresh model and trajectory, fits G, and checks the
-    design-weighted error against the high-probability bound.  A min-norm
-    fit, possible only in an ill-conditioned cell just above the
-    T - L > p^2 L that validate requires, has no bound: bound_value is NaN
-    and covered is False.  A fit with a bound also has its one-step
-    prediction checked: the fitted G is frozen, the noise is redrawn
-    prediction_resamples times with the inputs held fixed, and the
+    The cell is the config's first (rho, L, T) with its n, p, noise, input
+    and delta, as in run_pe_campaign; the config's own trials and base_seed
+    are not read.  Each trial draws a fresh model and trajectory, fits G,
+    and checks the design-weighted error against the high-probability
+    bound.  A min-norm fit, possible only in an ill-conditioned cell just
+    above the T - L > p^2 L that validate requires, has no bound:
+    bound_value is NaN and covered is False.  A fit with a bound also has
+    its one-step prediction checked: the fitted G is frozen, the noise is
+    redrawn prediction_resamples times with the inputs held fixed, and the
     empirical mean squared prediction error is compared against its bound.
     The resamples come from final_output_draws; under Gaussian noise they
     are exact in law (one Gaussian draw each rather than a T-step rollout),
     and the exact MSE is reported beside the Monte Carlo one as pred_mse_exact.
     """
-    noise = noise_cfg.to_spec(n)
-    design_in = input_cfg.to_design(p)
+    L, T = config.L_values[0], config.T_values[0]
+    noise = config.noise.to_spec(config.n)
+    design_in = config.input.to_design(config.p)
 
     def one(trial: int) -> CoverageTrial:
         rng = derive_rng(base_seed, 1, trial)
-        model = random_model(n, p, rho, rng)
+        model = random_model(config.n, config.p, config.rho_values[0], rng)
         u_next = design_in.sample_sequence(0, rng)[0]
         traj = simulate(model, noise, design_in, T, rng)
         beta = max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
-        fit = estimator.fit(model, noise, traj, L, delta, beta=beta)
+        fit = estimator.fit(model, noise, traj, L, config.delta, beta=beta)
         err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
         bound = fit.bound.value if fit.bound else math.nan
         pred_mse = pred_bound = pred_ok = pred_mse_exact = None
@@ -529,10 +530,8 @@ def run_validation(config: ExperimentConfig,
                              f"T={T_cov}, L={L} give {rows} rows for {unknowns} unknowns")
     # the coverage cell runs first, so a cell that cannot be allocated fails
     # before the other checks' Monte Carlo; every check has its own stream
-    cov_trials = bound_coverage_trials(
-        config.n, config.p, config.rho_values[0], L, T_cov,
-        config.noise, config.input, delta, coverage_trials, config.base_seed + 30,
-        prediction_resamples=prediction_resamples, threads=threads)
+    cov_trials = bound_coverage_trials(config, coverage_trials, config.base_seed + 30,
+                                       prediction_resamples, threads=threads)
 
     # --- autocovariance vs Monte Carlo --------------------------------
     T = L + 5

@@ -150,9 +150,11 @@ class NoiseSpec:
         S = _as_matrix(self.sigma_w, name="sigma_w")
         if S.shape[0] != S.shape[1]:
             raise ParameterError("sigma_w must be square")
+        if not np.all(np.isfinite(S)):
+            raise ParameterError("sigma_w must have finite entries")
+        if not 0.0 <= self.sigma_z < math.inf:
+            raise ParameterError("sigma_z must be finite and nonnegative")
         factor = _psd_factor(S)
-        if self.sigma_z < 0:
-            raise ParameterError("sigma_z must be nonnegative")
         if self.family not in ("gaussian", "exponential"):
             raise ParameterError(f"unknown noise family {self.family!r}")
         if self.family == "exponential":
@@ -232,8 +234,8 @@ class InputDesign:
             raise ParameterError("input dimension must be >= 1")
         if self.kind == "bounded_sphere":
             beta = math.sqrt(self.p) if self.beta is None else float(self.beta)
-            if beta <= 0:
-                raise ParameterError("sphere radius must be positive")
+            if not 0.0 < beta < math.inf:
+                raise ParameterError("sphere radius must be finite and positive")
             object.__setattr__(self, "beta", beta)
         elif self.beta is not None:
             raise ParameterError(f"input kind {self.kind!r} takes no beta")

@@ -229,11 +229,12 @@ def test_criterion_9_bound_coverage_and_prediction():
     # design-weighted error stays below its bound in at least 85% of trials
     # (90% less 5% slack), and the empirical one-step prediction MSE over
     # 1e5 noise resamples stays below its bound in every trial.
-    trials = bound_coverage_trials(
-        n=2, p=1, rho=0.6, L=6, T=100,
-        noise_cfg=NoiseConfig(family="gaussian", sigma_w=0.25, sigma_z=0.5),
-        input_cfg=InputConfig(kind="gaussian_isotropic"),
-        delta=0.1, trials=200, base_seed=31, prediction_resamples=100_000)
+    cell = ExperimentConfig(
+        n=2, p=1, rho_values=(0.6,), L_values=(6,), T_values=(100,),
+        noise=NoiseConfig(family="gaussian", sigma_w=0.25, sigma_z=0.5),
+        input=InputConfig(kind="gaussian_isotropic"), delta=0.1)
+    trials = bound_coverage_trials(cell, trials=200, base_seed=31,
+                                   prediction_resamples=100_000)
     coverage = float(np.mean([t.covered for t in trials]))
     pred = [t for t in trials if t.pred_ok is not None]
     pred_hits = sum(t.pred_ok for t in pred)

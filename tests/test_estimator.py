@@ -669,6 +669,43 @@ def test_design_gram_is_the_one_column_gram():
                                        ("experiments", "zeta_covariance_mc")]
 
 
+def _names_regime(node) -> bool:
+    """node is a regime name: a "bounded_a" or "fourth_moment_b" literal, a
+    REGIME_* constant, or a tuple, list or set holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_regime(elt) for elt in node.elts)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in ("bounded_a", "fourth_moment_b")
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name.startswith("REGIME_")
+
+
+def _is_regime_compare(node) -> bool:
+    """node compares a value with a regime name, or is a match case on one."""
+    if isinstance(node, ast.Compare):
+        return any(_names_regime(operand) for operand in (node.left, *node.comparators))
+    return isinstance(node, ast.MatchValue) and _names_regime(node.value)
+
+
+def test_regime_compare_detects_every_spelling():
+    tree = ast.parse(
+        "def f(regime):\n"
+        "    regime == 'bounded_a'\n"
+        "    'fourth_moment_b' != regime\n"
+        "    regime == REGIME_BOUNDED\n"
+        "    regime in (excitation.REGIME_FOURTH_MOMENT, 'x')\n"
+        "    match regime:\n"
+        "        case 'bounded_a': pass\n"
+        "    regime == 'gaussian'\n"
+        "    f(REGIME_BOUNDED)\n")
+    assert _where(_is_regime_compare, {"m": tree}) == [("m", "f")] * 5
+
+
+def test_regime_terms_is_the_one_regime_rule():
+    # the excitation helper's if/elif; everyone else passes the regime through
+    assert _where(_is_regime_compare) == [("excitation", "_regime_terms")] * 2
+
+
 # -------------------------------------------------------------------- choose_L
 
 def test_choose_L_minimal_for_fast_decay():

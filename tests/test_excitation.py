@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bilinid import (
     pe_certificate,
     pe_required_samples,
 )
+from bilinid import excitation
 from bilinid.estimator import DesignSystem, design_from_inputs
 from bilinid.excitation import REGIME_BOUNDED, REGIME_FOURTH_MOMENT, _covariate_rows
 from bilinid.sysmodel import derive_rng
@@ -193,6 +195,56 @@ def test_certificate_frequency_at_required_length():
         assert cert.required_T == L + required
         hits += cert.passed
     assert hits / trials >= 0.9
+
+
+@pytest.mark.parametrize("delta, p, L, regime, beta, m4", [
+    (0.0, 2, 4, REGIME_FOURTH_MOMENT, None, 9.0),
+    (1.0, 2, 4, REGIME_FOURTH_MOMENT, None, 9.0),
+    (1.5, 2, 4, REGIME_BOUNDED, 2.0, None),
+    (math.nan, 2, 4, REGIME_BOUNDED, 2.0, None),
+    (0.1, 0, 4, REGIME_FOURTH_MOMENT, None, 9.0),
+    (0.1, 2, 0, REGIME_BOUNDED, 2.0, None),
+    (0.1, 2, 4, REGIME_BOUNDED, None, 9.0),
+    (0.1, 2, 4, REGIME_BOUNDED, 0.0, None),
+    (0.1, 2, 4, REGIME_BOUNDED, math.inf, None),
+    (0.1, 2, 4, REGIME_FOURTH_MOMENT, 2.0, None),
+    (0.1, 2, 4, REGIME_FOURTH_MOMENT, None, -9.0),
+    (0.1, 2, 4, REGIME_FOURTH_MOMENT, None, math.nan),
+    (0.1, 2, 4, "no_such_regime", 2.0, 9.0),
+], ids=["delta 0", "delta 1", "delta 1.5", "delta nan", "p 0", "L 0",
+        "missing beta", "zero beta", "inf beta", "missing m4", "negative m4",
+        "nan m4", "unknown regime"])
+def test_certificate_refuses_invalid_input_before_eigensolve(monkeypatch, delta, p, L,
+                                                             regime, beta, m4):
+    def eigensolve(design):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(excitation, "min_eig_design", eigensolve)
+    design = SimpleNamespace(p=p, L=L, rows=64)
+    with pytest.raises(ParameterError):
+        pe_certificate(design, delta, regime, beta=beta, m4=m4)
+    with pytest.raises(ParameterError):
+        pe_required_samples(p, L, delta, regime, beta=beta, m4=m4)
+    # the same design with valid arguments does reach the eigensolve
+    with pytest.raises(AssertionError, match="eigensolve reached"):
+        pe_certificate(SimpleNamespace(p=2, L=4, rows=64), 0.1, REGIME_BOUNDED, beta=2.0)
+
+
+@given(p=st.integers(1, 3), L=st.integers(1, 6),
+       delta=st.floats(1e-12, 1.0, exclude_max=True),
+       beta=st.floats(1e-6, 1e6), m4=st.floats(1e-6, 1e6))
+def test_certificate_constants_match_required_samples(p, L, delta, beta, m4):
+    d = p * p * L
+    u = np.random.default_rng(0).standard_normal((L + d + 3, p))
+    design = design_from_inputs(u, L)
+    closed_forms = {REGIME_BOUNDED: (beta**4 * L, 1.0),
+                    REGIME_FOURTH_MOMENT: (m4, math.log(1.0 + 16.0 * d / delta))}
+    for regime, gammas in closed_forms.items():
+        # each regime reads only its own parameter; the other is passed too
+        cert = pe_certificate(design, delta, regime, beta=beta, m4=m4)
+        assert cert.required_T == L + pe_required_samples(p, L, delta, regime,
+                                                          beta=beta, m4=m4)
+        assert (cert.gamma1, cert.gamma2) == gammas
 
 
 def test_certificate_serializes_expected_fields():

@@ -495,6 +495,39 @@ def test_cli_seed_override_changes_results(config_file, tmp_path):
     assert (tmp_path / "s1.csv").read_text() != (tmp_path / "s2.csv").read_text()
 
 
+def test_cli_negative_seed_override_exits_2_and_writes_nothing(config_file, tmp_path, capsys):
+    before = sorted(tmp_path.iterdir())
+    assert main(["estimate", "--config", str(config_file), "--seed", "-1"]) == 2
+    assert "base_seed must be >= 0" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_estimate_report_keys_do_not_depend_on_solver_mode(tmp_path, fmt):
+    # n=2, p=2, L=4 has 16 unknowns: T=18 gives 14 rows (min_norm), T=20 gives 16 (full_rank)
+    reports = {}
+    for T in (18, 20):
+        path = tmp_path / f"cfg{T}.json"
+        path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [4], "T_values": [T],
+                                    "output_path": str(tmp_path / f"T{T}")}))
+        assert main(["estimate", "--config", str(path), "--format", fmt]) == 0
+        text = (tmp_path / f"T{T}.estimate.report.{fmt}").read_text()
+        if fmt == "json":
+            reports[T] = json.loads(text)
+        else:
+            rows = dict(line.split(",", 1) for line in text.splitlines()[1:])
+            # bound_terms is flattened to bound_terms.<name> rows, or one None row
+            reports[T] = {key.split(".")[0]: value for key, value in rows.items()}
+    wide, square = reports[18], reports[20]
+    assert (wide["solver_mode"], square["solver_mode"]) == ("min_norm", "full_rank")
+    assert set(wide) == set(square) == {"lambda_min", "residual_norm", "solver_mode",
+                                        "err_fro", "err_ellipsoidal", "bound_value",
+                                        "bound_fro", "bound_terms"}
+    none = None if fmt == "json" else "None"
+    assert wide["bound_value"] == wide["bound_fro"] == wide["bound_terms"] == none
+    assert none not in (square["bound_value"], square["bound_fro"], square["bound_terms"])
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,22 @@ def test_noise_rejects_asymmetric_or_indefinite_covariance():
         NoiseSpec.gaussian(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1)
     with pytest.raises(ParameterError):
         NoiseSpec.gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InputDesign.sphere(2, math.nan),
+    lambda: InputDesign.sphere(2, math.inf),
+    lambda: NoiseSpec.gaussian(np.eye(2), math.nan),
+    lambda: NoiseSpec.gaussian(np.eye(2), math.inf),
+    lambda: NoiseSpec.gaussian(np.full((2, 2), np.nan), 1.0),
+    lambda: NoiseSpec.gaussian(np.diag([1.0, math.inf]), 1.0),
+], ids=["sphere nan beta", "sphere inf beta", "nan sigma_z", "inf sigma_z",
+        "nan sigma_w", "inf sigma_w entry"])
+def test_specs_refuse_non_finite_parameters(build):
+    # refused before the covariance is factored: the suite turns any
+    # RuntimeWarning of S - S^T on NaN entries into an error
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_exponential_spec_pins_implied_covariance():
