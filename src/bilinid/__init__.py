@@ -16,7 +16,6 @@ from .estimator import (
     FitResult,
     bound_data_dependent,
     bound_terms,
-    choose_L,
     design_from_inputs,
     effective_noise_autocov,
     ellipsoidal_error,
@@ -25,7 +24,6 @@ from .estimator import (
     fit,
     predict,
     prediction_bound,
-    surrogate_input_bound,
     unvec,
     vec,
 )
@@ -40,7 +38,6 @@ from .excitation import (
 )
 from .exceptions import (
     DegenerateRealizationError,
-    InfeasibleError,
     NumericalError,
     ParameterError,
 )

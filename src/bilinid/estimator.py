@@ -29,9 +29,9 @@ u^T G ubar = (ubar (x) u)^T vec(G) holds identically.
 
 Besides the estimator this module evaluates the finite-sample machinery
 around it: the design-weighted (ellipsoidal) error norm, a high-probability
-error bound with fully explicit constants, the block-count selection rule,
-one-step output prediction with its mean-squared-error bound, and the
-closed-form autocovariance of the effective noise zeta.  fit chains design,
+error bound with fully explicit constants, one-step output prediction with
+its mean-squared-error bound, and the closed-form autocovariance of the
+effective noise zeta.  fit chains design,
 least squares and bound for every sweep trial, coverage trial and CLI estimate.
 """
 
@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import InfeasibleError, NumericalError, ParameterError
+from .exceptions import NumericalError, ParameterError
 from .sysmodel import (
     NoiseSpec,
     StateSpaceModel,
@@ -315,13 +315,6 @@ def empirical_input_bound(u: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(u, axis=1)))
 
 
-def surrogate_input_bound(p: int, T: int, delta: float) -> float:
-    """sqrt(p log(T/delta)) surrogate for unbounded (sub-Gaussian) inputs."""
-    if not (0.0 < delta < 1.0) or T < 1:
-        raise ParameterError("need T >= 1 and delta in (0, 1)")
-    return math.sqrt(p * math.log(T / delta))
-
-
 @dataclass(frozen=True)
 class BoundTerms:
     """Constants entering the high-probability error bound.
@@ -441,41 +434,6 @@ def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
         bound = bound_data_dependent(model, terms, L, design.T, lambda_min=report.lambda_min)
     return FitResult(design=design, report=report, G=G,
                      err_fro=float(np.linalg.norm(report.G_hat - G)), terms=terms, bound=bound)
-
-
-def choose_L(model: StateSpaceModel, noise: NoiseSpec, T: int, delta: float,
-             beta: float, rho: float | None = None, L_max: int = 200) -> int:
-    """Smallest even block count L >= 2n balancing bias against variance.
-
-    Scans L upward and returns the first value at which the exponentially
-    decaying bias term drops below the stochastic term,
-
-        2 beta^2 ||B|| ||C|| phi rho^L / (1 - rho)
-            <= sqrt(p^2 L Xi(L) / (delta (T - L))).
-
-    Both sides depend on L, so the fixed point is resolved by the scan
-    itself.
-    """
-    model.require_stable()
-    if rho is None:
-        rho = default_decay_rate(model)
-    n, p = model.n, model.p
-    BC = float(np.linalg.norm(model.B, 2)) * float(np.linalg.norm(model.C, 2))
-    last_gap = None
-    for L in range(2 * n, L_max + 1, 2):
-        if T <= L:
-            break
-        terms = bound_terms(model, noise, L, beta, delta, rho=rho)
-        bias = 2.0 * beta**2 * BC * terms.phi * rho**L / (1.0 - rho)
-        noise_floor = math.sqrt(p * p * L * terms.Xi / (delta * (T - L)))
-        if bias <= noise_floor:
-            return L
-        last_gap = (L, bias, noise_floor)
-    detail = ""
-    if last_gap is not None:
-        detail = (f"; at L={last_gap[0]} the bias term {last_gap[1]:.3e} still exceeds "
-                  f"the noise floor {last_gap[2]:.3e}")
-    raise InfeasibleError(f"no even L in [2n, {L_max}] satisfies the selection rule{detail}")
 
 
 def predict(G_hat: np.ndarray, u_hist: np.ndarray, u_next: np.ndarray) -> float:

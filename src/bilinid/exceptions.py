@@ -11,7 +11,3 @@ class NumericalError(RuntimeError):
 
 class DegenerateRealizationError(NumericalError):
     """Rank-n truncation refused because the target singular value is too small."""
-
-
-class InfeasibleError(NumericalError):
-    """No admissible value satisfies the requested condition."""

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimator import DesignSystem, _kron_rows, _lambda_min
+from .estimator import DesignSystem, _lambda_min
 from .exceptions import ParameterError
 from .sysmodel import InputDesign, derive_rng
 
@@ -139,12 +139,26 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
                 n_samples: int, seed: int, directions: np.ndarray | None = None) -> M4Estimate:
     """Estimate sup_v E[(v^T (ubar (x) u))^4] over sampled unit directions.
 
+    Accepts Gaussian designs only (InputDesign.gaussian); any other raises
+    ParameterError.  For those, v^T (ubar (x) u) = ubar^T W u with
+    W = v.reshape(p L, p), the C-order layout of _kron_rows' column
+    (j p + i) p + k.  Given u, ubar is independent of it and N(0, I), so
+    the projection is exactly N(0, ||W u||^2): it has the law of
+    ||W u|| g with g ~ N(0, 1) independent of u.  Each sample therefore
+    draws u (p normals) and then g (one normal), instead of a whole
+    window of L + 1 inputs, and ||W u|| = ||R u|| with R the triangular
+    factor of W.  The per-sample fourth powers, their mean and their
+    standard error have the same joint law as for direct covariate draws.
+
     Each direction gets an independent derived stream of n_samples
-    covariate draws; the reported value is the largest per-direction mean,
-    with per-direction standard errors alongside.  Explicit directions can
-    be supplied (they are normalized); otherwise n_directions uniform
-    random directions are drawn.
+    draws; the reported value is the largest per-direction mean, with
+    per-direction standard errors alongside.  Explicit directions can be
+    supplied (they are normalized); otherwise n_directions uniform random
+    directions are drawn.
     """
+    if input_design.kind != "gaussian_isotropic":
+        raise ParameterError("estimate_m4 samples Gaussian input designs only, "
+                             f"got {input_design.kind!r}")
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     p = input_design.p
@@ -166,18 +180,14 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
     std_errors = np.zeros(directions.shape[0])
     for k in range(directions.shape[0]):
         rng = derive_rng(seed, 1, k)
-        rows = _covariate_rows(input_design, L, n_samples, rng)
-        # two squarings, not ** 4: numpy's float power calls libm pow per element
-        proj4 = np.square(np.square(rows @ directions[k]))
+        R = np.linalg.qr(directions[k].reshape(p * L, p), mode="r")
+        u = input_design.sample_iid(n_samples, rng)
+        g = rng.standard_normal(n_samples)
+        Ru = u @ R.T
+        # (||R u||^2 g^2)^2 by squarings, with no square root and no libm pow
+        proj4 = np.square(np.einsum("ij,ij->i", Ru, Ru) * np.square(g))
         estimates[k] = float(np.mean(proj4))
         if n_samples > 1:
             std_errors[k] = float(np.std(proj4, ddof=1) / math.sqrt(n_samples))
     return M4Estimate(value=float(np.max(estimates)), estimates=estimates,
                       std_errors=std_errors)
-
-
-def _covariate_rows(design: InputDesign, L: int, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """count independent covariate rows ubar_{t-1} (x) u_t, shape (count, p^2 L)."""
-    windows = design.sample_iid(count * (L + 1), rng).reshape(count, L + 1, design.p)
-    return _kron_rows([windows[:, L - 1 - j] for j in range(L)], windows[:, L])

@@ -28,6 +28,7 @@ from .sysmodel import (
     NoiseSpec,
     StateSpaceModel,
     _as_columns,
+    _input_drive,
     derive_rng,
     random_model,
     simulate,
@@ -374,18 +375,22 @@ def _final_output_moments(model: StateSpaceModel, noise: NoiseSpec,
     The mean is u_t' C s_t with s_0 = 0, s_{i+1} = A s_i + B u_i.  The noise
     part u_t' C sum_{i<t} A^{t-1-i} w_i + z_t is Gaussian with variance
     sigma_z^2 + sum_{k<t} v_k' Sigma_w v_k, where v_0 = C' u_t and
-    v_{k+1} = A' v_k.
+    v_{k+1} = A' v_k; the v_k fill one stack, their quadratic forms come
+    from one stacked product, and the sum is taken in the order k = 0..t-1.
     """
-    A, B, C = model.A, model.B, model.C
+    A, C = model.A, model.C
     t = u.shape[0] - 1
     s = np.zeros(model.n)
-    for i in range(t):
-        s = A @ s + B @ u[i]
+    for Bu_i in _input_drive(model.B, u[:t]):
+        s = A @ s + Bu_i
+    V = np.empty((t, model.n))
     v = C.T @ u[t]
-    var = noise.sigma_z ** 2
-    for _ in range(t):
-        var += float(v @ noise.sigma_w @ v)
+    for k in range(t):
+        V[k] = v
         v = A.T @ v
+    quad = ((V[:, None, :] @ noise.sigma_w) @ V[:, :, None])[:, 0, 0]
+    # cumsum adds in index order; sum may add pairwise
+    var = float(np.cumsum(np.concatenate(([noise.sigma_z ** 2], quad)))[-1])
     return float(u[t] @ C @ s), max(var, 0.0)
 
 
@@ -422,10 +427,11 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
     cov = centered.T @ centered / (n_draws - 1)
     k = len(times)
     se = np.zeros((k, k))
+    # the products commute bitwise, so the upper triangle mirrors the lower
     for i in range(k):
-        for j in range(k):
+        for j in range(i + 1):
             prods = centered[:, i] * centered[:, j]
-            se[i, j] = float(np.std(prods, ddof=1) / np.sqrt(n_draws))
+            se[i, j] = se[j, i] = float(np.std(prods, ddof=1) / np.sqrt(n_draws))
     return cov, se
 
 

@@ -39,6 +39,19 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
 
 
+def _spectral_norm(M: np.ndarray) -> float:
+    """Largest singular value of M: the value np.linalg.norm(M, 2) returns,
+    without its axis handling."""
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _input_drive(B: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Every row's B u[t], shape (len(u), n), in one stacked product of
+    mat-vecs, bitwise equal to B @ u[t]; the single GEMM u @ B.T can
+    differ in the last bit."""
+    return (B[None] @ u[:, :, None])[..., 0]
+
+
 def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if rows is not None and M.shape[0] != rows:
@@ -369,9 +382,7 @@ def simulate(model: StateSpaceModel, noise: NoiseSpec, inputs, T: int, seed,
     z = noise.sample_z(T + 1, rng)
 
     A, C = model.A, model.C
-    # every step's B u[t] in one stacked product of mat-vecs, bitwise equal
-    # to B @ u[t]; the single GEMM u[:-1] @ B.T can differ in the last bit
-    Bu = (model.B[None] @ u[:-1, :, None])[..., 0]
+    Bu = _input_drive(model.B, u[:-1])
     x = np.zeros((T + 1, model.n))
     for t in range(T):
         x[t + 1] = A @ x[t] + Bu[t] + w[t]
@@ -418,7 +429,7 @@ def transient_factor(A: np.ndarray, rho: float) -> float:
     sup = 1.0  # k = 0 term
     for _ in range(cap):
         power = power @ M
-        norm = float(np.linalg.norm(power, 2))
+        norm = _spectral_norm(power)
         if norm < 1.0:
             return sup
         sup = max(sup, norm)
@@ -435,18 +446,21 @@ def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
     steps X sums the first 2^k terms.  It stops once the added term is at
     most 1e-13 of ||X|| (2-norm) and raises NumericalError if that takes
     more than 64 doublings.  An integer horizon gives the exact truncated
-    sum over i = 0..horizon.
+    sum over i = 0..horizon: the powers A^i fill one stack, every term
+    A^i sigma_w (A^i)^T comes from one stacked product, and the terms are
+    added in the order i = 0..horizon.
     """
     A = model.A
     S = _as_matrix(sigma_w, rows=model.n, cols=model.n, name="sigma_w")
     if horizon is not None:
         if horizon < 0:
             raise ParameterError("horizon must be >= 0")
-        G = np.zeros_like(S)
-        Ai = np.eye(model.n)
-        for _ in range(horizon + 1):
-            G += Ai @ S @ Ai.T
-            Ai = Ai @ A
+        P = np.empty((horizon + 1, model.n, model.n))
+        P[0] = np.eye(model.n)
+        for i in range(horizon):
+            P[i + 1] = P[i] @ A
+        # cumsum adds in index order; sum may add pairwise
+        G = np.cumsum(P @ S @ P.transpose(0, 2, 1), axis=0)[-1]
         return 0.5 * (G + G.T)
     model.require_stable()
     X, Ak = S, A
@@ -454,8 +468,8 @@ def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
         term = Ak @ X @ Ak.T
         X = X + term
         Ak = Ak @ Ak
-        scale = max(float(np.linalg.norm(X, 2)), np.finfo(float).tiny)
-        if float(np.linalg.norm(term, 2)) <= 1e-13 * scale:
+        scale = max(_spectral_norm(X), np.finfo(float).tiny)
+        if _spectral_norm(term) <= 1e-13 * scale:
             return 0.5 * (X + X.T)
     raise NumericalError("Gramian doubling did not converge in 64 steps")
 
@@ -470,8 +484,8 @@ def input_gramian(model: StateSpaceModel, u: np.ndarray) -> np.ndarray:
     if u.shape[1] != model.p:
         raise ParameterError("input sequence dimension does not match the model")
     s = np.zeros(model.n)
-    for t in range(u.shape[0]):
-        s = model.A @ s + model.B @ u[t]
+    for Bu_t in _input_drive(model.B, u):
+        s = model.A @ s + Bu_t
     return np.outer(s, s)
 
 

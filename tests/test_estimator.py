@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bilinid import (
-    InfeasibleError,
     InputDesign,
     NoiseSpec,
     NumericalError,
@@ -22,8 +21,6 @@ from bilinid import (
     StateSpaceModel,
     bound_data_dependent,
     bound_terms,
-    choose_L,
-    controllability_gramian,
     effective_noise_autocov,
     ellipsoidal_error,
     empirical_input_bound,
@@ -34,8 +31,6 @@ from bilinid import (
     prediction_bound,
     random_model,
     simulate,
-    surrogate_input_bound,
-    transient_factor,
 )
 from bilinid import estimator
 from bilinid.estimator import (
@@ -539,8 +534,6 @@ def test_bound_terms_precondition_errors():
 def test_input_bound_helpers():
     u = np.array([[3.0, 4.0], [1.0, 0.0]])
     assert empirical_input_bound(u) == 5.0
-    assert surrogate_input_bound(2, 100, 0.1) == pytest.approx(
-        math.sqrt(2 * math.log(1000.0)))
 
 
 # ------------------------------------------------------------------------- fit
@@ -647,7 +640,7 @@ def _is_column_gram(node) -> bool:
 
 def test_fit_is_the_one_path_to_the_bound():
     assert _callers("bound_data_dependent") == [("estimator", "fit")]
-    assert _callers("bound_terms") == [("estimator", "choose_L"), ("estimator", "fit")]
+    assert _callers("bound_terms") == [("estimator", "fit")]
 
 
 def test_column_gram_detects_every_spelling():
@@ -704,59 +697,6 @@ def test_regime_compare_detects_every_spelling():
 def test_regime_terms_is_the_one_regime_rule():
     # the excitation helper's if/elif; everyone else passes the regime through
     assert _where(_is_regime_compare) == [("excitation", "_regime_terms")] * 2
-
-
-# -------------------------------------------------------------------- choose_L
-
-def test_choose_L_minimal_for_fast_decay():
-    # near-nilpotent dynamics with a decay rate chosen to match: the bias
-    # side carries rho^L ~ 0 and the rule is vacuous at the smallest L
-    m = random_model(2, 1, 1e-6, seed=4)
-    noise = NoiseSpec.gaussian(np.eye(2), 1.0)
-    assert choose_L(m, noise, T=10_000, delta=0.1, beta=3.0, rho=0.01) == 4
-
-
-def test_choose_L_monotone_in_T():
-    m = random_model(2, 1, 0.9, seed=17)
-    noise = NoiseSpec.gaussian(np.eye(2), 1.0)
-    previous = 4
-    for T in (1_000, 10_000, 100_000, 1_000_000):
-        L = choose_L(m, noise, T=T, delta=0.1, beta=3.0)
-        assert L >= previous
-        previous = L
-
-
-def test_choose_L_matches_brute_force_scan_oracle():
-    m = random_model(2, 1, 0.9, seed=17)
-    noise = NoiseSpec.gaussian(np.eye(2), 1.0)
-    T, delta, beta = 10_000, 0.1, 3.0
-    got = choose_L(m, noise, T=T, delta=delta, beta=beta)
-
-    # independent scan over even L in [2n, 200] evaluating the rule inline
-    rho = 0.5 * (1.0 + m.spectral_radius())
-    phi = transient_factor(m.A, rho)
-    BC = np.linalg.norm(m.B, 2) * np.linalg.norm(m.C, 2)
-    gamma_inf = np.linalg.norm(controllability_gramian(m, noise.sigma_w), 2)
-    oracle = None
-    for L in range(4, 201, 2):
-        F = markov_params(m, L).F
-        CAL = np.linalg.norm(m.C @ np.linalg.matrix_power(m.A, L), 2)
-        tail = phi * rho**L / (1.0 - rho)
-        Xi = noise.sigma_z**2 \
-            + 3.0 * np.linalg.norm(noise.sigma_w, 2) * np.linalg.norm(F)**2 * beta**2 * L * (1 + tail) \
-            + 2.0 * gamma_inf * CAL**2 * beta**2 * phi / (1.0 - rho)
-        bias = 2.0 * beta**2 * BC * phi * rho**L / (1.0 - rho)
-        if bias <= math.sqrt(L * Xi / (delta * (T - L))):
-            oracle = L
-            break
-    assert got == oracle
-
-
-def test_choose_L_reports_infeasible():
-    m = random_model(2, 1, 0.97, seed=5)
-    noise = NoiseSpec.gaussian(1e-18 * np.eye(2), 1e-9)
-    with pytest.raises(InfeasibleError):
-        choose_L(m, noise, T=10**9, delta=0.1, beta=100.0, L_max=6)
 
 
 # ------------------------------------------------------------------ prediction

@@ -17,8 +17,8 @@ from bilinid import (
     pe_required_samples,
 )
 from bilinid import excitation
-from bilinid.estimator import DesignSystem, design_from_inputs
-from bilinid.excitation import REGIME_BOUNDED, REGIME_FOURTH_MOMENT, _covariate_rows
+from bilinid.estimator import DesignSystem, _kron_rows, design_from_inputs
+from bilinid.excitation import REGIME_BOUNDED, REGIME_FOURTH_MOMENT
 from bilinid.sysmodel import derive_rng
 
 
@@ -303,22 +303,38 @@ def test_m4_deterministic_given_seed():
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("L", [1, 3])
 def test_covariate_rows_are_kronecker_rows_of_sequence_windows(p, L):
-    rows = _covariate_rows(InputDesign.gaussian(p), L, 40, np.random.default_rng(2))
-    # the same draws, as 40 windows u_{t-L}..u_t
-    windows = np.random.default_rng(2).standard_normal((40 * (L + 1), p)).reshape(40, L + 1, p)
+    # 40 windows u_{t-L}..u_t, their covariate rows ubar_{t-1} (x) u_t, and the
+    # identity estimate_m4 samples by: v^T (ubar (x) u) = ubar^T W u with
+    # W = v.reshape(p L, p)
+    windows = np.random.default_rng(2).standard_normal((40, L + 1, p))
+    rows = _kron_rows([windows[:, L - 1 - j] for j in range(L)], windows[:, L])
+    v = np.random.default_rng(3).standard_normal(p * p * L)
+    W = v.reshape(p * L, p)
     assert rows.shape == (40, p * p * L)
     for row, w in zip(rows, windows):
-        assert np.array_equal(row, np.kron(w[:L][::-1].reshape(-1), w[L]))
+        ubar = w[:L][::-1].reshape(-1)
+        assert np.array_equal(row, np.kron(ubar, w[L]))
+        assert row @ v == pytest.approx(ubar @ W @ w[L], rel=1e-12, abs=1e-12)
 
 
 def test_m4_matches_brute_force_fourth_power():
-    design, L, seed = InputDesign.gaussian(2), 2, 13
+    # each sample is ||W u|| g: u, then g, from the direction's own stream
+    p, L, seed, count = 2, 2, 13, 5000
     directions = np.random.default_rng(1).standard_normal((3, 8))
-    est = estimate_m4(design, L=L, n_directions=3, n_samples=5000, seed=seed,
-                      directions=directions)
+    est = estimate_m4(InputDesign.gaussian(p), L=L, n_directions=3, n_samples=count,
+                      seed=seed, directions=directions)
     for k, v in enumerate(directions):
-        rows = _covariate_rows(design, L, 5000, derive_rng(seed, 1, k))
-        proj = rows @ (v / np.linalg.norm(v))
+        rng = derive_rng(seed, 1, k)
+        u = rng.standard_normal((count, p))
+        g = rng.standard_normal(count)
+        W = (v / np.linalg.norm(v)).reshape(p * L, p)
+        proj = np.linalg.norm(u @ W.T, axis=1) * g
         assert est.estimates[k] == pytest.approx(np.mean(proj**4), rel=1e-12)
         assert est.std_errors[k] == pytest.approx(
-            np.std(proj**4, ddof=1) / math.sqrt(5000), rel=1e-12)
+            np.std(proj**4, ddof=1) / math.sqrt(count), rel=1e-12)
+
+
+def test_m4_refuses_non_gaussian_designs():
+    # the conditional-Gaussian sampler holds only for Gaussian inputs
+    with pytest.raises(ParameterError, match="Gaussian"):
+        estimate_m4(InputDesign.sphere(2), L=2, n_directions=3, n_samples=100, seed=0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bilinid import (
     InputDesign,
@@ -17,6 +19,7 @@ from bilinid import (
     spectral_radius,
     transient_factor,
 )
+from bilinid.experiments import _final_output_moments
 from bilinid.serialize import (
     load_matrix,
     load_trajectory,
@@ -255,6 +258,53 @@ def test_input_gramian_matches_double_sum_oracle():
             aj = np.linalg.matrix_power(m.A, j)
             oracle += ai @ m.B @ np.outer(u[T - i], u[T - j]) @ m.B.T @ aj.T
     assert np.allclose(input_gramian(m, u), oracle, atol=1e-10)
+
+
+def _loop_gramian(model, sigma_w, horizon):
+    # the term-by-term form of controllability_gramian(horizon=...)
+    G = np.zeros_like(sigma_w)
+    Ai = np.eye(model.n)
+    for _ in range(horizon + 1):
+        G += Ai @ sigma_w @ Ai.T
+        Ai = Ai @ model.A
+    return 0.5 * (G + G.T)
+
+
+def _loop_input_gramian(model, u):
+    s = np.zeros(model.n)
+    for t in range(u.shape[0]):
+        s = model.A @ s + model.B @ u[t]
+    return np.outer(s, s)
+
+
+def _loop_final_output_moments(model, noise, u):
+    A, B, C = model.A, model.B, model.C
+    t = u.shape[0] - 1
+    s = np.zeros(model.n)
+    for i in range(t):
+        s = A @ s + B @ u[i]
+    v = C.T @ u[t]
+    var = noise.sigma_z ** 2
+    for _ in range(t):
+        var += float(v @ noise.sigma_w @ v)
+        v = A.T @ v
+    return float(u[t] @ C @ s), max(var, 0.0)
+
+
+@given(n=st.integers(1, 6), p=st.integers(1, 3), horizon=st.integers(0, 120),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_recursions_equal_their_loops_bitwise(n, p, horizon, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.5, 1.05) / np.linalg.norm(A, 2)
+    model = StateSpaceModel(A=A, B=rng.standard_normal((n, p)), C=rng.standard_normal((p, n)))
+    R = rng.standard_normal((n, n))
+    noise = NoiseSpec.gaussian(R @ R.T, float(rng.uniform(0.0, 2.0)))
+    u = rng.standard_normal((horizon + 1, p))
+    assert np.array_equal(controllability_gramian(model, noise.sigma_w, horizon=horizon),
+                          _loop_gramian(model, noise.sigma_w, horizon))
+    assert np.array_equal(input_gramian(model, u), _loop_input_gramian(model, u))
+    assert _final_output_moments(model, noise, u) == _loop_final_output_moments(model, noise, u)
 
 
 def test_infinite_gramian_requires_stability():
