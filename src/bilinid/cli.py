@@ -35,7 +35,7 @@ def _load_config(args) -> ExperimentConfig:
     path = Path(args.config)
     if not path.exists():
         raise ParameterError(f"config file not found: {path}")
-    config = ExperimentConfig.from_json(path.read_text())
+    config = ExperimentConfig.from_json(path.read_bytes())
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     return config

@@ -179,11 +179,14 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str | bytes) -> "ExperimentConfig":
+        # ValueError covers bad syntax, bytes that are not UTF-8 and integers
+        # past the int-string digit limit; RecursionError covers deep nesting
         try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise ParameterError(f"config is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -370,19 +373,23 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
 
 def _final_output_moments(model: StateSpaceModel, noise: NoiseSpec,
                           u: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of y_t at t = len(u) - 1 under Gaussian noise.
+    """Mean and variance of y_t at t = len(u) - 1, given the fixed inputs
+    u_0..u_t, for every noise family.
 
-    The mean is u_t' C s_t with s_0 = 0, s_{i+1} = A s_i + B u_i.  The noise
-    part u_t' C sum_{i<t} A^{t-1-i} w_i + z_t is Gaussian with variance
+    Every entry of w and z has mean mu (sigma_z for uncentered exponential
+    noise, else 0), so E x_t = s_t with s_0 = 0, s_{i+1} = A s_i + B u_i + mu 1,
+    and the mean is u_t' C s_t + mu.  The noise part
+    u_t' C sum_{i<t} A^{t-1-i} w_i + z_t has variance
     sigma_z^2 + sum_{k<t} v_k' Sigma_w v_k, where v_0 = C' u_t and
     v_{k+1} = A' v_k; the v_k fill one stack, their quadratic forms come
     from one stacked product, and the sum is taken in the order k = 0..t-1.
     """
     A, C = model.A, model.C
     t = u.shape[0] - 1
+    mu = 0.0 if noise.centered else noise.sigma_z
     s = np.zeros(model.n)
     for Bu_i in _input_drive(model.B, u[:t]):
-        s = A @ s + Bu_i
+        s = A @ s + (Bu_i + mu)
     V = np.empty((t, model.n))
     v = C.T @ u[t]
     for k in range(t):
@@ -391,25 +398,7 @@ def _final_output_moments(model: StateSpaceModel, noise: NoiseSpec,
     quad = ((V[:, None, :] @ noise.sigma_w) @ V[:, :, None])[:, 0, 0]
     # cumsum adds in index order; sum may add pairwise
     var = float(np.cumsum(np.concatenate(([noise.sigma_z ** 2], quad)))[-1])
-    return float(u[t] @ C @ s), max(var, 0.0)
-
-
-def final_output_draws(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
-                       n_draws: int, seed) -> tuple[np.ndarray, tuple[float, float] | None]:
-    """n_draws independent samples of y_t at t = len(u) - 1, given the fixed
-    input sequence u_0..u_t, and the (mean, variance) they were drawn from.
-
-    Under Gaussian noise y_t is itself Gaussian, so one standard normal per
-    draw reproduces the law of the step-by-step rollout exactly (see
-    _final_output_moments).  Every other family delegates to
-    batch_simulate_outputs and returns None for the moments.
-    """
-    u = _as_columns(u)
-    if noise.family != "gaussian":
-        return batch_simulate_outputs(model, noise, u, [u.shape[0] - 1], n_draws, seed)[:, 0], None
-    mean, var = _final_output_moments(model, noise, u)
-    draws = mean + math.sqrt(var) * np.random.default_rng(seed).standard_normal(n_draws)
-    return draws, (mean, var)
+    return float(u[t] @ C @ s) + mu, max(var, 0.0)
 
 
 def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
@@ -443,11 +432,10 @@ class CoverageTrial:
     pred_mse: float | None
     pred_bound: float | None
     pred_ok: bool | None
-    pred_mse_exact: float | None = None  # Gaussian noise: exact E(y_hat - y)^2
 
 
 def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
-                          prediction_resamples: int, threads: int = 1) -> list[CoverageTrial]:
+                          threads: int = 1) -> list[CoverageTrial]:
     """Per-trial comparison of realized errors against their bounds.
 
     The cell is the config's first (rho, L, T) with its n, p, noise, input
@@ -457,12 +445,11 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     bound.  A min-norm fit, possible only in an ill-conditioned cell just
     above the T - L > p^2 L that validate requires, has no bound:
     bound_value is NaN and covered is False.  A fit with a bound also has
-    its one-step prediction checked: the fitted G is frozen, the noise is
-    redrawn prediction_resamples times with the inputs held fixed, and the
-    empirical mean squared prediction error is compared against its bound.
-    The resamples come from final_output_draws; under Gaussian noise they
-    are exact in law (one Gaussian draw each rather than a T-step rollout),
-    and the exact MSE is reported beside the Monte Carlo one as pred_mse_exact.
+    its one-step prediction checked: with the fitted G frozen and the
+    inputs held fixed, the mean squared prediction error over the noise,
+    E(y_hat - y)^2 = (y_hat - E y)^2 + Var y, is compared against its
+    bound.  It depends on the noise through its first two moments only,
+    so _final_output_moments gives it exactly for every noise family.
     """
     L, T = config.L_values[0], config.T_values[0]
     noise = config.noise.to_spec(config.n)
@@ -477,23 +464,18 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
         fit = estimator.fit(model, noise, traj, L, config.delta, beta=beta)
         err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
         bound = fit.bound.value if fit.bound else math.nan
-        pred_mse = pred_bound = pred_ok = pred_mse_exact = None
+        pred_mse = pred_bound = pred_ok = None
         if fit.bound:
             pred_bound = estimator.prediction_bound(fit, err, model, noise, traj, u_next)
             hist = traj.u[T - L + 1: T + 1]
             y_hat = estimator.predict(fit.report.G_hat, hist, u_next)
-            u_ext = np.vstack([traj.u, u_next[None, :]])
-            ys, moments = final_output_draws(model, noise, u_ext, prediction_resamples,
-                                             derive_rng(base_seed, 2, trial))
-            pred_mse = float(np.mean((y_hat - ys) ** 2))
+            mean, var = _final_output_moments(model, noise,
+                                              np.vstack([traj.u, u_next[None, :]]))
+            pred_mse = (y_hat - mean) ** 2 + var
             pred_ok = bool(pred_mse <= pred_bound)
-            if moments is not None:
-                mean, var = moments
-                pred_mse_exact = (y_hat - mean) ** 2 + var
         return CoverageTrial(err_ellipsoidal=err, bound_value=bound,
                              covered=bool(err <= bound), pred_mse=pred_mse,
-                             pred_bound=pred_bound, pred_ok=pred_ok,
-                             pred_mse_exact=pred_mse_exact)
+                             pred_bound=pred_bound, pred_ok=pred_ok)
 
     return _map_trials(range(trials), one, threads)
 
@@ -510,9 +492,9 @@ def run_validation(config: ExperimentConfig,
                    m4_directions: int = 50,
                    m4_samples: int = 100_000,
                    coverage_trials: int = 100,
-                   prediction_resamples: int = 10_000,
                    threads: int = 1) -> dict:
-    """Oracle-equivalence suite: closed forms against Monte Carlo.
+    """Oracle-equivalence suite: closed forms against Monte Carlo, and the
+    error bounds against realized and exact errors.
 
     Checks, each passing exactly when its measured margin is >= 0:
     - the closed-form effective-noise autocovariance against the sample
@@ -521,7 +503,8 @@ def run_validation(config: ExperimentConfig,
       most 9 + 3 SE);
     - coverage of the high-probability error bound (frequency at least
       1 - delta - 0.05);
-    - the one-step prediction bound (holds in every sampled trial).
+    - the one-step prediction bound against the exact mean squared
+      prediction error of every trial with a bound.
 
     The coverage cell (first L and T of the config) must give the fit
     more rows than unknowns, T - L > p^2 L; otherwise every fit is
@@ -537,7 +520,7 @@ def run_validation(config: ExperimentConfig,
     # the coverage cell runs first, so a cell that cannot be allocated fails
     # before the other checks' Monte Carlo; every check has its own stream
     cov_trials = bound_coverage_trials(config, coverage_trials, config.base_seed + 30,
-                                       prediction_resamples, threads=threads)
+                                       threads=threads)
 
     # --- autocovariance vs Monte Carlo --------------------------------
     T = L + 5
@@ -568,17 +551,22 @@ def run_validation(config: ExperimentConfig,
     # --- bound coverage and prediction bound --------------------------
     frequency = float(np.mean([t.covered for t in cov_trials]))
     target = (1.0 - delta) - 0.05
-    checks.append(_check("bound_coverage", frequency - target,
-                         {"frequency": frequency, "target": target, "trials": coverage_trials}))
     pred_checked = [t for t in cov_trials if t.pred_ok is not None]
+    # every trial with a bound has its prediction checked.  The median is
+    # taken by hand: np.median imports numpy.ma and np.sort pages in its
+    # kernels, 1.1 and 0.4 MB resident.  None keeps the report strict JSON
+    # when no trial has a bound.
+    ratios = sorted(t.err_ellipsoidal / t.bound_value for t in pred_checked)
+    k = len(ratios)
+    median = 0.5 * (ratios[(k - 1) // 2] + ratios[k // 2]) if k else None
+    checks.append(_check("bound_coverage", frequency - target,
+                         {"frequency": frequency, "target": target, "trials": coverage_trials,
+                          "err_bound_ratio_median": median,
+                          "err_bound_ratio_max": ratios[-1] if k else None}))
     # np.min, not min: a NaN gap must give a NaN margin wherever it falls
     gaps = [t.pred_bound - t.pred_mse for t in pred_checked]
-    exact = [t.pred_bound - t.pred_mse_exact for t in pred_checked
-             if t.pred_mse_exact is not None]
     checks.append(_check("prediction_bound", float(np.min(gaps)) if gaps else float("nan"),
-                         {"trials_checked": len(pred_checked),
-                          "resamples": prediction_resamples,
-                          "min_exact_margin": min(exact, default=None)}))
+                         {"trials_checked": len(pred_checked)}))
 
     return {
         "passed": all(c["passed"] for c in checks),

@@ -227,14 +227,13 @@ def test_criterion_8_autocovariance_against_monte_carlo():
 def test_criterion_9_bound_coverage_and_prediction():
     # delta = 0.1 over 200 trials of a fixed small configuration: the
     # design-weighted error stays below its bound in at least 85% of trials
-    # (90% less 5% slack), and the empirical one-step prediction MSE over
-    # 1e5 noise resamples stays below its bound in every trial.
+    # (90% less 5% slack), and the exact one-step prediction MSE over the
+    # noise, (y_hat - E y)^2 + Var y, stays below its bound in every trial.
     cell = ExperimentConfig(
         n=2, p=1, rho_values=(0.6,), L_values=(6,), T_values=(100,),
         noise=NoiseConfig(family="gaussian", sigma_w=0.25, sigma_z=0.5),
         input=InputConfig(kind="gaussian_isotropic"), delta=0.1)
-    trials = bound_coverage_trials(cell, trials=200, base_seed=31,
-                                   prediction_resamples=100_000)
+    trials = bound_coverage_trials(cell, trials=200, base_seed=31)
     coverage = float(np.mean([t.covered for t in trials]))
     pred = [t for t in trials if t.pred_ok is not None]
     pred_hits = sum(t.pred_ok for t in pred)

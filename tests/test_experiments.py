@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from bilinid.experiments import (
     ExperimentConfig,
     InputConfig,
     NoiseConfig,
+    _final_output_moments,
     batch_simulate_outputs,
-    final_output_draws,
+    bound_coverage_trials,
     format_aggregate_csv,
     format_trial_csv,
     run_double_descent,
@@ -155,24 +157,57 @@ def test_pe_campaign_tiny_T_rank_deficient():
 def test_validation_passes_on_small_config():
     cfg = _small_config(L_values=(3,), T_values=(150,), trials=20)
     rep = run_validation(cfg, autocov_draws=50_000, m4_directions=10,
-                         m4_samples=20_000, coverage_trials=25,
-                         prediction_resamples=2_000)
+                         m4_samples=20_000, coverage_trials=25)
     assert rep["passed"], rep
     assert {c["name"] for c in rep["checks"]} == {
         "autocovariance_mc", "m4_gaussian", "bound_coverage", "prediction_bound"}
-    pred = rep["checks"][-1]
-    # Gaussian noise: the exact prediction MSE is reported beside the MC one
-    assert pred["details"]["min_exact_margin"] > 0.0
+    cov = next(c for c in rep["checks"] if c["name"] == "bound_coverage")
+    assert 0.0 < cov["details"]["err_bound_ratio_median"] <= cov["details"]["err_bound_ratio_max"]
 
 
-def test_validation_exact_margin_null_for_exponential_noise():
-    cfg = _small_config(L_values=(3,), T_values=(150,), noise=NoiseConfig())
-    rep = run_validation(cfg, autocov_draws=2_000, m4_directions=2,
-                         m4_samples=2_000, coverage_trials=3,
-                         prediction_resamples=200)
-    pred = rep["checks"][-1]
+def test_validation_err_bound_ratios_null_without_a_bound(monkeypatch):
+    # no coverage trial has a bound: the ratio details are null, not NaN
+    from bilinid import experiments
+    no_bound = experiments.CoverageTrial(err_ellipsoidal=0.1, bound_value=float("nan"),
+                                         covered=False, pred_mse=None, pred_bound=None,
+                                         pred_ok=None)
+    monkeypatch.setattr(experiments, "bound_coverage_trials",
+                        lambda config, trials, base_seed, threads: [no_bound] * trials)
+    rep = run_validation(_small_config(L_values=(3,), T_values=(150,)), autocov_draws=2_000,
+                         m4_directions=2, m4_samples=2_000, coverage_trials=3)
+    cov = next(c for c in rep["checks"] if c["name"] == "bound_coverage")
+    assert cov["details"]["err_bound_ratio_median"] is None
+    assert cov["details"]["err_bound_ratio_max"] is None
+
+
+# the benchmark's validate config at config_seed(98, "mc_validate", 0), whose
+# exact prediction margin is the smallest over seeds 1..200; a Monte Carlo
+# estimate over 10^4 noise resamples put it below 0
+_SEED_98 = {"n": 2, "p": 1, "rho_values": [0.6], "L_values": [6], "T_values": [100],
+            "trials": 1, "input": {"kind": "gaussian_isotropic"}, "delta": 0.1,
+            "base_seed": 3816951053}
+
+
+def test_cli_validate_seed_98_passes_on_the_exact_prediction_mse(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_SEED_98, "noise": {"family": "gaussian", "sigma_w": 0.25,
+                                                      "sigma_z": 0.5}}))
+    out = tmp_path / "val.json"
+    assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
+    pred = json.loads(out.read_text())["checks"][-1]
     assert pred["name"] == "prediction_bound"
-    assert pred["details"]["min_exact_margin"] is None
+    assert pred["margin"] == 0.0024661678711367374
+
+
+def test_validation_uncentered_exponential_noise_fails_prediction_check():
+    # the bound assumes zero-mean noise; the exact MSE of uncentered noise
+    # exceeds it, and the check must say so
+    noise = {"family": "exponential", "rate": 2.0, "centered": False}
+    cfg = ExperimentConfig.from_dict({**_SEED_98, "noise": noise})
+    rep = run_validation(cfg, autocov_draws=2_000, m4_directions=2, m4_samples=2_000)
+    pred = rep["checks"][-1]
+    assert pred["name"] == "prediction_bound" and not pred["passed"]
+    assert pred["margin"] == pytest.approx(-0.21, abs=0.01)
 
 
 def test_validation_measurement_noise_only_subcase():
@@ -181,8 +216,7 @@ def test_validation_measurement_noise_only_subcase():
     cfg = _small_config(L_values=(3,), T_values=(150,), trials=10,
                         noise=NoiseConfig(family="gaussian", sigma_w=0.0, sigma_z=1.0))
     rep = run_validation(cfg, autocov_draws=50_000, m4_directions=5,
-                         m4_samples=20_000, coverage_trials=10,
-                         prediction_resamples=2_000)
+                         m4_samples=20_000, coverage_trials=10)
     auto = next(c for c in rep["checks"] if c["name"] == "autocovariance_mc")
     assert auto["passed"]
 
@@ -190,8 +224,7 @@ def test_validation_measurement_noise_only_subcase():
 def test_validation_loose_delta_coverage():
     cfg = _small_config(L_values=(3,), T_values=(150,), trials=10, delta=0.5)
     rep = run_validation(cfg, autocov_draws=20_000, m4_directions=5,
-                         m4_samples=10_000, coverage_trials=20,
-                         prediction_resamples=1_000)
+                         m4_samples=10_000, coverage_trials=20)
     cov = next(c for c in rep["checks"] if c["name"] == "bound_coverage")
     assert cov["details"]["frequency"] >= 0.45
 
@@ -202,8 +235,7 @@ def test_validation_check_passes_exactly_when_margin_nonnegative(monkeypatch):
     monkeypatch.setattr(excitation, "GAUSSIAN_M4", 0.0)
     cfg = _small_config(L_values=(3,), T_values=(150,))
     rep = run_validation(cfg, autocov_draws=2_000, m4_directions=2,
-                         m4_samples=2_000, coverage_trials=3,
-                         prediction_resamples=200)
+                         m4_samples=2_000, coverage_trials=3)
     verdicts = [c["passed"] for c in rep["checks"]]
     assert verdicts == [c["margin"] >= 0.0 for c in rep["checks"]]
     assert True in verdicts and False in verdicts
@@ -222,7 +254,7 @@ def test_batch_outputs_match_simulator_when_noiseless():
         assert np.allclose(ys[:, k], traj.y[t], atol=1e-12)
 
 
-# ------------------------------------------------------ final-output sampler
+# ------------------------------------------------------ final-output moments
 
 def _sampler_model():
     return StateSpaceModel(A=[[0.5, 0.3, 0.0], [0.0, -0.4, 0.2], [0.1, 0.0, 0.6]],
@@ -230,66 +262,77 @@ def _sampler_model():
                            C=[[0.7, -0.2, 0.3], [0.1, 0.9, -0.5]])
 
 
-def test_final_output_draws_noiseless_matches_simulator():
+def test_final_output_moments_noiseless_match_simulator():
     m = _sampler_model()
     u = np.random.default_rng(0).standard_normal((13, 2))
     traj = simulate(m, NoiseSpec.none(3), u, T=12, seed=1)
-    ys, _ = final_output_draws(m, NoiseSpec.none(3), u, 5, seed=2)
-    assert ys.shape == (5,)
-    assert np.allclose(ys, traj.y[12], rtol=0.0, atol=1e-12)
+    mean, var = _final_output_moments(m, NoiseSpec.none(3), u)
+    assert mean == pytest.approx(traj.y[12], rel=0.0, abs=1e-12)
+    assert var == 0.0
 
 
-def test_final_output_draws_gaussian_moments_match_step_simulator():
-    # Non-isotropic process noise: the one-draw sampler and the step-by-step
-    # rollout agree in mean and variance within 4 standard errors.
+_ROOT = np.array([[0.6, 0.0, 0.0], [0.3, 0.4, 0.0], [-0.2, 0.1, 0.5]])
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseSpec.gaussian(_ROOT @ _ROOT.T, 0.3),  # non-isotropic process noise
+    NoiseSpec.exponential(3, rate=2.0),
+    NoiseSpec.exponential(3, rate=2.0, centered=False),
+], ids=["gaussian", "exponential", "exponential-uncentered"])
+def test_final_output_moments_match_step_simulator(noise):
+    # the exact mean and variance lie within 4 standard errors of the
+    # sample moments of step-by-step rollouts, whatever the noise's shape
     m = _sampler_model()
-    root = np.array([[0.6, 0.0, 0.0], [0.3, 0.4, 0.0], [-0.2, 0.1, 0.5]])
-    noise = NoiseSpec.gaussian(root @ root.T, 0.3)
     u = np.random.default_rng(1).standard_normal((9, 2))
     draws = 400_000
-    fast, _ = final_output_draws(m, noise, u, draws, seed=3)
+    mean, var = _final_output_moments(m, noise, u)
     step = batch_simulate_outputs(m, noise, u, [8], draws, seed=4)[:, 0]
-    se_mean = np.sqrt((fast.var() + step.var()) / draws)
-    assert abs(fast.mean() - step.mean()) <= 4.0 * se_mean
-    sq = [(x - x.mean()) ** 2 for x in (fast, step)]
-    se_var = np.sqrt((sq[0].var() + sq[1].var()) / draws)
-    assert abs(fast.var() - step.var()) <= 4.0 * se_var
+    assert abs(step.mean() - mean) <= 4.0 * np.sqrt(step.var() / draws)
+    se_var = np.sqrt(((step - step.mean()) ** 2).var() / draws)
+    assert abs(step.var() - var) <= 4.0 * se_var
 
 
-def test_final_output_draws_scalar_system_by_hand():
+def test_final_output_moments_scalar_system_by_hand():
     # y_3 = u_3 c x_3 + z_3 with x_3 = sum_i a^(2-i) (b u_i + w_i): mean
     # u_3 c b (a^2 u_0 + a u_1 + u_2), variance sz^2 + sw (u_3 c)^2 (1 + a^2 + a^4).
     a, b, c, sw, sz = 0.9, 1.5, -0.8, 0.4, 0.2
     m = StateSpaceModel(A=[[a]], B=[[b]], C=[[c]])
-    u = np.array([0.7, -1.2, 0.4, 1.1])
-    mean = u[3] * c * b * (a**2 * u[0] + a * u[1] + u[2])
-    var = sz**2 + sw * (u[3] * c) ** 2 * (1 + a**2 + a**4)
-    draws = 400_000
-    ys, _ = final_output_draws(m, NoiseSpec.gaussian([[sw]], sz), u, draws, seed=7)
-    assert abs(ys.mean() - mean) <= 4.0 * np.sqrt(var / draws)
-    assert abs(ys.var() - var) <= 4.0 * var * np.sqrt(2.0 / draws)
+    u = np.array([[0.7], [-1.2], [0.4], [1.1]])
+    u0, u1, u2, u3 = u[:, 0]
+    mean, var = _final_output_moments(m, NoiseSpec.gaussian([[sw]], sz), u)
+    assert mean == pytest.approx(u3 * c * b * (a**2 * u0 + a * u1 + u2), rel=1e-12)
+    assert var == pytest.approx(sz**2 + sw * (u3 * c) ** 2 * (1 + a**2 + a**4), rel=1e-12)
+    # uncentered exponential noise of rate r: every entry of w and z has
+    # mean and standard deviation mu = 1/r, which adds
+    # u_3 c mu (a^2 + a + 1) + mu to the mean and leaves the variance's form
+    r = 2.5
+    mu = 1.0 / r
+    mean, var = _final_output_moments(m, NoiseSpec.exponential(1, rate=r, centered=False), u)
+    assert mean == pytest.approx(u3 * c * (b * (a**2 * u0 + a * u1 + u2) + mu * (a**2 + a + 1))
+                                 + mu, rel=1e-12)
+    assert var == pytest.approx(mu**2 + mu**2 * (u3 * c) ** 2 * (1 + a**2 + a**4), rel=1e-12)
 
 
-def test_final_output_draws_exponential_delegates_to_step_simulator():
-    m = _sampler_model()
-    noise = NoiseSpec.exponential(3, rate=2.0)
-    u = np.random.default_rng(5).standard_normal((7, 2))
-    ys, _ = final_output_draws(m, noise, u, 1_000, seed=6)
-    ref = batch_simulate_outputs(m, noise, u, [6], 1_000, seed=6)[:, 0]
-    assert np.array_equal(ys, ref)
+@pytest.mark.parametrize("noise", [
+    NoiseConfig(family="gaussian", sigma_w=0.25, sigma_z=0.5),
+    NoiseConfig(family="exponential", rate=2.0),
+], ids=["gaussian", "exponential"])
+def test_coverage_trial_draws_noise_only_inside_simulate(monkeypatch, noise):
+    # the prediction check reads exact moments: the trajectory's own draws
+    # are the only noise a coverage trial samples
+    callers = []
+    for name in ("sample_w", "sample_z"):
+        original = getattr(NoiseSpec, name)
 
+        def counted(self, count, rng, original=original, name=name):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return original(self, count, rng)
 
-def test_final_output_draws_returns_the_moments_it_sampled_from():
-    a, b, c, sw, sz = 0.9, 1.5, -0.8, 0.4, 0.2
-    m = StateSpaceModel(A=[[a]], B=[[b]], C=[[c]])
-    u = np.array([0.7, -1.2, 0.4, 1.1])
-    ys, (mean, var) = final_output_draws(m, NoiseSpec.gaussian([[sw]], sz), u, 10, seed=7)
-    assert mean == pytest.approx(u[3] * c * b * (a**2 * u[0] + a * u[1] + u[2]), rel=1e-12)
-    assert var == pytest.approx(sz**2 + sw * (u[3] * c) ** 2 * (1 + a**2 + a**4), rel=1e-12)
-    assert np.array_equal(ys, mean + np.sqrt(var) * np.random.default_rng(7).standard_normal(10))
-    u2 = np.random.default_rng(9).standard_normal((4, 2))
-    _, moments = final_output_draws(_sampler_model(), NoiseSpec.exponential(3), u2, 10, seed=8)
-    assert moments is None
+        monkeypatch.setattr(NoiseSpec, name, counted)
+    cfg = _small_config(L_values=(6,), T_values=(100,), noise=noise)
+    trials = bound_coverage_trials(cfg, trials=1, base_seed=5)
+    assert trials[0].pred_ok is not None
+    assert callers == [("sample_w", "simulate"), ("sample_z", "simulate")]
 
 
 # ------------------------------------------------------------------------- CLI
@@ -420,10 +463,14 @@ _SMALL = '"n": 2, "p": 1, "L_values": [4], "T_values": [60]'
     # finite but extreme values fail inside the numerics: exit 3
     ('{%s, "input": {"kind": "bounded_sphere", "beta": 1e300}}' % _SMALL, 3),
     ('{%s, "noise": {"rate": 1e300}}' % _SMALL, 3),
+    # files json.loads refuses with other errors than JSONDecodeError
+    pytest.param(b'\xff{"n": 2}', 2, id="not-utf8"),
+    pytest.param('{"n": %s}' % ("1" * 5000), 2, id="int-over-4300-digits"),
+    pytest.param("[" * 100_000, 2, id="nesting-1e5"),
 ])
 def test_cli_malformed_config_exit_codes(tmp_path, text, code):
     path = tmp_path / "cfg.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "est")]) == code
 
 
