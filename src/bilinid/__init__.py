@@ -73,6 +73,7 @@ from .sysmodel import (
     markov_params,
     random_model,
     simulate,
+    simulate_batch,
     spectral_radius,
     transient_factor,
 )

@@ -191,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument("--config", required=True, help="ExperimentConfig JSON file")
         p_cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
         p_cmd.add_argument("--out", default=None, help="output path")
-        p_cmd.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
+        p_cmd.add_argument("--threads", type=int, default=1,
+                           help="worker threads; sweeps run cells in parallel, "
+                                "campaigns and coverage checks trials")
 
     p_sim = sub.add_parser("simulate", help="simulate one trajectory to CSV")
     common(p_sim)

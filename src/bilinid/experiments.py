@@ -31,7 +31,7 @@ from .sysmodel import (
     _input_drive,
     derive_rng,
     random_model,
-    simulate,
+    simulate_batch,
 )
 
 TRIAL_COLUMNS = ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
@@ -205,21 +205,36 @@ class TrialRecord:
         return list(astuple(self))
 
 
-def _run_trial(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign,
-               rho: float, L: int, T: int, key: tuple[int, ...]) -> TrialRecord:
+def _trial_record(config: ExperimentConfig, noise: NoiseSpec, model: StateSpaceModel,
+                  traj, rho: float, L: int, trial: int, shared_s: float) -> TrialRecord:
+    """Fit one trial; runtime_ms is its own fit time plus shared_s, its
+    share of the cell's model draws and batched simulation."""
     start = time.perf_counter()
-    rng = derive_rng(config.base_seed, *key)
-    model = random_model(config.n, config.p, rho, rng)
-    traj = simulate(model, noise, design_in, T, rng)
     fit = estimator.fit(model, noise, traj, L, config.delta)
-    runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    return TrialRecord(rho=rho, L=L, T=T, trial=key[-1], err_G_fro2=fit.err_fro ** 2,
-                       lambda_min=fit.report.lambda_min, solver_mode=fit.report.solver_mode,
+    runtime_ms = int(round(1000.0 * (shared_s + time.perf_counter() - start)))
+    return TrialRecord(rho=rho, L=L, T=traj.T, trial=trial,
+                       err_G_fro2=fit.err_fro ** 2, lambda_min=fit.report.lambda_min,
+                       solver_mode=fit.report.solver_mode,
                        bound_value=fit.bound.value if fit.bound else math.nan,
                        runtime_ms=runtime_ms)
 
 
-def _map_trials(tasks, fn, threads: int):
+def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign,
+              rho: float, L: int, T: int, key: tuple[int, ...]) -> list[TrialRecord]:
+    """Every trial of one (rho, L, T) cell.  Trial j draws its model and then
+    its trajectory from the stream (base_seed, *key, j); the cell's
+    trajectories come from one simulate_batch call, and the trials are fit
+    one after another, so no finished fit is held while the next one runs."""
+    start = time.perf_counter()
+    rngs = [derive_rng(config.base_seed, *key, trial) for trial in range(config.trials)]
+    models = [random_model(config.n, config.p, rho, rng) for rng in rngs]
+    trajs = simulate_batch(models, noise, design_in, T, rngs)
+    shared_s = (time.perf_counter() - start) / config.trials
+    return [_trial_record(config, noise, model, traj, rho, L, trial, shared_s)
+            for trial, (model, traj) in enumerate(zip(models, trajs))]
+
+
+def _map(tasks, fn, threads: int):
     if threads <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -251,16 +266,16 @@ def _aggregate(records: list) -> list:
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Estimation-error sweep over the config grid, one model per trial."""
-    tasks = []
-    for i_r, rho in enumerate(config.rho_values):
-        for i_L, L in enumerate(config.L_values):
-            for i_T, T in enumerate(config.T_values):
-                for trial in range(config.trials):
-                    tasks.append((rho, L, T, (i_r, i_L, i_T, trial)))
+    """Estimation-error sweep over the config grid, one model per trial;
+    threads > 1 runs whole cells in parallel."""
+    cells = [(rho, L, T, (i_r, i_L, i_T))
+             for i_r, rho in enumerate(config.rho_values)
+             for i_L, L in enumerate(config.L_values)
+             for i_T, T in enumerate(config.T_values)]
     noise = config.noise.to_spec(config.n)
     design_in = config.input.to_design(config.p)
-    records = _map_trials(tasks, lambda t: _run_trial(config, noise, design_in, *t), threads)
+    per_cell = _map(cells, lambda c: _run_cell(config, noise, design_in, *c), threads)
+    records = [rec for cell in per_cell for rec in cell]
     return SweepResult(records=records, aggregate=_aggregate(records))
 
 
@@ -329,7 +344,7 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
         return excitation.pe_certificate(estimator.design_from_inputs(u, L), delta,
                                          excitation.REGIME_FOURTH_MOMENT, m4=m4)
 
-    certs = _map_trials(range(config.trials), one, threads)
+    certs = _map(range(config.trials), one, threads)
     return {
         "frequency": float(np.mean([cert.passed for cert in certs])),
         "required_T": L + required,
@@ -454,12 +469,15 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     L, T = config.L_values[0], config.T_values[0]
     noise = config.noise.to_spec(config.n)
     design_in = config.input.to_design(config.p)
+    # trial j draws its model, then u_next, then its trajectory from its own
+    # stream; the trajectories come from one batched simulation
+    rngs = [derive_rng(base_seed, 1, trial) for trial in range(trials)]
+    models = [random_model(config.n, config.p, config.rho_values[0], rng) for rng in rngs]
+    u_nexts = [design_in.sample_sequence(0, rng)[0] for rng in rngs]
+    trajs = simulate_batch(models, noise, design_in, T, rngs)
 
-    def one(trial: int) -> CoverageTrial:
-        rng = derive_rng(base_seed, 1, trial)
-        model = random_model(config.n, config.p, config.rho_values[0], rng)
-        u_next = design_in.sample_sequence(0, rng)[0]
-        traj = simulate(model, noise, design_in, T, rng)
+    def one(task) -> CoverageTrial:
+        model, u_next, traj = task
         beta = max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
         fit = estimator.fit(model, noise, traj, L, config.delta, beta=beta)
         err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
@@ -477,7 +495,7 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
                              covered=bool(err <= bound), pred_mse=pred_mse,
                              pred_bound=pred_bound, pred_ok=pred_ok)
 
-    return _map_trials(range(trials), one, threads)
+    return _map(zip(models, u_nexts, trajs), one, threads)
 
 
 def _check(name: str, margin: float, details: dict) -> dict:

@@ -45,11 +45,14 @@ def _spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def _input_drive(B: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _input_drive(B: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every row's B u[t], shape (len(u), n), in one stacked product of
     mat-vecs, bitwise equal to B @ u[t]; the single GEMM u @ B.T can
-    differ in the last bit."""
-    return (B[None] @ u[:, :, None])[..., 0]
+    differ in the last bit.  The rows are written to out when it is given."""
+    if out is None:
+        out = np.empty((u.shape[0], B.shape[0]))
+    np.matmul(B, u[:, :, None], out=out[..., None])
+    return out
 
 
 def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
@@ -363,34 +366,74 @@ def simulate(model: StateSpaceModel, noise: NoiseSpec, inputs, T: int, seed,
     inputs is a random InputDesign, sampled from the seed's generator, or
     a fixed (T+1, p) input array, used as given.  Draw order (inputs, then
     process noise, then measurement noise) is fixed so that a seed fully
-    determines the trajectory.
+    determines the trajectory.  This is simulate_batch with a batch of one.
     """
+    return simulate_batch([model], noise, inputs, T, [seed], diagnostics)[0]
+
+
+def simulate_batch(models, noise: NoiseSpec, inputs, T: int, seeds,
+                   diagnostics: bool = False) -> list[Trajectory]:
+    """One trajectory per (models[i], seeds[i]), all T steps in one loop.
+
+    Trial i draws from its own generator np.random.default_rng(seeds[i]),
+    in simulate's order: inputs, process noise, measurement noise.  The
+    models must share n and p.  All k states then advance together,
+    x[t+1] = (A x[t] + B u[t]) + w[t], through one stacked product of
+    mat-vecs per step, each bitwise equal to its own A @ x[t]; so
+    trajectory i is bitwise the one a separate simulate call gives.  Every
+    trial draws before the (T+1, k, n) stacks are allocated, so a horizon
+    that cannot be allocated fails in the first draw with MemoryError.
+    """
+    models, seeds = list(models), list(seeds)
+    if not models or len(seeds) != len(models):
+        raise ParameterError("simulate_batch needs one seed per model, and at least one model")
     if T < 1:
         raise ParameterError("horizon T must be >= 1")
-    if noise.n != model.n:
+    n, p, k = models[0].n, models[0].p, len(models)
+    if any(m.n != n or m.p != p for m in models):
+        raise ParameterError("the models of a batch must share n and p")
+    if noise.n != n:
         raise ParameterError("noise covariance dimension does not match the model")
-    rng = np.random.default_rng(seed)
     if isinstance(inputs, InputDesign):
-        if inputs.p != model.p:
+        if inputs.p != p:
             raise ParameterError("input design dimension does not match the model")
-        u = inputs.sample_sequence(T, rng)
     else:
-        u = _as_columns(inputs)
-        if u.shape != (T + 1, model.p):
-            raise ParameterError(f"input sequence must have shape {(T + 1, model.p)}, got {u.shape}")
-    w = noise.sample_w(T, rng)
-    z = noise.sample_z(T + 1, rng)
+        inputs = _as_columns(inputs)
+        if inputs.shape != (T + 1, p):
+            raise ParameterError(f"input sequence must have shape {(T + 1, p)}, got {inputs.shape}")
 
-    A, C = model.A, model.C
-    Bu = _input_drive(model.B, u[:-1])
-    x = np.zeros((T + 1, model.n))
-    for t in range(T):
-        x[t + 1] = A @ x[t] + Bu[t] + w[t]
-    y = np.einsum("ti,ij,tj->t", u, C, x) + z
+    us, ws, zs = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        us.append(inputs.sample_sequence(T, rng) if isinstance(inputs, InputDesign) else inputs)
+        ws.append(noise.sample_w(T, rng))
+        zs.append(noise.sample_z(T + 1, rng))
 
-    if diagnostics:
-        return Trajectory(u=u, y=y, T=T, x=x, w=w, z=z)
-    return Trajectory(u=u, y=y, T=T)
+    # Time-major stacks, so that every step reads and writes contiguous
+    # (k, n) rows.  x[t+1] holds B u[t] until step t adds A x[t] to it and
+    # then w[t], which leaves no separate stack of input drives.
+    x = np.empty((T + 1, k, n))
+    x[0] = 0.0
+    W = np.empty((T, k, n))
+    for i, model in enumerate(models):
+        _input_drive(model.B, us[i][:-1], out=x[1:, i])
+        W[:, i] = ws[i]
+        ws[i] = None  # each w is freed once the stack holds it
+    A = np.stack([m.A for m in models])
+    Ax = np.empty((k, n, 1))
+    x4 = x[..., None]
+    for x_t, x_next, w_t in zip(x4[:-1], x4[1:], W[..., None]):
+        np.matmul(A, x_t, out=Ax)
+        np.add(Ax, x_next, out=x_next)
+        np.add(x_next, w_t, out=x_next)
+
+    trajectories = []
+    for i, (model, u, z) in enumerate(zip(models, us, zs)):
+        x_i = np.ascontiguousarray(x[:, i])
+        y = np.einsum("ti,ij,tj->t", u, model.C, x_i) + z
+        diag = dict(x=x_i, w=W[:, i], z=z) if diagnostics else {}
+        trajectories.append(Trajectory(u=u, y=y, T=T, **diag))
+    return trajectories
 
 
 def markov_params(model: StateSpaceModel, L: int) -> MarkovParams:

@@ -69,7 +69,8 @@ def test_config_validation():
 # --------------------------------------------------------------------- sweeps
 
 def test_figure1_schema_and_determinism():
-    cfg = _small_config(trials=2)
+    # three cells, so that threads=4 runs cells in parallel
+    cfg = _small_config(trials=2, T_values=(60, 90, 120))
     a = run_sweep(cfg)
     b = run_sweep(cfg, threads=4)
     assert TRIAL_COLUMNS == ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
@@ -80,7 +81,7 @@ def test_figure1_schema_and_determinism():
     assert _strip_runtime(csv_a) == _strip_runtime(format_trial_csv(b))
     agg = format_aggregate_csv(a)
     assert agg.splitlines()[0] == ",".join(AGG_COLUMNS)
-    assert len(agg.strip().splitlines()) == 2  # header + single cell
+    assert len(agg.strip().splitlines()) == 4  # header + three cells
 
 
 def test_figure1_zero_noise_near_nilpotent_cell_is_exact():
@@ -332,7 +333,7 @@ def test_coverage_trial_draws_noise_only_inside_simulate(monkeypatch, noise):
     cfg = _small_config(L_values=(6,), T_values=(100,), noise=noise)
     trials = bound_coverage_trials(cfg, trials=1, base_seed=5)
     assert trials[0].pred_ok is not None
-    assert callers == [("sample_w", "simulate"), ("sample_z", "simulate")]
+    assert callers == [("sample_w", "simulate_batch"), ("sample_z", "simulate_batch")]
 
 
 # ------------------------------------------------------------------------- CLI

@@ -16,6 +16,7 @@ from bilinid import (
     markov_params,
     random_model,
     simulate,
+    simulate_batch,
     spectral_radius,
     transient_factor,
 )
@@ -105,6 +106,45 @@ def test_simulate_rejects_dimension_mismatch():
         simulate(m, NoiseSpec.none(2), np.zeros((11, 3)), T=10, seed=0)
     with pytest.raises(ParameterError):
         simulate(m, NoiseSpec.none(3), InputDesign.gaussian(2), T=10, seed=0)
+
+
+def _nondiagonal_model(n, p, rng):
+    A = rng.standard_normal((n, n))
+    A *= 0.9 / np.linalg.norm(A, 2)
+    return StateSpaceModel(A=A, B=rng.standard_normal((n, p)), C=rng.standard_normal((p, n)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("noise", [
+    NoiseSpec.gaussian([[0.5, 0.2, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.3]], 0.7),
+    NoiseSpec.exponential(3, rate=2.0, centered=False),
+], ids=["gaussian", "exponential-uncentered"])
+@pytest.mark.parametrize("fixed_inputs", [False, True], ids=["design", "fixed"])
+def test_simulate_batch_equals_per_trial_simulate(k, noise, fixed_inputs):
+    n, p, T = 3, 2, 40
+    rng = np.random.default_rng(k)
+    models = [_nondiagonal_model(n, p, rng) for _ in range(k)]
+    inputs = rng.standard_normal((T + 1, p)) if fixed_inputs else InputDesign.gaussian(p)
+    seeds = [100 + i for i in range(k)]
+    batch = simulate_batch(models, noise, inputs, T, seeds, diagnostics=True)
+    assert len(batch) == k
+    for model, seed, traj in zip(models, seeds, batch):
+        alone = simulate(model, noise, inputs, T, seed, diagnostics=True)
+        for name in ("u", "y", "x", "w", "z"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
+        for t in range(T):
+            assert np.array_equal(traj.x[t + 1],
+                                  model.A @ traj.x[t] + model.B @ traj.u[t] + traj.w[t])
+
+
+def test_simulate_batch_rejects_mismatched_batches():
+    models = [random_model(2, 1, 0.5, seed=0), random_model(3, 1, 0.5, seed=1)]
+    with pytest.raises(ParameterError):
+        simulate_batch(models, NoiseSpec.none(2), InputDesign.gaussian(1), T=10, seeds=[0, 1])
+    with pytest.raises(ParameterError):
+        simulate_batch(models[:1], NoiseSpec.none(2), InputDesign.gaussian(1), T=10, seeds=[0, 1])
+    with pytest.raises(ParameterError):
+        simulate_batch([], NoiseSpec.none(2), InputDesign.gaussian(1), T=10, seeds=[])
 
 
 # -------------------------------------------------------------- markov_params
