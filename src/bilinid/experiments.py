@@ -27,8 +27,8 @@ from .sysmodel import (
     InputDesign,
     NoiseSpec,
     StateSpaceModel,
+    Trajectory,
     _as_columns,
-    _input_drive,
     derive_rng,
     random_model,
     simulate_batch,
@@ -37,6 +37,11 @@ from .sysmodel import (
 TRIAL_COLUMNS = ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
                  "solver_mode", "bound_value", "runtime_ms")
 AGG_COLUMNS = ("rho", "L", "T", "mean_err", "std_err")
+# Coverage trials are checked in chunks whose fits are alive together.  A
+# fit's design keeps (p^2 L)^2 floats, so a chunk holds at most this many
+# bytes of them: 16 MB is 10 trials at p^2 L = 450, and every trial of the
+# validate benchmark's cell (p^2 L = 6).
+COVERAGE_CHUNK_BYTES = 16 << 20
 
 
 def _require_int(name: str, value) -> None:
@@ -365,7 +370,9 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
     realizations sharing the fixed input sequence u_0..u_T.
 
     Vectorized over draws; one process/measurement noise draw per step in
-    a fixed order, so the result is fully determined by the seed.
+    a fixed order, so the result is fully determined by the seed.  Every
+    step draws its noise into the same buffers and steps the states in
+    place, instead of allocating fresh (n_draws, n) arrays.
     """
     u = _as_columns(u)
     times = sorted(set(int(t) for t in times))
@@ -375,45 +382,56 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
     rng = np.random.default_rng(seed)
     A, B, C = model.A, model.B, model.C
     x = np.zeros((n_draws, model.n))
+    x_next, w_t = np.empty_like(x), np.empty_like(x)
+    z_t = np.empty(n_draws)
     out = np.zeros((n_draws, len(times)))
     col = {t: k for k, t in enumerate(times)}
     for t in range(t_max + 1):
-        z_t = noise.sample_z(n_draws, rng)
+        noise.sample_z(n_draws, rng, out=z_t)
         if t in col:
             out[:, col[t]] = (x @ (C.T @ u[t])) + z_t
-        w_t = noise.sample_w(n_draws, rng)
-        x = x @ A.T + B @ u[t] + w_t
+        noise.sample_w(n_draws, rng, out=w_t)
+        np.matmul(x, A.T, out=x_next)
+        x_next += B @ u[t]
+        x_next += w_t
+        x, x_next = x_next, x
     return out
 
 
-def _final_output_moments(model: StateSpaceModel, noise: NoiseSpec,
-                          u: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of y_t at t = len(u) - 1, given the fixed inputs
-    u_0..u_t, for every noise family.
+def _final_output_moments(models: list[StateSpaceModel], noise: NoiseSpec,
+                          u: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and variance of y_t at t = u.shape[1] - 1 for every model of a
+    batch, models[j] given its fixed inputs u[j] = u_0..u_t ((k, t+1, p);
+    the models share n and p), for every noise family.
 
     Every entry of w and z has mean mu (sigma_z for uncentered exponential
     noise, else 0), so E x_t = s_t with s_0 = 0, s_{i+1} = A s_i + B u_i + mu 1,
     and the mean is u_t' C s_t + mu.  The noise part
     u_t' C sum_{i<t} A^{t-1-i} w_i + z_t has variance
     sigma_z^2 + sum_{k<t} v_k' Sigma_w v_k, where v_0 = C' u_t and
-    v_{k+1} = A' v_k; the v_k fill one stack, their quadratic forms come
-    from one stacked product, and the sum is taken in the order k = 0..t-1.
+    v_{k+1} = A' v_k, summed in the order k = 0..t-1.  Both recursions step
+    all k models together, one stacked product per factor and step, so
+    every model's moments are bitwise the ones it gets in a batch of one.
     """
-    A, C = model.A, model.C
-    t = u.shape[0] - 1
+    A = np.stack([m.A for m in models])
+    B = np.stack([m.B for m in models])
+    C = np.stack([m.C for m in models])
+    t = u.shape[1] - 1
     mu = 0.0 if noise.centered else noise.sigma_z
-    s = np.zeros(model.n)
-    for Bu_i in _input_drive(model.B, u[:t]):
-        s = A @ s + (Bu_i + mu)
-    V = np.empty((t, model.n))
-    v = C.T @ u[t]
-    for k in range(t):
-        V[k] = v
-        v = A.T @ v
-    quad = ((V[:, None, :] @ noise.sigma_w) @ V[:, :, None])[:, 0, 0]
-    # cumsum adds in index order; sum may add pairwise
-    var = float(np.cumsum(np.concatenate(([noise.sigma_z ** 2], quad)))[-1])
-    return float(u[t] @ C @ s) + mu, max(var, 0.0)
+    s = np.zeros((len(models), A.shape[1], 1))
+    As, Bu = np.empty_like(s), np.empty_like(s)
+    for u_i in u[:, :t].transpose(1, 0, 2)[..., None]:
+        np.matmul(B, u_i, out=Bu)
+        Bu += mu
+        np.matmul(A, s, out=As)
+        np.add(As, Bu, out=s)
+    var = np.full(len(models), noise.sigma_z ** 2)
+    v = np.matmul(C.transpose(0, 2, 1), u[:, t, :, None])[..., 0]
+    for _ in range(t):
+        var += ((v[:, None, :] @ noise.sigma_w) @ v[:, :, None])[:, 0, 0]
+        v = np.matmul(A.transpose(0, 2, 1), v[:, :, None])[..., 0]
+    means = [float(u_j[t] @ C_j @ s_j[:, 0]) + mu for u_j, C_j, s_j in zip(u, C, s)]
+    return means, [max(float(var_j), 0.0) for var_j in var]
 
 
 def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
@@ -426,8 +444,8 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
     Returns (covariance matrix, standard-error matrix).
     """
     times = [t + 1 for t in taus]
-    ys = batch_simulate_outputs(model, noise, u, times, n_draws, seed)
-    centered = ys - ys.mean(axis=0, keepdims=True)
+    centered = batch_simulate_outputs(model, noise, u, times, n_draws, seed)
+    centered -= centered.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (n_draws - 1)
     k = len(times)
     se = np.zeros((k, k))
@@ -465,6 +483,9 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     E(y_hat - y)^2 = (y_hat - E y)^2 + Var y, is compared against its
     bound.  It depends on the noise through its first two moments only,
     so _final_output_moments gives it exactly for every noise family.
+    The fits are mapped over threads; then the trials with a bound share
+    one prediction_bound call and one _final_output_moments call per
+    chunk of COVERAGE_CHUNK_BYTES.
     """
     L, T = config.L_values[0], config.T_values[0]
     noise = config.noise.to_spec(config.n)
@@ -476,26 +497,49 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     u_nexts = [design_in.sample_sequence(0, rng)[0] for rng in rngs]
     trajs = simulate_batch(models, noise, design_in, T, rngs)
 
-    def one(task) -> CoverageTrial:
+    # every fit of a chunk stays alive until the chunk's oracle calls
+    chunk = max(1, COVERAGE_CHUNK_BYTES // (8 * (config.p ** 2 * L) ** 2))
+    out = []
+    for start in range(0, trials, chunk):
+        part = slice(start, start + chunk)
+        out += _coverage_chunk(noise, L, config.delta, models[part], u_nexts[part],
+                               trajs[part], threads)
+    return out
+
+
+def _coverage_chunk(noise: NoiseSpec, L: int, delta: float, models: list[StateSpaceModel],
+                    u_nexts: list[np.ndarray], trajs: list[Trajectory],
+                    threads: int) -> list[CoverageTrial]:
+    """Fit every trial of a chunk (mapped over threads), then check the
+    trials with a bound in one batched call of each oracle."""
+    T = trajs[0].T
+
+    def one(task) -> tuple[estimator.FitResult, float]:
         model, u_next, traj = task
         beta = max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
-        fit = estimator.fit(model, noise, traj, L, config.delta, beta=beta)
-        err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
-        bound = fit.bound.value if fit.bound else math.nan
-        pred_mse = pred_bound = pred_ok = None
-        if fit.bound:
-            pred_bound = estimator.prediction_bound(fit, err, model, noise, traj, u_next)
-            hist = traj.u[T - L + 1: T + 1]
-            y_hat = estimator.predict(fit.report.G_hat, hist, u_next)
-            mean, var = _final_output_moments(model, noise,
-                                              np.vstack([traj.u, u_next[None, :]]))
-            pred_mse = (y_hat - mean) ** 2 + var
-            pred_ok = bool(pred_mse <= pred_bound)
-        return CoverageTrial(err_ellipsoidal=err, bound_value=bound,
-                             covered=bool(err <= bound), pred_mse=pred_mse,
-                             pred_bound=pred_bound, pred_ok=pred_ok)
+        fit = estimator.fit(model, noise, traj, L, delta, beta=beta)
+        return fit, estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
 
-    return _map(zip(models, u_nexts, trajs), one, threads)
+    fits, errs = zip(*_map(zip(models, u_nexts, trajs), one, threads))
+    pred_bounds = estimator.prediction_bound(fits, errs, models, noise, trajs, u_nexts)
+    checked = [i for i, fit in enumerate(fits) if fit.bound]
+    pred_mses = [None] * len(fits)
+    if checked:
+        means, variances = _final_output_moments(
+            [models[i] for i in checked], noise,
+            np.stack([np.vstack([trajs[i].u, u_nexts[i][None, :]]) for i in checked]))
+        for i, mean, var in zip(checked, means, variances):
+            y_hat = estimator.predict(fits[i].report.G_hat, trajs[i].u[T - L + 1: T + 1],
+                                      u_nexts[i])
+            pred_mses[i] = (y_hat - mean) ** 2 + var
+    trials = []
+    for fit, err, pred_mse, pred_bound in zip(fits, errs, pred_mses, pred_bounds):
+        bound = fit.bound.value if fit.bound else math.nan
+        trials.append(CoverageTrial(
+            err_ellipsoidal=err, bound_value=bound, covered=bool(err <= bound),
+            pred_mse=pred_mse, pred_bound=pred_bound,
+            pred_ok=None if pred_mse is None else bool(pred_mse <= pred_bound)))
+    return trials
 
 
 def _check(name: str, margin: float, details: dict) -> dict:

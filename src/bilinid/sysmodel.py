@@ -45,14 +45,11 @@ def _spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def _input_drive(B: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Every row's B u[t], shape (len(u), n), in one stacked product of
-    mat-vecs, bitwise equal to B @ u[t]; the single GEMM u @ B.T can
-    differ in the last bit.  The rows are written to out when it is given."""
-    if out is None:
-        out = np.empty((u.shape[0], B.shape[0]))
+def _input_drive(B: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Write every row's B u[t] to out (len(u), n) in one stacked product
+    of mat-vecs, bitwise equal to B @ u[t]; the single GEMM u @ B.T can
+    differ in the last bit."""
     np.matmul(B, u[:, :, None], out=out[..., None])
-    return out
 
 
 def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
@@ -206,22 +203,36 @@ class NoiseSpec:
     def n(self) -> int:
         return self.sigma_w.shape[0]
 
-    def _exponential(self, size, rng: np.random.Generator) -> np.ndarray:
-        """Exponential draws of mean sigma_z, shifted to zero mean when centered."""
-        draws = rng.exponential(scale=self.sigma_z, size=size)
-        return draws - (self.sigma_z if self.centered else 0.0)
+    def _exponential(self, size, rng: np.random.Generator,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Exponential draws of mean sigma_z, shifted to zero mean when
+        centered.  Standard draws scaled by sigma_z are bitwise the draws of
+        rng.exponential(scale=sigma_z)."""
+        draws = rng.standard_exponential(size=size, out=out)
+        draws *= self.sigma_z
+        if self.centered:
+            draws -= self.sigma_z
+        return draws
 
-    def sample_w(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """count process-noise vectors, shape (count, n)."""
+    def sample_w(self, count: int, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """count process-noise vectors, shape (count, n), written to out
+        when it is given."""
         if self.family == "exponential":
-            return self._exponential((count, self.n), rng)
-        return rng.standard_normal((count, self.n)) @ self.w_factor.T
+            return self._exponential((count, self.n), rng, out)
+        draws = rng.standard_normal((count, self.n), out=out)
+        # with out, numpy copies the draws before the product overwrites them
+        return np.matmul(draws, self.w_factor.T, out=out)
 
-    def sample_z(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """count measurement-noise scalars, shape (count,)."""
+    def sample_z(self, count: int, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """count measurement-noise scalars, shape (count,), written to out
+        when it is given."""
         if self.family == "exponential":
-            return self._exponential(count, rng)
-        return self.sigma_z * rng.standard_normal(count)
+            return self._exponential(count, rng, out)
+        draws = rng.standard_normal(count, out=out)
+        draws *= self.sigma_z
+        return draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,6 +490,45 @@ def transient_factor(A: np.ndarray, rho: float) -> float:
     raise NumericalError(f"transient factor scan did not certify decay within {cap} powers")
 
 
+def _truncated_gramians(A: np.ndarray, sigma_w: np.ndarray, horizon: int) -> np.ndarray:
+    """Gamma^(h) = sum_{i=0..h} A_j^i sigma_w (A_j^i)^T, symmetrized, for
+    every A_j of the (k, n, n) stack A.
+
+    All k sums advance together, P <- P A and G += P sigma_w P^T, through
+    one stacked product per factor and step, each bitwise equal to its own
+    2-D product; so every G_j is bitwise the term-by-term sum of its own
+    model, and the memory is O(k n^2) whatever the horizon.
+    """
+    P = np.empty_like(A)
+    P[:] = np.eye(A.shape[1])
+    P_next, PS, term = np.empty_like(A), np.empty_like(A), np.empty_like(A)
+    G = np.zeros_like(A)
+    for _ in range(horizon + 1):
+        np.matmul(P, sigma_w, out=PS)
+        np.matmul(PS, P.transpose(0, 2, 1), out=term)
+        G += term
+        np.matmul(P, A, out=P_next)
+        P, P_next = P_next, P
+    return 0.5 * (G + G.transpose(0, 2, 1))
+
+
+def _input_gramians(A: np.ndarray, B: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """s_j s_j^T with s_j = sum_{i=0..T} A_j^i B_j u_j[T-i], for the (k, n, n)
+    stack A, the (k, n, p) stack B and the (k, T+1, p) input sequences u.
+
+    The k states advance together, s <- A s + B u[t], through one stacked
+    product of mat-vecs per factor and step, each bitwise equal to its own
+    A_j @ s_j and B_j @ u_j[t].
+    """
+    s = np.zeros((*A.shape[:2], 1))
+    As, Bu = np.empty_like(s), np.empty_like(s)
+    for u_t in u.transpose(1, 0, 2)[..., None]:
+        np.matmul(B, u_t, out=Bu)
+        np.matmul(A, s, out=As)
+        np.add(As, Bu, out=s)
+    return s * s.transpose(0, 2, 1)
+
+
 def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
                             horizon: int | None = None) -> np.ndarray:
     """Gramian sum_i A^i sigma_w (A^i)^T.
@@ -489,22 +539,15 @@ def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
     steps X sums the first 2^k terms.  It stops once the added term is at
     most 1e-13 of ||X|| (2-norm) and raises NumericalError if that takes
     more than 64 doublings.  An integer horizon gives the exact truncated
-    sum over i = 0..horizon: the powers A^i fill one stack, every term
-    A^i sigma_w (A^i)^T comes from one stacked product, and the terms are
-    added in the order i = 0..horizon.
+    sum over i = 0..horizon, added in the order i = 0..horizon: the batch
+    of one of _truncated_gramians.
     """
     A = model.A
     S = _as_matrix(sigma_w, rows=model.n, cols=model.n, name="sigma_w")
     if horizon is not None:
         if horizon < 0:
             raise ParameterError("horizon must be >= 0")
-        P = np.empty((horizon + 1, model.n, model.n))
-        P[0] = np.eye(model.n)
-        for i in range(horizon):
-            P[i + 1] = P[i] @ A
-        # cumsum adds in index order; sum may add pairwise
-        G = np.cumsum(P @ S @ P.transpose(0, 2, 1), axis=0)[-1]
-        return 0.5 * (G + G.T)
+        return _truncated_gramians(A[None], S, horizon)[0]
     model.require_stable()
     X, Ak = S, A
     for _ in range(64):
@@ -521,15 +564,13 @@ def input_gramian(model: StateSpaceModel, u: np.ndarray) -> np.ndarray:
     """Input-driven Gramian for a recorded sequence u_0..u_T.
 
     Equals s s^T with s = sum_{i=0..T} A^i B u_{T-i}, the double sum over
-    (i, j) of A^i B u_{T-i} u_{T-j}^T B^T (A^j)^T.
+    (i, j) of A^i B u_{T-i} u_{T-j}^T B^T (A^j)^T: the batch of one of
+    _input_gramians.
     """
     u = _as_columns(u)
     if u.shape[1] != model.p:
         raise ParameterError("input sequence dimension does not match the model")
-    s = np.zeros(model.n)
-    for Bu_t in _input_drive(model.B, u):
-        s = model.A @ s + Bu_t
-    return np.outer(s, s)
+    return _input_gramians(model.A[None], model.B[None], u[None])[0]
 
 
 def default_decay_rate(model: StateSpaceModel) -> float:

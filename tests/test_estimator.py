@@ -31,6 +31,7 @@ from bilinid import (
     prediction_bound,
     random_model,
     simulate,
+    spectral_radius,
 )
 from bilinid import estimator
 from bilinid.estimator import (
@@ -730,7 +731,7 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
     f = fit(m, noise, traj, L, delta=0.1, beta=beta)
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
-    bound = prediction_bound(f, err, m, noise, traj, u_next)
+    (bound,) = prediction_bound([f], [err], [m], noise, [traj], [u_next])
     assert bound is not None
     y_hat = predict(f.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
     ys = batch_simulate_outputs(m, noise, u_full, [T + 1], 100_000, 34)
@@ -747,7 +748,50 @@ def test_prediction_bound_omitted_when_gram_singular():
     u_next = np.ones(2)
     f = fit(m, noise, traj, L, delta=0.1)
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
-    assert prediction_bound(f, err, m, noise, traj, u_next) is None
+    assert prediction_bound([f], [err], [m], noise, [traj], [u_next]) == [None]
+
+
+def _prediction_batch(k, T=80, L=3, n=3, p=2):
+    """k fits of distinct non-diagonal models with their errors, trajectories
+    and next inputs; with k > 1 the second trial's inputs are all zero, so
+    its Gram is singular and it has no bound."""
+    rng = np.random.default_rng(50 + k)
+    noise = NoiseSpec.gaussian(0.2 * np.eye(n), 0.4)
+    models, trajs, u_nexts = [], [], []
+    for j in range(k):
+        A = rng.standard_normal((n, n))
+        A *= 0.7 / spectral_radius(A)
+        models.append(StateSpaceModel(A=A, B=rng.standard_normal((n, p)),
+                                      C=rng.standard_normal((p, n))))
+        u = np.zeros((T + 1, p)) if j == 1 else rng.standard_normal((T + 1, p))
+        trajs.append(simulate(models[-1], noise, u, T, seed=rng))
+        u_nexts.append(rng.standard_normal(p))
+    fits = [fit(m, noise, traj, L, delta=0.1,
+                beta=max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next))))
+            for m, traj, u_next in zip(models, trajs, u_nexts)]
+    errs = [ellipsoidal_error(f.report.G_hat, f.G, f.design) for f in fits]
+    return fits, errs, models, noise, trajs, u_nexts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_prediction_bound_batch_equals_batches_of_one(k):
+    fits, errs, models, noise, trajs, u_nexts = _prediction_batch(k)
+    batch = prediction_bound(fits, errs, models, noise, trajs, u_nexts)
+    alone = [prediction_bound([f], [err], [m], noise, [traj], [u_next])[0]
+             for f, err, m, traj, u_next in zip(fits, errs, models, trajs, u_nexts)]
+    assert batch == alone
+    assert [b is None for b in batch] == [j == 1 for j in range(k)]
+
+
+def test_prediction_bound_rejects_mismatched_batches():
+    fits, errs, models, noise, trajs, u_nexts = _prediction_batch(1)
+    with pytest.raises(ParameterError):
+        prediction_bound(fits, errs, models * 2, noise, trajs, u_nexts)
+    longer = simulate(models[0], noise, InputDesign.gaussian(2), 90, seed=1)
+    other = fit(models[0], noise, longer, 3, delta=0.1)
+    with pytest.raises(ParameterError):
+        prediction_bound([fits[0], other], errs * 2, models * 2, noise,
+                         [trajs[0], longer], u_nexts * 2)
 
 
 # -------------------------------------------------- effective-noise autocovariance

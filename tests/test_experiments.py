@@ -166,6 +166,16 @@ def test_validation_passes_on_small_config():
     assert 0.0 < cov["details"]["err_bound_ratio_median"] <= cov["details"]["err_bound_ratio_max"]
 
 
+def test_coverage_trials_independent_of_chunking(monkeypatch):
+    # a trial's values do not depend on which trials share its oracle calls
+    from bilinid import experiments
+    cfg = _small_config(L_values=(3,), T_values=(150,))
+    whole = bound_coverage_trials(cfg, trials=5, base_seed=2, threads=2)
+    monkeypatch.setattr(experiments, "COVERAGE_CHUNK_BYTES", 1)
+    assert bound_coverage_trials(cfg, trials=5, base_seed=2) == whole
+    assert all(t.pred_ok is not None for t in whole)
+
+
 def test_validation_err_bound_ratios_null_without_a_bound(monkeypatch):
     # no coverage trial has a bound: the ratio details are null, not NaN
     from bilinid import experiments
@@ -267,7 +277,7 @@ def test_final_output_moments_noiseless_match_simulator():
     m = _sampler_model()
     u = np.random.default_rng(0).standard_normal((13, 2))
     traj = simulate(m, NoiseSpec.none(3), u, T=12, seed=1)
-    mean, var = _final_output_moments(m, NoiseSpec.none(3), u)
+    (mean,), (var,) = _final_output_moments([m], NoiseSpec.none(3), u[None])
     assert mean == pytest.approx(traj.y[12], rel=0.0, abs=1e-12)
     assert var == 0.0
 
@@ -286,7 +296,7 @@ def test_final_output_moments_match_step_simulator(noise):
     m = _sampler_model()
     u = np.random.default_rng(1).standard_normal((9, 2))
     draws = 400_000
-    mean, var = _final_output_moments(m, noise, u)
+    (mean,), (var,) = _final_output_moments([m], noise, u[None])
     step = batch_simulate_outputs(m, noise, u, [8], draws, seed=4)[:, 0]
     assert abs(step.mean() - mean) <= 4.0 * np.sqrt(step.var() / draws)
     se_var = np.sqrt(((step - step.mean()) ** 2).var() / draws)
@@ -300,7 +310,7 @@ def test_final_output_moments_scalar_system_by_hand():
     m = StateSpaceModel(A=[[a]], B=[[b]], C=[[c]])
     u = np.array([[0.7], [-1.2], [0.4], [1.1]])
     u0, u1, u2, u3 = u[:, 0]
-    mean, var = _final_output_moments(m, NoiseSpec.gaussian([[sw]], sz), u)
+    (mean,), (var,) = _final_output_moments([m], NoiseSpec.gaussian([[sw]], sz), u[None])
     assert mean == pytest.approx(u3 * c * b * (a**2 * u0 + a * u1 + u2), rel=1e-12)
     assert var == pytest.approx(sz**2 + sw * (u3 * c) ** 2 * (1 + a**2 + a**4), rel=1e-12)
     # uncentered exponential noise of rate r: every entry of w and z has
@@ -308,7 +318,8 @@ def test_final_output_moments_scalar_system_by_hand():
     # u_3 c mu (a^2 + a + 1) + mu to the mean and leaves the variance's form
     r = 2.5
     mu = 1.0 / r
-    mean, var = _final_output_moments(m, NoiseSpec.exponential(1, rate=r, centered=False), u)
+    (mean,), (var,) = _final_output_moments(
+        [m], NoiseSpec.exponential(1, rate=r, centered=False), u[None])
     assert mean == pytest.approx(u3 * c * (b * (a**2 * u0 + a * u1 + u2) + mu * (a**2 + a + 1))
                                  + mu, rel=1e-12)
     assert var == pytest.approx(mu**2 + mu**2 * (u3 * c) ** 2 * (1 + a**2 + a**4), rel=1e-12)
@@ -413,6 +424,19 @@ def test_cli_experiments_byte_identical_reruns(config_file, tmp_path):
     assert _strip_runtime(a) == _strip_runtime(b)
     # aggregated output carries no wall-clock at all: strictly identical
     assert (tmp_path / "a.agg.csv").read_text() == (tmp_path / "b.agg.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["validate", "pe-campaign"])
+def test_cli_reports_independent_of_thread_count(config_file, tmp_path, command):
+    # README: outputs are bitwise independent of --threads
+    codes, reports = [], []
+    for threads in ("1", "3"):
+        out = tmp_path / f"{command}-{threads}.json"
+        codes.append(main([command, "--config", str(config_file), "--out", str(out),
+                           "--threads", threads]))
+        reports.append(out.read_bytes())
+    assert codes[0] == codes[1]
+    assert reports[0] == reports[1]
 
 
 def test_cli_double_descent(config_file, tmp_path):

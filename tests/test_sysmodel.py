@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bilinid.serialize import (
     save_matrix,
     save_trajectory,
 )
+from bilinid.sysmodel import _input_gramians, _truncated_gramians
 
 
 # ---------------------------------------------------------------- random_model
@@ -332,19 +334,44 @@ def _loop_final_output_moments(model, noise, u):
 
 
 @given(n=st.integers(1, 6), p=st.integers(1, 3), horizon=st.integers(0, 120),
-       seed=st.integers(0, 2**32 - 1))
-def test_stacked_recursions_equal_their_loops_bitwise(n, p, horizon, seed):
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_recursions_equal_their_loops_bitwise(n, p, horizon, k, seed):
+    # every row of a batch of k distinct models is bitwise its own model's
+    # loop, and the single-model functions are the batch of one
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A *= rng.uniform(0.5, 1.05) / np.linalg.norm(A, 2)
-    model = StateSpaceModel(A=A, B=rng.standard_normal((n, p)), C=rng.standard_normal((p, n)))
+    models = []
+    for _ in range(k):
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.5, 1.05) / np.linalg.norm(A, 2)
+        models.append(StateSpaceModel(A=A, B=rng.standard_normal((n, p)),
+                                      C=rng.standard_normal((p, n))))
     R = rng.standard_normal((n, n))
     noise = NoiseSpec.gaussian(R @ R.T, float(rng.uniform(0.0, 2.0)))
-    u = rng.standard_normal((horizon + 1, p))
-    assert np.array_equal(controllability_gramian(model, noise.sigma_w, horizon=horizon),
-                          _loop_gramian(model, noise.sigma_w, horizon))
-    assert np.array_equal(input_gramian(model, u), _loop_input_gramian(model, u))
-    assert _final_output_moments(model, noise, u) == _loop_final_output_moments(model, noise, u)
+    u = rng.standard_normal((k, horizon + 1, p))
+    A = np.stack([m.A for m in models])
+    gamma_w = _truncated_gramians(A, noise.sigma_w, horizon)
+    gamma_u = _input_gramians(A, np.stack([m.B for m in models]), u)
+    means, variances = _final_output_moments(models, noise, u)
+    for j, model in enumerate(models):
+        assert np.array_equal(gamma_w[j], _loop_gramian(model, noise.sigma_w, horizon))
+        assert np.array_equal(controllability_gramian(model, noise.sigma_w, horizon=horizon),
+                              gamma_w[j])
+        assert np.array_equal(gamma_u[j], _loop_input_gramian(model, u[j]))
+        assert np.array_equal(input_gramian(model, u[j]), gamma_u[j])
+        assert (means[j], variances[j]) == _loop_final_output_moments(model, noise, u[j])
+
+
+def test_truncated_gramian_memory_does_not_grow_with_horizon():
+    # the batched sum keeps O(k n^2) state; a (T+1, k, n, n) stack of the
+    # powers would take 64 MB at k = 100, n = 2, T = 20,000
+    A = np.stack([random_model(2, 1, 0.9, seed=s).A for s in range(100)])
+    tracemalloc.start()
+    try:
+        _truncated_gramians(A, np.eye(2), 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_infinite_gramian_requires_stability():
