@@ -69,7 +69,6 @@ from .sysmodel import (
     controllability_gramian,
     default_decay_rate,
     derive_rng,
-    input_gramian,
     markov_params,
     random_model,
     simulate,

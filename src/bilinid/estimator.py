@@ -453,56 +453,54 @@ def predict(G_hat: np.ndarray, u_hist: np.ndarray, u_next: np.ndarray) -> float:
     return float(u_next @ G_hat @ ubar)
 
 
-def prediction_bound(fits: Sequence[FitResult], errs: Sequence[float],
-                     models: Sequence[StateSpaceModel], noise: NoiseSpec,
-                     trajs: Sequence[Trajectory],
-                     u_nexts: Sequence[np.ndarray]) -> list[float | None]:
-    """Mean-squared-error bound for the one-step prediction (oracle mode),
-    one per trial of a batch:
+def prediction_state_norms(models: Sequence[StateSpaceModel], noise: NoiseSpec,
+                           us: np.ndarray) -> np.ndarray:
+    """||Gamma_u^(T) + Gamma_w^(T)||_2 for every model of a batch, models[j]
+    driven by its recorded inputs us[j] = u_0..u_T ((k, T+1, p); the models
+    share n and p): the state term of prediction_bound.
+
+    It reads no fit, so it can run before the fits.  Gamma_u^(T) and
+    Gamma_w^(T) come from one batched recursion each, every model's bitwise
+    the one it gets in a batch of one.
+    """
+    us = np.asarray(us, dtype=float)
+    if us.ndim != 3 or us.shape[0] != len(models):
+        raise ParameterError("prediction_state_norms needs one (T+1, p) input sequence "
+                             "per model")
+    A = np.stack([m.A for m in models])
+    gamma_w = _truncated_gramians(A, noise.sigma_w, us.shape[1] - 1)
+    gamma_u = _input_gramians(A, np.stack([m.B for m in models]), us)
+    return np.linalg.norm(gamma_u + gamma_w, 2, axis=(1, 2))
+
+
+def prediction_bound(fit: FitResult, err: float, model: StateSpaceModel, noise: NoiseSpec,
+                     traj: Trajectory, u_next: np.ndarray, state_norm: float) -> float | None:
+    """Mean-squared-error bound for the one-step prediction (oracle mode):
 
         2 ||vec(G_hat) - vec(G)||_V^2 ||ubar_T (x) u_{T+1}||_{V^-1}^2
         + 2 beta^2 ||C A^L||^2 ||Gamma_u^(T) + Gamma_w^(T)||
         + beta^2 ||Sigma_w|| ||F||_F^2 + sigma_z^2.
 
-    fits[i] is the fit of trajs[i] by models[i], errs[i] its design-weighted
-    error ellipsoidal_error(fit.report.G_hat, fit.G, fit.design), and beta
-    the fit's fit.terms.beta, which must cover u_nexts[i] as well: fit with
+    fit is the fit of traj by model, err its design-weighted error
+    ellipsoidal_error(fit.report.G_hat, fit.G, fit.design), state_norm
+    the model's prediction_state_norms entry for traj.u, and beta the
+    fit's fit.terms.beta, which must cover u_next as well: fit with
     beta = max(empirical_input_bound(traj.u), ||u_next||).  Requires the
     true G (validation facility).  A min_norm fit, whose Gram matrix is
-    singular, has no bound: its entry is None.  The fits with a bound must
-    share L and T (the models n and p); their Gramians Gamma_u^(T) and
-    Gamma_w^(T) come from one batched recursion each, every trial's bitwise
-    the one input_gramian and controllability_gramian give it alone.
+    singular, has no bound: None.
     """
-    if not len(fits) == len(errs) == len(models) == len(trajs) == len(u_nexts):
-        raise ParameterError("prediction_bound needs one error, model, trajectory "
-                             "and next input per fit")
-    bounds: list[float | None] = [None] * len(fits)
-    bounded = [i for i, f in enumerate(fits) if f.terms is not None]
-    if not bounded:
-        return bounds
-    L, T = fits[bounded[0]].design.L, fits[bounded[0]].design.T
-    if any((fits[i].design.L, fits[i].design.T) != (L, T) for i in bounded):
-        raise ParameterError("the fits of a prediction_bound batch must share L and T")
-    A = np.stack([models[i].A for i in bounded])
-    gamma_w = _truncated_gramians(A, noise.sigma_w, T)
-    gamma_u = _input_gramians(A, np.stack([models[i].B for i in bounded]),
-                              np.stack([trajs[i].u for i in bounded]))
-    state_norms = np.linalg.norm(gamma_u + gamma_w, 2, axis=(1, 2))
-    sigma_w_norm = float(np.linalg.norm(noise.sigma_w, 2))
-    for i, state_norm in zip(bounded, state_norms):
-        fit, model = fits[i], models[i]
-        beta = fit.terms.beta
-        ubar = stack_recent_inputs(trajs[i].u, T, L)
-        k = np.kron(ubar, np.asarray(u_nexts[i], dtype=float).ravel())
-        k_weight = float(k @ np.linalg.solve(fit.design.gram(), k))
-        mp = markov_params(model, L)
-        CAL = model.C @ np.linalg.matrix_power(model.A, L)
-        bounds[i] = (2.0 * errs[i]**2 * k_weight
-                     + 2.0 * beta**2 * float(np.linalg.norm(CAL, 2))**2 * float(state_norm)
-                     + beta**2 * sigma_w_norm * float(np.linalg.norm(mp.F))**2
-                     + noise.sigma_z**2)
-    return bounds
+    if fit.terms is None:
+        return None
+    L, T, beta = fit.design.L, fit.design.T, fit.terms.beta
+    ubar = stack_recent_inputs(traj.u, T, L)
+    k = np.kron(ubar, np.asarray(u_next, dtype=float).ravel())
+    k_weight = float(k @ np.linalg.solve(fit.design.gram(), k))
+    mp = markov_params(model, L)
+    CAL = model.C @ np.linalg.matrix_power(model.A, L)
+    return (2.0 * err**2 * k_weight
+            + 2.0 * beta**2 * float(np.linalg.norm(CAL, 2))**2 * float(state_norm)
+            + beta**2 * float(np.linalg.norm(noise.sigma_w, 2)) * float(np.linalg.norm(mp.F))**2
+            + noise.sigma_z**2)
 
 
 def effective_noise_autocov(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,

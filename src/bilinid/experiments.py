@@ -27,8 +27,8 @@ from .sysmodel import (
     InputDesign,
     NoiseSpec,
     StateSpaceModel,
-    Trajectory,
     _as_columns,
+    _require_allocatable,
     derive_rng,
     random_model,
     simulate_batch,
@@ -37,11 +37,6 @@ from .sysmodel import (
 TRIAL_COLUMNS = ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
                  "solver_mode", "bound_value", "runtime_ms")
 AGG_COLUMNS = ("rho", "L", "T", "mean_err", "std_err")
-# Coverage trials are checked in chunks whose fits are alive together.  A
-# fit's design keeps (p^2 L)^2 floats, so a chunk holds at most this many
-# bytes of them: 16 MB is 10 trials at p^2 L = 450, and every trial of the
-# validate benchmark's cell (p^2 L = 6).
-COVERAGE_CHUNK_BYTES = 16 << 20
 
 
 def _require_int(name: str, value) -> None:
@@ -50,8 +45,12 @@ def _require_int(name: str, value) -> None:
 
 
 def _require_finite(name: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -95,6 +94,7 @@ class NoiseConfig:
         return NOISE_DEFAULTS[self.family][name] if value is None else value
 
     def to_spec(self, n: int) -> NoiseSpec:
+        _require_allocatable(n, n)
         if self.family == "exponential":
             return NoiseSpec.exponential(n, rate=self._get("rate"),
                                          centered=self._get("centered"))
@@ -483,9 +483,10 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     E(y_hat - y)^2 = (y_hat - E y)^2 + Var y, is compared against its
     bound.  It depends on the noise through its first two moments only,
     so _final_output_moments gives it exactly for every noise family.
-    The fits are mapped over threads; then the trials with a bound share
-    one prediction_bound call and one _final_output_moments call per
-    chunk of COVERAGE_CHUNK_BYTES.
+    The oracles read only models and inputs, so every trial's state norm
+    (estimator.prediction_state_norms) and output moments come from one
+    batched call each before any fit; then the trials are mapped over
+    threads, and each fit is dropped once its trial is checked.
     """
     L, T = config.L_values[0], config.T_values[0]
     noise = config.noise.to_spec(config.n)
@@ -496,50 +497,28 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     models = [random_model(config.n, config.p, config.rho_values[0], rng) for rng in rngs]
     u_nexts = [design_in.sample_sequence(0, rng)[0] for rng in rngs]
     trajs = simulate_batch(models, noise, design_in, T, rngs)
+    # (k, T+2, p): each trial's inputs u_0..u_T and then u_next
+    us = np.stack([np.vstack([traj.u, u_next]) for traj, u_next in zip(trajs, u_nexts)])
+    state_norms = estimator.prediction_state_norms(models, noise, us[:, :-1])
+    means, variances = _final_output_moments(models, noise, us)
 
-    # every fit of a chunk stays alive until the chunk's oracle calls
-    chunk = max(1, COVERAGE_CHUNK_BYTES // (8 * (config.p ** 2 * L) ** 2))
-    out = []
-    for start in range(0, trials, chunk):
-        part = slice(start, start + chunk)
-        out += _coverage_chunk(noise, L, config.delta, models[part], u_nexts[part],
-                               trajs[part], threads)
-    return out
-
-
-def _coverage_chunk(noise: NoiseSpec, L: int, delta: float, models: list[StateSpaceModel],
-                    u_nexts: list[np.ndarray], trajs: list[Trajectory],
-                    threads: int) -> list[CoverageTrial]:
-    """Fit every trial of a chunk (mapped over threads), then check the
-    trials with a bound in one batched call of each oracle."""
-    T = trajs[0].T
-
-    def one(task) -> tuple[estimator.FitResult, float]:
-        model, u_next, traj = task
+    def one(j: int) -> CoverageTrial:
+        model, u_next, traj = models[j], u_nexts[j], trajs[j]
         beta = max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
-        fit = estimator.fit(model, noise, traj, L, delta, beta=beta)
-        return fit, estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
+        fit = estimator.fit(model, noise, traj, L, config.delta, beta=beta)
+        err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
+        pred_bound = estimator.prediction_bound(fit, err, model, noise, traj, u_next,
+                                                state_norms[j])
+        if pred_bound is None:
+            return CoverageTrial(err_ellipsoidal=err, bound_value=math.nan, covered=False,
+                                 pred_mse=None, pred_bound=None, pred_ok=None)
+        y_hat = estimator.predict(fit.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
+        pred_mse = (y_hat - means[j]) ** 2 + variances[j]
+        return CoverageTrial(
+            err_ellipsoidal=err, bound_value=fit.bound.value, covered=bool(err <= fit.bound.value),
+            pred_mse=pred_mse, pred_bound=pred_bound, pred_ok=bool(pred_mse <= pred_bound))
 
-    fits, errs = zip(*_map(zip(models, u_nexts, trajs), one, threads))
-    pred_bounds = estimator.prediction_bound(fits, errs, models, noise, trajs, u_nexts)
-    checked = [i for i, fit in enumerate(fits) if fit.bound]
-    pred_mses = [None] * len(fits)
-    if checked:
-        means, variances = _final_output_moments(
-            [models[i] for i in checked], noise,
-            np.stack([np.vstack([trajs[i].u, u_nexts[i][None, :]]) for i in checked]))
-        for i, mean, var in zip(checked, means, variances):
-            y_hat = estimator.predict(fits[i].report.G_hat, trajs[i].u[T - L + 1: T + 1],
-                                      u_nexts[i])
-            pred_mses[i] = (y_hat - mean) ** 2 + var
-    trials = []
-    for fit, err, pred_mse, pred_bound in zip(fits, errs, pred_mses, pred_bounds):
-        bound = fit.bound.value if fit.bound else math.nan
-        trials.append(CoverageTrial(
-            err_ellipsoidal=err, bound_value=bound, covered=bool(err <= bound),
-            pred_mse=pred_mse, pred_bound=pred_bound,
-            pred_ok=None if pred_mse is None else bool(pred_mse <= pred_bound)))
-    return trials
+    return _map(range(trials), one, threads)
 
 
 def _check(name: str, margin: float, details: dict) -> dict:

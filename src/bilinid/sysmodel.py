@@ -52,6 +52,14 @@ def _input_drive(B: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     np.matmul(B, u[:, :, None], out=out[..., None])
 
 
+def _require_allocatable(*shape: int) -> None:
+    """Raise MemoryError for a float array of this shape past numpy's size
+    limit, where numpy raises ValueError, so that such a size fails as one
+    the machine merely cannot hold does."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate a float array of shape {shape}")
+
+
 def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if rows is not None and M.shape[0] != rows:
@@ -277,6 +285,7 @@ class InputDesign:
 
     def sample_iid(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count i.i.d. input vectors, shape (count, p)."""
+        _require_allocatable(count, self.p)
         raw = rng.standard_normal((count, self.p))
         if self.kind == "gaussian_isotropic":
             return raw
@@ -362,6 +371,7 @@ def random_model(n: int, p: int, rho: float, seed) -> StateSpaceModel:
         raise ParameterError("dimensions must be >= 1")
     if not (0.0 < rho < 1.0):
         raise ParameterError(f"rho must lie in (0, 1), got {rho}")
+    _require_allocatable(n, max(n, p))  # A is n x n, B and C n x p
     rng = np.random.default_rng(seed)
     eigs = rng.uniform(0.0, rho, size=n)
     A = np.diag(eigs)
@@ -558,19 +568,6 @@ def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
         if _spectral_norm(term) <= 1e-13 * scale:
             return 0.5 * (X + X.T)
     raise NumericalError("Gramian doubling did not converge in 64 steps")
-
-
-def input_gramian(model: StateSpaceModel, u: np.ndarray) -> np.ndarray:
-    """Input-driven Gramian for a recorded sequence u_0..u_T.
-
-    Equals s s^T with s = sum_{i=0..T} A^i B u_{T-i}, the double sum over
-    (i, j) of A^i B u_{T-i} u_{T-j}^T B^T (A^j)^T: the batch of one of
-    _input_gramians.
-    """
-    u = _as_columns(u)
-    if u.shape[1] != model.p:
-        raise ParameterError("input sequence dimension does not match the model")
-    return _input_gramians(model.A[None], model.B[None], u[None])[0]
 
 
 def default_decay_rate(model: StateSpaceModel) -> float:

@@ -37,6 +37,7 @@ from bilinid import estimator
 from bilinid.estimator import (
     DesignSystem,
     design_from_inputs,
+    prediction_state_norms,
     stack_recent_inputs,
     unvec,
     vec,
@@ -731,7 +732,8 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
     f = fit(m, noise, traj, L, delta=0.1, beta=beta)
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
-    (bound,) = prediction_bound([f], [err], [m], noise, [traj], [u_next])
+    (state_norm,) = prediction_state_norms([m], noise, traj.u[None])
+    bound = prediction_bound(f, err, m, noise, traj, u_next, state_norm)
     assert bound is not None
     y_hat = predict(f.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
     ys = batch_simulate_outputs(m, noise, u_full, [T + 1], 100_000, 34)
@@ -748,7 +750,8 @@ def test_prediction_bound_omitted_when_gram_singular():
     u_next = np.ones(2)
     f = fit(m, noise, traj, L, delta=0.1)
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
-    assert prediction_bound([f], [err], [m], noise, [traj], [u_next]) == [None]
+    (state_norm,) = prediction_state_norms([m], noise, traj.u[None])
+    assert prediction_bound(f, err, m, noise, traj, u_next, state_norm) is None
 
 
 def _prediction_batch(k, T=80, L=3, n=3, p=2):
@@ -775,23 +778,25 @@ def _prediction_batch(k, T=80, L=3, n=3, p=2):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_prediction_bound_batch_equals_batches_of_one(k):
+    # the batched state norms give every trial the bits it gets alone, so a
+    # trial's prediction bound does not depend on the batch it was in
     fits, errs, models, noise, trajs, u_nexts = _prediction_batch(k)
-    batch = prediction_bound(fits, errs, models, noise, trajs, u_nexts)
-    alone = [prediction_bound([f], [err], [m], noise, [traj], [u_next])[0]
-             for f, err, m, traj, u_next in zip(fits, errs, models, trajs, u_nexts)]
-    assert batch == alone
-    assert [b is None for b in batch] == [j == 1 for j in range(k)]
+    batch = prediction_state_norms(models, noise, np.stack([traj.u for traj in trajs]))
+    alone = [prediction_state_norms([m], noise, traj.u[None])[0]
+             for m, traj in zip(models, trajs)]
+    assert batch.tolist() == alone
+    bounds = [prediction_bound(f, err, m, noise, traj, u_next, state_norm)
+              for f, err, m, traj, u_next, state_norm
+              in zip(fits, errs, models, trajs, u_nexts, batch)]
+    assert [b is None for b in bounds] == [j == 1 for j in range(k)]
 
 
-def test_prediction_bound_rejects_mismatched_batches():
-    fits, errs, models, noise, trajs, u_nexts = _prediction_batch(1)
+def test_prediction_state_norms_need_one_input_sequence_per_model():
+    _, _, models, noise, trajs, _ = _prediction_batch(2)
     with pytest.raises(ParameterError):
-        prediction_bound(fits, errs, models * 2, noise, trajs, u_nexts)
-    longer = simulate(models[0], noise, InputDesign.gaussian(2), 90, seed=1)
-    other = fit(models[0], noise, longer, 3, delta=0.1)
+        prediction_state_norms(models, noise, trajs[0].u[None])
     with pytest.raises(ParameterError):
-        prediction_bound([fits[0], other], errs * 2, models * 2, noise,
-                         [trajs[0], longer], u_nexts * 2)
+        prediction_state_norms(models[:1], noise, trajs[0].u)
 
 
 # -------------------------------------------------- effective-noise autocovariance

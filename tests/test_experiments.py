@@ -1,8 +1,14 @@
 import json
+import math
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bilinid import NoiseSpec, ParameterError, StateSpaceModel, simulate
 from bilinid.cli import main
@@ -166,14 +172,19 @@ def test_validation_passes_on_small_config():
     assert 0.0 < cov["details"]["err_bound_ratio_median"] <= cov["details"]["err_bound_ratio_max"]
 
 
-def test_coverage_trials_independent_of_chunking(monkeypatch):
-    # a trial's values do not depend on which trials share its oracle calls
-    from bilinid import experiments
-    cfg = _small_config(L_values=(3,), T_values=(150,))
-    whole = bound_coverage_trials(cfg, trials=5, base_seed=2, threads=2)
-    monkeypatch.setattr(experiments, "COVERAGE_CHUNK_BYTES", 1)
-    assert bound_coverage_trials(cfg, trials=5, base_seed=2) == whole
-    assert all(t.pred_ok is not None for t in whole)
+def test_coverage_trials_hold_one_fit_at_a_time():
+    # the oracles run before the fits, so no fit outlives its trial: 20
+    # fits of a p^2 L = 120 design held together peak near 2.7 MiB
+    cfg = _small_config(p=2, L_values=(30,), T_values=(300,))
+    bound_coverage_trials(cfg, trials=2, base_seed=2)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        trials = bound_coverage_trials(cfg, trials=20, base_seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.pred_ok is not None for t in trials)
+    assert peak < 1.5 * (1 << 20)
 
 
 def test_validation_err_bound_ratios_null_without_a_bound(monkeypatch):
@@ -492,6 +503,13 @@ _SMALL = '"n": 2, "p": 1, "L_values": [4], "T_values": [60]'
     pytest.param(b'\xff{"n": 2}', 2, id="not-utf8"),
     pytest.param('{"n": %s}' % ("1" * 5000), 2, id="int-over-4300-digits"),
     pytest.param("[" * 100_000, 2, id="nesting-1e5"),
+    # integers past the float range are not finite numbers
+    pytest.param('{"delta": %d}' % 10**400, 2, id="delta-401-digits"),
+    pytest.param('{"rho_values": [%d]}' % 10**400, 2, id="rho-401-digits"),
+    pytest.param('{"noise": {"family": "gaussian", "sigma_w": %d}}' % 10**400, 2,
+                 id="sigma_w-401-digits"),
+    pytest.param('{"input": {"kind": "bounded_sphere", "beta": %d}}' % 10**400, 2,
+                 id="beta-401-digits"),
 ])
 def test_cli_malformed_config_exit_codes(tmp_path, text, code):
     path = tmp_path / "cfg.json"
@@ -629,9 +647,71 @@ def test_cli_validate_rank_deficient_coverage_exits_2(tmp_path, capsys, T):
                                      ["exp", "figure1"], ["exp", "double-descent"],
                                      ["validate"]], ids=" ".join)
 def test_cli_unallocatable_horizon_exits_3(tmp_path, capsys, command):
-    # a horizon beyond the address space is refused before any page is touched
+    # a horizon beyond the address space is refused before any page is
+    # touched; a horizon or state dimension past numpy's dimension limit
+    # fails the same way
     path = tmp_path / "cfg.json"
-    path.write_text('{"n": 2, "p": 1, "L_values": [4], "T_values": [%d], "trials": 1}' % 10**17)
-    assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    for size in ({"T_values": [10**17]}, {"T_values": [10**30]}, {"n": 10**30}):
+        path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
+                                    "trials": 1, **size}))
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3, size
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size", [{"p": 10**30}, {"L_values": [10**30], "T_values": [10**30 + 60]}],
+                         ids=["p", "L"])
+@pytest.mark.parametrize("command", ["simulate", "pe-campaign"])
+def test_cli_input_width_past_dimension_limit_exits_3(tmp_path, capsys, size, command):
+    # p and L size the input draws of both commands (pe-campaign draws
+    # L + its required sample count)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
+                                "trials": 1, **size}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+# a noise or input object is a valid base, or none, with at most one key set
+# to a value of a fixed vocabulary: right and wrong types, NaN, +-inf and an
+# integer past the float range
+_VOCABULARY = ("gaussian", "exponential", "bounded_sphere", True, 0, 0.5, 2, -1.0,
+               None, "x", [], math.nan, math.inf, -math.inf, 10**400)
+
+
+def _config_object(bases: tuple, keys: tuple):
+    return st.builds(lambda base, key: {**base, **key}, st.sampled_from(bases),
+                     st.dictionaries(st.sampled_from(keys), st.sampled_from(_VOCABULARY),
+                                     max_size=1))
+
+
+@settings(max_examples=60)
+@given(n=st.integers(0, 3), p=st.integers(0, 3), L=st.integers(0, 4), T=st.integers(0, 40),
+       noise=_config_object(({}, {"family": "gaussian", "sigma_w": 0.25, "sigma_z": 0.5},
+                             {"family": "exponential", "rate": 2.0}),
+                            ("family", "rate", "centered", "sigma_w", "sigma_z")),
+       inputs=_config_object(({}, {"kind": "bounded_sphere", "beta": 1.5}), ("kind", "beta")))
+@example(n=2, p=1, L=2, T=20, noise={"rate": 10**400}, inputs={})
+@example(n=2, p=1, L=2, T=20, noise={}, inputs={"kind": "bounded_sphere", "beta": 10**400})
+def test_cli_config_contract(n, p, L, T, noise, inputs):
+    # every subcommand keeps to the 0/2/3/4 exit codes, and a config that
+    # does not parse exits 2 on every one of them.  validate runs only where
+    # it stops at parse or at its T - L > p^2 L check, before its Monte Carlo
+    text = json.dumps({"n": n, "p": p, "L_values": [L], "T_values": [T], "trials": 1,
+                       "noise": noise, "input": inputs})
+    try:
+        ExperimentConfig.from_json(text)
+        parsed = True
+    except ParameterError:
+        parsed = False
+    commands = [c for c in _SUBCOMMANDS
+                if c != ["validate"] or not parsed or T - L <= p * p * L]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(text)
+        codes = [main([*c, "--config", str(path), "--out", str(Path(tmp) / "o")])
+                 for c in commands]
+    assert set(codes) <= {0, 2, 3, 4}
+    if not parsed:
+        assert codes == [2] * len(commands)

@@ -13,7 +13,6 @@ from bilinid import (
     StateSpaceModel,
     controllability_gramian,
     derive_rng,
-    input_gramian,
     markov_params,
     random_model,
     simulate,
@@ -299,7 +298,7 @@ def test_input_gramian_matches_double_sum_oracle():
             ai = np.linalg.matrix_power(m.A, i)
             aj = np.linalg.matrix_power(m.A, j)
             oracle += ai @ m.B @ np.outer(u[T - i], u[T - j]) @ m.B.T @ aj.T
-    assert np.allclose(input_gramian(m, u), oracle, atol=1e-10)
+    assert np.allclose(_input_gramians(m.A[None], m.B[None], u[None])[0], oracle, atol=1e-10)
 
 
 def _loop_gramian(model, sigma_w, horizon):
@@ -357,7 +356,8 @@ def test_stacked_recursions_equal_their_loops_bitwise(n, p, horizon, k, seed):
         assert np.array_equal(controllability_gramian(model, noise.sigma_w, horizon=horizon),
                               gamma_w[j])
         assert np.array_equal(gamma_u[j], _loop_input_gramian(model, u[j]))
-        assert np.array_equal(input_gramian(model, u[j]), gamma_u[j])
+        assert np.array_equal(_input_gramians(model.A[None], model.B[None], u[j][None])[0],
+                              gamma_u[j])
         assert (means[j], variances[j]) == _loop_final_output_moments(model, noise, u[j])
 
 
