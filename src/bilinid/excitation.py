@@ -184,8 +184,12 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
         u = input_design.sample_iid(n_samples, rng)
         g = rng.standard_normal(n_samples)
         Ru = u @ R.T
-        # (||R u||^2 g^2)^2 by squarings, with no square root and no libm pow
-        proj4 = np.square(np.einsum("ij,ij->i", Ru, Ru) * np.square(g))
+        # (||R u||^2 g^2)^2 by squarings, with no square root and no libm
+        # pow, in place so that only one n_samples temporary is made
+        np.square(g, out=g)
+        proj4 = np.einsum("ij,ij->i", Ru, Ru)
+        proj4 *= g
+        np.square(proj4, out=proj4)
         estimates[k] = float(np.mean(proj4))
         if n_samples > 1:
             std_errors[k] = float(np.std(proj4, ddof=1) / math.sqrt(n_samples))

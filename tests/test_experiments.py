@@ -10,14 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilinid import NoiseSpec, ParameterError, StateSpaceModel, simulate
+from bilinid import NoiseSpec, ParameterError, StateSpaceModel, random_model, simulate
 from bilinid.cli import main
 from bilinid.experiments import (
     AGG_COLUMNS,
+    MC_BLOCK_DRAWS,
     TRIAL_COLUMNS,
     ExperimentConfig,
     InputConfig,
     NoiseConfig,
+    _autocov_false_failure_rate,
     _final_output_moments,
     batch_simulate_outputs,
     bound_coverage_trials,
@@ -27,6 +29,7 @@ from bilinid.experiments import (
     run_pe_campaign,
     run_sweep,
     run_validation,
+    zeta_covariance_mc,
 )
 
 
@@ -274,6 +277,73 @@ def test_batch_outputs_match_simulator_when_noiseless():
     ys = batch_simulate_outputs(m, NoiseSpec.none(2), u, [3, 7, 10], 5, seed=2)
     for k, t in enumerate((3, 7, 10)):
         assert np.allclose(ys[:, k], traj.y[t], atol=1e-12)
+
+
+def _autocov_case():
+    m = random_model(2, 1, 0.7, seed=44)
+    u = np.random.default_rng(45).standard_normal((9, 1))
+    return m, u, list(range(2, 7))
+
+
+_AUTOCOV_NOISES = {
+    "gaussian": NoiseSpec.gaussian(np.array([[0.5, 0.1], [0.1, 0.3]]), 0.4),
+    "uncentered_exponential": NoiseSpec.exponential(2, rate=2.0, centered=False),
+}
+
+
+@pytest.mark.parametrize("n_draws", [200_000, 2 * MC_BLOCK_DRAWS + 5, 1_000])
+@pytest.mark.parametrize("family", sorted(_AUTOCOV_NOISES))
+def test_streamed_autocov_equals_the_two_pass_statistics(family, n_draws):
+    # the same draws, simulated block by block from one generator and stacked
+    m, u, taus = _autocov_case()
+    noise = _AUTOCOV_NOISES[family]
+    cov, se = zeta_covariance_mc(m, noise, u, taus, n_draws, seed=46)
+    rng = np.random.default_rng(46)
+    times = [t + 1 for t in taus]
+    c = np.vstack([batch_simulate_outputs(m, noise, u, times,
+                                          min(MC_BLOCK_DRAWS, n_draws - start), rng)
+                   for start in range(0, n_draws, MC_BLOCK_DRAWS)])
+    c -= c.mean(axis=0)
+    cov_ref = c.T @ c / (n_draws - 1)
+    k = len(taus)
+    se_ref = np.array([[np.std(c[:, i] * c[:, j], ddof=1) / np.sqrt(n_draws)
+                        for j in range(k)] for i in range(k)])
+    scale = np.sqrt(np.outer(np.diag(cov_ref), np.diag(cov_ref)))
+    assert np.all(np.abs(cov - cov_ref) <= 1e-12 * scale)
+    assert np.all(np.abs(se - se_ref) <= 1e-12 * se_ref)
+
+
+@pytest.mark.parametrize("n_draws", [200_000, 800_000])
+def test_autocov_monte_carlo_memory_does_not_grow_with_draws(n_draws):
+    # the draws are streamed in blocks: no (n_draws, k) or (n_draws, n) array
+    m, u, taus = _autocov_case()
+    noise = _AUTOCOV_NOISES["gaussian"]
+    zeta_covariance_mc(m, noise, u, taus, 1_000, seed=1)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        zeta_covariance_mc(m, noise, u, taus, n_draws, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (1 << 20)
+
+
+def test_zeta_covariance_mc_needs_two_draws():
+    m, u, taus = _autocov_case()
+    noise = _AUTOCOV_NOISES["gaussian"]
+    with pytest.raises(ParameterError):
+        zeta_covariance_mc(m, noise, u, taus, 1, seed=1)
+
+
+def test_autocov_nominal_false_failure_rate():
+    # 2 Phi(-3) per lag pair, independence across k distinct pairs
+    assert _autocov_false_failure_rate(1) == pytest.approx(2.6997960632601e-3, rel=1e-12)
+    assert _autocov_false_failure_rate(15) == pytest.approx(0.03974048822149845, rel=1e-12)
+    rep = run_validation(_small_config(L_values=(3,), T_values=(150,)), autocov_draws=2_000,
+                         m4_directions=2, m4_samples=2_000, coverage_trials=3)
+    details = rep["checks"][0]["details"]
+    assert details["nominal_false_failure_rate"] == _autocov_false_failure_rate(15)
+    assert details["nominal_rate_basis"] == "independence approximation"
 
 
 # ------------------------------------------------------ final-output moments
