@@ -16,6 +16,7 @@ from .estimator import (
     FitResult,
     bound_data_dependent,
     bound_terms,
+    bound_terms_batch,
     design_from_inputs,
     effective_noise_autocov,
     ellipsoidal_error,
@@ -67,7 +68,6 @@ from .sysmodel import (
     StateSpaceModel,
     Trajectory,
     controllability_gramian,
-    default_decay_rate,
     derive_rng,
     markov_params,
     random_model,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,12 @@ from .sysmodel import (
     Trajectory,
     _as_columns,
     _input_gramians,
+    _markov_blocks,
+    _require_stable,
+    _spectral_norms,
+    _spectral_radii,
     _truncated_gramians,
     controllability_gramian,
-    default_decay_rate,
     markov_params,
     transient_factor,
 )
@@ -326,6 +329,10 @@ class BoundTerms:
 
         Xi = sigma_z^2 + 3 ||Sigma_w|| ||F||_F^2 beta^2 L (1 + phi rho^L/(1-rho))
              + 2 ||Gamma_w_inf|| ||C A^L||^2 beta^2 phi/(1-rho).
+
+    F_fro_sq = ||F||_F^2, CAL_sq = ||C A^L||^2 and sigma_w_norm =
+    ||Sigma_w|| are kept for prediction_bound; to_dict reports the other
+    eight.
     """
 
     sigma_w_sq: float
@@ -336,45 +343,84 @@ class BoundTerms:
     rho: float
     phi: float
     delta: float
+    F_fro_sq: float
+    CAL_sq: float
+    sigma_w_norm: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in
+                ("sigma_w_sq", "sigma_e_sq", "K", "Xi", "beta", "rho", "phi", "delta")}
 
 
 def bound_terms(model: StateSpaceModel, noise: NoiseSpec, L: int, beta: float,
                 delta: float, rho: float | None = None) -> BoundTerms:
-    """Evaluate every constant the error bound needs.
+    """Evaluate every constant the error bound needs: the batch of one of
+    bound_terms_batch.
 
     rho defaults to halfway between the spectral radius and one.
     """
+    return bound_terms_batch([model], noise, L, [beta], delta,
+                             None if rho is None else [rho])[0]
+
+
+def bound_terms_batch(models: Sequence[StateSpaceModel], noise: NoiseSpec, L: int,
+                      betas: Sequence[float], delta: float,
+                      rhos: Sequence[float] | None = None) -> list[BoundTerms]:
+    """bound_terms of every model of a batch sharing n and p, models[j] with
+    input bound betas[j] and decay rate rhos[j] (by default halfway between
+    its spectral radius and one).
+
+    Every argument is checked before any constant is computed (L, delta,
+    every beta, then model by model stability and rho), so a bad one
+    raises the ParameterError its batch of one raises.  Then one stacked
+    pass takes the spectral radii, the transient scans and the Smith
+    doublings (each model stopping at its own step), the Markov blocks,
+    C A^L and the 2-norms, each bitwise its own model's 2-D computation,
+    so a model's terms do not depend on its batch.
+    """
+    models = list(models)
+    if not models or len(betas) != len(models) or (rhos is not None
+                                                  and len(rhos) != len(models)):
+        raise ParameterError("bound_terms_batch needs at least one model, and one beta "
+                             "(and rho, when given) per model")
+    if any(m.n != models[0].n or m.p != models[0].p for m in models):
+        raise ParameterError("the models of a batch must share n and p")
     if L < 1:
         raise ParameterError("L must be >= 1")
     if not (0.0 < delta < 1.0):
         raise ParameterError("delta must lie in (0, 1)")
-    if beta <= 0.0:
+    if any(beta <= 0.0 for beta in betas):
         raise ParameterError("beta must be positive")
-    sr = model.require_stable()
-    if rho is None:
-        rho = default_decay_rate(model)
-    if not (sr < rho < 1.0):
-        raise ParameterError(f"rho must lie in (spectral radius, 1), got {rho}")
-    phi = transient_factor(model.A, rho)
-    mp = markov_params(model, L)
-    F_fro_sq = float(np.linalg.norm(mp.F)) ** 2
-    CAL = model.C @ np.linalg.matrix_power(model.A, L)
-    CAL_sq = float(np.linalg.norm(CAL, 2)) ** 2
+    A = np.stack([m.A for m in models])
+    rates = []
+    for j, sr in enumerate(_spectral_radii(A)):
+        sr = _require_stable(float(sr))
+        rho = 0.5 * (1.0 + sr) if rhos is None else rhos[j]
+        if not (sr < rho < 1.0):
+            raise ParameterError(f"rho must lie in (spectral radius, 1), got {rho}")
+        rates.append(rho)
+    B, C = np.stack([m.B for m in models]), np.stack([m.C for m in models])
+    phis = transient_factor(A, rates).tolist()
+    gamma_inf_norms = _spectral_norms(controllability_gramian(models, noise.sigma_w)).tolist()
+    F = _markov_blocks(A, B, C, L)[1].reshape(len(models), 1, -1)
+    # each flattened F_j times its transpose is the dot product np.linalg.norm(F_j) takes
+    F_norms = np.sqrt(F @ F.transpose(0, 2, 1))[:, 0, 0].tolist()
+    CAL_norms = _spectral_norms(C @ np.linalg.matrix_power(A, L)).tolist()
+    Ks = np.maximum(_spectral_norms(B), _spectral_norms(C)).tolist()
     sigma_w_norm = float(np.linalg.norm(noise.sigma_w, 2))
-    gamma_inf_norm = float(np.linalg.norm(
-        controllability_gramian(model, noise.sigma_w), 2))
-    tail = phi * rho**L / (1.0 - rho)
-    sigma_w_sq = sigma_w_norm * F_fro_sq * (1.0 + tail)
-    sigma_e_sq = gamma_inf_norm * CAL_sq * phi / (1.0 - rho)
-    K = max(float(np.linalg.norm(model.B, 2)), float(np.linalg.norm(model.C, 2)))
-    Xi = (noise.sigma_z**2
-          + 3.0 * sigma_w_norm * F_fro_sq * beta**2 * L * (1.0 + tail)
-          + 2.0 * gamma_inf_norm * CAL_sq * beta**2 * phi / (1.0 - rho))
-    return BoundTerms(sigma_w_sq=sigma_w_sq, sigma_e_sq=sigma_e_sq, K=K, Xi=Xi,
-                      beta=beta, rho=rho, phi=phi, delta=delta)
+    terms = []
+    for beta, rho, phi, gamma_inf_norm, F_norm, CAL_norm, K in zip(
+            betas, rates, phis, gamma_inf_norms, F_norms, CAL_norms, Ks):
+        F_fro_sq, CAL_sq = F_norm ** 2, CAL_norm ** 2
+        tail = phi * rho**L / (1.0 - rho)
+        Xi = (noise.sigma_z**2
+              + 3.0 * sigma_w_norm * F_fro_sq * beta**2 * L * (1.0 + tail)
+              + 2.0 * gamma_inf_norm * CAL_sq * beta**2 * phi / (1.0 - rho))
+        terms.append(BoundTerms(sigma_w_sq=sigma_w_norm * F_fro_sq * (1.0 + tail),
+                                sigma_e_sq=gamma_inf_norm * CAL_sq * phi / (1.0 - rho),
+                                K=K, Xi=Xi, beta=beta, rho=rho, phi=phi, delta=delta,
+                                F_fro_sq=F_fro_sq, CAL_sq=CAL_sq, sigma_w_norm=sigma_w_norm))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -421,17 +467,23 @@ class FitResult:
 
 
 def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
-        delta: float, beta: float | None = None) -> FitResult:
+        delta: float, beta: float | None = None,
+        terms: BoundTerms | None = None) -> FitResult:
     """Design, least-squares G and, for a full-rank fit, the data-dependent
-    error bound; beta defaults to the largest input norm of the trajectory."""
+    error bound.  Its constants are terms, when the caller has them (from
+    bound_terms_batch, for this model, L and delta), or else
+    bound_terms(model, noise, L, beta, delta), with beta defaulting to the
+    largest input norm of the trajectory."""
     design = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(design)
     G = markov_params(model, L).G
-    terms = bound = None
-    if report.solver_mode == "full_rank":
-        if beta is None:
-            beta = empirical_input_bound(traj.u)
-        terms = bound_terms(model, noise, L, beta, delta)
+    if report.solver_mode != "full_rank":
+        terms = bound = None
+    else:
+        if terms is None:
+            if beta is None:
+                beta = empirical_input_bound(traj.u)
+            terms = bound_terms(model, noise, L, beta, delta)
         bound = bound_data_dependent(model, terms, L, design.T, lambda_min=report.lambda_min)
     return FitResult(design=design, report=report, G=G,
                      err_fro=float(np.linalg.norm(report.G_hat - G)), terms=terms, bound=bound)
@@ -473,18 +525,19 @@ def prediction_state_norms(models: Sequence[StateSpaceModel], noise: NoiseSpec,
     return np.linalg.norm(gamma_u + gamma_w, 2, axis=(1, 2))
 
 
-def prediction_bound(fit: FitResult, err: float, model: StateSpaceModel, noise: NoiseSpec,
-                     traj: Trajectory, u_next: np.ndarray, state_norm: float) -> float | None:
+def prediction_bound(fit: FitResult, err: float, noise: NoiseSpec, traj: Trajectory,
+                     u_next: np.ndarray, state_norm: float) -> float | None:
     """Mean-squared-error bound for the one-step prediction (oracle mode):
 
         2 ||vec(G_hat) - vec(G)||_V^2 ||ubar_T (x) u_{T+1}||_{V^-1}^2
         + 2 beta^2 ||C A^L||^2 ||Gamma_u^(T) + Gamma_w^(T)||
         + beta^2 ||Sigma_w|| ||F||_F^2 + sigma_z^2.
 
-    fit is the fit of traj by model, err its design-weighted error
+    fit is the fit of traj by its model, err its design-weighted error
     ellipsoidal_error(fit.report.G_hat, fit.G, fit.design), state_norm
-    the model's prediction_state_norms entry for traj.u, and beta the
-    fit's fit.terms.beta, which must cover u_next as well: fit with
+    the model's prediction_state_norms entry for traj.u, and beta,
+    ||C A^L||^2, ||Sigma_w|| and ||F||_F^2 the fit's fit.terms; beta must
+    cover u_next as well: fit with
     beta = max(empirical_input_bound(traj.u), ||u_next||).  Requires the
     true G (validation facility).  A min_norm fit, whose Gram matrix is
     singular, has no bound: None.
@@ -495,11 +548,10 @@ def prediction_bound(fit: FitResult, err: float, model: StateSpaceModel, noise: 
     ubar = stack_recent_inputs(traj.u, T, L)
     k = np.kron(ubar, np.asarray(u_next, dtype=float).ravel())
     k_weight = float(k @ np.linalg.solve(fit.design.gram(), k))
-    mp = markov_params(model, L)
-    CAL = model.C @ np.linalg.matrix_power(model.A, L)
+    terms = fit.terms
     return (2.0 * err**2 * k_weight
-            + 2.0 * beta**2 * float(np.linalg.norm(CAL, 2))**2 * float(state_norm)
-            + beta**2 * float(np.linalg.norm(noise.sigma_w, 2)) * float(np.linalg.norm(mp.F))**2
+            + 2.0 * beta**2 * terms.CAL_sq * float(state_norm)
+            + beta**2 * terms.sigma_w_norm * terms.F_fro_sq
             + noise.sigma_z**2)
 
 

@@ -374,7 +374,11 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
     Vectorized over draws; one process/measurement noise draw per step in
     a fixed order, so the result is fully determined by the seed.  Every
     step draws its noise into the same buffers and steps the states in
-    place, instead of allocating fresh (n_draws, n) arrays.
+    place, instead of allocating fresh arrays.  The states are held
+    state-major, (n, n_draws), where A x and the added input drive run
+    several times faster than on (n_draws, n) rows and give the same bits;
+    an output is read from a (n_draws, n) copy of the states, rows, since
+    the product with the state-major array can differ in the last bit.
     """
     u = _as_columns(u)
     times = sorted(set(int(t) for t in times))
@@ -383,19 +387,21 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
         raise ParameterError("requested time beyond the input sequence")
     rng = np.random.default_rng(seed)
     A, B, C = model.A, model.B, model.C
-    x = np.zeros((n_draws, model.n))
-    x_next, w_t = np.empty_like(x), np.empty_like(x)
+    x = np.zeros((model.n, n_draws))
+    x_next = np.empty_like(x)
+    rows = np.empty((n_draws, model.n))  # an output step's states, then each step's w_t
     z_t = np.empty(n_draws)
     out = np.zeros((n_draws, len(times)))
     col = {t: k for k, t in enumerate(times)}
     for t in range(t_max + 1):
         noise.sample_z(n_draws, rng, out=z_t)
         if t in col:
-            out[:, col[t]] = (x @ (C.T @ u[t])) + z_t
-        noise.sample_w(n_draws, rng, out=w_t)
-        np.matmul(x, A.T, out=x_next)
-        x_next += B @ u[t]
-        x_next += w_t
+            np.stack(x, axis=1, out=rows)
+            out[:, col[t]] = (rows @ (C.T @ u[t])) + z_t
+        w_t = noise.sample_w(n_draws, rng, out=rows)
+        np.matmul(A, x, out=x_next)
+        x_next += (B @ u[t])[:, None]
+        x_next += w_t.T
         x, x_next = x_next, x
     return out
 
@@ -513,10 +519,13 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     E(y_hat - y)^2 = (y_hat - E y)^2 + Var y, is compared against its
     bound.  It depends on the noise through its first two moments only,
     so _final_output_moments gives it exactly for every noise family.
-    The oracles read only models and inputs, so every trial's state norm
-    (estimator.prediction_state_norms) and output moments come from one
-    batched call each before any fit; then the trials are mapped over
-    threads, and each fit is dropped once its trial is checked.
+    The oracles and the bound constants read only models and inputs, so
+    every trial's state norm (estimator.prediction_state_norms), output
+    moments and bound constants (estimator.bound_terms_batch, with
+    beta = max(empirical_input_bound(u), ||u_next||)) come from one batched
+    call each before any fit; then the trials are mapped over threads,
+    each fit takes its trial's constants, and each fit is dropped once its
+    trial is checked.
     """
     L, T = config.L_values[0], config.T_values[0]
     noise = config.noise.to_spec(config.n)
@@ -531,14 +540,15 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     us = np.stack([np.vstack([traj.u, u_next]) for traj, u_next in zip(trajs, u_nexts)])
     state_norms = estimator.prediction_state_norms(models, noise, us[:, :-1])
     means, variances = _final_output_moments(models, noise, us)
+    betas = [max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
+             for traj, u_next in zip(trajs, u_nexts)]
+    terms = estimator.bound_terms_batch(models, noise, L, betas, config.delta)
 
     def one(j: int) -> CoverageTrial:
         model, u_next, traj = models[j], u_nexts[j], trajs[j]
-        beta = max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
-        fit = estimator.fit(model, noise, traj, L, config.delta, beta=beta)
+        fit = estimator.fit(model, noise, traj, L, config.delta, terms=terms[j])
         err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
-        pred_bound = estimator.prediction_bound(fit, err, model, noise, traj, u_next,
-                                                state_norms[j])
+        pred_bound = estimator.prediction_bound(fit, err, noise, traj, u_next, state_norms[j])
         if pred_bound is None:
             return CoverageTrial(err_ellipsoidal=err, bound_value=math.nan, covered=False,
                                  pred_mse=None, pred_bound=None, pred_ok=None)
@@ -557,6 +567,23 @@ def _autocov_false_failure_rate(pairs: int) -> float:
     erfc(3/sqrt(2)) per pair).  An independence approximation: the pairs'
     estimates share draws and are correlated."""
     return 1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** pairs
+
+
+def _coverage_false_failure_rate(trials: int, delta: float, target: float) -> float:
+    """Probability that the coverage check fails when each of `trials`
+    independent trials misses its bound with probability delta: the
+    Bin(trials, delta) mass of the miss counts at which the check's own
+    comparison, frequency - target >= 0, fails.  Each trial is covered
+    with probability at least 1 - delta, so this is an upper bound on the
+    check's false-failure rate."""
+    log_miss, log_hit = math.log(delta), math.log1p(-delta)
+    rate = 0.0
+    for misses in range(trials + 1):
+        if not ((trials - misses) / trials - target >= 0.0):
+            rate += math.exp(math.lgamma(trials + 1) - math.lgamma(misses + 1)
+                             - math.lgamma(trials - misses + 1)
+                             + misses * log_miss + (trials - misses) * log_hit)
+    return rate
 
 
 def _check(name: str, margin: float, details: dict) -> dict:
@@ -644,7 +671,10 @@ def run_validation(config: ExperimentConfig,
     checks.append(_check("bound_coverage", frequency - target,
                          {"frequency": frequency, "target": target, "trials": coverage_trials,
                           "err_bound_ratio_median": median,
-                          "err_bound_ratio_max": ratios[-1] if k else None}))
+                          "err_bound_ratio_max": ratios[-1] if k else None,
+                          "nominal_false_failure_rate": _coverage_false_failure_rate(
+                              coverage_trials, delta, target),
+                          "nominal_rate_basis": "upper bound"}))
     # np.min, not min: a NaN gap must give a NaN margin wherever it falls
     gaps = [t.pred_bound - t.pred_mse for t in pred_checked]
     checks.append(_check("prediction_bound", float(np.min(gaps)) if gaps else float("nan"),

@@ -16,6 +16,7 @@ controllability Gramians).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,23 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
 
 
-def _spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of M: the value np.linalg.norm(M, 2) returns,
-    without its axis handling."""
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+def _spectral_radii(A: np.ndarray) -> np.ndarray:
+    """Spectral radius of every matrix of the (k, n, n) stack A, each
+    bitwise the spectral_radius of its own matrix."""
+    return np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
+
+
+def _spectral_norms(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of the (k, r, c) stack M:
+    the values np.linalg.norm(M_j, 2) returns, without its axis handling."""
+    return np.linalg.svd(M, compute_uv=False)[:, 0]
+
+
+def _require_stable(radius: float) -> float:
+    """radius, raising unless it is strictly below one."""
+    if radius >= 1.0:
+        raise ParameterError(f"operation requires spectral radius < 1, got {radius:.6g}")
+    return radius
 
 
 def _input_drive(B: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
@@ -118,10 +132,7 @@ class StateSpaceModel:
 
         Bound and Gramian computations call this; simulation does not.
         """
-        rho = self.spectral_radius()
-        if rho >= 1.0:
-            raise ParameterError(f"operation requires spectral radius < 1, got {rho:.6g}")
-        return rho
+        return _require_stable(self.spectral_radius())
 
 
 def _psd_factor(S: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -457,22 +468,31 @@ def simulate_batch(models, noise: NoiseSpec, inputs, T: int, seeds,
     return trajectories
 
 
+def _markov_blocks(A: np.ndarray, B: np.ndarray, C: np.ndarray,
+                   L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, F) stacks, (k, p, pL) and (k, p, nL), of the models given by the
+    stacks A (k, n, n), B (k, n, p) and C (k, p, n): the blocks C A^i B and
+    C A^i for i < L by iterated multiplication, all k models through one
+    stacked product per factor and step, each bitwise its own 2-D product."""
+    G, F = [], []
+    CAi = C
+    for _ in range(L):
+        F.append(CAi)
+        G.append(CAi @ B)
+        CAi = CAi @ A
+    return np.concatenate(G, axis=-1), np.concatenate(F, axis=-1)
+
+
 def markov_params(model: StateSpaceModel, L: int) -> MarkovParams:
-    """First L impulse-response blocks, by iterated multiplication."""
+    """First L impulse-response blocks, by iterated multiplication: the
+    batch of one of _markov_blocks."""
     if L < 1:
         raise ParameterError("L must be >= 1")
-    n, p = model.n, model.p
-    G = np.zeros((p, p * L))
-    F = np.zeros((p, n * L))
-    CAi = model.C.copy()
-    for i in range(L):
-        F[:, i * n:(i + 1) * n] = CAi
-        G[:, i * p:(i + 1) * p] = CAi @ model.B
-        CAi = CAi @ model.A
-    return MarkovParams(G=G, F=F, L=L)
+    G, F = _markov_blocks(model.A[None], model.B[None], model.C[None], L)
+    return MarkovParams(G=G[0], F=F[0], L=L)
 
 
-def transient_factor(A: np.ndarray, rho: float) -> float:
+def transient_factor(A: np.ndarray, rho: float | Sequence[float]) -> float | np.ndarray:
     """Worst-case transient amplification sup_k ||A^k|| / rho^k.
 
     Requires spectral_radius(A) < rho < 1 (otherwise the supremum may be
@@ -481,22 +501,40 @@ def transient_factor(A: np.ndarray, rho: float) -> float:
     submultiplicativity every later power M^(qK+r) has norm below
     ||M^r||, a term already seen, so the running supremum is final.
     Raises NumericalError when no such K appears within 2,000,000 powers.
+
+    A may also be a (k, n, n) stack with one rate per matrix in rho; the
+    result is then the array of the k factors.  The scans step together,
+    one stacked product and one stacked SVD per power, and each matrix
+    leaves the stack at its own K, so every factor is bitwise the one its
+    matrix gets alone.  A 2-D A is the batch of one.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    sr = spectral_radius(A)
-    if not (sr < rho < 1.0):
-        raise ParameterError(
-            f"need spectral_radius(A) < rho < 1, got spectral radius {sr:.6g}, rho {rho}")
+    A = np.asarray(A, dtype=float)
+    single = A.ndim < 3
+    A = np.atleast_2d(A)[None] if single else A
+    rho = np.asarray(rho, dtype=float).reshape(-1)
+    if rho.shape != A.shape[:1]:
+        raise ParameterError("transient_factor needs one rho per matrix")
+    for sr, r in zip(_spectral_radii(A), rho):
+        if not (sr < r < 1.0):
+            raise ParameterError(
+                f"need spectral_radius(A) < rho < 1, got spectral radius {sr:.6g}, rho {r}")
     cap = 2_000_000
-    M = A / rho
-    power = np.eye(A.shape[0])
-    sup = 1.0  # k = 0 term
+    M = A / rho[:, None, None]
+    power = np.empty_like(M)
+    power[:] = np.eye(A.shape[1])
+    sup, phi = np.ones(len(M)), np.empty(len(M))  # running suprema from the k = 0 terms
+    todo = np.arange(len(M))  # the matrices of M, power and sup, still scanning
     for _ in range(cap):
         power = power @ M
-        norm = _spectral_norm(power)
-        if norm < 1.0:
-            return sup
-        sup = max(sup, norm)
+        norms = _spectral_norms(power)
+        done = norms < 1.0
+        if done.any():
+            phi[todo[done]] = sup[done]
+            keep = ~done
+            if not keep.any():
+                return float(phi[0]) if single else phi
+            todo, power, M, sup, norms = todo[keep], power[keep], M[keep], sup[keep], norms[keep]
+        np.maximum(sup, norms, out=sup)
     raise NumericalError(f"transient factor scan did not certify decay within {cap} powers")
 
 
@@ -539,38 +577,62 @@ def _input_gramians(A: np.ndarray, B: np.ndarray, u: np.ndarray) -> np.ndarray:
     return s * s.transpose(0, 2, 1)
 
 
-def controllability_gramian(model: StateSpaceModel, sigma_w: np.ndarray,
-                            horizon: int | None = None) -> np.ndarray:
+def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
+    """Gamma^inf = sum_{i>=0} A_j^i sigma_w (A_j^i)^T, symmetrized, for every
+    A_j of the (k, n, n) stack A of stable matrices, by Smith doubling:
+    X <- X + A_k X A_k^T with A_k <- A_k^2, so that after s steps X sums
+    the first 2^s terms.  A model's sum stops once its added term is at
+    most 1e-13 of ||X|| (2-norm); NumericalError if any takes more than 64
+    doublings.  The sums step together, one stacked product per factor
+    and step, and each model leaves the stack at its own step, so every
+    Gramian is bitwise the one its model gets alone.
+    """
+    X = np.empty_like(A)
+    X[:] = sigma_w
+    Ak, G = A, np.empty_like(A)
+    todo = np.arange(len(A))  # the models of X and Ak, still doubling
+    tiny = np.finfo(float).tiny
+    for _ in range(64):
+        term = Ak @ X @ Ak.transpose(0, 2, 1)
+        X = X + term
+        Ak = Ak @ Ak
+        done = _spectral_norms(term) <= 1e-13 * np.maximum(_spectral_norms(X), tiny)
+        if done.any():
+            G[todo[done]] = X[done]
+            keep = ~done
+            if not keep.any():
+                return 0.5 * (G + G.transpose(0, 2, 1))
+            todo, X, Ak = todo[keep], X[keep], Ak[keep]
+    raise NumericalError("Gramian doubling did not converge in 64 steps")
+
+
+def controllability_gramian(model: StateSpaceModel | Sequence[StateSpaceModel],
+                            sigma_w: np.ndarray, horizon: int | None = None) -> np.ndarray:
     """Gramian sum_i A^i sigma_w (A^i)^T.
 
     horizon=None gives the infinite sum, the fixed point of
     X -> A X A^T + sigma_w (requires spectral radius < 1), by Smith
-    doubling: X <- X + A_k X A_k^T with A_k <- A_k^2, so that after k
-    steps X sums the first 2^k terms.  It stops once the added term is at
-    most 1e-13 of ||X|| (2-norm) and raises NumericalError if that takes
-    more than 64 doublings.  An integer horizon gives the exact truncated
-    sum over i = 0..horizon, added in the order i = 0..horizon: the batch
-    of one of _truncated_gramians.
+    doubling (_infinite_gramians).  An integer horizon gives the exact
+    truncated sum over i = 0..horizon, added in the order i = 0..horizon
+    (_truncated_gramians).
+
+    model may also be a sequence of models sharing n; the result is then
+    the (k, n, n) stack of their Gramians, each bitwise the one its model
+    gets alone.  One model is the batch of one.
     """
-    A = model.A
-    S = _as_matrix(sigma_w, rows=model.n, cols=model.n, name="sigma_w")
+    single = isinstance(model, StateSpaceModel)
+    models = [model] if single else list(model)
+    if not models or any(m.n != models[0].n for m in models):
+        raise ParameterError("a batch of Gramians needs at least one model, all sharing n")
+    n = models[0].n
+    A = np.stack([m.A for m in models])
+    S = _as_matrix(sigma_w, rows=n, cols=n, name="sigma_w")
     if horizon is not None:
         if horizon < 0:
             raise ParameterError("horizon must be >= 0")
-        return _truncated_gramians(A[None], S, horizon)[0]
-    model.require_stable()
-    X, Ak = S, A
-    for _ in range(64):
-        term = Ak @ X @ Ak.T
-        X = X + term
-        Ak = Ak @ Ak
-        scale = max(_spectral_norm(X), np.finfo(float).tiny)
-        if _spectral_norm(term) <= 1e-13 * scale:
-            return 0.5 * (X + X.T)
-    raise NumericalError("Gramian doubling did not converge in 64 steps")
-
-
-def default_decay_rate(model: StateSpaceModel) -> float:
-    """Default decay rate used by the bounds: halfway between the spectral
-    radius and one."""
-    return 0.5 * (1.0 + model.require_stable())
+        gramians = _truncated_gramians(A, S, horizon)
+    else:
+        for radius in _spectral_radii(A):
+            _require_stable(radius)
+        gramians = _infinite_gramians(A, S)
+    return gramians[0] if single else gramians

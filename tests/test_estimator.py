@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +21,8 @@ from bilinid import (
     StateSpaceModel,
     bound_data_dependent,
     bound_terms,
+    bound_terms_batch,
+    controllability_gramian,
     effective_noise_autocov,
     ellipsoidal_error,
     empirical_input_bound,
@@ -32,9 +34,11 @@ from bilinid import (
     random_model,
     simulate,
     spectral_radius,
+    transient_factor,
 )
 from bilinid import estimator
 from bilinid.estimator import (
+    BoundTerms,
     DesignSystem,
     design_from_inputs,
     prediction_state_norms,
@@ -533,6 +537,110 @@ def test_bound_terms_precondition_errors():
         bound_terms(unstable, NoiseSpec.gaussian([[1.0]], 1.0), 4, beta=1.0, delta=0.1)
 
 
+def _loop_transient_factor(A, rho):
+    # sup_k ||(A/rho)^k||, scanned until the first power of norm below one
+    M, power, sup = A / rho, np.eye(len(A)), 1.0
+    while True:
+        power = power @ M
+        norm = float(np.linalg.norm(power, 2))
+        if norm < 1.0:
+            return sup
+        sup = max(sup, norm)
+
+
+def _loop_gramian(A, S):
+    # Smith doubling of sum_i A^i S (A^i)^T, one model at a time
+    X, Ak = S, A
+    while True:
+        term = Ak @ X @ Ak.T
+        X = X + term
+        Ak = Ak @ Ak
+        scale = max(float(np.linalg.norm(X, 2)), np.finfo(float).tiny)
+        if float(np.linalg.norm(term, 2)) <= 1e-13 * scale:
+            return 0.5 * (X + X.T)
+
+
+def _loop_bound_terms(model, noise, L, beta, delta):
+    # bound_terms of one model by 2-D computations: the oracle of the stacked pass
+    A, B, C = model.A, model.B, model.C
+    rho = 0.5 * (1.0 + spectral_radius(A))
+    phi = _loop_transient_factor(A, rho)
+    blocks, CAi = [], C
+    for _ in range(L):
+        blocks.append(CAi)
+        CAi = CAi @ A
+    F_fro_sq = float(np.linalg.norm(np.hstack(blocks))) ** 2
+    CAL_sq = float(np.linalg.norm(C @ np.linalg.matrix_power(A, L), 2)) ** 2
+    sigma_w_norm = float(np.linalg.norm(noise.sigma_w, 2))
+    gamma_inf_norm = float(np.linalg.norm(_loop_gramian(A, noise.sigma_w), 2))
+    tail = phi * rho**L / (1.0 - rho)
+    Xi = (noise.sigma_z**2
+          + 3.0 * sigma_w_norm * F_fro_sq * beta**2 * L * (1.0 + tail)
+          + 2.0 * gamma_inf_norm * CAL_sq * beta**2 * phi / (1.0 - rho))
+    return BoundTerms(sigma_w_sq=sigma_w_norm * F_fro_sq * (1.0 + tail),
+                      sigma_e_sq=gamma_inf_norm * CAL_sq * phi / (1.0 - rho),
+                      K=max(float(np.linalg.norm(B, 2)), float(np.linalg.norm(C, 2))),
+                      Xi=Xi, beta=beta, rho=rho, phi=phi, delta=delta, F_fro_sq=F_fro_sq,
+                      CAL_sq=CAL_sq, sigma_w_norm=sigma_w_norm)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 6), p=st.integers(1, 3), L=st.integers(1, 8), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_bound_constants_equal_their_loops_bitwise(n, p, L, k, seed):
+    # non-normal models of spectral radii up to 0.99 in one batch, so their
+    # transient scans and doublings stop at different steps
+    rng = np.random.default_rng(seed)
+    models = []
+    for radius in [0.99, *rng.uniform(0.0, 0.99, k - 1)]:
+        A = rng.standard_normal((n, n))
+        A *= radius / spectral_radius(A)
+        models.append(StateSpaceModel(A=A, B=rng.standard_normal((n, p)),
+                                      C=rng.standard_normal((p, n))))
+    R = rng.standard_normal((n, n))
+    noise = NoiseSpec.gaussian(R @ R.T, float(rng.uniform(0.0, 2.0)))
+    betas = [float(b) for b in rng.uniform(0.5, 3.0, k)]
+    oracle = [_loop_bound_terms(m, noise, L, b, 0.1) for m, b in zip(models, betas)]
+    assert bound_terms_batch(models, noise, L, betas, 0.1) == oracle
+    assert [bound_terms(m, noise, L, b, 0.1) for m, b in zip(models, betas)] == oracle
+    A = np.stack([m.A for m in models])
+    phis = transient_factor(A, [t.rho for t in oracle])
+    gramians = controllability_gramian(models, noise.sigma_w)
+    for j, m in enumerate(models):
+        assert phis[j] == transient_factor(m.A, oracle[j].rho) == oracle[j].phi
+        assert np.array_equal(gramians[j], _loop_gramian(m.A, noise.sigma_w))
+        assert np.array_equal(controllability_gramian(m, noise.sigma_w), gramians[j])
+
+
+@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("bad", ["unstable", "rho", "beta", "delta"])
+def test_bound_terms_batch_checks_every_model_before_any_scan(bad, j, monkeypatch):
+    # a bad argument anywhere raises the error its batch of one raises, and
+    # no constant is computed first
+    models = [random_model(3, 2, 0.9, seed=s) for s in range(3)]
+    noise = NoiseSpec.gaussian(np.eye(3), 1.0)
+    betas, rhos, delta = [1.0] * 3, [0.95] * 3, 0.1
+    if bad == "unstable":
+        models[j] = StateSpaceModel(A=1.1 * np.eye(3), B=np.ones((3, 2)), C=np.ones((2, 3)))
+    elif bad == "rho":
+        rhos[j] = models[j].spectral_radius() / 2
+    elif bad == "beta":
+        betas[j] = -1.0
+    else:
+        delta = 1.5
+    with pytest.raises(ParameterError) as alone:
+        bound_terms(models[j], noise, 4, betas[j], delta, rho=rhos[j])
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a constant was computed before every argument was checked")
+
+    for name in ("transient_factor", "controllability_gramian", "_markov_blocks"):
+        monkeypatch.setattr(estimator, name, no_scan)
+    with pytest.raises(ParameterError) as batch:
+        bound_terms_batch(models, noise, 4, betas, delta, rhos)
+    assert str(batch.value) == str(alone.value)
+
+
 def test_input_bound_helpers():
     u = np.array([[3.0, 4.0], [1.0, 0.0]])
     assert empirical_input_bound(u) == 5.0
@@ -643,6 +751,15 @@ def _is_column_gram(node) -> bool:
 def test_fit_is_the_one_path_to_the_bound():
     assert _callers("bound_data_dependent") == [("estimator", "fit")]
     assert _callers("bound_terms") == [("estimator", "fit")]
+    assert _callers("bound_terms_batch") == [("estimator", "bound_terms"),
+                                             ("experiments", "bound_coverage_trials")]
+
+
+def test_prediction_bound_reads_the_fits_constants():
+    # each model constant has one owner: fit forms G, the constants pass the
+    # rest, and prediction_bound does arithmetic on the fit's terms
+    assert [c for c in _callers("markov_params") if c[0] == "estimator"] == [("estimator", "fit")]
+    assert ("estimator", "prediction_bound") not in _callers("matrix_power")
 
 
 def test_column_gram_detects_every_spelling():
@@ -733,7 +850,7 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     f = fit(m, noise, traj, L, delta=0.1, beta=beta)
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
     (state_norm,) = prediction_state_norms([m], noise, traj.u[None])
-    bound = prediction_bound(f, err, m, noise, traj, u_next, state_norm)
+    bound = prediction_bound(f, err, noise, traj, u_next, state_norm)
     assert bound is not None
     y_hat = predict(f.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
     ys = batch_simulate_outputs(m, noise, u_full, [T + 1], 100_000, 34)
@@ -751,7 +868,7 @@ def test_prediction_bound_omitted_when_gram_singular():
     f = fit(m, noise, traj, L, delta=0.1)
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
     (state_norm,) = prediction_state_norms([m], noise, traj.u[None])
-    assert prediction_bound(f, err, m, noise, traj, u_next, state_norm) is None
+    assert prediction_bound(f, err, noise, traj, u_next, state_norm) is None
 
 
 def _prediction_batch(k, T=80, L=3, n=3, p=2):
@@ -785,9 +902,8 @@ def test_prediction_bound_batch_equals_batches_of_one(k):
     alone = [prediction_state_norms([m], noise, traj.u[None])[0]
              for m, traj in zip(models, trajs)]
     assert batch.tolist() == alone
-    bounds = [prediction_bound(f, err, m, noise, traj, u_next, state_norm)
-              for f, err, m, traj, u_next, state_norm
-              in zip(fits, errs, models, trajs, u_nexts, batch)]
+    bounds = [prediction_bound(f, err, noise, traj, u_next, state_norm)
+              for f, err, traj, u_next, state_norm in zip(fits, errs, trajs, u_nexts, batch)]
     assert [b is None for b in bounds] == [j == 1 for j in range(k)]
 
 

@@ -20,6 +20,7 @@ from bilinid.experiments import (
     InputConfig,
     NoiseConfig,
     _autocov_false_failure_rate,
+    _coverage_false_failure_rate,
     _final_output_moments,
     batch_simulate_outputs,
     bound_coverage_trials,
@@ -344,6 +345,57 @@ def test_autocov_nominal_false_failure_rate():
     details = rep["checks"][0]["details"]
     assert details["nominal_false_failure_rate"] == _autocov_false_failure_rate(15)
     assert details["nominal_rate_basis"] == "independence approximation"
+
+
+def test_coverage_nominal_false_failure_rate():
+    # Bin(trials, delta) mass of the miss counts the gate fails: at 10 trials
+    # and delta = 0.1 it fails from 2 misses (frequency 0.8 < 0.85) on
+    target = (1.0 - 0.1) - 0.05
+    assert _coverage_false_failure_rate(10, 0.1, target) == pytest.approx(
+        1.0 - 0.9**10 - 0.9**9, rel=1e-12)
+    tail = sum(math.comb(100, m) * 0.1**m * 0.9**(100 - m) for m in range(16, 101))
+    assert _coverage_false_failure_rate(100, 0.1, target) == pytest.approx(tail, rel=1e-12)
+    rep = run_validation(_small_config(L_values=(3,), T_values=(150,)), autocov_draws=2_000,
+                         m4_directions=2, m4_samples=2_000, coverage_trials=10)
+    details = rep["checks"][2]["details"]
+    assert details["nominal_false_failure_rate"] == _coverage_false_failure_rate(10, 0.1, target)
+    assert details["nominal_rate_basis"] == "upper bound"
+
+
+def _row_major_outputs(model, noise, u, times, n_draws, seed):
+    # the (n_draws, n) recursion that batch_simulate_outputs steps state-major
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n_draws, model.n))
+    out = np.zeros((n_draws, len(times)))
+    for t in range(max(times) + 1):
+        z = noise.sample_z(n_draws, rng)
+        if t in times:
+            out[:, times.index(t)] = (x @ (model.C.T @ u[t])) + z
+        w = noise.sample_w(n_draws, rng)
+        x = x @ model.A.T + model.B @ u[t] + w
+    return out
+
+
+_ROLLOUT_NOISES = {
+    "gaussian": lambda n: NoiseSpec.gaussian(0.3 * np.eye(n) + 0.1, 0.4),
+    "exponential": lambda n: NoiseSpec.exponential(n, rate=2.0),
+    "uncentered_exponential": lambda n: NoiseSpec.exponential(n, rate=2.0, centered=False),
+}
+
+
+@pytest.mark.parametrize("n_draws", [1, 1_000, MC_BLOCK_DRAWS + 3])
+@pytest.mark.parametrize("family", sorted(_ROLLOUT_NOISES))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_state_major_rollout_is_bitwise_the_row_major_recursion(n, family, n_draws):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    model = StateSpaceModel(A=A, B=rng.standard_normal((n, 2)), C=rng.standard_normal((2, n)))
+    noise = _ROLLOUT_NOISES[family](n)
+    u = rng.standard_normal((10, 2))
+    times = [2, 5, 9]
+    assert np.array_equal(batch_simulate_outputs(model, noise, u, times, n_draws, seed=7),
+                          _row_major_outputs(model, noise, u, times, n_draws, seed=7))
 
 
 # ------------------------------------------------------ final-output moments
