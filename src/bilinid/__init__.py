@@ -16,7 +16,6 @@ from .estimator import (
     FitResult,
     bound_data_dependent,
     bound_terms,
-    bound_terms_batch,
     design_from_inputs,
     effective_noise_autocov,
     ellipsoidal_error,

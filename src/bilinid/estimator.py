@@ -22,7 +22,9 @@ O((p^2 L)^2 + BLOCK_ROWS p^2 L) memory whatever T is.  Its squared
 residual y^T y - theta^T U^T y is accurate to about eps y^T y, and a Gram
 that is not certified full rank is solved by lstsq(V, U^T y,
 rcond=RANK_TOL); a design that keeps its rows falls back to LAPACK gelsd
-on U instead.
+on U instead.  Random inputs may be drawn block by block as well
+(design_from_inputs given an InputDesign), so that such a design never
+holds its input sequence either.
 
 Vectorization is column-major throughout, so that
 u^T G ubar = (ubar (x) u)^T vec(G) holds identically.
@@ -45,12 +47,14 @@ import numpy as np
 
 from .exceptions import NumericalError, ParameterError
 from .sysmodel import (
+    InputDesign,
     NoiseSpec,
     StateSpaceModel,
     Trajectory,
     _as_columns,
     _input_gramians,
     _markov_blocks,
+    _require_allocatable,
     _require_stable,
     _spectral_norms,
     _spectral_radii,
@@ -176,8 +180,20 @@ def _kron_rows(lags: list[np.ndarray], cur: np.ndarray,
     return buf.T
 
 
-def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> DesignSystem:
+def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None = None,
+                       T: int | None = None,
+                       rng: np.random.Generator | None = None) -> DesignSystem:
     """Build the Kronecker-row design from an input sequence u_0..u_T.
+
+    u is the (T+1, p) input array, or an InputDesign whose sequence u_0..u_T
+    is drawn from rng here, as simulate draws it: then T and rng are
+    required, no y is taken, and the generator is left where
+    u.sample_sequence(T, rng) leaves it.  A drawn sequence is never held
+    whole: u_0..u_L come from sample_sequence(L, rng) and each later block
+    of rows draws its own inputs with sample_iid into one window of
+    L + BLOCK_ROWS rows, which carries its last L rows over to the next
+    block.  The draws are bitwise those of sample_sequence(T, rng), so the
+    design is bitwise the one built from that array.
 
     y, when given, must hold the full output sequence y_0..y_T; the
     design uses the slice aligned with the rows.  A design of more than
@@ -185,13 +201,22 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
     keeps only its statistics (see DesignSystem).  A NaN or infinite
     input raises ParameterError; a Kronecker product beyond the float
     range, or a NaN or infinite output in that slice (an overflow of the
-    simulated system), raises NumericalError.
+    simulated system), raises NumericalError.  A buffer past numpy's size
+    limit raises MemoryError before any buffer is made.
     """
-    u = _as_columns(u)
-    if not np.all(np.isfinite(u)):
-        raise ParameterError("input sequence u must be finite")
-    T = u.shape[0] - 1
-    p = u.shape[1]
+    drawn = isinstance(u, InputDesign)
+    if drawn:
+        if T is None or rng is None or y is not None:
+            raise ParameterError("drawn inputs need T and rng, and take no outputs")
+        p = u.p
+    else:
+        if T is not None or rng is not None:
+            raise ParameterError("T and rng go with an InputDesign, not an input array")
+        u = _as_columns(u)
+        if not np.all(np.isfinite(u)):
+            raise ParameterError("input sequence u must be finite")
+        T = u.shape[0] - 1
+        p = u.shape[1]
     if L < 1:
         raise ParameterError("L must be >= 1")
     if T < L + 1:
@@ -204,18 +229,34 @@ def design_from_inputs(u: np.ndarray, L: int, y: np.ndarray | None = None) -> De
         y = y[L + 1: T + 1]
         if not np.all(np.isfinite(y)):
             raise NumericalError("output sequence y must be finite")
-    # Block j of ubar_{t-1} is u_{t-1-j}; sliding the row index gives u[L-j : T-j].
-    lags = [u[L - j: T - j] for j in range(L)]
-    cur = u[L + 1: T + 1]
-    block = rows if rows <= p * p * L else min(rows, BLOCK_ROWS)
-    buf = np.empty((p * p * L, block))
+    d = p * p * L
+    block = rows if rows <= d else min(rows, BLOCK_ROWS)
+    _require_allocatable(d, block)
+    buf = np.empty((d, block))
+
+    def windows():
+        # u_{start+1} .. u_{stop+L}, the inputs of rows start..stop-1, for
+        # every block [start, stop); u_0 enters no row
+        if not drawn:
+            for start in range(0, rows, block):
+                yield u[start + 1: min(start + block, rows) + L + 1]
+            return
+        window = np.empty((L + block, p))
+        window[:L] = u.sample_sequence(L, rng)[1:]
+        for start in range(0, rows, block):
+            count = min(block, rows - start)
+            u.sample_iid(count, rng, out=window[L:L + count])
+            yield window[:L + count]
+            window[:L] = window[count:count + L]
 
     def blocks():
-        for start in range(0, rows, block):
-            stop = min(start + block, rows)
-            U = _kron_rows([lag[start:stop] for lag in lags], cur[start:stop],
-                           out=buf[:, :stop - start])
-            yield U, None if y is None else y[start:stop]
+        # Row r of a window's block holds lag j u_{start+r+L-j} = window[r+L-1-j]
+        # and current input window[r+L].
+        for start, window in zip(range(0, rows, block), windows()):
+            count = window.shape[0] - L
+            lags = [window[L - 1 - j: L - 1 - j + count] for j in range(L)]
+            U = _kron_rows(lags, window[L:], out=buf[:, :count])
+            yield U, None if y is None else y[start:start + count]
 
     return DesignSystem.from_blocks(blocks(), L, T, p)
 
@@ -352,23 +393,16 @@ class BoundTerms:
                 ("sigma_w_sq", "sigma_e_sq", "K", "Xi", "beta", "rho", "phi", "delta")}
 
 
-def bound_terms(model: StateSpaceModel, noise: NoiseSpec, L: int, beta: float,
-                delta: float, rho: float | None = None) -> BoundTerms:
-    """Evaluate every constant the error bound needs: the batch of one of
-    bound_terms_batch.
+def bound_terms(model: StateSpaceModel | Sequence[StateSpaceModel], noise: NoiseSpec,
+                L: int, beta: float | Sequence[float], delta: float,
+                rho: float | Sequence[float] | None = None) -> BoundTerms | list[BoundTerms]:
+    """Evaluate every constant the error bound needs, for input bound beta
+    and decay rate rho (by default halfway between the spectral radius
+    and one).
 
-    rho defaults to halfway between the spectral radius and one.
-    """
-    return bound_terms_batch([model], noise, L, [beta], delta,
-                             None if rho is None else [rho])[0]
-
-
-def bound_terms_batch(models: Sequence[StateSpaceModel], noise: NoiseSpec, L: int,
-                      betas: Sequence[float], delta: float,
-                      rhos: Sequence[float] | None = None) -> list[BoundTerms]:
-    """bound_terms of every model of a batch sharing n and p, models[j] with
-    input bound betas[j] and decay rate rhos[j] (by default halfway between
-    its spectral radius and one).
+    model may also be a sequence of models sharing n and p, with one beta
+    (and one rho, when given) per model; the result is then the list of
+    their terms.  One model is the batch of one.
 
     Every argument is checked before any constant is computed (L, delta,
     every beta, then model by model stability and rho), so a bad one
@@ -378,10 +412,13 @@ def bound_terms_batch(models: Sequence[StateSpaceModel], noise: NoiseSpec, L: in
     C A^L and the 2-norms, each bitwise its own model's 2-D computation,
     so a model's terms do not depend on its batch.
     """
-    models = list(models)
+    single = isinstance(model, StateSpaceModel)
+    models = [model] if single else list(model)
+    betas = [beta] if single else list(beta)
+    rhos = None if rho is None else [rho] if single else list(rho)
     if not models or len(betas) != len(models) or (rhos is not None
                                                   and len(rhos) != len(models)):
-        raise ParameterError("bound_terms_batch needs at least one model, and one beta "
+        raise ParameterError("bound_terms needs at least one model, and one beta "
                              "(and rho, when given) per model")
     if any(m.n != models[0].n or m.p != models[0].p for m in models):
         raise ParameterError("the models of a batch must share n and p")
@@ -420,7 +457,7 @@ def bound_terms_batch(models: Sequence[StateSpaceModel], noise: NoiseSpec, L: in
                                 sigma_e_sq=gamma_inf_norm * CAL_sq * phi / (1.0 - rho),
                                 K=K, Xi=Xi, beta=beta, rho=rho, phi=phi, delta=delta,
                                 F_fro_sq=F_fro_sq, CAL_sq=CAL_sq, sigma_w_norm=sigma_w_norm))
-    return terms
+    return terms[0] if single else terms
 
 
 @dataclass(frozen=True)
@@ -470,8 +507,8 @@ def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
         delta: float, beta: float | None = None,
         terms: BoundTerms | None = None) -> FitResult:
     """Design, least-squares G and, for a full-rank fit, the data-dependent
-    error bound.  Its constants are terms, when the caller has them (from
-    bound_terms_batch, for this model, L and delta), or else
+    error bound.  Its constants are terms, when the caller has them (from a
+    batched bound_terms call, for this model, L and delta), or else
     bound_terms(model, noise, L, beta, delta), with beta defaulting to the
     largest input norm of the trajectory."""
     design = design_from_inputs(traj.u, L, traj.y)

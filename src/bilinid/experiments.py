@@ -213,11 +213,13 @@ class TrialRecord:
 
 
 def _trial_record(config: ExperimentConfig, noise: NoiseSpec, model: StateSpaceModel,
-                  traj, rho: float, L: int, trial: int, shared_s: float) -> TrialRecord:
-    """Fit one trial; runtime_ms is its own fit time plus shared_s, its
-    share of the cell's model draws and batched simulation."""
+                  traj, rho: float, L: int, trial: int, shared_s: float,
+                  terms: estimator.BoundTerms) -> TrialRecord:
+    """Fit one trial with its bound constants terms; runtime_ms is its own
+    fit time plus shared_s, its share of the cell's model draws, batched
+    simulation and batched bound constants."""
     start = time.perf_counter()
-    fit = estimator.fit(model, noise, traj, L, config.delta)
+    fit = estimator.fit(model, noise, traj, L, config.delta, terms=terms)
     runtime_ms = int(round(1000.0 * (shared_s + time.perf_counter() - start)))
     return TrialRecord(rho=rho, L=L, T=traj.T, trial=trial,
                        err_G_fro2=fit.err_fro ** 2, lambda_min=fit.report.lambda_min,
@@ -230,14 +232,19 @@ def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign
               rho: float, L: int, T: int, key: tuple[int, ...]) -> list[TrialRecord]:
     """Every trial of one (rho, L, T) cell.  Trial j draws its model and then
     its trajectory from the stream (base_seed, *key, j); the cell's
-    trajectories come from one simulate_batch call, and the trials are fit
-    one after another, so no finished fit is held while the next one runs."""
+    trajectories come from one simulate_batch call and its bound constants
+    (beta the largest input norm of each trajectory, the default of fit)
+    from one batched bound_terms call.  The trials are fit one after another,
+    so no finished fit is held while the next one runs."""
     start = time.perf_counter()
     rngs = [derive_rng(config.base_seed, *key, trial) for trial in range(config.trials)]
     models = [random_model(config.n, config.p, rho, rng) for rng in rngs]
     trajs = simulate_batch(models, noise, design_in, T, rngs)
+    terms = estimator.bound_terms(
+        models, noise, L, [estimator.empirical_input_bound(traj.u) for traj in trajs],
+        config.delta)
     shared_s = (time.perf_counter() - start) / config.trials
-    return [_trial_record(config, noise, model, traj, rho, L, trial, shared_s)
+    return [_trial_record(config, noise, model, traj, rho, L, trial, shared_s, terms[trial])
             for trial, (model, traj) in enumerate(zip(models, trajs))]
 
 
@@ -274,7 +281,10 @@ def _aggregate(records: list) -> list:
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Estimation-error sweep over the config grid, one model per trial;
-    threads > 1 runs whole cells in parallel."""
+    threads > 1 runs whole cells in parallel.  A cell's simulation holds a
+    (T+1, trials, n) stack of states, so a grid whose largest one is past
+    numpy's size limit raises MemoryError before any generator is built."""
+    _require_allocatable(max(config.T_values) + 1, config.trials, config.n)
     cells = [(rho, L, T, (i_r, i_L, i_T))
              for i_r, rho in enumerate(config.rho_values)
              for i_L, L in enumerate(config.L_values)
@@ -331,9 +341,13 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
 
     Draws `trials` independent input sequences of length T (defaulting to
     the required length) and reports how often the excitation certificate
-    of a trial's design, excitation.pe_certificate, passes.  The required
-    length and the certificate use the Gaussian fourth-moment constant
-    excitation.GAUSSIAN_M4.
+    of a trial's design, excitation.pe_certificate, passes.  Each trial
+    draws its inputs block by block into its design
+    (estimator.design_from_inputs given the input design), so it holds
+    O(BLOCK_ROWS p^2 L) floats whatever T is.  The required length and the
+    certificate use the Gaussian fourth-moment constant
+    excitation.GAUSSIAN_M4.  A `trials` past numpy's size limit raises
+    MemoryError before any trial runs.
     """
     p, L, delta = config.p, config.L_values[0], config.delta
     m4 = excitation.GAUSSIAN_M4
@@ -344,12 +358,12 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
         T = L + required
     if T <= L:
         raise ParameterError("campaign length T must exceed L")
+    _require_allocatable(config.trials)  # the trials' pass flags
 
     def one(trial: int) -> excitation.PECertificate:
         rng = derive_rng(config.base_seed, 0, trial)
-        u = design_in.sample_sequence(T, rng)
-        return excitation.pe_certificate(estimator.design_from_inputs(u, L), delta,
-                                         excitation.REGIME_FOURTH_MOMENT, m4=m4)
+        design = estimator.design_from_inputs(design_in, L, T=T, rng=rng)
+        return excitation.pe_certificate(design, delta, excitation.REGIME_FOURTH_MOMENT, m4=m4)
 
     certs = _map(range(config.trials), one, threads)
     return {
@@ -521,7 +535,7 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     so _final_output_moments gives it exactly for every noise family.
     The oracles and the bound constants read only models and inputs, so
     every trial's state norm (estimator.prediction_state_norms), output
-    moments and bound constants (estimator.bound_terms_batch, with
+    moments and bound constants (estimator.bound_terms, with
     beta = max(empirical_input_bound(u), ||u_next||)) come from one batched
     call each before any fit; then the trials are mapped over threads,
     each fit takes its trial's constants, and each fit is dropped once its
@@ -542,7 +556,7 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     means, variances = _final_output_moments(models, noise, us)
     betas = [max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
              for traj, u_next in zip(trajs, u_nexts)]
-    terms = estimator.bound_terms_batch(models, noise, L, betas, config.delta)
+    terms = estimator.bound_terms(models, noise, L, betas, config.delta)
 
     def one(j: int) -> CoverageTrial:
         model, u_next, traj = models[j], u_nexts[j], trajs[j]

@@ -105,10 +105,10 @@ def build_hankel(G, n: int) -> HankelSet:
     if n < 1 or L < 2 * n:
         raise ParameterError(f"need L >= 2n, got L={L}, n={n}")
     half = L // 2
-    H = np.zeros((p * half, p * (half + 1)))
-    for i in range(half):
-        for j in range(half + 1):
-            H[i * p:(i + 1) * p, j * p:(j + 1) * p] = Gm[:, (i + j) * p:(i + j + 1) * p]
+    # entry (a, b) of block (i, j) is entry (a, b) of block i + j of G: one
+    # gather from G's (p, L, p) view into H's (half, p, half + 1, p) layout
+    i, a, j, b = np.ix_(range(half), range(p), range(half + 1), range(p))
+    H = Gm.reshape(p, L, p)[a, i + j, b].reshape(p * half, p * (half + 1))
     H_minus = H[:, :-p]
     H_plus = H[:, p:]
     U, s, Vt = np.linalg.svd(H_minus, full_matrices=False)

@@ -294,15 +294,21 @@ class InputDesign:
     def sphere(cls, p: int, beta: float | None = None) -> "InputDesign":
         return cls(kind="bounded_sphere", p=p, beta=beta)
 
-    def sample_iid(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """count i.i.d. input vectors, shape (count, p)."""
+    def sample_iid(self, count: int, rng: np.random.Generator,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """count i.i.d. input vectors, shape (count, p), written to out when
+        it is given.  The draws fill row after row and a sphere draw is
+        normalised row by row, so consecutive calls give bitwise the rows
+        of one call for their total count."""
         _require_allocatable(count, self.p)
-        raw = rng.standard_normal((count, self.p))
+        raw = rng.standard_normal((count, self.p), out=out)
         if self.kind == "gaussian_isotropic":
             return raw
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        return self.beta * raw / norms
+        # (beta raw) / norms, in this order, in place
+        np.multiply(raw, self.beta, out=raw)
+        return np.divide(raw, norms, out=raw)
 
     def sample_sequence(self, T: int, rng: np.random.Generator) -> np.ndarray:
         """Input sequence u_0..u_T, shape (T+1, p)."""

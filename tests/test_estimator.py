@@ -21,7 +21,6 @@ from bilinid import (
     StateSpaceModel,
     bound_data_dependent,
     bound_terms,
-    bound_terms_batch,
     controllability_gramian,
     effective_noise_autocov,
     ellipsoidal_error,
@@ -198,6 +197,47 @@ def test_block_statistics_match_the_dense_build(rows):
         assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
+@pytest.mark.parametrize("kind", ["gaussian_isotropic", "bounded_sphere"])
+@pytest.mark.parametrize("rows", [1, 12, estimator.BLOCK_ROWS - 1, estimator.BLOCK_ROWS,
+                                  estimator.BLOCK_ROWS + 1, 2 * estimator.BLOCK_ROWS + 3])
+def test_drawn_design_is_bitwise_the_design_of_the_drawn_array(kind, rows):
+    # p = 2, L = 3: 12 columns, so 1 and 12 rows keep their rows and the
+    # taller designs span one to three blocks
+    p, L = 2, 3
+    T = L + rows
+    design_in = InputDesign(kind=kind, p=p)
+    rng, ref_rng = np.random.default_rng(rows), np.random.default_rng(rows)
+    drawn = design_from_inputs(design_in, L, T=T, rng=rng)
+    ref = design_from_inputs(design_in.sample_sequence(T, ref_rng), L)
+    assert (drawn.rows, drawn.T, drawn.p, drawn.L) == (ref.rows, ref.T, ref.p, ref.L)
+    assert drawn.U_tilde.shape == ref.U_tilde.shape
+    assert drawn.U_tilde.tobytes() == ref.U_tilde.tobytes()
+    if rows <= p * p * L:
+        assert drawn.V is None and ref.V is None
+    else:
+        assert drawn.V.tobytes() == ref.V.tobytes()
+    # the generator is left where drawing the whole sequence leaves it
+    assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+
+
+def test_drawn_design_needs_T_and_rng_and_takes_no_outputs():
+    design_in, rng = InputDesign.gaussian(2), np.random.default_rng(0)
+    for kwargs in ({"rng": rng}, {"T": 20}, {"T": 20, "rng": rng, "y": np.zeros(21)}):
+        with pytest.raises(ParameterError):
+            design_from_inputs(design_in, 3, **kwargs)
+    for kwargs in ({"T": 20}, {"rng": rng}):
+        with pytest.raises(ParameterError):
+            design_from_inputs(np.zeros((21, 2)), 3, **kwargs)
+
+
+def test_design_past_the_size_limit_is_refused_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(MemoryError):
+        design_from_inputs(InputDesign.gaussian(10**15), 4, T=10, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("p,L", [(1, 2), (2, 3)])
 def test_design_keeps_its_rows_exactly_when_rows_at_most_columns(p, L):
     cols = p * p * L
@@ -248,17 +288,8 @@ def test_singular_tall_design_falls_back_to_the_dense_min_norm_fit(inputs):
     assert report.residual_norm == pytest.approx(np.linalg.norm(y[4:] - U @ ref), rel=1e-12)
 
 
-def test_long_trajectory_fits_in_bounded_memory():
-    # T = 1e6, p = 2, L = 16: a dense design would take 488 MiB
-    script = (
-        "import numpy as np\n"
-        "from bilinid.estimator import design_from_inputs, estimate_markov\n"
-        "rng = np.random.default_rng(0)\n"
-        "T, L = 10**6, 16\n"
-        "u = rng.standard_normal((T + 1, 2))\n"
-        "y = rng.standard_normal(T + 1)\n"
-        "report = estimate_markov(design_from_inputs(u, L, y))\n"
-        "assert report.solver_mode == 'full_rank'\n")
+def _child_peak_rss(script: str) -> int:
+    """Peak resident set, in bytes, of a fresh interpreter running script."""
     # A process's ru_maxrss also counts the image it replaced by exec: a
     # direct child of this test process would report the test process's
     # size.  A small launcher in between reads its child's own peak.
@@ -270,7 +301,33 @@ def test_long_trajectory_fits_in_bounded_memory():
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", launcher, script], env=env,
                          capture_output=True, text=True, check=True)
-    assert int(out.stdout) * 1024 < 200e6  # ru_maxrss is in KiB on Linux
+    return int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_long_trajectory_fits_in_bounded_memory():
+    # T = 1e6, p = 2, L = 16: a dense design would take 488 MiB
+    script = (
+        "import numpy as np\n"
+        "from bilinid.estimator import design_from_inputs, estimate_markov\n"
+        "rng = np.random.default_rng(0)\n"
+        "T, L = 10**6, 16\n"
+        "u = rng.standard_normal((T + 1, 2))\n"
+        "y = rng.standard_normal(T + 1)\n"
+        "report = estimate_markov(design_from_inputs(u, L, y))\n"
+        "assert report.solver_mode == 'full_rank'\n")
+    assert _child_peak_rss(script) < 200e6
+
+
+def test_long_campaign_trial_holds_no_input_sequence():
+    # T = 4e6, p = 2, L = 4: the input sequence u_0..u_T alone takes 64 MB,
+    # and a campaign trial that held it would grow by at least that much over
+    # the bare import; one that draws block by block holds a few MB
+    script = (
+        "from bilinid.experiments import ExperimentConfig, run_pe_campaign\n"
+        "config = ExperimentConfig(n=2, p=2, L_values=(4,), T_values=(100,), trials=1)\n"
+        "assert run_pe_campaign(config, T=4 * 10**6)['campaign_T'] == 4 * 10**6\n")
+    growth = _child_peak_rss(script) - _child_peak_rss("import bilinid.experiments\n")
+    assert growth < 24e6
 
 
 # ------------------------------------------------------------ estimate_markov
@@ -601,7 +658,7 @@ def test_stacked_bound_constants_equal_their_loops_bitwise(n, p, L, k, seed):
     noise = NoiseSpec.gaussian(R @ R.T, float(rng.uniform(0.0, 2.0)))
     betas = [float(b) for b in rng.uniform(0.5, 3.0, k)]
     oracle = [_loop_bound_terms(m, noise, L, b, 0.1) for m, b in zip(models, betas)]
-    assert bound_terms_batch(models, noise, L, betas, 0.1) == oracle
+    assert bound_terms(models, noise, L, betas, 0.1) == oracle
     assert [bound_terms(m, noise, L, b, 0.1) for m, b in zip(models, betas)] == oracle
     A = np.stack([m.A for m in models])
     phis = transient_factor(A, [t.rho for t in oracle])
@@ -637,7 +694,7 @@ def test_bound_terms_batch_checks_every_model_before_any_scan(bad, j, monkeypatc
     for name in ("transient_factor", "controllability_gramian", "_markov_blocks"):
         monkeypatch.setattr(estimator, name, no_scan)
     with pytest.raises(ParameterError) as batch:
-        bound_terms_batch(models, noise, 4, betas, delta, rhos)
+        bound_terms(models, noise, 4, betas, delta, rhos)
     assert str(batch.value) == str(alone.value)
 
 
@@ -750,9 +807,9 @@ def _is_column_gram(node) -> bool:
 
 def test_fit_is_the_one_path_to_the_bound():
     assert _callers("bound_data_dependent") == [("estimator", "fit")]
-    assert _callers("bound_terms") == [("estimator", "fit")]
-    assert _callers("bound_terms_batch") == [("estimator", "bound_terms"),
-                                             ("experiments", "bound_coverage_trials")]
+    # the batched callers compute the constants a cell's fits then take
+    assert _callers("bound_terms") == [("estimator", "fit"), ("experiments", "_run_cell"),
+                                       ("experiments", "bound_coverage_trials")]
 
 
 def test_prediction_bound_reads_the_fits_constants():

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilinid import NoiseSpec, ParameterError, StateSpaceModel, random_model, simulate
+from bilinid import (
+    NoiseSpec,
+    ParameterError,
+    StateSpaceModel,
+    derive_rng,
+    fit,
+    random_model,
+    simulate,
+)
 from bilinid.cli import main
 from bilinid.experiments import (
     AGG_COLUMNS,
@@ -106,6 +114,23 @@ def test_figure1_repeat_run_identical_up_to_runtime():
     a = format_trial_csv(run_sweep(cfg))
     b = format_trial_csv(run_sweep(cfg))
     assert _strip_runtime(a) == _strip_runtime(b)
+
+
+def test_sweep_records_are_the_fits_of_each_trial_alone():
+    # a cell takes its trials' bound constants from one batched call; every
+    # record is bitwise the fit of its trial alone, with fit's own constants
+    cfg = _small_config(trials=3, rho_values=(0.3, 0.9), T_values=(60, 90))
+    noise, design_in = cfg.noise.to_spec(cfg.n), cfg.input.to_design(cfg.p)
+    records = run_sweep(cfg).records
+    assert len(records) == 12
+    for rec in records:
+        rng = derive_rng(cfg.base_seed, cfg.rho_values.index(rec.rho), 0,
+                         cfg.T_values.index(rec.T), rec.trial)
+        model = random_model(cfg.n, cfg.p, rec.rho, rng)
+        f = fit(model, noise, simulate(model, noise, design_in, rec.T, rng), rec.L, cfg.delta)
+        assert f.report.solver_mode == rec.solver_mode == "full_rank"
+        assert (rec.err_G_fro2, rec.lambda_min, rec.bound_value) == (
+            f.err_fro ** 2, f.report.lambda_min, f.bound.value)
 
 
 def test_double_descent_threshold_annotation():
@@ -793,6 +818,20 @@ def test_cli_input_width_past_dimension_limit_exits_3(tmp_path, capsys, size, co
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["exp", "figure1"], ["exp", "double-descent"],
+                                     ["pe-campaign"]], ids=" ".join)
+def test_cli_trial_count_past_dimension_limit_exits_3(tmp_path, capsys, command):
+    # a sweep cell stacks (T+1, trials, n) states and a campaign keeps one
+    # pass flag per trial; both refuse such a count before any trial runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
+                                "trials": 10**30}))
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # a noise or input object is a valid base, or none, with at most one key set

@@ -53,6 +53,27 @@ def test_hankel_block_structure_matches_markov_blocks():
             assert np.array_equal(block, mp.block(i + j))
 
 
+def _hankel_by_blocks(G, p, L):
+    """H filled block by block (an independent oracle for build_hankel's gather)."""
+    half = L // 2
+    H = np.zeros((p * half, p * (half + 1)))
+    for i in range(half):
+        for j in range(half + 1):
+            H[i * p:(i + 1) * p, j * p:(j + 1) * p] = G[:, (i + j) * p:(i + j + 1) * p]
+    return H
+
+
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_hankel_gather_is_bitwise_the_block_loop(p, half, n, seed):
+    assume(n <= half)
+    L = 2 * half
+    G = np.random.default_rng(seed).standard_normal((p, p * L))
+    expected = _hankel_by_blocks(G, p, L)
+    for layout in (G, np.asfortranarray(G)):
+        H = build_hankel(layout, n).H
+        assert H.shape == expected.shape and H.tobytes() == expected.tobytes()
+
+
 def test_hankel_clips_share_interior_columns():
     m = random_model(2, 1, 0.6, seed=3)
     h = build_hankel(markov_params(m, 8).G, n=2)

@@ -484,6 +484,23 @@ def test_gaussian_inputs_zero_mean_identity_covariance():
     assert np.allclose(u.T @ u / u.shape[0], np.eye(2), atol=0.02)
 
 
+@pytest.mark.parametrize("design", [InputDesign.gaussian(3), InputDesign.sphere(3),
+                                    InputDesign.sphere(2, beta=0.3)],
+                         ids=["gaussian", "sphere", "sphere-beta"])
+def test_input_draws_in_chunks_into_out_are_one_draw(design):
+    # the law as written: standard normal rows, for the sphere scaled as
+    # beta u / ||u||, in that order
+    expected = np.random.default_rng(8).standard_normal((500, design.p))
+    if design.beta is not None:
+        expected = design.beta * expected / np.linalg.norm(expected, axis=1, keepdims=True)
+    assert design.sample_sequence(499, np.random.default_rng(8)).tobytes() == expected.tobytes()
+    rng, out = np.random.default_rng(8), np.empty((500, design.p))
+    for start, stop in ((0, 1), (1, 17), (17, 500)):
+        chunk = design.sample_iid(stop - start, rng, out=out[start:stop])
+        assert np.shares_memory(chunk, out)
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_derive_rng_is_stable_and_key_sensitive():
     a = derive_rng(7, 1, 2).standard_normal(4)
     b = derive_rng(7, 1, 2).standard_normal(4)
