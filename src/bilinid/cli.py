@@ -33,8 +33,10 @@ from .sysmodel import derive_rng, markov_params, random_model, simulate
 
 def _load_config(args) -> ExperimentConfig:
     path = Path(args.config)
-    if not path.exists():
-        raise ParameterError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ParameterError(f"no config file at {path}")
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
     config = ExperimentConfig.from_json(path.read_bytes())
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)

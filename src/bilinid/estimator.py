@@ -58,6 +58,7 @@ from .sysmodel import (
     _require_stable,
     _spectral_norms,
     _spectral_radii,
+    _stack,
     _truncated_gramians,
     controllability_gramian,
     markov_params,
@@ -394,49 +395,37 @@ class BoundTerms:
 
 
 def bound_terms(model: StateSpaceModel | Sequence[StateSpaceModel], noise: NoiseSpec,
-                L: int, beta: float | Sequence[float], delta: float,
-                rho: float | Sequence[float] | None = None) -> BoundTerms | list[BoundTerms]:
+                L: int, beta: float | Sequence[float],
+                delta: float) -> BoundTerms | list[BoundTerms]:
     """Evaluate every constant the error bound needs, for input bound beta
-    and decay rate rho (by default halfway between the spectral radius
-    and one).
+    and decay rate rho = (1 + spectral radius) / 2, halfway between the
+    spectral radius and one.
 
-    model may also be a sequence of models sharing n and p, with one beta
-    (and one rho, when given) per model; the result is then the list of
-    their terms.  One model is the batch of one.
+    model may also be a sequence of models sharing n and p (sysmodel._stack),
+    with one beta per model; the result is then the list of their terms.
+    One model is the batch of one.
 
     Every argument is checked before any constant is computed (L, delta,
-    every beta, then model by model stability and rho), so a bad one
-    raises the ParameterError its batch of one raises.  Then one stacked
-    pass takes the spectral radii, the transient scans and the Smith
-    doublings (each model stopping at its own step), the Markov blocks,
-    C A^L and the 2-norms, each bitwise its own model's 2-D computation,
-    so a model's terms do not depend on its batch.
+    every beta, then model by model stability), so a bad one raises the
+    ParameterError its batch of one raises.  Then one stacked pass takes
+    the spectral radii, the transient scans and the Smith doublings (each
+    model stopping at its own step), the Markov blocks, C A^L and the
+    2-norms, each bitwise its own model's 2-D computation, so a model's
+    terms do not depend on its batch.
     """
     single = isinstance(model, StateSpaceModel)
     models = [model] if single else list(model)
     betas = [beta] if single else list(beta)
-    rhos = None if rho is None else [rho] if single else list(rho)
-    if not models or len(betas) != len(models) or (rhos is not None
-                                                  and len(rhos) != len(models)):
-        raise ParameterError("bound_terms needs at least one model, and one beta "
-                             "(and rho, when given) per model")
-    if any(m.n != models[0].n or m.p != models[0].p for m in models):
-        raise ParameterError("the models of a batch must share n and p")
+    A, B, C = _stack(models, "ABC")
+    if len(betas) != len(models):
+        raise ParameterError("bound_terms needs one beta per model")
     if L < 1:
         raise ParameterError("L must be >= 1")
     if not (0.0 < delta < 1.0):
         raise ParameterError("delta must lie in (0, 1)")
     if any(beta <= 0.0 for beta in betas):
         raise ParameterError("beta must be positive")
-    A = np.stack([m.A for m in models])
-    rates = []
-    for j, sr in enumerate(_spectral_radii(A)):
-        sr = _require_stable(float(sr))
-        rho = 0.5 * (1.0 + sr) if rhos is None else rhos[j]
-        if not (sr < rho < 1.0):
-            raise ParameterError(f"rho must lie in (spectral radius, 1), got {rho}")
-        rates.append(rho)
-    B, C = np.stack([m.B for m in models]), np.stack([m.C for m in models])
+    rates = [0.5 * (1.0 + _require_stable(float(sr))) for sr in _spectral_radii(A)]
     phis = transient_factor(A, rates).tolist()
     gamma_inf_norms = _spectral_norms(controllability_gramian(models, noise.sigma_w)).tolist()
     F = _markov_blocks(A, B, C, L)[1].reshape(len(models), 1, -1)
@@ -504,13 +493,12 @@ class FitResult:
 
 
 def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
-        delta: float, beta: float | None = None,
-        terms: BoundTerms | None = None) -> FitResult:
+        delta: float, terms: BoundTerms | None = None) -> FitResult:
     """Design, least-squares G and, for a full-rank fit, the data-dependent
     error bound.  Its constants are terms, when the caller has them (from a
-    batched bound_terms call, for this model, L and delta), or else
-    bound_terms(model, noise, L, beta, delta), with beta defaulting to the
-    largest input norm of the trajectory."""
+    batched bound_terms call, for this model, L and delta, with whatever
+    beta the caller needs), or else bound_terms(model, noise, L, beta,
+    delta) with beta the largest input norm of the trajectory."""
     design = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(design)
     G = markov_params(model, L).G
@@ -518,9 +506,7 @@ def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
         terms = bound = None
     else:
         if terms is None:
-            if beta is None:
-                beta = empirical_input_bound(traj.u)
-            terms = bound_terms(model, noise, L, beta, delta)
+            terms = bound_terms(model, noise, L, empirical_input_bound(traj.u), delta)
         bound = bound_data_dependent(model, terms, L, design.T, lambda_min=report.lambda_min)
     return FitResult(design=design, report=report, G=G,
                      err_fro=float(np.linalg.norm(report.G_hat - G)), terms=terms, bound=bound)
@@ -546,19 +532,19 @@ def prediction_state_norms(models: Sequence[StateSpaceModel], noise: NoiseSpec,
                            us: np.ndarray) -> np.ndarray:
     """||Gamma_u^(T) + Gamma_w^(T)||_2 for every model of a batch, models[j]
     driven by its recorded inputs us[j] = u_0..u_T ((k, T+1, p); the models
-    share n and p): the state term of prediction_bound.
+    share n and p, sysmodel._stack): the state term of prediction_bound.
 
     It reads no fit, so it can run before the fits.  Gamma_u^(T) and
     Gamma_w^(T) come from one batched recursion each, every model's bitwise
     the one it gets in a batch of one.
     """
+    A, B = _stack(models, "AB")
     us = np.asarray(us, dtype=float)
-    if us.ndim != 3 or us.shape[0] != len(models):
+    if us.ndim != 3 or us.shape[0] != len(A):
         raise ParameterError("prediction_state_norms needs one (T+1, p) input sequence "
                              "per model")
-    A = np.stack([m.A for m in models])
     gamma_w = _truncated_gramians(A, noise.sigma_w, us.shape[1] - 1)
-    gamma_u = _input_gramians(A, np.stack([m.B for m in models]), us)
+    gamma_u = _input_gramians(A, B, us)
     return np.linalg.norm(gamma_u + gamma_w, 2, axis=(1, 2))
 
 

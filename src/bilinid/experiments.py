@@ -29,6 +29,7 @@ from .sysmodel import (
     StateSpaceModel,
     _as_columns,
     _require_allocatable,
+    _stack,
     derive_rng,
     random_model,
     simulate_batch,
@@ -214,7 +215,7 @@ class TrialRecord:
 
 def _trial_record(config: ExperimentConfig, noise: NoiseSpec, model: StateSpaceModel,
                   traj, rho: float, L: int, trial: int, shared_s: float,
-                  terms: estimator.BoundTerms) -> TrialRecord:
+                  terms: estimator.BoundTerms | None) -> TrialRecord:
     """Fit one trial with its bound constants terms; runtime_ms is its own
     fit time plus shared_s, its share of the cell's model draws, batched
     simulation and batched bound constants."""
@@ -234,15 +235,20 @@ def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign
     its trajectory from the stream (base_seed, *key, j); the cell's
     trajectories come from one simulate_batch call and its bound constants
     (beta the largest input norm of each trajectory, the default of fit)
-    from one batched bound_terms call.  The trials are fit one after another,
-    so no finished fit is held while the next one runs."""
+    from one batched bound_terms call.  A cell with T - L < p^2 L rows has a
+    wide design, whose fits are all min-norm and read no constants, so it
+    computes none.  The trials are fit one after another, so no finished
+    fit is held while the next one runs."""
     start = time.perf_counter()
     rngs = [derive_rng(config.base_seed, *key, trial) for trial in range(config.trials)]
     models = [random_model(config.n, config.p, rho, rng) for rng in rngs]
     trajs = simulate_batch(models, noise, design_in, T, rngs)
-    terms = estimator.bound_terms(
-        models, noise, L, [estimator.empirical_input_bound(traj.u) for traj in trajs],
-        config.delta)
+    if T - L < config.p ** 2 * L:
+        terms = [None] * config.trials
+    else:
+        terms = estimator.bound_terms(
+            models, noise, L, [estimator.empirical_input_bound(traj.u) for traj in trajs],
+            config.delta)
     shared_s = (time.perf_counter() - start) / config.trials
     return [_trial_record(config, noise, model, traj, rho, L, trial, shared_s, terms[trial])
             for trial, (model, traj) in enumerate(zip(models, trajs))]
@@ -424,7 +430,7 @@ def _final_output_moments(models: list[StateSpaceModel], noise: NoiseSpec,
                           u: np.ndarray) -> tuple[list[float], list[float]]:
     """Mean and variance of y_t at t = u.shape[1] - 1 for every model of a
     batch, models[j] given its fixed inputs u[j] = u_0..u_t ((k, t+1, p);
-    the models share n and p), for every noise family.
+    the models share n and p, sysmodel._stack), for every noise family.
 
     Every entry of w and z has mean mu (sigma_z for uncentered exponential
     noise, else 0), so E x_t = s_t with s_0 = 0, s_{i+1} = A s_i + B u_i + mu 1,
@@ -435,9 +441,7 @@ def _final_output_moments(models: list[StateSpaceModel], noise: NoiseSpec,
     all k models together, one stacked product per factor and step, so
     every model's moments are bitwise the ones it gets in a batch of one.
     """
-    A = np.stack([m.A for m in models])
-    B = np.stack([m.B for m in models])
-    C = np.stack([m.C for m in models])
+    A, B, C = _stack(models, "ABC")
     t = u.shape[1] - 1
     mu = 0.0 if noise.centered else noise.sigma_z
     s = np.zeros((len(models), A.shape[1], 1))

@@ -17,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateRealizationError, ParameterError
-from .sysmodel import MarkovParams
 
 DEGENERATE_RATIO = 1e-10
-
-
-def _as_markov_matrix(G) -> np.ndarray:
-    if isinstance(G, MarkovParams):
-        return np.asarray(G.G, dtype=float)
-    return np.atleast_2d(np.asarray(G, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +85,10 @@ class RealizationBounds:
 def build_hankel(G, n: int) -> HankelSet:
     """Assemble H, its clips, and the rank-n truncation.
 
-    G is a MarkovParams or a raw p x pL block matrix; L must be even,
-    at least 2, and at least 2n.
+    G is the p x pL block matrix (MarkovParams.G or an estimate); L must
+    be even, at least 2, and at least 2n.
     """
-    Gm = _as_markov_matrix(G)
+    Gm = np.atleast_2d(np.asarray(G, dtype=float))
     p = Gm.shape[0]
     if Gm.shape[1] % p != 0:
         raise ParameterError("Markov matrix width must be a multiple of p")

@@ -90,9 +90,28 @@ def _as_columns(a) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
+    """Read-only C-ordered float copy of arr, so that a frozen type never
+    shares memory with, or locks, the caller's array."""
+    arr = np.array(arr, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _stack(models, names: str) -> tuple[np.ndarray, ...]:
+    """The (k, ...) stacks of the matrices named in names ("A", "B" or "C")
+    of a batch of k models, one stack per name.  The one batch rule:
+    ParameterError for an empty batch or for models whose named matrices
+    differ in shape."""
+    models = list(models)
+    if not models:
+        raise ParameterError("a batch needs at least one model")
+    stacks = []
+    for name in names:
+        mats = [getattr(m, name) for m in models]
+        if any(M.shape != mats[0].shape for M in mats):
+            raise ParameterError(f"the models of a batch must share the shape of {name}")
+        stacks.append(np.stack(mats))
+    return tuple(stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +145,6 @@ class StateSpaceModel:
 
     def spectral_radius(self) -> float:
         return spectral_radius(self.A)
-
-    def require_stable(self) -> float:
-        """Spectral radius, raising if it is not strictly below one.
-
-        Bound and Gramian computations call this; simulation does not.
-        """
-        return _require_stable(self.spectral_radius())
 
 
 def _psd_factor(S: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -204,8 +216,7 @@ class NoiseSpec:
 
     @classmethod
     def gaussian(cls, sigma_w, sigma_z: float) -> "NoiseSpec":
-        return cls(sigma_w=np.atleast_2d(np.asarray(sigma_w, dtype=float)),
-                   sigma_z=sigma_z, family="gaussian")
+        return cls(sigma_w=sigma_w, sigma_z=sigma_z, family="gaussian")
 
     @classmethod
     def exponential(cls, n: int, rate: float = 1.0, centered: bool = True) -> "NoiseSpec":
@@ -342,7 +353,7 @@ class Trajectory:
         for name in ("x", "w", "z"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, _freeze(np.asarray(val, dtype=float)))
+                object.__setattr__(self, name, _freeze(val))
 
     @property
     def p(self) -> int:
@@ -415,7 +426,7 @@ def simulate_batch(models, noise: NoiseSpec, inputs, T: int, seeds,
 
     Trial i draws from its own generator np.random.default_rng(seeds[i]),
     in simulate's order: inputs, process noise, measurement noise.  The
-    models must share n and p.  All k states then advance together,
+    models must share n and p (_stack).  All k states then advance together,
     x[t+1] = (A x[t] + B u[t]) + w[t], through one stacked product of
     mat-vecs per step, each bitwise equal to its own A @ x[t]; so
     trajectory i is bitwise the one a separate simulate call gives.  Every
@@ -423,13 +434,12 @@ def simulate_batch(models, noise: NoiseSpec, inputs, T: int, seeds,
     that cannot be allocated fails in the first draw with MemoryError.
     """
     models, seeds = list(models), list(seeds)
-    if not models or len(seeds) != len(models):
-        raise ParameterError("simulate_batch needs one seed per model, and at least one model")
+    if len(seeds) != len(models):
+        raise ParameterError("simulate_batch needs one seed per model")
     if T < 1:
         raise ParameterError("horizon T must be >= 1")
-    n, p, k = models[0].n, models[0].p, len(models)
-    if any(m.n != n or m.p != p for m in models):
-        raise ParameterError("the models of a batch must share n and p")
+    A, B, C = _stack(models, "ABC")
+    k, n, p = B.shape
     if noise.n != n:
         raise ParameterError("noise covariance dimension does not match the model")
     if isinstance(inputs, InputDesign):
@@ -453,11 +463,10 @@ def simulate_batch(models, noise: NoiseSpec, inputs, T: int, seeds,
     x = np.empty((T + 1, k, n))
     x[0] = 0.0
     W = np.empty((T, k, n))
-    for i, model in enumerate(models):
-        _input_drive(model.B, us[i][:-1], out=x[1:, i])
+    for i in range(k):
+        _input_drive(B[i], us[i][:-1], out=x[1:, i])
         W[:, i] = ws[i]
         ws[i] = None  # each w is freed once the stack holds it
-    A = np.stack([m.A for m in models])
     Ax = np.empty((k, n, 1))
     x4 = x[..., None]
     for x_t, x_next, w_t in zip(x4[:-1], x4[1:], W[..., None]):
@@ -466,9 +475,10 @@ def simulate_batch(models, noise: NoiseSpec, inputs, T: int, seeds,
         np.add(x_next, w_t, out=x_next)
 
     trajectories = []
-    for i, (model, u, z) in enumerate(zip(models, us, zs)):
+    for i in range(k):
+        u, z, us[i], zs[i] = us[i], zs[i], None, None  # each freed once its copy is made
         x_i = np.ascontiguousarray(x[:, i])
-        y = np.einsum("ti,ij,tj->t", u, model.C, x_i) + z
+        y = np.einsum("ti,ij,tj->t", u, C[i], x_i) + z
         diag = dict(x=x_i, w=W[:, i], z=z) if diagnostics else {}
         trajectories.append(Trajectory(u=u, y=y, T=T, **diag))
     return trajectories
@@ -622,16 +632,13 @@ def controllability_gramian(model: StateSpaceModel | Sequence[StateSpaceModel],
     truncated sum over i = 0..horizon, added in the order i = 0..horizon
     (_truncated_gramians).
 
-    model may also be a sequence of models sharing n; the result is then
-    the (k, n, n) stack of their Gramians, each bitwise the one its model
-    gets alone.  One model is the batch of one.
+    model may also be a sequence of models sharing n (they may differ in
+    p); the result is then the (k, n, n) stack of their Gramians, each
+    bitwise the one its model gets alone.  One model is the batch of one.
     """
     single = isinstance(model, StateSpaceModel)
-    models = [model] if single else list(model)
-    if not models or any(m.n != models[0].n for m in models):
-        raise ParameterError("a batch of Gramians needs at least one model, all sharing n")
-    n = models[0].n
-    A = np.stack([m.A for m in models])
+    A, = _stack([model] if single else model, "A")
+    n = A.shape[1]
     S = _as_matrix(sigma_w, rows=n, cols=n, name="sigma_w")
     if horizon is not None:
         if horizon < 0:

@@ -555,7 +555,7 @@ def test_bound_matches_independent_formula_oracle():
     m = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
     noise = NoiseSpec.gaussian([[1.0]], 1.0)
     L, T, beta, delta, rho = 4, 100, 1.0, 0.1, 0.75
-    terms = bound_terms(m, noise, L, beta=beta, delta=delta, rho=rho)
+    terms = bound_terms(m, noise, L, beta=beta, delta=delta)
     got = bound_data_dependent(m, terms, L, T).value
 
     phi = 1.0  # scalar a=0.5 < rho: ratio (a/rho)^k maximized at k=0
@@ -587,8 +587,6 @@ def test_bound_terms_precondition_errors():
         bound_terms(m, noise, 4, beta=1.0, delta=1.5)
     with pytest.raises(ParameterError):
         bound_terms(m, noise, 4, beta=-1.0, delta=0.1)
-    with pytest.raises(ParameterError):
-        bound_terms(m, noise, 4, beta=1.0, delta=0.1, rho=m.spectral_radius() / 2)
     unstable = StateSpaceModel(A=[[1.1]], B=[[1.0]], C=[[1.0]])
     with pytest.raises(ParameterError):
         bound_terms(unstable, NoiseSpec.gaussian([[1.0]], 1.0), 4, beta=1.0, delta=0.1)
@@ -670,23 +668,21 @@ def test_stacked_bound_constants_equal_their_loops_bitwise(n, p, L, k, seed):
 
 
 @pytest.mark.parametrize("j", [0, 2])
-@pytest.mark.parametrize("bad", ["unstable", "rho", "beta", "delta"])
+@pytest.mark.parametrize("bad", ["unstable", "beta", "delta"])
 def test_bound_terms_batch_checks_every_model_before_any_scan(bad, j, monkeypatch):
     # a bad argument anywhere raises the error its batch of one raises, and
     # no constant is computed first
     models = [random_model(3, 2, 0.9, seed=s) for s in range(3)]
     noise = NoiseSpec.gaussian(np.eye(3), 1.0)
-    betas, rhos, delta = [1.0] * 3, [0.95] * 3, 0.1
+    betas, delta = [1.0] * 3, 0.1
     if bad == "unstable":
         models[j] = StateSpaceModel(A=1.1 * np.eye(3), B=np.ones((3, 2)), C=np.ones((2, 3)))
-    elif bad == "rho":
-        rhos[j] = models[j].spectral_radius() / 2
     elif bad == "beta":
         betas[j] = -1.0
     else:
         delta = 1.5
     with pytest.raises(ParameterError) as alone:
-        bound_terms(models[j], noise, 4, betas[j], delta, rho=rhos[j])
+        bound_terms(models[j], noise, 4, betas[j], delta)
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a constant was computed before every argument was checked")
@@ -694,7 +690,7 @@ def test_bound_terms_batch_checks_every_model_before_any_scan(bad, j, monkeypatc
     for name in ("transient_factor", "controllability_gramian", "_markov_blocks"):
         monkeypatch.setattr(estimator, name, no_scan)
     with pytest.raises(ParameterError) as batch:
-        bound_terms(models, noise, 4, betas, delta, rhos)
+        bound_terms(models, noise, 4, betas, delta)
     assert str(batch.value) == str(alone.value)
 
 
@@ -739,7 +735,7 @@ def test_fit_takes_an_explicit_beta():
     m = random_model(2, 1, 0.5, seed=4)
     noise = NoiseSpec.gaussian(np.eye(2), 1.0)
     traj = simulate(m, noise, InputDesign.gaussian(1), 80, seed=6)
-    f = fit(m, noise, traj, 3, 0.1, beta=7.5)
+    f = fit(m, noise, traj, 3, 0.1, terms=bound_terms(m, noise, 3, 7.5, 0.1))
     assert f.terms.beta == 7.5
     assert f.bound == bound_data_dependent(m, bound_terms(m, noise, 3, 7.5, 0.1), 3, 80,
                                            lambda_min=f.report.lambda_min)
@@ -904,7 +900,7 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     traj = simulate(m, noise, u_full[:T + 1], T, seed=33)
     u_next = u_full[T + 1]
     beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
-    f = fit(m, noise, traj, L, delta=0.1, beta=beta)
+    f = fit(m, noise, traj, L, delta=0.1, terms=bound_terms(m, noise, L, beta, 0.1))
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
     (state_norm,) = prediction_state_norms([m], noise, traj.u[None])
     bound = prediction_bound(f, err, noise, traj, u_next, state_norm)
@@ -943,8 +939,9 @@ def _prediction_batch(k, T=80, L=3, n=3, p=2):
         u = np.zeros((T + 1, p)) if j == 1 else rng.standard_normal((T + 1, p))
         trajs.append(simulate(models[-1], noise, u, T, seed=rng))
         u_nexts.append(rng.standard_normal(p))
-    fits = [fit(m, noise, traj, L, delta=0.1,
-                beta=max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next))))
+    fits = [fit(m, noise, traj, L, delta=0.1, terms=bound_terms(
+                m, noise, L, max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next))),
+                0.1))
             for m, traj, u_next in zip(models, trajs, u_nexts)]
     errs = [ellipsoidal_error(f.report.G_hat, f.G, f.design) for f in fits]
     return fits, errs, models, noise, trajs, u_nexts

@@ -15,6 +15,7 @@ from bilinid import (
     ParameterError,
     StateSpaceModel,
     derive_rng,
+    estimator,
     fit,
     random_model,
     simulate,
@@ -131,6 +132,29 @@ def test_sweep_records_are_the_fits_of_each_trial_alone():
         assert f.report.solver_mode == rec.solver_mode == "full_rank"
         assert (rec.err_G_fro2, rec.lambda_min, rec.bound_value) == (
             f.err_fro ** 2, f.report.lambda_min, f.bound.value)
+
+
+def test_wide_cells_compute_no_bound_constants(monkeypatch):
+    # a cell with T - L < p^2 L rows fits only min-norm, which reads no bound
+    # constants, so only the square (T=10) and tall (T=20) cells call
+    # bound_terms; every record is still the fit of its trial alone
+    cfg = _small_config(p=2, L_values=(2,), T_values=(6, 10, 20), trials=2)
+    calls = []
+    batched = estimator.bound_terms
+    monkeypatch.setattr(estimator, "bound_terms",
+                        lambda *args: calls.append(args[3]) or batched(*args))
+    records = run_double_descent(cfg).records
+    monkeypatch.undo()
+    assert len(calls) == 2 and all(len(betas) == cfg.trials for betas in calls)
+    noise, design_in = cfg.noise.to_spec(cfg.n), cfg.input.to_design(cfg.p)
+    assert [rec.solver_mode for rec in records[:2]] == ["min_norm"] * 2
+    for rec in records:
+        rng = derive_rng(cfg.base_seed, 0, 0, cfg.T_values.index(rec.T), rec.trial)
+        model = random_model(cfg.n, cfg.p, rec.rho, rng)
+        f = fit(model, noise, simulate(model, noise, design_in, rec.T, rng), rec.L, cfg.delta)
+        assert repr(rec.row()[:-1]) == repr([
+            rec.rho, rec.L, rec.T, rec.trial, f.err_fro ** 2, f.report.lambda_min,
+            f.report.solver_mode, f.bound.value if f.bound else math.nan])
 
 
 def test_double_descent_threshold_annotation():
@@ -666,6 +690,24 @@ def test_cli_malformed_config_exit_codes(tmp_path, text, code):
 
 _SUBCOMMANDS = (["simulate"], ["estimate"], ["hokalman"], ["pe-check"], ["pe-campaign"],
                 ["exp", "figure1"], ["exp", "double-descent"], ["validate"])
+
+
+@pytest.mark.parametrize("bad", ["--threads 0", "--threads -4", "directory config"])
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=" ".join)
+def test_cli_nonpositive_threads_and_directory_config_exit_2(tmp_path, capsys, bad, command):
+    # a --threads below 1 is refused rather than run serially, and a --config
+    # that names a directory is refused like a missing file; neither writes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
+                                "trials": 1}))
+    argv = [*command, "--config", str(path), "--out", str(tmp_path / "o")]
+    if bad == "directory config":
+        argv[argv.index(str(path))] = str(tmp_path)
+    else:
+        argv += bad.split()
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("noise", [

@@ -45,7 +45,7 @@ def test_hankel_exact_blocks_have_rank_n():
 def test_hankel_block_structure_matches_markov_blocks():
     m = random_model(2, 2, 0.7, seed=2)
     mp = markov_params(m, 6)
-    h = build_hankel(mp, n=2)
+    h = build_hankel(mp.G, n=2)
     p, half = 2, 3
     for i in range(half):
         for j in range(half + 1):

@@ -11,6 +11,7 @@ from bilinid import (
     NoiseSpec,
     ParameterError,
     StateSpaceModel,
+    bound_terms,
     controllability_gramian,
     derive_rng,
     markov_params,
@@ -20,6 +21,7 @@ from bilinid import (
     spectral_radius,
     transient_factor,
 )
+from bilinid.estimator import prediction_state_norms
 from bilinid.experiments import _final_output_moments
 from bilinid.serialize import (
     load_matrix,
@@ -146,6 +148,60 @@ def test_simulate_batch_rejects_mismatched_batches():
         simulate_batch(models[:1], NoiseSpec.none(2), InputDesign.gaussian(1), T=10, seeds=[0, 1])
     with pytest.raises(ParameterError):
         simulate_batch([], NoiseSpec.none(2), InputDesign.gaussian(1), T=10, seeds=[])
+
+
+def test_frozen_types_copy_the_callers_arrays():
+    # a model, a noise spec and a trajectory keep their own read-only copies:
+    # the caller's arrays stay writable, and writing to them changes nothing
+    big = np.diag([0.5, 0.25, 0.125])
+    m = StateSpaceModel(A=big[:2, :2], B=np.ones((2, 1)), C=np.ones((1, 2)))
+    big[0, 0] = 1.5
+    assert m.spectral_radius() == 0.5 and not m.A.flags.writeable
+    S = 0.5 * np.eye(2)
+    noise = NoiseSpec.gaussian(S, 0.1)
+    S[0, 0] = 9.0
+    assert S.flags.writeable and noise.sigma_w[0, 0] == 0.5
+    u = np.ones((11, 1))
+    traj = simulate(m, noise, u, 10, seed=0)
+    u[0, 0] = 2.0
+    assert u.flags.writeable and traj.u[0, 0] == 1.0 and not traj.u.flags.writeable
+
+
+def _stack_callers():
+    noise = NoiseSpec.none(2)
+
+    def inputs(models):
+        return np.ones((len(models), 11, 1))
+
+    return {
+        "simulate_batch": lambda models: simulate_batch(
+            models, noise, InputDesign.gaussian(1), 10, range(len(models))),
+        "controllability_gramian": lambda models: controllability_gramian(models, np.eye(2)),
+        "bound_terms": lambda models: bound_terms(models, noise, 4, [1.0] * len(models), 0.1),
+        "prediction_state_norms": lambda models: prediction_state_norms(
+            models, noise, inputs(models)),
+        "_final_output_moments": lambda models: _final_output_moments(
+            models, noise, inputs(models)),
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(_stack_callers()))
+@pytest.mark.parametrize("batch", ["empty", "mixed"])
+def test_every_batch_caller_refuses_empty_and_mixed_batches(caller, batch):
+    # the one batch rule (sysmodel._stack): no models, or models of other
+    # shapes (here n = 2 and n = 3), raise ParameterError at every caller
+    models = [] if batch == "empty" else [random_model(2, 1, 0.5, seed=0),
+                                          random_model(3, 1, 0.5, seed=1)]
+    with pytest.raises(ParameterError):
+        _stack_callers()[caller](models)
+
+
+def test_gramian_batch_needs_only_a_shared_n():
+    # controllability_gramian stacks only A, so its models may differ in p
+    models = [random_model(2, 1, 0.5, seed=0), random_model(2, 3, 0.5, seed=1)]
+    gramians = controllability_gramian(models, np.eye(2))
+    for m, gramian in zip(models, gramians):
+        assert np.array_equal(controllability_gramian(m, np.eye(2)), gramian)
 
 
 # -------------------------------------------------------------- markov_params
