@@ -55,7 +55,6 @@ from .sysmodel import (
     _input_gramians,
     _markov_blocks,
     _require_allocatable,
-    _require_stable,
     _spectral_norms,
     _spectral_radii,
     _stack,
@@ -394,41 +393,42 @@ class BoundTerms:
                 ("sigma_w_sq", "sigma_e_sq", "K", "Xi", "beta", "rho", "phi", "delta")}
 
 
-def bound_terms(model: StateSpaceModel | Sequence[StateSpaceModel], noise: NoiseSpec,
-                L: int, beta: float | Sequence[float],
-                delta: float) -> BoundTerms | list[BoundTerms]:
-    """Evaluate every constant the error bound needs, for input bound beta
-    and decay rate rho = (1 + spectral radius) / 2, halfway between the
-    spectral radius and one.
+def bound_terms(models: Sequence[StateSpaceModel], noise: NoiseSpec, L: int,
+                betas: Sequence[float], delta: float) -> list[BoundTerms]:
+    """The BoundTerms of every model of a sequence sharing n and p
+    (sysmodel._stack), models[j] with input bound betas[j] and decay rate
+    rho = (1 + spectral radius) / 2, halfway between its spectral radius
+    and one.  A caller with one model passes [model] and [beta] and takes
+    the first entry.
 
-    model may also be a sequence of models sharing n and p (sysmodel._stack),
-    with one beta per model; the result is then the list of their terms.
-    One model is the batch of one.
-
-    Every argument is checked before any constant is computed (L, delta,
-    every beta, then model by model stability), so a bad one raises the
-    ParameterError its batch of one raises.  Then one stacked pass takes
-    the spectral radii, the transient scans and the Smith doublings (each
-    model stopping at its own step), the Markov blocks, C A^L and the
-    2-norms, each bitwise its own model's 2-D computation, so a model's
-    terms do not depend on its batch.
+    Every argument is checked before any constant is computed (the batch,
+    one beta per model, L, delta, every beta, then model by model a
+    spectral radius whose rate rho rounds below one), so a bad one raises
+    the ParameterError its batch of one raises.  Then one stacked pass
+    takes the spectral radii, the transient scans and the Smith doublings
+    (each model stopping at its own step), the Markov blocks, C A^L and
+    the 2-norms, each bitwise its own model's 2-D computation, so a
+    model's terms do not depend on its batch.
     """
-    single = isinstance(model, StateSpaceModel)
-    models = [model] if single else list(model)
-    betas = [beta] if single else list(beta)
     A, B, C = _stack(models, "ABC")
-    if len(betas) != len(models):
-        raise ParameterError("bound_terms needs one beta per model")
+    if np.shape(betas) != A.shape[:1]:
+        raise ParameterError("bound_terms needs a sequence of one beta per model")
     if L < 1:
         raise ParameterError("L must be >= 1")
     if not (0.0 < delta < 1.0):
         raise ParameterError("delta must lie in (0, 1)")
     if any(beta <= 0.0 for beta in betas):
         raise ParameterError("beta must be positive")
-    rates = [0.5 * (1.0 + _require_stable(float(sr))) for sr in _spectral_radii(A)]
+    radii = _spectral_radii(A).tolist()
+    for sr in radii:
+        # a radius within one ulp of 1 is stable, but its rate rounds to 1
+        if not 0.5 * (1.0 + sr) < 1.0:
+            raise ParameterError(f"bound_terms needs a decay rate (1 + spectral radius)/2 "
+                                 f"below 1, got spectral radius {sr!r}")
+    rates = [0.5 * (1.0 + sr) for sr in radii]
     phis = transient_factor(A, rates).tolist()
     gamma_inf_norms = _spectral_norms(controllability_gramian(models, noise.sigma_w)).tolist()
-    F = _markov_blocks(A, B, C, L)[1].reshape(len(models), 1, -1)
+    F = _markov_blocks(A, B, C, L)[1].reshape(len(A), 1, -1)
     # each flattened F_j times its transpose is the dot product np.linalg.norm(F_j) takes
     F_norms = np.sqrt(F @ F.transpose(0, 2, 1))[:, 0, 0].tolist()
     CAL_norms = _spectral_norms(C @ np.linalg.matrix_power(A, L)).tolist()
@@ -446,7 +446,7 @@ def bound_terms(model: StateSpaceModel | Sequence[StateSpaceModel], noise: Noise
                                 sigma_e_sq=gamma_inf_norm * CAL_sq * phi / (1.0 - rho),
                                 K=K, Xi=Xi, beta=beta, rho=rho, phi=phi, delta=delta,
                                 F_fro_sq=F_fro_sq, CAL_sq=CAL_sq, sigma_w_norm=sigma_w_norm))
-    return terms[0] if single else terms
+    return terms
 
 
 @dataclass(frozen=True)
@@ -458,18 +458,17 @@ class BoundReport:
     fro_value: float | None
 
 
-def bound_data_dependent(model: StateSpaceModel, terms: BoundTerms, L: int, T: int,
+def bound_data_dependent(p: int, terms: BoundTerms, L: int, T: int,
                          lambda_min: float | None = None) -> BoundReport:
     """Error bound holding with probability at least 1 - delta:
 
         sqrt(p^2 L Xi / delta) + beta^2 K^2 phi rho^L / (1 - rho) * sqrt(T - L)
 
-    on the design-weighted error.  Dividing by sqrt(lambda_min) of the
-    Gram matrix gives the Frobenius-norm version.
+    on the design-weighted error of a p-output model.  Dividing by
+    sqrt(lambda_min) of the Gram matrix gives the Frobenius-norm version.
     """
     if T <= L:
         raise ParameterError("need T > L")
-    p = model.p
     first = math.sqrt(p * p * L * terms.Xi / terms.delta)
     second = (terms.beta**2 * terms.K**2 * terms.phi * terms.rho**L
               / (1.0 - terms.rho) * math.sqrt(T - L))
@@ -497,8 +496,8 @@ def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
     """Design, least-squares G and, for a full-rank fit, the data-dependent
     error bound.  Its constants are terms, when the caller has them (from a
     batched bound_terms call, for this model, L and delta, with whatever
-    beta the caller needs), or else bound_terms(model, noise, L, beta,
-    delta) with beta the largest input norm of the trajectory."""
+    beta the caller needs), or else those of the batch [model] with beta
+    the largest input norm of the trajectory."""
     design = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(design)
     G = markov_params(model, L).G
@@ -506,8 +505,8 @@ def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
         terms = bound = None
     else:
         if terms is None:
-            terms = bound_terms(model, noise, L, empirical_input_bound(traj.u), delta)
-        bound = bound_data_dependent(model, terms, L, design.T, lambda_min=report.lambda_min)
+            terms = bound_terms([model], noise, L, [empirical_input_bound(traj.u)], delta)[0]
+        bound = bound_data_dependent(model.p, terms, L, design.T, lambda_min=report.lambda_min)
     return FitResult(design=design, report=report, G=G,
                      err_fro=float(np.linalg.norm(report.G_hat - G)), terms=terms, bound=bound)
 
@@ -530,18 +529,19 @@ def predict(G_hat: np.ndarray, u_hist: np.ndarray, u_next: np.ndarray) -> float:
 
 def prediction_state_norms(models: Sequence[StateSpaceModel], noise: NoiseSpec,
                            us: np.ndarray) -> np.ndarray:
-    """||Gamma_u^(T) + Gamma_w^(T)||_2 for every model of a batch, models[j]
-    driven by its recorded inputs us[j] = u_0..u_T ((k, T+1, p); the models
-    share n and p, sysmodel._stack): the state term of prediction_bound.
+    """||Gamma_u^(h) + Gamma_w^(h)||_2 = ||E x_{h+1} x_{h+1}^T||_2 for every
+    model of a batch, models[j] driven by its inputs us[j] = u_0..u_h
+    ((k, h+1, p); the models share n and p, sysmodel._stack).  With
+    u_0..u_{T-L} it is prediction_bound's state term, that of x_{T+1-L}.
 
-    It reads no fit, so it can run before the fits.  Gamma_u^(T) and
-    Gamma_w^(T) come from one batched recursion each, every model's bitwise
+    It reads no fit, so it can run before the fits.  Gamma_u^(h) and
+    Gamma_w^(h) come from one batched recursion each, every model's bitwise
     the one it gets in a batch of one.
     """
     A, B = _stack(models, "AB")
     us = np.asarray(us, dtype=float)
     if us.ndim != 3 or us.shape[0] != len(A):
-        raise ParameterError("prediction_state_norms needs one (T+1, p) input sequence "
+        raise ParameterError("prediction_state_norms needs one (h+1, p) input sequence "
                              "per model")
     gamma_w = _truncated_gramians(A, noise.sigma_w, us.shape[1] - 1)
     gamma_u = _input_gramians(A, B, us)
@@ -553,12 +553,14 @@ def prediction_bound(fit: FitResult, err: float, noise: NoiseSpec, traj: Traject
     """Mean-squared-error bound for the one-step prediction (oracle mode):
 
         2 ||vec(G_hat) - vec(G)||_V^2 ||ubar_T (x) u_{T+1}||_{V^-1}^2
-        + 2 beta^2 ||C A^L||^2 ||Gamma_u^(T) + Gamma_w^(T)||
+        + 2 beta^2 ||C A^L||^2 ||Gamma_u^(T-L) + Gamma_w^(T-L)||
         + beta^2 ||Sigma_w|| ||F||_F^2 + sigma_z^2.
 
-    fit is the fit of traj by its model, err its design-weighted error
+    Given u, y_{T+1} - y_hat = -k^T Delta + u_{T+1}^T C A^L x_{T+1-L} plus
+    noise, so the state term is that of x_{T+1-L}.  fit is the fit of traj
+    by its model, err its design-weighted error
     ellipsoidal_error(fit.report.G_hat, fit.G, fit.design), state_norm
-    the model's prediction_state_norms entry for traj.u, and beta,
+    the model's prediction_state_norms entry for traj.u[:T+1-L], and beta,
     ||C A^L||^2, ||Sigma_w|| and ||F||_F^2 the fit's fit.terms; beta must
     cover u_next as well: fit with
     beta = max(empirical_input_bound(traj.u), ||u_next||).  Requires the
@@ -579,9 +581,10 @@ def prediction_bound(fit: FitResult, err: float, noise: NoiseSpec, traj: Traject
 
 
 def effective_noise_autocov(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
-                            tau: int, tau_prime: int, L: int) -> float:
-    """Closed-form conditional autocovariance Cov(zeta_a, zeta_b | u) for
-    a = tau+1, b = tau'+1.
+                            taus: Sequence[int], L: int) -> np.ndarray:
+    """Closed-form conditional autocovariances Cov(zeta_a, zeta_b | u) for
+    every lag pair of taus, a = tau+1 and b = tau'+1: the len(taus) x
+    len(taus) lag matrix whose entry (i, j) is that of taus[i], taus[j].
 
     Given u, the noise part of zeta_t is sum_{i<t} u_t^T C A^{t-1-i} w_i + z_t,
     so with m = min(a, b) only the process noises w_0..w_{m-1} are shared:
@@ -589,20 +592,24 @@ def effective_noise_autocov(model: StateSpaceModel, noise: NoiseSpec, u: np.ndar
         Cov = g_a^T Gamma_w^{(m-1)} g_b + sigma_z^2 [a = b],
         g_a = (A^{a-m})^T C^T u_a,
 
-    where Gamma_w^{(h)} = sum_{j=0..h} A^j Sigma_w (A^j)^T.  The paper's
-    four terms (window overlap, truncated state, two state/window cross
-    terms) split that one sum at t - L, so they add up to this value and
-    it does not depend on L; L only bounds the lags, L <= tau, tau' <= T-1.
+    where Gamma_w^{(h)} = sum_{j=0..h} A^j Sigma_w (A^j)^T, computed once per
+    distinct m by sysmodel._truncated_gramians.  The paper's four terms
+    (window overlap, truncated state, two state/window cross terms) split
+    that one sum at t - L, so they add up to this value and it does not
+    depend on L; L only bounds the lags, L <= tau <= T-1.
     """
     u = _as_columns(u)
     T = u.shape[0] - 1
-    if not (L <= tau <= T - 1 and L <= tau_prime <= T - 1):
-        raise ParameterError(f"need L <= tau, tau' <= T-1; got tau={tau}, tau'={tau_prime}, T={T}")
+    times = [int(tau) + 1 for tau in taus]
+    if not all(L + 1 <= t <= T for t in times):
+        raise ParameterError(f"need L <= tau <= T-1 for every lag; got taus={list(taus)}, T={T}")
     A, C = model.A, model.C
-    a, b = tau + 1, tau_prime + 1
-    m = min(a, b)
-    g_a = np.linalg.matrix_power(A.T, a - m) @ (C.T @ u[a])
-    g_b = np.linalg.matrix_power(A.T, b - m) @ (C.T @ u[b])
-    gamma_w = controllability_gramian(model, noise.sigma_w, horizon=m - 1)
-    term_z = noise.sigma_z**2 if a == b else 0.0
-    return float(g_a @ gamma_w @ g_b) + term_z
+    gamma_w = {m: _truncated_gramians(A[None], noise.sigma_w, m - 1)[0] for m in set(times)}
+    cov = np.empty((len(times), len(times)))
+    for i, a in enumerate(times):
+        for j, b in enumerate(times):
+            m = min(a, b)
+            g_a = np.linalg.matrix_power(A.T, a - m) @ (C.T @ u[a])
+            g_b = np.linalg.matrix_power(A.T, b - m) @ (C.T @ u[b])
+            cov[i, j] = float(g_a @ gamma_w[m] @ g_b) + (noise.sigma_z**2 if a == b else 0.0)
+    return cov

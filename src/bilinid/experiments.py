@@ -11,7 +11,6 @@ count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -556,7 +555,8 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     trajs = simulate_batch(models, noise, design_in, T, rngs)
     # (k, T+2, p): each trial's inputs u_0..u_T and then u_next
     us = np.stack([np.vstack([traj.u, u_next]) for traj, u_next in zip(trajs, u_nexts)])
-    state_norms = estimator.prediction_state_norms(models, noise, us[:, :-1])
+    # the state term is that of x_{T+1-L}, driven by u_0..u_{T-L}
+    state_norms = estimator.prediction_state_norms(models, noise, us[:, :T + 1 - L])
     means, variances = _final_output_moments(models, noise, us)
     betas = [max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
              for traj, u_next in zip(trajs, u_nexts)]
@@ -655,8 +655,7 @@ def run_validation(config: ExperimentConfig,
     taus = list(range(L, T))
     cov_mc, se_mc = zeta_covariance_mc(model, noise, u, taus, autocov_draws,
                                        derive_rng(config.base_seed, 11))
-    closed = np.array([estimator.effective_noise_autocov(model, noise, u, tau, tau_p, L)
-                       for tau, tau_p in itertools.product(taus, taus)]).reshape(cov_mc.shape)
+    closed = estimator.effective_noise_autocov(model, noise, u, taus, L)
     worst = float(np.max(np.abs(closed - cov_mc) / np.maximum(se_mc, 1e-300)))
     distinct = len(taus) * (len(taus) + 1) // 2
     checks = [_check("autocovariance_mc", 3.0 - worst,

@@ -52,13 +52,6 @@ def _spectral_norms(M: np.ndarray) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 
-def _require_stable(radius: float) -> float:
-    """radius, raising unless it is strictly below one."""
-    if radius >= 1.0:
-        raise ParameterError(f"operation requires spectral radius < 1, got {radius:.6g}")
-    return radius
-
-
 def _input_drive(B: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """Write every row's B u[t] to out (len(u), n) in one stacked product
     of mat-vecs, bitwise equal to B @ u[t]; the single GEMM u @ B.T can
@@ -100,18 +93,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _stack(models, names: str) -> tuple[np.ndarray, ...]:
     """The (k, ...) stacks of the matrices named in names ("A", "B" or "C")
     of a batch of k models, one stack per name.  The one batch rule:
-    ParameterError for an empty batch or for models whose named matrices
+    ParameterError for an empty batch, for anything but a sequence of
+    models (a bare model included) or for models whose named matrices
     differ in shape."""
-    models = list(models)
+    try:
+        models = list(models)
+        stacks = [[getattr(m, name) for m in models] for name in names]
+    except (TypeError, AttributeError):
+        raise ParameterError("a batch must be a sequence of models") from None
     if not models:
         raise ParameterError("a batch needs at least one model")
-    stacks = []
-    for name in names:
-        mats = [getattr(m, name) for m in models]
+    for name, mats in zip(names, stacks):
         if any(M.shape != mats[0].shape for M in mats):
             raise ParameterError(f"the models of a batch must share the shape of {name}")
-        stacks.append(np.stack(mats))
-    return tuple(stacks)
+    return tuple(np.stack(mats) for mats in stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,28 +503,29 @@ def markov_params(model: StateSpaceModel, L: int) -> MarkovParams:
     return MarkovParams(G=G[0], F=F[0], L=L)
 
 
-def transient_factor(A: np.ndarray, rho: float | Sequence[float]) -> float | np.ndarray:
-    """Worst-case transient amplification sup_k ||A^k|| / rho^k.
+def transient_factor(A: np.ndarray, rho: Sequence[float]) -> np.ndarray:
+    """Worst-case transient amplification sup_k ||A_j^k|| / rho_j^k of every
+    matrix A_j of the (k, n, n) stack A, with one rate rho_j per matrix.
 
-    Requires spectral_radius(A) < rho < 1 (otherwise the supremum may be
-    infinite).  Powers of the rescaled matrix M = A/rho are scanned one
+    Requires spectral_radius(A_j) < rho_j < 1 (otherwise the supremum may be
+    infinite).  Powers of the rescaled matrix M = A_j/rho_j are scanned one
     at a time, and the scan stops at the first K with ||M^K|| < 1: by
     submultiplicativity every later power M^(qK+r) has norm below
     ||M^r||, a term already seen, so the running supremum is final.
     Raises NumericalError when no such K appears within 2,000,000 powers.
 
-    A may also be a (k, n, n) stack with one rate per matrix in rho; the
-    result is then the array of the k factors.  The scans step together,
-    one stacked product and one stacked SVD per power, and each matrix
-    leaves the stack at its own K, so every factor is bitwise the one its
-    matrix gets alone.  A 2-D A is the batch of one.
+    The scans step together, one stacked product and one stacked SVD per
+    power, and each matrix leaves the stack at its own K, so every factor
+    is bitwise the one its matrix gets in a stack of one.  Anything but a
+    nonempty (k, n, n) stack and k rates raises ParameterError.
     """
-    A = np.asarray(A, dtype=float)
-    single = A.ndim < 3
-    A = np.atleast_2d(A)[None] if single else A
-    rho = np.asarray(rho, dtype=float).reshape(-1)
-    if rho.shape != A.shape[:1]:
+    shape = np.shape(A)
+    if len(shape) != 3 or not shape[0] or shape[1] != shape[2]:
+        raise ParameterError("transient_factor needs a nonempty (k, n, n) stack of matrices")
+    if np.shape(rho) != shape[:1]:
         raise ParameterError("transient_factor needs one rho per matrix")
+    A = np.asarray(A, dtype=float)
+    rho = np.asarray(rho, dtype=float)
     for sr, r in zip(_spectral_radii(A), rho):
         if not (sr < r < 1.0):
             raise ParameterError(
@@ -548,7 +544,7 @@ def transient_factor(A: np.ndarray, rho: float | Sequence[float]) -> float | np.
             phi[todo[done]] = sup[done]
             keep = ~done
             if not keep.any():
-                return float(phi[0]) if single else phi
+                return phi
             todo, power, M, sup, norms = todo[keep], power[keep], M[keep], sup[keep], norms[keep]
         np.maximum(sup, norms, out=sup)
     raise NumericalError(f"transient factor scan did not certify decay within {cap} powers")
@@ -622,30 +618,27 @@ def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
     raise NumericalError("Gramian doubling did not converge in 64 steps")
 
 
-def controllability_gramian(model: StateSpaceModel | Sequence[StateSpaceModel],
-                            sigma_w: np.ndarray, horizon: int | None = None) -> np.ndarray:
-    """Gramian sum_i A^i sigma_w (A^i)^T.
+def controllability_gramian(models: Sequence[StateSpaceModel], sigma_w: np.ndarray,
+                            horizon: int | None = None) -> np.ndarray:
+    """The (k, n, n) stack of the Gramians sum_i A_j^i sigma_w (A_j^i)^T of
+    a sequence of k models sharing n (they may differ in p; _stack).
 
     horizon=None gives the infinite sum, the fixed point of
     X -> A X A^T + sigma_w (requires spectral radius < 1), by Smith
     doubling (_infinite_gramians).  An integer horizon gives the exact
     truncated sum over i = 0..horizon, added in the order i = 0..horizon
-    (_truncated_gramians).
-
-    model may also be a sequence of models sharing n (they may differ in
-    p); the result is then the (k, n, n) stack of their Gramians, each
-    bitwise the one its model gets alone.  One model is the batch of one.
+    (_truncated_gramians).  Every Gramian is bitwise the one its model
+    gets in a batch of one.
     """
-    single = isinstance(model, StateSpaceModel)
-    A, = _stack([model] if single else model, "A")
+    A, = _stack(models, "A")
     n = A.shape[1]
     S = _as_matrix(sigma_w, rows=n, cols=n, name="sigma_w")
     if horizon is not None:
         if horizon < 0:
             raise ParameterError("horizon must be >= 0")
-        gramians = _truncated_gramians(A, S, horizon)
-    else:
-        for radius in _spectral_radii(A):
-            _require_stable(radius)
-        gramians = _infinite_gramians(A, S)
-    return gramians[0] if single else gramians
+        return _truncated_gramians(A, S, horizon)
+    for radius in _spectral_radii(A):
+        if not radius < 1.0:
+            raise ParameterError(f"the infinite Gramian requires spectral radius < 1, "
+                                 f"got {radius:.6g}")
+    return _infinite_gramians(A, S)

@@ -530,8 +530,8 @@ def test_bound_vanishes_in_noiseless_large_L_limit():
     noise = NoiseSpec.none(2)
     values = []
     for L in (4, 20, 60, 120):
-        terms = bound_terms(m, noise, L, beta=1.0, delta=0.1)
-        values.append(bound_data_dependent(m, terms, L, 10_000).value)
+        [terms] = bound_terms([m], noise, L, [1.0], delta=0.1)
+        values.append(bound_data_dependent(m.p, terms, L, 10_000).value)
     assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
     assert values[-1] <= 1e-10 * values[0]
 
@@ -540,12 +540,12 @@ def test_bound_first_term_scales_as_inverse_sqrt_delta():
     m = random_model(2, 1, 0.5, seed=2)
     noise = NoiseSpec.gaussian(0.5 * np.eye(2), 0.4)
     L, T = 4, 200
-    t1 = bound_terms(m, noise, L, beta=1.5, delta=0.1)
-    t2 = bound_terms(m, noise, L, beta=1.5, delta=0.2)
+    [t1] = bound_terms([m], noise, L, [1.5], delta=0.1)
+    [t2] = bound_terms([m], noise, L, [1.5], delta=0.2)
     second = (t1.beta**2 * t1.K**2 * t1.phi * t1.rho**L / (1 - t1.rho)
               * math.sqrt(T - L))
-    first1 = bound_data_dependent(m, t1, L, T).value - second
-    first2 = bound_data_dependent(m, t2, L, T).value - second
+    first1 = bound_data_dependent(m.p, t1, L, T).value - second
+    first2 = bound_data_dependent(m.p, t2, L, T).value - second
     assert first1 == pytest.approx(first2 * math.sqrt(2.0), rel=1e-12)
 
 
@@ -555,8 +555,8 @@ def test_bound_matches_independent_formula_oracle():
     m = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
     noise = NoiseSpec.gaussian([[1.0]], 1.0)
     L, T, beta, delta, rho = 4, 100, 1.0, 0.1, 0.75
-    terms = bound_terms(m, noise, L, beta=beta, delta=delta)
-    got = bound_data_dependent(m, terms, L, T).value
+    [terms] = bound_terms([m], noise, L, [beta], delta=delta)
+    got = bound_data_dependent(m.p, terms, L, T).value
 
     phi = 1.0  # scalar a=0.5 < rho: ratio (a/rho)^k maximized at k=0
     F2 = sum(0.5 ** (2 * i) for i in range(L))
@@ -575,8 +575,8 @@ def test_bound_matches_independent_formula_oracle():
 def test_bound_fro_variant_divides_by_sqrt_lambda_min():
     m = random_model(2, 1, 0.5, seed=3)
     noise = NoiseSpec.gaussian(np.eye(2), 1.0)
-    terms = bound_terms(m, noise, 4, beta=2.0, delta=0.1)
-    rep = bound_data_dependent(m, terms, 4, 100, lambda_min=16.0)
+    [terms] = bound_terms([m], noise, 4, [2.0], delta=0.1)
+    rep = bound_data_dependent(m.p, terms, 4, 100, lambda_min=16.0)
     assert rep.fro_value == pytest.approx(rep.value / 4.0, rel=1e-12)
 
 
@@ -584,12 +584,20 @@ def test_bound_terms_precondition_errors():
     m = random_model(2, 1, 0.5, seed=0)
     noise = NoiseSpec.gaussian(np.eye(2), 1.0)
     with pytest.raises(ParameterError):
-        bound_terms(m, noise, 4, beta=1.0, delta=1.5)
+        bound_terms([m], noise, 4, [1.0], delta=1.5)
     with pytest.raises(ParameterError):
-        bound_terms(m, noise, 4, beta=-1.0, delta=0.1)
+        bound_terms([m], noise, 4, [-1.0], delta=0.1)
     unstable = StateSpaceModel(A=[[1.1]], B=[[1.0]], C=[[1.0]])
     with pytest.raises(ParameterError):
-        bound_terms(unstable, NoiseSpec.gaussian([[1.0]], 1.0), 4, beta=1.0, delta=0.1)
+        bound_terms([unstable], NoiseSpec.gaussian([[1.0]], 1.0), 4, [1.0], delta=0.1)
+
+
+def test_bound_terms_refuses_a_spectral_radius_within_one_ulp_of_one():
+    # (1 + radius)/2 rounds to 1.0 there; the error names the radius, not a rate
+    m = StateSpaceModel(A=[[np.nextafter(1.0, 0.0)]], B=[[1.0]], C=[[1.0]])
+    with pytest.raises(ParameterError, match=r"spectral radius 0\.9999999999999999$") as err:
+        bound_terms([m], NoiseSpec.gaussian([[1.0]], 1.0), 4, [1.0], 0.1)
+    assert "rho" not in str(err.value)
 
 
 def _loop_transient_factor(A, rho):
@@ -657,14 +665,14 @@ def test_stacked_bound_constants_equal_their_loops_bitwise(n, p, L, k, seed):
     betas = [float(b) for b in rng.uniform(0.5, 3.0, k)]
     oracle = [_loop_bound_terms(m, noise, L, b, 0.1) for m, b in zip(models, betas)]
     assert bound_terms(models, noise, L, betas, 0.1) == oracle
-    assert [bound_terms(m, noise, L, b, 0.1) for m, b in zip(models, betas)] == oracle
+    assert [bound_terms([m], noise, L, [b], 0.1)[0] for m, b in zip(models, betas)] == oracle
     A = np.stack([m.A for m in models])
     phis = transient_factor(A, [t.rho for t in oracle])
     gramians = controllability_gramian(models, noise.sigma_w)
     for j, m in enumerate(models):
-        assert phis[j] == transient_factor(m.A, oracle[j].rho) == oracle[j].phi
+        assert phis[j] == transient_factor(m.A[None], [oracle[j].rho])[0] == oracle[j].phi
         assert np.array_equal(gramians[j], _loop_gramian(m.A, noise.sigma_w))
-        assert np.array_equal(controllability_gramian(m, noise.sigma_w), gramians[j])
+        assert np.array_equal(controllability_gramian([m], noise.sigma_w)[0], gramians[j])
 
 
 @pytest.mark.parametrize("j", [0, 2])
@@ -682,7 +690,7 @@ def test_bound_terms_batch_checks_every_model_before_any_scan(bad, j, monkeypatc
     else:
         delta = 1.5
     with pytest.raises(ParameterError) as alone:
-        bound_terms(models[j], noise, 4, betas[j], delta)
+        bound_terms([models[j]], noise, 4, [betas[j]], delta)
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a constant was computed before every argument was checked")
@@ -714,9 +722,9 @@ def test_fit_full_rank_is_design_solve_and_bound():
     assert f.report.solver_mode == "full_rank"
     assert np.array_equal(f.G, markov_params(m, L).G)
     assert f.err_fro == float(np.linalg.norm(f.report.G_hat - f.G))
-    terms = bound_terms(m, noise, L, empirical_input_bound(traj.u), delta)
+    [terms] = bound_terms([m], noise, L, [empirical_input_bound(traj.u)], delta)
     assert f.terms == terms
-    assert f.bound == bound_data_dependent(m, terms, L, T, lambda_min=f.report.lambda_min)
+    assert f.bound == bound_data_dependent(m.p, terms, L, T, lambda_min=f.report.lambda_min)
     assert f.bound.fro_value is not None
 
 
@@ -735,10 +743,10 @@ def test_fit_takes_an_explicit_beta():
     m = random_model(2, 1, 0.5, seed=4)
     noise = NoiseSpec.gaussian(np.eye(2), 1.0)
     traj = simulate(m, noise, InputDesign.gaussian(1), 80, seed=6)
-    f = fit(m, noise, traj, 3, 0.1, terms=bound_terms(m, noise, 3, 7.5, 0.1))
+    [terms] = bound_terms([m], noise, 3, [7.5], 0.1)
+    f = fit(m, noise, traj, 3, 0.1, terms=terms)
     assert f.terms.beta == 7.5
-    assert f.bound == bound_data_dependent(m, bound_terms(m, noise, 3, 7.5, 0.1), 3, 80,
-                                           lambda_min=f.report.lambda_min)
+    assert f.bound == bound_data_dependent(m.p, terms, 3, 80, lambda_min=f.report.lambda_min)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
@@ -871,6 +879,48 @@ def test_regime_terms_is_the_one_regime_rule():
     assert _where(_is_regime_compare) == [("excitation", "_regime_terms")] * 2
 
 
+def _form_switches(trees) -> list[tuple[str, str | None]]:
+    """Where in trees a value is tested for one model against a batch: an
+    isinstance(..., StateSpaceModel) call, or a .ndim read (x.ndim or
+    np.ndim(x)) anywhere but in the test of an if that only raises."""
+    refusals = {id(node) for tree in trees.values() for stmt in ast.walk(tree)
+                if isinstance(stmt, ast.If) and not stmt.orelse
+                and all(isinstance(b, ast.Raise) for b in stmt.body)
+                for node in ast.walk(stmt.test)}
+
+    def match(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            return any("StateSpaceModel" in ast.dump(arg) for arg in node.args[1:])
+        return isinstance(node, ast.Attribute) and node.attr == "ndim" and id(node) not in refusals
+
+    return _where(match, trees)
+
+
+def test_form_switch_detects_every_spelling():
+    tree = ast.parse(
+        "def f(model, A):\n"
+        "    isinstance(model, StateSpaceModel)\n"
+        "    isinstance(model, (sysmodel.StateSpaceModel, list))\n"
+        "    single = A.ndim < 3\n"
+        "    A = A[None] if np.ndim(A) == 2 else A\n"
+        "    if A.ndim == 2:\n"
+        "        A = A[None]\n"
+        "    if A.ndim != 3:\n"
+        "        raise ParameterError('a stack')\n"
+        "    isinstance(model, InputDesign)\n")
+    assert _form_switches({"m": tree}) == [("m", "f")] * 5
+
+
+def test_every_kernel_has_one_call_form():
+    # bound_terms, transient_factor and controllability_gramian take only
+    # batches, and a .ndim may only refuse a shape; the one .ndim branch
+    # left adds the column axis of a 1-D input sequence, not of a model
+    package = Path(estimator.__file__).resolve().parent
+    trees = {name: ast.parse((package / f"{name}.py").read_text())
+             for name in ("sysmodel", "estimator")}
+    assert _form_switches(trees) == [("sysmodel", "_as_columns")]
+
+
 # ------------------------------------------------------------------ prediction
 
 def test_predict_exact_for_noiseless_nilpotent_model():
@@ -900,9 +950,9 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     traj = simulate(m, noise, u_full[:T + 1], T, seed=33)
     u_next = u_full[T + 1]
     beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
-    f = fit(m, noise, traj, L, delta=0.1, terms=bound_terms(m, noise, L, beta, 0.1))
+    f = fit(m, noise, traj, L, delta=0.1, terms=bound_terms([m], noise, L, [beta], 0.1)[0])
     err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
-    (state_norm,) = prediction_state_norms([m], noise, traj.u[None])
+    (state_norm,) = prediction_state_norms([m], noise, traj.u[None, :T + 1 - L])
     bound = prediction_bound(f, err, noise, traj, u_next, state_norm)
     assert bound is not None
     y_hat = predict(f.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
@@ -939,10 +989,11 @@ def _prediction_batch(k, T=80, L=3, n=3, p=2):
         u = np.zeros((T + 1, p)) if j == 1 else rng.standard_normal((T + 1, p))
         trajs.append(simulate(models[-1], noise, u, T, seed=rng))
         u_nexts.append(rng.standard_normal(p))
-    fits = [fit(m, noise, traj, L, delta=0.1, terms=bound_terms(
-                m, noise, L, max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next))),
-                0.1))
-            for m, traj, u_next in zip(models, trajs, u_nexts)]
+    terms = bound_terms(models, noise, L, [
+        max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
+        for traj, u_next in zip(trajs, u_nexts)], 0.1)
+    fits = [fit(m, noise, traj, L, delta=0.1, terms=t)
+            for m, traj, t in zip(models, trajs, terms)]
     errs = [ellipsoidal_error(f.report.G_hat, f.G, f.design) for f in fits]
     return fits, errs, models, noise, trajs, u_nexts
 
@@ -976,8 +1027,9 @@ def test_autocov_reduces_to_measurement_noise_without_process_noise():
     noise = NoiseSpec.gaussian(np.zeros((2, 2)), 0.7)
     u = np.random.default_rng(42).standard_normal((10, 1))
     L = 2
-    assert effective_noise_autocov(m, noise, u, 3, 3, L) == pytest.approx(0.49, rel=1e-12)
-    assert effective_noise_autocov(m, noise, u, 3, 5, L) == 0.0
+    cov = effective_noise_autocov(m, noise, u, [3, 5], L)
+    assert cov[0, 0] == pytest.approx(0.49, rel=1e-12)
+    assert cov[0, 1] == 0.0
 
 
 def test_autocov_cross_window_term_vanishes_for_zero_dynamics():
@@ -988,8 +1040,9 @@ def test_autocov_cross_window_term_vanishes_for_zero_dynamics():
     noise = NoiseSpec.gaussian(0.8 * np.eye(2), 0.0)
     u = rng.standard_normal((10, 1))
     L = 2
-    assert effective_noise_autocov(m, noise, u, 2, 4, L) == 0.0
-    assert effective_noise_autocov(m, noise, u, 2, 5, L) == 0.0
+    cov = effective_noise_autocov(m, noise, u, [2, 4, 5], L)
+    assert cov[0, 1] == 0.0
+    assert cov[0, 2] == 0.0
 
 
 def test_autocov_matches_monte_carlo():
@@ -999,10 +1052,10 @@ def test_autocov_matches_monte_carlo():
     u = np.random.default_rng(45).standard_normal((T + 1, 1))
     taus = list(range(L, T))
     cov, se = zeta_covariance_mc(m, noise, u, taus, 200_000, seed=46)
-    for i, tau in enumerate(taus):
-        for j, tau_p in enumerate(taus):
-            closed = effective_noise_autocov(m, noise, u, tau, tau_p, L)
-            assert abs(closed - cov[i, j]) <= 4.0 * max(se[i, j], 1e-12)
+    closed = effective_noise_autocov(m, noise, u, taus, L)
+    for i in range(len(taus)):
+        for j in range(len(taus)):
+            assert abs(closed[i, j] - cov[i, j]) <= 4.0 * max(se[i, j], 1e-12)
 
 
 def test_autocov_symmetry():
@@ -1010,11 +1063,10 @@ def test_autocov_symmetry():
     noise = NoiseSpec.gaussian(0.6 * np.eye(3), 0.2)
     u = np.random.default_rng(48).standard_normal((12, 2))
     L = 3
-    for tau in range(L, 11):
-        for tau_p in range(L, 11):
-            a = effective_noise_autocov(m, noise, u, tau, tau_p, L)
-            b = effective_noise_autocov(m, noise, u, tau_p, tau, L)
-            assert a == pytest.approx(b, abs=1e-10)
+    cov = effective_noise_autocov(m, noise, u, range(L, 11), L)
+    for i in range(11 - L):
+        for j in range(11 - L):
+            assert cov[i, j] == pytest.approx(cov[j, i], abs=1e-10)
 
 
 def test_autocov_rejects_out_of_range_lags():
@@ -1022,9 +1074,40 @@ def test_autocov_rejects_out_of_range_lags():
     noise = NoiseSpec.gaussian(np.eye(2), 0.1)
     u = np.zeros((8, 1))
     with pytest.raises(ParameterError):
-        effective_noise_autocov(m, noise, u, 1, 3, L=2)
+        effective_noise_autocov(m, noise, u, [1, 3], L=2)
     with pytest.raises(ParameterError):
-        effective_noise_autocov(m, noise, u, 3, 7, L=2)
+        effective_noise_autocov(m, noise, u, [3, 7], L=2)
+
+
+def _autocov_pair(model, noise, u, tau, tau_p):
+    # one lag pair with its own Gramian Gamma_w^(m-1): the per-pair value
+    # each entry of the lag matrix must equal bitwise
+    a, b = tau + 1, tau_p + 1
+    m = min(a, b)
+    g_a = np.linalg.matrix_power(model.A.T, a - m) @ (model.C.T @ u[a])
+    g_b = np.linalg.matrix_power(model.A.T, b - m) @ (model.C.T @ u[b])
+    gamma_w = controllability_gramian([model], noise.sigma_w, horizon=m - 1)[0]
+    return float(g_a @ gamma_w @ g_b) + (noise.sigma_z ** 2 if a == b else 0.0)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(1, 4), p=st.integers(1, 3), L=st.integers(1, 5),
+       family=st.sampled_from(["gaussian", "exponential"]), seed=st.integers(0, 2**32 - 1))
+def test_autocov_lag_matrix_equals_its_pairs_bitwise(n, p, L, family, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.1, 0.95) / spectral_radius(A)
+    model = StateSpaceModel(A=A, B=rng.standard_normal((n, p)), C=rng.standard_normal((p, n)))
+    if family == "gaussian":
+        R = rng.standard_normal((n, n))
+        noise = NoiseSpec.gaussian(R @ R.T, float(rng.uniform(0.0, 2.0)))
+    else:
+        noise = NoiseSpec.exponential(n, rate=float(rng.uniform(0.5, 3.0)))
+    T = L + 5
+    u = rng.standard_normal((T + 1, p))
+    taus = list(range(L, T))
+    want = [[_autocov_pair(model, noise, u, tau, tau_p) for tau_p in taus] for tau in taus]
+    assert np.array_equal(effective_noise_autocov(model, noise, u, taus, L), want)
 
 
 def _autocov_by_explicit_sum(model, noise, u, tau, tau_p):
@@ -1058,10 +1141,11 @@ def test_autocov_matches_explicit_noise_sum(p):
     model, noise, u = _non_normal_autocov_case(p, seed=50 + p)
     L, T = 2, 10
     var = {tau: _autocov_by_explicit_sum(model, noise, u, tau, tau) for tau in range(L, T)}
+    cov = effective_noise_autocov(model, noise, u, range(L, T), L)
     for tau in range(L, T):
         for tau_p in range(L, T):
             want = _autocov_by_explicit_sum(model, noise, u, tau, tau_p)
-            got = effective_noise_autocov(model, noise, u, tau, tau_p, L)
+            got = cov[tau - L, tau_p - L]
             # absolute floor: 1e-12 of the Cauchy-Schwarz bound sqrt(var_a var_b)
             floor = 1e-12 * math.sqrt(var[tau] * var[tau_p])
             assert got == pytest.approx(want, rel=1e-12, abs=floor)
@@ -1069,11 +1153,10 @@ def test_autocov_matches_explicit_noise_sum(p):
 
 def test_autocov_does_not_depend_on_L():
     model, noise, u = _non_normal_autocov_case(3, seed=55)
-    for tau in range(4, 10):
-        for tau_p in range(4, 10):
-            short = effective_noise_autocov(model, noise, u, tau, tau_p, L=1)
-            long = effective_noise_autocov(model, noise, u, tau, tau_p, L=4)
-            assert short == pytest.approx(long, rel=1e-12, abs=1e-15)
+    short = effective_noise_autocov(model, noise, u, range(4, 10), L=1)
+    long = effective_noise_autocov(model, noise, u, range(4, 10), L=4)
+    for short_ij, long_ij in zip(short.ravel(), long.ravel()):
+        assert short_ij == pytest.approx(long_ij, rel=1e-12, abs=1e-15)
 
 
 def test_autocov_memory_stays_small():
@@ -1081,10 +1164,10 @@ def test_autocov_memory_stays_small():
     model = random_model(n, p, 0.9, seed=56)
     noise = NoiseSpec.gaussian(np.eye(n), 0.1)
     u = np.random.default_rng(57).standard_normal((2 * L + 1, p))
-    effective_noise_autocov(model, noise, u, L, L, L)  # warm imports and caches
+    effective_noise_autocov(model, noise, u, [L], L)  # warm imports and caches
     tracemalloc.start()
     try:
-        effective_noise_autocov(model, noise, u, L + 5, 2 * L - 1, L)
+        effective_noise_autocov(model, noise, u, [L + 5, 2 * L - 1], L)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -271,7 +271,31 @@ def test_cli_validate_seed_98_passes_on_the_exact_prediction_mse(tmp_path):
     assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
     pred = json.loads(out.read_text())["checks"][-1]
     assert pred["name"] == "prediction_bound"
-    assert pred["margin"] == 0.0024661678711367374
+    assert pred["margin"] == 0.002466167798086616
+
+
+_ZERO_NOISE = {"n": 2, "p": 2, "rho_values": [0.5], "L_values": [2], "T_values": [40],
+               "trials": 2, "delta": 0.1, "base_seed": 3,
+               "noise": {"family": "gaussian", "sigma_w": 0.0, "sigma_z": 0.0}}
+
+
+def test_cli_validate_zero_noise_cell_passes_the_prediction_bound(tmp_path):
+    # without noise the truncation term is the bound's only slack, so it
+    # holds only when that term is the one of x_{T+1-L}, the state y_{T+1} reads
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_ZERO_NOISE))
+    out = tmp_path / "val.json"
+    assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
+    pred = json.loads(out.read_text())["checks"][-1]
+    assert pred["name"] == "prediction_bound" and pred["margin"] >= 0.0
+
+
+def test_zero_noise_prediction_bound_holds_in_every_trial():
+    # the same zero-noise cell over 1000 coverage trials
+    cfg = ExperimentConfig.from_dict(_ZERO_NOISE)
+    for base_seed in range(10):
+        trials = bound_coverage_trials(cfg, 100, base_seed)
+        assert all(t.pred_ok for t in trials if t.pred_ok is not None)
 
 
 def test_validation_uncentered_exponential_noise_fails_prediction_check():

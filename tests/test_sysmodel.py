@@ -201,7 +201,33 @@ def test_gramian_batch_needs_only_a_shared_n():
     models = [random_model(2, 1, 0.5, seed=0), random_model(2, 3, 0.5, seed=1)]
     gramians = controllability_gramian(models, np.eye(2))
     for m, gramian in zip(models, gramians):
-        assert np.array_equal(controllability_gramian(m, np.eye(2)), gramian)
+        assert np.array_equal(controllability_gramian([m], np.eye(2))[0], gramian)
+
+
+def _one_form_misuses():
+    m = random_model(2, 1, 0.5, seed=0)
+    noise = NoiseSpec.none(2)
+    return {
+        "bound_terms, bare model": lambda: bound_terms(m, noise, 4, [1.0], 0.1),
+        "bound_terms, 2-D A": lambda: bound_terms(m.A, noise, 4, [1.0], 0.1),
+        "bound_terms, bare beta": lambda: bound_terms([m], noise, 4, 1.0, 0.1),
+        "controllability_gramian, bare model": lambda: controllability_gramian(m, np.eye(2)),
+        "controllability_gramian, 2-D A": lambda: controllability_gramian(m.A, np.eye(2)),
+        "controllability_gramian, bare model, horizon": lambda: controllability_gramian(
+            m, np.eye(2), horizon=3),
+        "transient_factor, bare model": lambda: transient_factor(m, [0.8]),
+        "transient_factor, 2-D A": lambda: transient_factor(m.A, [0.8]),
+        "transient_factor, bare rate": lambda: transient_factor(m.A[None], 0.8),
+        "transient_factor, empty stack": lambda: transient_factor(np.empty((0, 2, 2)), []),
+    }
+
+
+@pytest.mark.parametrize("misuse", sorted(_one_form_misuses()))
+def test_kernels_take_only_batches(misuse):
+    # each kernel has one call form: a bare model, a 2-D A or a bare rate or
+    # beta is refused, never read as a batch of one
+    with pytest.raises(ParameterError):
+        _one_form_misuses()[misuse]()
 
 
 # -------------------------------------------------------------- markov_params
@@ -248,22 +274,22 @@ def test_markov_blocks_match_matrix_power_oracle():
 def test_transient_factor_diagonal_is_one():
     # diagonal A: ||A^k|| = spectral_radius(A)^k <= rho^k, so the sup is the k=0 term
     A = np.diag([0.3, 0.45, 0.1])
-    assert transient_factor(A, 0.5) == 1.0
+    assert transient_factor(A[None], [0.5])[0] == 1.0
 
 
 def test_transient_factor_jordan_block():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert transient_factor(A, 0.5) == pytest.approx(2.0, abs=1e-12)
+    assert transient_factor(A[None], [0.5])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_transient_factor_zero_matrix():
-    assert transient_factor(np.zeros((3, 3)), 0.5) == 1.0
+    assert transient_factor(np.zeros((3, 3))[None], [0.5])[0] == 1.0
 
 
 def test_transient_factor_requires_rho_above_spectral_radius():
     A = np.diag([0.9, 0.2])
     with pytest.raises(ParameterError):
-        transient_factor(A, 0.9)
+        transient_factor(A[None], [0.9])
 
 
 def test_transient_factor_dominates_all_powers():
@@ -271,7 +297,7 @@ def test_transient_factor_dominates_all_powers():
     A = rng.standard_normal((4, 4))
     A *= 0.6 / spectral_radius(A)
     rho = 0.8
-    phi = transient_factor(A, rho)
+    phi = transient_factor(A[None], [rho])[0]
     for k in range(64):
         assert np.linalg.norm(np.linalg.matrix_power(A, k), 2) <= phi * rho**k + 1e-12
 
@@ -292,14 +318,14 @@ def test_transient_factor_matches_brute_force_scan_nonnormal(seed):
     A = 3.0 * np.triu(rng.standard_normal((5, 5))) + 0.1 * rng.standard_normal((5, 5))
     A *= 0.9 / spectral_radius(A)
     # decay is certified within 40 powers for these seeds; scan 50x further
-    assert transient_factor(A, 0.93) == _brute_force_transient_factor(A, 0.93, 2000)
+    assert transient_factor(A[None], [0.93])[0] == _brute_force_transient_factor(A, 0.93, 2000)
 
 
 def test_transient_factor_matches_brute_force_scan_jordan_block():
     # 6x6 Jordan block, rho just above the spectral radius: the norms peak
     # near 5.8e5 and first drop below one at k = 495
     A = 0.9 * np.eye(6) + np.eye(6, k=1)
-    phi = transient_factor(A, 0.95)
+    phi = transient_factor(A[None], [0.95])[0]
     assert phi > 5e5
     assert phi == _brute_force_transient_factor(A, 0.95, 3000)
 
@@ -309,19 +335,19 @@ def test_transient_factor_matches_brute_force_scan_jordan_block():
 def test_gramian_single_term_for_zero_dynamics():
     S = np.array([[2.0, 0.5], [0.5, 1.0]])
     m = StateSpaceModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
-    assert np.allclose(controllability_gramian(m, S), S)
+    assert np.allclose(controllability_gramian([m], S)[0], S)
 
 
 def test_gramian_scalar_geometric_series():
     m = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
-    g = controllability_gramian(m, np.array([[1.0]]))
+    g = controllability_gramian([m], np.array([[1.0]]))[0]
     assert g[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_gramian_zero_noise_is_zero():
     m = random_model(3, 1, 0.9, seed=0)
-    assert np.all(controllability_gramian(m, np.zeros((3, 3))) == 0.0)
-    assert np.all(controllability_gramian(m, np.zeros((3, 3)), horizon=10) == 0.0)
+    assert np.all(controllability_gramian([m], np.zeros((3, 3))) == 0.0)
+    assert np.all(controllability_gramian([m], np.zeros((3, 3)), horizon=10) == 0.0)
 
 
 @pytest.mark.parametrize("radius", [0.95, 0.999])
@@ -329,7 +355,7 @@ def test_gramian_fixed_point_residual(radius):
     m = random_model(4, 2, radius, seed=8)
     m = StateSpaceModel(A=m.A * (radius / spectral_radius(m.A)), B=m.B, C=m.C)
     S = 0.7 * np.eye(4)
-    g = controllability_gramian(m, S)
+    g = controllability_gramian([m], S)[0]
     res = np.linalg.norm(m.A @ g @ m.A.T + S - g) / np.linalg.norm(g)
     assert res <= 1e-10
 
@@ -340,7 +366,7 @@ def test_gramian_finite_matches_truncated_sum_oracle():
     horizon = 7
     oracle = sum(np.linalg.matrix_power(m.A, i) @ S @ np.linalg.matrix_power(m.A, i).T
                  for i in range(horizon + 1))
-    assert np.allclose(controllability_gramian(m, S, horizon=horizon), oracle, atol=1e-12)
+    assert np.allclose(controllability_gramian([m], S, horizon=horizon)[0], oracle, atol=1e-12)
 
 
 def test_input_gramian_matches_double_sum_oracle():
@@ -409,8 +435,8 @@ def test_stacked_recursions_equal_their_loops_bitwise(n, p, horizon, k, seed):
     means, variances = _final_output_moments(models, noise, u)
     for j, model in enumerate(models):
         assert np.array_equal(gamma_w[j], _loop_gramian(model, noise.sigma_w, horizon))
-        assert np.array_equal(controllability_gramian(model, noise.sigma_w, horizon=horizon),
-                              gamma_w[j])
+        assert np.array_equal(
+            controllability_gramian([model], noise.sigma_w, horizon=horizon)[0], gamma_w[j])
         assert np.array_equal(gamma_u[j], _loop_input_gramian(model, u[j]))
         assert np.array_equal(_input_gramians(model.A[None], model.B[None], u[j][None])[0],
                               gamma_u[j])
@@ -433,7 +459,7 @@ def test_truncated_gramian_memory_does_not_grow_with_horizon():
 def test_infinite_gramian_requires_stability():
     m = StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]])
     with pytest.raises(ParameterError):
-        controllability_gramian(m, np.eye(1))
+        controllability_gramian([m], np.eye(1))
 
 
 # ---------------------------------------------------------------------- noise
