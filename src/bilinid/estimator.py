@@ -188,12 +188,12 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
     u is the (T+1, p) input array, or an InputDesign whose sequence u_0..u_T
     is drawn from rng here, as simulate draws it: then T and rng are
     required, no y is taken, and the generator is left where
-    u.sample_sequence(T, rng) leaves it.  A drawn sequence is never held
-    whole: u_0..u_L come from sample_sequence(L, rng) and each later block
-    of rows draws its own inputs with sample_iid into one window of
-    L + BLOCK_ROWS rows, which carries its last L rows over to the next
-    block.  The draws are bitwise those of sample_sequence(T, rng), so the
-    design is bitwise the one built from that array.
+    u.sample_sequence(T, rng) leaves it.  Both forms fill one window, L rows
+    longer than a block, with u_1..u_L, then with each block's rows,
+    copied from the array or drawn by sample_iid, carrying its last L rows
+    over to the next block.  A drawn sequence is never held whole, and its
+    inputs, from sample_sequence(L, rng) and then sample_iid, are bitwise
+    those of sample_sequence(T, rng).
 
     y, when given, must hold the full output sequence y_0..y_T; the
     design uses the slice aligned with the rows.  A design of more than
@@ -233,30 +233,23 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
     block = rows if rows <= d else min(rows, BLOCK_ROWS)
     _require_allocatable(d, block)
     buf = np.empty((d, block))
-
-    def windows():
-        # u_{start+1} .. u_{stop+L}, the inputs of rows start..stop-1, for
-        # every block [start, stop); u_0 enters no row
-        if not drawn:
-            for start in range(0, rows, block):
-                yield u[start + 1: min(start + block, rows) + L + 1]
-            return
-        window = np.empty((L + block, p))
-        window[:L] = u.sample_sequence(L, rng)[1:]
-        for start in range(0, rows, block):
-            count = min(block, rows - start)
-            u.sample_iid(count, rng, out=window[L:L + count])
-            yield window[:L + count]
-            window[:L] = window[count:count + L]
+    window = np.empty((L + block, p))
+    window[:L] = u.sample_sequence(L, rng)[1:] if drawn else u[1:L + 1]
 
     def blocks():
-        # Row r of a window's block holds lag j u_{start+r+L-j} = window[r+L-1-j]
-        # and current input window[r+L].
-        for start, window in zip(range(0, rows, block), windows()):
-            count = window.shape[0] - L
+        # window[:L + count] holds u_{start+1}..u_{start+count+L}; row r of the block
+        # has lags u_{start+r+L-j} = window[r+L-1-j] and current input window[r+L]
+        for start in range(0, rows, block):
+            count = min(block, rows - start)
+            cur = window[L:L + count]
+            if drawn:
+                u.sample_iid(count, rng, out=cur)
+            else:
+                cur[:] = u[start + L + 1: start + L + 1 + count]
             lags = [window[L - 1 - j: L - 1 - j + count] for j in range(L)]
-            U = _kron_rows(lags, window[L:], out=buf[:, :count])
+            U = _kron_rows(lags, cur, out=buf[:, :count])
             yield U, None if y is None else y[start:start + count]
+            window[:L] = window[count:count + L]
 
     return DesignSystem.from_blocks(blocks(), L, T, p)
 

@@ -154,8 +154,12 @@ class ExperimentConfig:
             raise ParameterError("base_seed must be >= 0")
         if not all(0.0 < r < 1.0 for r in self.rho_values):
             raise ParameterError("every rho must lie in (0, 1)")
-        if not self.rho_values or not self.L_values or not self.T_values:
-            raise ParameterError("rho_values, L_values and T_values must be nonempty")
+        for name in ("rho_values", "L_values", "T_values"):
+            values = getattr(self, name)
+            if not values:
+                raise ParameterError(f"{name} must be nonempty")
+            if len(set(values)) < len(values):
+                raise ParameterError(f"{name} must not repeat a value, got {list(values)}")
         if min(self.T_values) <= max(self.L_values):
             raise ParameterError("every T must exceed every L")
         if not (0.0 < self.delta < 1.0):
@@ -229,15 +233,16 @@ def _trial_record(config: ExperimentConfig, noise: NoiseSpec, model: StateSpaceM
 
 
 def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign,
-              rho: float, L: int, T: int, key: tuple[int, ...]) -> list[TrialRecord]:
-    """Every trial of one (rho, L, T) cell.  Trial j draws its model and then
-    its trajectory from the stream (base_seed, *key, j); the cell's
-    trajectories come from one simulate_batch call and its bound constants
-    (beta the largest input norm of each trajectory, the default of fit)
-    from one batched bound_terms call.  A cell with T - L < p^2 L rows has a
-    wide design, whose fits are all min-norm and read no constants, so it
-    computes none.  The trials are fit one after another, so no finished
-    fit is held while the next one runs."""
+              rho: float, L: int, T: int, key: tuple[int, ...]) -> tuple[list, list]:
+    """Every trial of one (rho, L, T) cell, and the cell's aggregate row
+    [rho, L, T, mean_err, std_err] of their err_G_fro2.  Trial j draws its
+    model and then its trajectory from the stream (base_seed, *key, j); the
+    cell's trajectories come from one simulate_batch call and its bound
+    constants (beta the largest input norm of each trajectory, the default
+    of fit) from one batched bound_terms call.  A cell with T - L < p^2 L
+    rows has a wide design, whose fits are all min-norm and read no
+    constants, so it computes none.  The trials are fit one after another
+    in _trial_record, so no finished fit is held while the next one runs."""
     start = time.perf_counter()
     rngs = [derive_rng(config.base_seed, *key, trial) for trial in range(config.trials)]
     models = [random_model(config.n, config.p, rho, rng) for rng in rngs]
@@ -249,8 +254,11 @@ def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign
             models, noise, L, [estimator.empirical_input_bound(traj.u) for traj in trajs],
             config.delta)
     shared_s = (time.perf_counter() - start) / config.trials
-    return [_trial_record(config, noise, model, traj, rho, L, trial, shared_s, terms[trial])
-            for trial, (model, traj) in enumerate(zip(models, trajs))]
+    records = [_trial_record(config, noise, model, traj, rho, L, trial, shared_s, terms[trial])
+               for trial, (model, traj) in enumerate(zip(models, trajs))]
+    errs = np.array([r.err_G_fro2 for r in records])
+    std = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
+    return records, [rho, L, T, float(np.mean(errs)), std]
 
 
 def _map(tasks, fn, threads: int):
@@ -267,23 +275,6 @@ class SweepResult:
     threshold_T: dict | None = None  # L -> interpolation threshold, when relevant
 
 
-def _aggregate(records: list) -> list:
-    cells: dict[tuple, list] = {}
-    order: list[tuple] = []
-    for r in records:
-        cell = (r.rho, r.L, r.T)
-        if cell not in cells:
-            cells[cell] = []
-            order.append(cell)
-        cells[cell].append(r.err_G_fro2)
-    rows = []
-    for cell in order:
-        errs = np.asarray(cells[cell])
-        std = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
-        rows.append([cell[0], cell[1], cell[2], float(np.mean(errs)), std])
-    return rows
-
-
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Estimation-error sweep over the config grid, one model per trial;
     threads > 1 runs whole cells in parallel.  A cell's simulation holds a
@@ -297,8 +288,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     noise = config.noise.to_spec(config.n)
     design_in = config.input.to_design(config.p)
     per_cell = _map(cells, lambda c: _run_cell(config, noise, design_in, *c), threads)
-    records = [rec for cell in per_cell for rec in cell]
-    return SweepResult(records=records, aggregate=_aggregate(records))
+    return SweepResult(records=[rec for records, _ in per_cell for rec in records],
+                       aggregate=[row for _, row in per_cell])
 
 
 def run_double_descent(config: ExperimentConfig, threads: int = 1) -> SweepResult:
@@ -470,14 +461,18 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
     covariance and std(c_i c_j, ddof=1)/sqrt(N) of the centered outputs c.
 
     The draws are simulated MC_BLOCK_DRAWS at a time from one generator,
-    and only shifted co-moment sums are kept (Pebay 2008): with d = y - K,
-    K the first block's column means, S1 = sum d_i, S2 = sum d_i d_j,
-    S3 = sum d_i^2 d_j and S4 = sum d_i^2 d_j^2, all four from one Gram
-    of [d, d*d] per block.  With delta = S1/N and c = d - delta,
+    and only shifted co-moment sums are kept (Pebay 2008): with
+    d = (y - K) 2^-e, K the first block's column means and 2^e the least
+    power of two above the first block's largest |y - K|, S1 = sum d_i,
+    S2 = sum d_i d_j, S3 = sum d_i^2 d_j and S4 = sum d_i^2 d_j^2, all
+    four from one Gram of [d, d*d] per block.  With delta = S1/N and c = d - delta,
     sum c_i c_j = S2 - N delta_i delta_j and
     sum (c_i c_j)^2 = S4 - 2 delta_j S3_ij - 2 delta_i S3_ji
     + delta_j^2 S2_ii + delta_i^2 S2_jj + 4 delta_i delta_j S2_ij
-    - 3 N delta_i^2 delta_j^2.
+    - 3 N delta_i^2 delta_j^2.  The scaling by 2^-e is exact, so cov and
+    se are 2^2e times those of the scaled sums, bitwise those of the
+    unscaled ones wherever these stay in the float range, and S4 stays
+    finite for outputs whose fourth powers are not.
     """
     if n_draws < 2:
         raise ParameterError("n_draws must be >= 2 for a sample covariance")
@@ -494,6 +489,9 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
             shift = y.mean(axis=0)
         E = buf[:y.shape[0]]
         np.subtract(y, shift, out=E[:, :k])
+        if start == 0:
+            e = int(np.frexp(np.abs(E[:, :k]).max())[1])
+        np.ldexp(E[:, :k], -e, out=E[:, :k])
         np.square(E[:, :k], out=E[:, k:])
         s1 += E[:, :k].sum(axis=0)
         moments += E.T @ E
@@ -507,7 +505,7 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
     q = (s4 - 2.0 * (cross + cross.T) + (sq + sq.T) + 4.0 * np.outer(delta, delta) * s2
          - 3.0 * n_draws * np.outer(delta ** 2, delta ** 2))
     se = np.sqrt(np.maximum((q - n_draws * mean_prod ** 2) / (n_draws - 1), 0.0) / n_draws)
-    return cov, se
+    return np.ldexp(cov, 2 * e), np.ldexp(se, 2 * e)
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,15 @@ DEGENERATE_RATIO = 1e-10
 class HankelSet:
     """Hankel structures derived from a p x pL Markov matrix.
 
-    H_minus / H_plus drop the last / first p columns of H; L_hat is the
-    best rank-n approximation of H_minus (by SVD truncation) and
-    sigma_min_L its n-th singular value.  U_n and Vt_n are the rank-n
-    singular vectors of H_minus, signed so that the largest-magnitude
-    entry of each column of U_n is positive (L_hat = U_n diag(s) Vt_n).
+    H_minus / H_plus drop the last / first p columns of H; sigma_min_L is
+    the n-th of H_minus's singular_values.  U_n and Vt_n are its rank-n
+    singular vectors, signed so that the largest-magnitude entry of each
+    column of U_n is positive.
     """
 
     H: np.ndarray
     H_minus: np.ndarray
     H_plus: np.ndarray
-    L_hat: np.ndarray
     sigma_min_L: float
     singular_values: np.ndarray
     U_n: np.ndarray
@@ -47,7 +45,7 @@ class HankelSet:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """Recovered (A, B, C) with the factors they came from (O Q = L_hat).
+    """Recovered (A, B, C) with the factors they came from (O Q = U_n diag(s) Vt_n).
 
     hankel is the HankelSet that ho_kalman built and factored (None for a
     Realization assembled by hand).
@@ -83,7 +81,7 @@ class RealizationBounds:
 
 
 def build_hankel(G, n: int) -> HankelSet:
-    """Assemble H, its clips, and the rank-n truncation.
+    """Assemble H, its clips, and the rank-n SVD factors of H_minus.
 
     G is the p x pL block matrix (MarkovParams.G or an estimate); L must
     be even, at least 2, and at least 2n.
@@ -107,13 +105,12 @@ def build_hankel(G, n: int) -> HankelSet:
     U, s, Vt = np.linalg.svd(H_minus, full_matrices=False)
     U_n, Vt_n = U[:, :n].copy(), Vt[:n].copy()
     # Fixed sign convention: the largest-magnitude entry of each left
-    # singular vector is positive.  Flipping a pair leaves L_hat unchanged.
+    # singular vector is positive.  Flipping a pair leaves U_n diag(s) Vt_n unchanged.
     for k in range(n):
         if U_n[int(np.argmax(np.abs(U_n[:, k]))), k] < 0.0:
             U_n[:, k] = -U_n[:, k]
             Vt_n[k] = -Vt_n[k]
-    L_hat = (U_n * s[:n]) @ Vt_n
-    return HankelSet(H=H, H_minus=H_minus, H_plus=H_plus, L_hat=L_hat,
+    return HankelSet(H=H, H_minus=H_minus, H_plus=H_plus,
                      sigma_min_L=float(s[n - 1]), singular_values=s,
                      U_n=U_n, Vt_n=Vt_n, n=n, p=p, L=L)
 

@@ -217,7 +217,15 @@ class NoiseSpec:
     def exponential(cls, n: int, rate: float = 1.0, centered: bool = True) -> "NoiseSpec":
         if not rate > 0:
             raise ParameterError("exponential rate must be positive")
-        return cls(sigma_w=np.eye(n) / rate**2, sigma_z=1.0 / rate,
+        with np.errstate(over="ignore", divide="ignore"):
+            try:
+                sigma_w = np.eye(n) / rate**2
+            except OverflowError:  # rate^2 past the float range: 1/rate^2 underflows
+                sigma_w = np.eye(n) * (1.0 / rate) ** 2
+        if not np.all(np.isfinite(sigma_w)):
+            raise ParameterError(f"exponential rate {rate!r} gives a noise variance "
+                                 f"1/rate^2 past the float range")
+        return cls(sigma_w=sigma_w, sigma_z=1.0 / rate,
                    family="exponential", centered=centered)
 
     @classmethod
@@ -618,25 +626,16 @@ def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
     raise NumericalError("Gramian doubling did not converge in 64 steps")
 
 
-def controllability_gramian(models: Sequence[StateSpaceModel], sigma_w: np.ndarray,
-                            horizon: int | None = None) -> np.ndarray:
-    """The (k, n, n) stack of the Gramians sum_i A_j^i sigma_w (A_j^i)^T of
-    a sequence of k models sharing n (they may differ in p; _stack).
-
-    horizon=None gives the infinite sum, the fixed point of
-    X -> A X A^T + sigma_w (requires spectral radius < 1), by Smith
-    doubling (_infinite_gramians).  An integer horizon gives the exact
-    truncated sum over i = 0..horizon, added in the order i = 0..horizon
-    (_truncated_gramians).  Every Gramian is bitwise the one its model
-    gets in a batch of one.
+def controllability_gramian(models: Sequence[StateSpaceModel],
+                            sigma_w: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack of the Gramians sum_{i>=0} A_j^i sigma_w (A_j^i)^T
+    of k models sharing n (they may differ in p; _stack), each requiring
+    spectral radius < 1, by Smith doubling (_infinite_gramians).  Every
+    Gramian is bitwise the one its model gets in a batch of one.
     """
     A, = _stack(models, "A")
     n = A.shape[1]
     S = _as_matrix(sigma_w, rows=n, cols=n, name="sigma_w")
-    if horizon is not None:
-        if horizon < 0:
-            raise ParameterError("horizon must be >= 0")
-        return _truncated_gramians(A, S, horizon)
     for radius in _spectral_radii(A):
         if not radius < 1.0:
             raise ParameterError(f"the infinite Gramian requires spectral radius < 1, "

@@ -46,6 +46,7 @@ from bilinid.estimator import (
     vec,
 )
 from bilinid.experiments import batch_simulate_outputs, zeta_covariance_mc
+from bilinid.sysmodel import _truncated_gramians
 
 
 def _nilpotent_model(n, p, seed):
@@ -1086,7 +1087,7 @@ def _autocov_pair(model, noise, u, tau, tau_p):
     m = min(a, b)
     g_a = np.linalg.matrix_power(model.A.T, a - m) @ (model.C.T @ u[a])
     g_b = np.linalg.matrix_power(model.A.T, b - m) @ (model.C.T @ u[b])
-    gamma_w = controllability_gramian([model], noise.sigma_w, horizon=m - 1)[0]
+    gamma_w = _truncated_gramians(model.A[None], noise.sigma_w, m - 1)[0]
     return float(g_a @ gamma_w @ g_b) + (noise.sigma_z ** 2 if a == b else 0.0)
 
 

@@ -83,6 +83,11 @@ def test_config_validation():
         ExperimentConfig.from_json("not json")
     with pytest.raises(ParameterError):
         ExperimentConfig.from_dict({"unknown_field": 1})
+    # a repeated grid value would run its cells twice under one key
+    for name, values in (("rho_values", (0.3, 0.3)), ("L_values", (4, 2, 4)),
+                         ("T_values", (120, 120))):
+        with pytest.raises(ParameterError, match=f"{name} must not repeat a value"):
+            _small_config(**{name: values})
 
 
 # --------------------------------------------------------------------- sweeps
@@ -238,6 +243,35 @@ def test_coverage_trials_hold_one_fit_at_a_time():
         tracemalloc.stop()
     assert all(t.pred_ok is not None for t in trials)
     assert peak < 1.5 * (1 << 20)
+
+
+def test_sweep_trials_hold_one_fit_at_a_time():
+    # each fit of this wide cell holds its 200 x 360 design (562 KiB); the
+    # trials are fit one after another and the sweep peaks near 0.93 MiB,
+    # and a finished fit held while the next one runs adds one design
+    cfg = _small_config(p=3, L_values=(40,), T_values=(240,))
+    run_sweep(_small_config(p=3, L_values=(40,), T_values=(240,), trials=2))  # warm caches
+    tracemalloc.start()
+    try:
+        result = run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.solver_mode for r in result.records] == ["min_norm"] * 4
+    assert peak < 1.2 * (1 << 20)
+
+
+@pytest.mark.parametrize("noise", [{"sigma_z": 1e100}, {"sigma_w": 1e160}],
+                         ids=["sigma_z=1e100", "sigma_w=1e160"])
+def test_validation_autocovariance_margin_is_finite_for_huge_noise(noise):
+    # the outputs are finite but their fourth powers are not: the Monte
+    # Carlo co-moments are summed at a power-of-two scale, so the margin is
+    # a number and no overflow warning is raised
+    cfg = _small_config(noise=NoiseConfig(family="gaussian", **noise))
+    rep = run_validation(cfg, autocov_draws=2_000, m4_directions=2, m4_samples=1_000,
+                         coverage_trials=3)
+    autocov = next(c for c in rep["checks"] if c["name"] == "autocovariance_mc")
+    assert math.isfinite(autocov["margin"])
 
 
 def test_validation_err_bound_ratios_null_without_a_bound(monkeypatch):
@@ -678,6 +712,22 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert main(["estimate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("rate, code", [(1e155, 0), (1e200, 0), (1e-300, 2), (1e-160, 2)])
+def test_cli_exponential_rate_extremes(tmp_path, capsys, rate, code):
+    # 1/rate^2 underflowing builds the spec; overflowing it is refused in
+    # one line, before any numpy warning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
+                                "trials": 1, "noise": {"family": "exponential", "rate": rate}}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err == (f"config error: exponential rate {rate!r} gives a noise variance "
+                       f"1/rate^2 past the float range\n")
+
+
 _SMALL = '"n": 2, "p": 1, "L_values": [4], "T_values": [60]'
 
 
@@ -690,10 +740,12 @@ _SMALL = '"n": 2, "p": 1, "L_values": [4], "T_values": [60]'
     ('{"trials": 1.5}', 2),
     ('{"noise": {"rate": 0}}', 2),
     ('{"base_seed": -1}', 2),
+    ('{"n": 2, "p": 1, "L_values": [4], "T_values": [30, 30]}', 2),
     ('{"input": {"kind": "gaussian_isotropic", "beta": -3}}', 2),
     # finite but extreme values fail inside the numerics: exit 3
     ('{%s, "input": {"kind": "bounded_sphere", "beta": 1e300}}' % _SMALL, 3),
-    ('{%s, "noise": {"rate": 1e300}}' % _SMALL, 3),
+    # an exponential rate whose variance 1/rate^2 underflows builds its spec
+    ('{%s, "noise": {"rate": 1e300}}' % _SMALL, 0),
     # files json.loads refuses with other errors than JSONDecodeError
     pytest.param(b'\xff{"n": 2}', 2, id="not-utf8"),
     pytest.param('{"n": %s}' % ("1" * 5000), 2, id="int-over-4300-digits"),

@@ -30,7 +30,7 @@ def test_hankel_layout_scalar_blocks():
 
 def test_hankel_zero_markov_blocks():
     h = build_hankel(np.zeros((2, 2 * 6)), n=2)
-    for M in (h.H, h.H_minus, h.H_plus, h.L_hat):
+    for M in (h.H, h.H_minus, h.H_plus, (h.U_n * h.singular_values[:2]) @ h.Vt_n):
         assert np.all(M == 0.0)
 
 
@@ -39,7 +39,8 @@ def test_hankel_exact_blocks_have_rank_n():
     G = markov_params(m, 8).G
     h = build_hankel(G, n=3)
     assert h.singular_values[3] <= 1e-10 * h.singular_values[0]
-    assert np.linalg.norm(h.L_hat - h.H_minus) <= 1e-9 * np.linalg.norm(h.H_minus)
+    L_hat = (h.U_n * h.singular_values[:3]) @ h.Vt_n
+    assert np.linalg.norm(L_hat - h.H_minus) <= 1e-9 * np.linalg.norm(h.H_minus)
 
 
 def test_hankel_block_structure_matches_markov_blocks():
@@ -140,7 +141,8 @@ def test_ho_kalman_factorization_invariants():
     m = random_model(3, 2, 0.9, seed=6)
     h = build_hankel(markov_params(m, 8).G, n=3)
     real = ho_kalman(markov_params(m, 8).G, n=3)
-    assert np.linalg.norm(real.O @ real.Q - h.L_hat) <= 1e-9 * np.linalg.norm(h.L_hat)
+    L_hat = (h.U_n * h.singular_values[:3]) @ h.Vt_n
+    assert np.linalg.norm(real.O @ real.Q - L_hat) <= 1e-9 * np.linalg.norm(L_hat)
     assert np.array_equal(real.C, real.O[:2])
     assert np.array_equal(real.B, real.Q[:, :2])
 
@@ -188,7 +190,7 @@ def test_ho_kalman_keeps_the_hankel_it_factored():
     real = ho_kalman(G, n=3)
     h = build_hankel(G, n=3)
     assert real.hankel.n == 3
-    for name in ("H", "H_minus", "H_plus", "L_hat", "singular_values", "U_n", "Vt_n"):
+    for name in ("H", "H_minus", "H_plus", "singular_values", "U_n", "Vt_n"):
         assert np.array_equal(getattr(real.hankel, name), getattr(h, name))
 
 

@@ -213,8 +213,6 @@ def _one_form_misuses():
         "bound_terms, bare beta": lambda: bound_terms([m], noise, 4, 1.0, 0.1),
         "controllability_gramian, bare model": lambda: controllability_gramian(m, np.eye(2)),
         "controllability_gramian, 2-D A": lambda: controllability_gramian(m.A, np.eye(2)),
-        "controllability_gramian, bare model, horizon": lambda: controllability_gramian(
-            m, np.eye(2), horizon=3),
         "transient_factor, bare model": lambda: transient_factor(m, [0.8]),
         "transient_factor, 2-D A": lambda: transient_factor(m.A, [0.8]),
         "transient_factor, bare rate": lambda: transient_factor(m.A[None], 0.8),
@@ -347,7 +345,7 @@ def test_gramian_scalar_geometric_series():
 def test_gramian_zero_noise_is_zero():
     m = random_model(3, 1, 0.9, seed=0)
     assert np.all(controllability_gramian([m], np.zeros((3, 3))) == 0.0)
-    assert np.all(controllability_gramian([m], np.zeros((3, 3)), horizon=10) == 0.0)
+    assert np.all(_truncated_gramians(m.A[None], np.zeros((3, 3)), 10) == 0.0)
 
 
 @pytest.mark.parametrize("radius", [0.95, 0.999])
@@ -366,7 +364,7 @@ def test_gramian_finite_matches_truncated_sum_oracle():
     horizon = 7
     oracle = sum(np.linalg.matrix_power(m.A, i) @ S @ np.linalg.matrix_power(m.A, i).T
                  for i in range(horizon + 1))
-    assert np.allclose(controllability_gramian([m], S, horizon=horizon)[0], oracle, atol=1e-12)
+    assert np.allclose(_truncated_gramians(m.A[None], S, horizon)[0], oracle, atol=1e-12)
 
 
 def test_input_gramian_matches_double_sum_oracle():
@@ -384,7 +382,7 @@ def test_input_gramian_matches_double_sum_oracle():
 
 
 def _loop_gramian(model, sigma_w, horizon):
-    # the term-by-term form of controllability_gramian(horizon=...)
+    # the term-by-term form of _truncated_gramians
     G = np.zeros_like(sigma_w)
     Ai = np.eye(model.n)
     for _ in range(horizon + 1):
@@ -436,7 +434,7 @@ def test_stacked_recursions_equal_their_loops_bitwise(n, p, horizon, k, seed):
     for j, model in enumerate(models):
         assert np.array_equal(gamma_w[j], _loop_gramian(model, noise.sigma_w, horizon))
         assert np.array_equal(
-            controllability_gramian([model], noise.sigma_w, horizon=horizon)[0], gamma_w[j])
+            _truncated_gramians(model.A[None], noise.sigma_w, horizon)[0], gamma_w[j])
         assert np.array_equal(gamma_u[j], _loop_input_gramian(model, u[j]))
         assert np.array_equal(_input_gramians(model.A[None], model.B[None], u[j][None])[0],
                               gamma_u[j])
@@ -506,6 +504,12 @@ def test_specs_refuse_non_finite_parameters(build):
 def test_exponential_spec_pins_implied_covariance():
     with pytest.raises(ParameterError):
         NoiseSpec(sigma_w=2.0 * np.eye(2), sigma_z=1.0, family="exponential")
+    # I / rate^2 bitwise while rate^2 is a float, and (1/rate)^2 past that
+    for rate in (2.0, 30.0, 1e-150, 1e150, 1e154):
+        assert np.array_equal(NoiseSpec.exponential(2, rate=rate).sigma_w, np.eye(2) / rate**2)
+    for rate in (1e155, 1e170):
+        assert np.array_equal(NoiseSpec.exponential(2, rate=rate).sigma_w,
+                              np.eye(2) * (1.0 / rate) ** 2)
 
 
 def test_exponential_sample_z_has_std_sigma_z():
