@@ -121,7 +121,8 @@ def cmd_hokalman(args) -> int:
 def cmd_pe_check(args) -> int:
     config = _load_config(args)
     _, _, traj, L = _single_run_pieces(config)
-    design = estimator.design_from_inputs(traj.u, L, traj.y)
+    # the certificate reads only the Gram, so the design takes no outputs
+    design = estimator.design_from_inputs(traj.u, L)
     # bounded_a reads beta, the largest input norm; fourth_moment_b reads m4
     cert = excitation.pe_certificate(design, config.delta, args.regime,
                                      beta=estimator.empirical_input_bound(traj.u),

@@ -68,6 +68,18 @@ RANK_TOL = 1e-10
 # Rows of a tall design built and accumulated at a time, in one reused
 # (p^2 L) x BLOCK_ROWS buffer.
 BLOCK_ROWS = 16384
+# A design built to a lambda_min target (DesignSystem.from_blocks) stops once
+# its running Gram clears the target by STOP_MARGIN times its largest
+# eigenvalue.  Later blocks add positive semidefinite Grams, so the full
+# design's exact lambda_min is at least the prefix's (Weyl); the margin
+# covers rounding.  In the worst case a computed Gram lies within
+# (BLOCK_ROWS + blocks) eps/2 p^2 L lambda_max, about 2e-12 p^2 L lambda_max,
+# of the exact sum, and eigvalsh adds about p^2 L eps lambda_max.  At
+# p^2 L = 16 the margin covers these errors for the prefix and for a full
+# design whose lambda_max is up to about 30 times the prefix's; i.i.d.
+# inputs raise lambda_max about in proportion to the rows, and a prefix
+# reaches lambda_min >= (T - L)/4 only past about a quarter of them.
+STOP_MARGIN = 1e-9
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -114,14 +126,28 @@ class DesignSystem:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray | None]],
-                    L: int, T: int, p: int) -> DesignSystem:
+                    L: int, T: int, p: int,
+                    lambda_min_target: float | None = None) -> DesignSystem:
         """The design of T - L rows given as consecutive blocks (U_i, y_i).
 
         y_i None stands for outputs that are not given, read as zeros.  A
         design of at most p^2 L rows keeps them, so they come as one block
         (U, y), which the design holds.  A taller one sums U_i^T U_i,
         U_i^T y_i and y_i^T y_i over its blocks and holds none of them, so
-        the caller may refill one buffer for every block.
+        the caller may refill one buffer for every block.  A sum past the
+        float range raises NumericalError.
+
+        Given lambda_min_target, a taller design stops early: after a block
+        that leaves more rows to come, once the running Gram is tall and its
+        lambda_min (estimator._lambda_min of eigvalsh, the value
+        excitation.min_eig_design reports) is at least the target plus
+        STOP_MARGIN times its largest eigenvalue, no further block is taken
+        from blocks.  The design returned is then that of the rows taken so
+        far, T = L + those rows: its sums are bitwise those of the shorter
+        design built from the same blocks.  Later rows only add a positive
+        semidefinite Gram, so the full design's lambda_min would have
+        cleared the target as well (STOP_MARGIN covers the rounding).  A
+        generator that draws the blocks is left after the last block taken.
         """
         d, rows = p * p * L, T - L
         if rows <= d:
@@ -129,17 +155,29 @@ class DesignSystem:
             y = np.zeros(rows) if y is None else np.array(y, dtype=float)
             V = Uty = yty = None
         else:
-            V, Uty, yty, U = None, np.zeros(d), 0.0, np.empty((0, d))
+            V, Uty, yty, U = None, np.zeros(d), np.float64(0.0), np.empty((0, d))
+            taken = 0
             for block, y_block in blocks:
-                gram = _column_gram(block)
-                if V is None:
-                    V = gram
-                else:
-                    V += gram
-                if y_block is not None:
-                    Uty += block.T @ y_block
-                    yty += float(y_block @ y_block)
-            y = np.empty(0)
+                try:
+                    with np.errstate(over="raise"):
+                        gram = _column_gram(block)
+                        if V is None:
+                            V = gram
+                        else:
+                            V += gram
+                        if y_block is not None:
+                            Uty += block.T @ y_block
+                            yty += y_block @ y_block
+                except FloatingPointError as exc:
+                    raise NumericalError("design Gram sums overflow the float range") from exc
+                taken += block.shape[0]
+                if lambda_min_target is not None and d < taken < rows:
+                    eigs = np.linalg.eigvalsh(V)
+                    if _lambda_min(float(eigs[0])) >= (lambda_min_target
+                                                       + STOP_MARGIN * float(eigs[-1])):
+                        rows, T = taken, L + taken
+                        break
+            y, yty = np.empty(0), float(yty)
         return cls(U_tilde=U, y=y, L=L, T=T, p=p, rows=rows, V=V, Uty=Uty, yty=yty)
 
     def gram(self) -> np.ndarray:
@@ -181,8 +219,8 @@ def _kron_rows(lags: list[np.ndarray], cur: np.ndarray,
 
 
 def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None = None,
-                       T: int | None = None,
-                       rng: np.random.Generator | None = None) -> DesignSystem:
+                       T: int | None = None, rng: np.random.Generator | None = None,
+                       lambda_min_target: float | None = None) -> DesignSystem:
     """Build the Kronecker-row design from an input sequence u_0..u_T.
 
     u is the (T+1, p) input array, or an InputDesign whose sequence u_0..u_T
@@ -203,6 +241,12 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
     range, or a NaN or infinite output in that slice (an overflow of the
     simulated system), raises NumericalError.  A buffer past numpy's size
     limit raises MemoryError before any buffer is made.
+
+    lambda_min_target goes to DesignSystem.from_blocks: a taller design
+    whose running Gram clears it stops after that block and is the design
+    of T' = L + (rows built so far) < T, bitwise the one this function
+    builds for T'.  A drawn design that stops leaves its generator where
+    u.sample_sequence(T', rng) leaves it, with the rows after T' not drawn.
     """
     drawn = isinstance(u, InputDesign)
     if drawn:
@@ -251,7 +295,7 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
             yield U, None if y is None else y[start:start + count]
             window[:L] = window[count:count + L]
 
-    return DesignSystem.from_blocks(blocks(), L, T, p)
+    return DesignSystem.from_blocks(blocks(), L, T, p, lambda_min_target)
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,6 +58,18 @@ def min_eig_design(design: DesignSystem) -> float:
     return _lambda_min(float(np.linalg.eigvalsh(design.gram())[0]))
 
 
+def _log_over_delta(a: float, delta: float, one: float = 0.0) -> float:
+    """log(one + a/delta), as log(a) - log(delta) when a/delta overflows.
+
+    A delta near the smallest subnormal overflows the quotient although
+    its log is finite; every quotient that does not overflow keeps its
+    direct form, and with it every count's bits.  Past the float range
+    one + a/delta rounds to a/delta, so the log form drops nothing.
+    """
+    q = a / delta
+    return math.log(one + q) if q < math.inf else math.log(a) - math.log(delta)
+
+
 def _regime_terms(regime: str, p: int, L: int, delta: float,
                   beta: float | None, m4: float | None) -> tuple[float, float, int]:
     """(gamma1, gamma2, required samples) of a regime, after validating delta,
@@ -72,12 +84,12 @@ def _regime_terms(regime: str, p: int, L: int, delta: float,
             raise ParameterError("regime bounded_a requires a finite beta > 0")
         gamma1, gamma2 = beta**4 * L, 1.0
         need = (8.0 * (L + 1) * L * beta**4
-                * (math.log(2.0 * (L + 1) / delta) + d * math.log(9.0)))
+                * (_log_over_delta(2.0 * (L + 1), delta) + d * math.log(9.0)))
     elif regime == REGIME_FOURTH_MOMENT:
         if m4 is None or not 0.0 < m4 < math.inf:
             raise ParameterError("regime fourth_moment_b requires a finite m4 > 0")
-        gamma1, gamma2 = m4, math.log(1.0 + 16.0 * d / delta)
-        need = 32.0 * (L + 1) * m4 * (math.log(2.0 * (L + 1) / delta) + d * gamma2)
+        gamma1, gamma2 = m4, _log_over_delta(16.0 * d, delta, one=1.0)
+        need = 32.0 * (L + 1) * m4 * (_log_over_delta(2.0 * (L + 1), delta) + d * gamma2)
     else:
         raise ParameterError(f"unknown regime {regime!r}")
     return float(gamma1), float(gamma2), int(math.ceil(need))
@@ -128,11 +140,13 @@ def pe_certificate(design: DesignSystem, delta: float, regime: str,
 
 @dataclass(frozen=True, eq=False)
 class M4Estimate:
-    """Monte Carlo estimate of the directional fourth-moment constant."""
+    """Monte Carlo estimate of the directional fourth-moment constant, per
+    unit direction (the rows of directions)."""
 
     value: float
     estimates: np.ndarray
     std_errors: np.ndarray
+    directions: np.ndarray
 
 
 def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
@@ -152,9 +166,9 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
 
     Each direction gets an independent derived stream of n_samples
     draws; the reported value is the largest per-direction mean, with
-    per-direction standard errors alongside.  Explicit directions can be
-    supplied (they are normalized); otherwise n_directions uniform random
-    directions are drawn.
+    per-direction standard errors and the unit directions alongside.
+    Explicit directions can be supplied (they are normalized); otherwise
+    n_directions uniform random directions are drawn.
     """
     if input_design.kind != "gaussian_isotropic":
         raise ParameterError("estimate_m4 samples Gaussian input designs only, "
@@ -194,4 +208,4 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
         if n_samples > 1:
             std_errors[k] = float(np.std(proj4, ddof=1) / math.sqrt(n_samples))
     return M4Estimate(value=float(np.max(estimates)), estimates=estimates,
-                      std_errors=std_errors)
+                      std_errors=std_errors, directions=directions)

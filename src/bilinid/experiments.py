@@ -336,14 +336,20 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
     """Excitation frequency at the fourth-moment-regime required length.
 
     Draws `trials` independent input sequences of length T (defaulting to
-    the required length) and reports how often the excitation certificate
-    of a trial's design, excitation.pe_certificate, passes.  Each trial
-    draws its inputs block by block into its design
+    the required length, which uses the Gaussian fourth-moment constant
+    excitation.GAUSSIAN_M4) and reports how often a trial's design
+    passes the excitation certificate, lambda_min >= (T - L)/4 (the rule
+    of excitation.pe_certificate).  Trial j draws its inputs block by
+    block from derive_rng(base_seed, 0, j) into its design
     (estimator.design_from_inputs given the input design), so it holds
-    O(BLOCK_ROWS p^2 L) floats whatever T is.  The required length and the
-    certificate use the Gaussian fourth-moment constant
-    excitation.GAUSSIAN_M4.  A `trials` past numpy's size limit raises
-    MemoryError before any trial runs.
+    O(BLOCK_ROWS p^2 L) floats whatever T is.  Each design is built to the
+    target (T - L)/4: a trial whose running Gram clears it stops drawing,
+    leaving its generator after the rows it built, and its shorter
+    design's lambda_min decides the trial.  Later rows could only raise
+    lambda_min, so every verdict, and with it the report, is that of the
+    full-length designs, which a failing trial builds whole.  The
+    reported threshold is the full-length (T - L)/4.  A `trials` past
+    numpy's size limit raises MemoryError before any trial runs.
     """
     p, L, delta = config.p, config.L_values[0], config.delta
     m4 = excitation.GAUSSIAN_M4
@@ -355,19 +361,21 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
     if T <= L:
         raise ParameterError("campaign length T must exceed L")
     _require_allocatable(config.trials)  # the trials' pass flags
+    threshold = (T - L) / 4.0
 
-    def one(trial: int) -> excitation.PECertificate:
+    def one(trial: int) -> bool:
         rng = derive_rng(config.base_seed, 0, trial)
-        design = estimator.design_from_inputs(design_in, L, T=T, rng=rng)
-        return excitation.pe_certificate(design, delta, excitation.REGIME_FOURTH_MOMENT, m4=m4)
+        design = estimator.design_from_inputs(design_in, L, T=T, rng=rng,
+                                              lambda_min_target=threshold)
+        return excitation.min_eig_design(design) >= threshold
 
-    certs = _map(range(config.trials), one, threads)
+    passed = _map(range(config.trials), one, threads)
     return {
-        "frequency": float(np.mean([cert.passed for cert in certs])),
+        "frequency": float(np.mean(passed)),
         "required_T": L + required,
         "required_samples": required,
         "campaign_T": T,
-        "threshold": certs[0].threshold,
+        "threshold": threshold,
         "trials": config.trials,
         "p": p,
         "L": L,
@@ -602,6 +610,33 @@ def _coverage_false_failure_rate(trials: int, delta: float, target: float) -> fl
     return rate
 
 
+def _m4_false_failure_rate(directions: np.ndarray, p: int, L: int,
+                           n_samples: int) -> tuple[float, float]:
+    """(nominal false-failure rate, largest exact constant) of the
+    fourth-moment check over unit directions, for Gaussian inputs.
+
+    With W = v.reshape(p L, p) and M = W^T W (tr M = 1), a sample of
+    direction v is (u^T M u)^2 g^4 (excitation.estimate_m4).  The
+    quadratic form Q = u^T M u has cumulants 2^(r-1) (r-1)! t_r,
+    t_r = tr M^r, so its exact constant is m4 = 3 E Q^2 = 3 (t1^2 + 2 t2)
+    = 3 + 6 ||M||_F^2, and a sample's second moment is 105 E Q^4 with
+    E Q^4 = t1^4 + 12 t1^2 t2 + 12 t2^2 + 32 t1 t3 + 48 t4.  A direction
+    fails when its mean exceeds 9 + 3 SE; taking the mean as normal with
+    its exact SE = sqrt((105 E Q^4 - m4^2)/n_samples), that has
+    probability Phi(-3 - (9 - m4)/SE), and the directions draw independent
+    streams, so the family-wise rate is 1 - prod(1 - rate_k).
+    """
+    W = directions.reshape(-1, p * L, p)
+    lam = np.linalg.eigvalsh(W.transpose(0, 2, 1) @ W)
+    t1, t2, t3, t4 = (np.sum(lam**r, axis=1) for r in (1, 2, 3, 4))
+    m4 = 3.0 * (t1**2 + 2.0 * t2)
+    q4 = t1**4 + 12.0 * t1**2 * t2 + 12.0 * t2**2 + 32.0 * t1 * t3 + 48.0 * t4
+    se = np.sqrt((105.0 * q4 - m4**2) / n_samples)
+    z = 3.0 + (excitation.GAUSSIAN_M4 - m4) / se
+    rates = [0.5 * math.erfc(float(z_k) / math.sqrt(2.0)) for z_k in z]
+    return 1.0 - math.prod(1.0 - r for r in rates), float(np.max(m4))
+
+
 def _check(name: str, margin: float, details: dict) -> dict:
     """One validation check: it passes exactly when its margin is >= 0
     (a NaN margin fails)."""
@@ -668,9 +703,13 @@ def run_validation(config: ExperimentConfig,
                                  m4_directions, m4_samples,
                                  seed=config.base_seed + 20)
     slack = excitation.GAUSSIAN_M4 + 3.0 * est.std_errors - est.estimates
+    m4_rate, m4_exact_max = _m4_false_failure_rate(est.directions, config.p, m4_L, m4_samples)
     checks.append(_check("m4_gaussian", float(np.min(slack)),
                          {"max_estimate": float(est.value), "directions": int(len(est.estimates)),
-                          "samples": m4_samples, "L": m4_L, "p": config.p}))
+                          "samples": m4_samples, "L": m4_L, "p": config.p,
+                          "m4_exact_max": m4_exact_max,
+                          "nominal_false_failure_rate": m4_rate,
+                          "nominal_rate_basis": "normal approximation"}))
 
     # --- bound coverage and prediction bound --------------------------
     frequency = float(np.mean([t.covered for t in cov_trials]))

@@ -45,6 +45,7 @@ from bilinid.estimator import (
     unvec,
     vec,
 )
+from bilinid.excitation import min_eig_design
 from bilinid.experiments import batch_simulate_outputs, zeta_covariance_mc
 from bilinid.sysmodel import _truncated_gramians
 
@@ -219,6 +220,66 @@ def test_drawn_design_is_bitwise_the_design_of_the_drawn_array(kind, rows):
         assert drawn.V.tobytes() == ref.V.tobytes()
     # the generator is left where drawing the whole sequence leaves it
     assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gaussian_isotropic", "bounded_sphere"])
+def test_drawn_design_stopped_at_its_target_is_the_shorter_design(kind):
+    # p = 2, L = 3: (T - L)/4 = 5 BLOCK_ROWS/4 is cleared after 2 of 5 blocks
+    p, L = 2, 3
+    T = L + 5 * estimator.BLOCK_ROWS
+    design_in = InputDesign(kind=kind, p=p)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    target = (T - L) / 4.0
+    stopped = design_from_inputs(design_in, L, T=T, rng=rng, lambda_min_target=target)
+    assert stopped.T == L + stopped.rows and stopped.rows == 2 * estimator.BLOCK_ROWS
+    ref = design_from_inputs(design_in, L, T=stopped.T, rng=ref_rng)
+    assert ref.rows == stopped.rows
+    assert stopped.V.tobytes() == ref.V.tobytes()
+    assert stopped.Uty.tobytes() == ref.Uty.tobytes() and stopped.yty == ref.yty == 0.0
+    # the generator is left where the shorter sequence leaves it
+    assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+    assert min_eig_design(stopped) >= target
+
+
+def test_array_design_stopped_at_its_target_keeps_the_prefix_sums(monkeypatch):
+    monkeypatch.setattr(estimator, "BLOCK_ROWS", 7)
+    p, L, rows = 1, 2, 200
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((L + 1 + rows, p))
+    y = rng.standard_normal(L + 1 + rows)
+    stopped = design_from_inputs(u, L, y, lambda_min_target=rows / 4.0)
+    assert stopped.rows < rows and stopped.rows % 7 == 0 and stopped.T == L + stopped.rows
+    ref = design_from_inputs(u[:stopped.T + 1], L, y[:stopped.T + 1])
+    for got, want in ((stopped.V, ref.V), (stopped.Uty, ref.Uty)):
+        assert got.tobytes() == want.tobytes()
+    assert stopped.yty == ref.yty
+
+
+@pytest.mark.parametrize("rows", [12, 13, 5 * 7, 5 * 7 + 3])
+def test_design_short_of_its_target_is_the_full_design(monkeypatch, rows):
+    # a design that keeps its rows (at most 12) never stops, and a tall one
+    # none of whose prefixes reaches its target, 10 rows, is the design
+    # built without a target
+    monkeypatch.setattr(estimator, "BLOCK_ROWS", 7)
+    p, L = 2, 3
+    u = np.random.default_rng(rows).standard_normal((L + 1 + rows, p))
+    plain = design_from_inputs(u, L)
+    got = design_from_inputs(u, L, lambda_min_target=0.0 if rows <= 12 else 10.0 * rows)
+    assert (got.T, got.rows) == (plain.T, plain.rows)
+    if rows <= 12:
+        assert got.U_tilde.tobytes() == plain.U_tilde.tobytes()
+    else:
+        assert got.V.tobytes() == plain.V.tobytes()
+
+
+def test_design_gram_sums_past_the_float_range_raise_numerical_error():
+    # finite rows (1e160) whose Gram and output sums are not
+    U = np.full((20, 2), 1e160)
+    for y in (None, np.full(20, 1.0)):
+        with pytest.raises(NumericalError, match="Gram sums overflow"):
+            DesignSystem.from_blocks([(U, y)], L=2, T=22, p=1)
+    with pytest.raises(NumericalError, match="Gram sums overflow"):
+        DesignSystem.from_blocks([(np.ones((20, 2)), np.full(20, 1e160))], L=2, T=22, p=1)
 
 
 def test_drawn_design_needs_T_and_rng_and_takes_no_outputs():

@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,6 +131,54 @@ def test_required_samples_argument_validation():
         pe_required_samples(2, 4, 1.5, REGIME_FOURTH_MOMENT, m4=9.0)
     with pytest.raises(ParameterError):
         pe_required_samples(2, 4, 0.1, "no_such_regime", m4=9.0)
+
+
+def _quotient_required_samples(p, L, delta, regime, beta=None, m4=None):
+    # the displayed formulas, with each a/delta formed as a quotient
+    d = p * p * L
+    if regime == REGIME_BOUNDED:
+        need = 8.0 * (L + 1) * L * beta**4 * (math.log(2.0 * (L + 1) / delta)
+                                             + d * math.log(9.0))
+    else:
+        need = 32.0 * (L + 1) * m4 * (math.log(2.0 * (L + 1) / delta)
+                                      + d * math.log(1.0 + 16.0 * d / delta))
+    return math.ceil(need)
+
+
+@given(p=st.integers(1, 3), L=st.integers(1, 6),
+       delta=st.floats(1e-300, 1.0, exclude_max=True))
+def test_required_samples_keep_the_quotient_form_bitwise(p, L, delta):
+    # every quotient a/delta here is finite, so every count keeps its bits
+    for regime in (REGIME_BOUNDED, REGIME_FOURTH_MOMENT):
+        assert (pe_required_samples(p, L, delta, regime, beta=2.0, m4=9.0)
+                == _quotient_required_samples(p, L, delta, regime, beta=2.0, m4=9.0))
+    assert pe_required_samples(2, 4, 0.1, REGIME_FOURTH_MOMENT, m4=9.0) == 187_453
+
+
+def test_required_samples_at_the_smallest_delta_are_finite():
+    # 2(L+1)/delta and 16 p^2 L/delta overflow at delta = 5e-324, their logs do not
+    got = pe_required_samples(2, 4, 5e-324, REGIME_FOURTH_MOMENT, m4=9.0)
+    log_delta = math.log(5e-324)
+    assert got == 18_354_970 == math.ceil(
+        32 * 5 * 9 * (math.log(10.0) - log_delta + 16 * (math.log(256.0) - log_delta)))
+    assert pe_required_samples(2, 4, 5e-324, REGIME_BOUNDED, beta=2.0) == math.ceil(
+        8 * 5 * 4 * 2.0**4 * (math.log(10.0) - log_delta + 16 * math.log(9.0)))
+    cert = pe_certificate(design_from_inputs(np.eye(40, 2) + 1.0, 4), 5e-324,
+                          REGIME_FOURTH_MOMENT, m4=9.0)
+    assert cert.required_T == 4 + got and math.isfinite(cert.gamma2)
+
+
+def test_required_samples_continue_across_the_quotient_overflow():
+    # the last delta whose 16 p^2 L/delta is finite and the first whose is not
+    # give counts at most one apart
+    hi = 256.0 / sys.float_info.max
+    while 256.0 / hi < math.inf:
+        hi = math.nextafter(hi, 0.0)
+    lo, hi = hi, math.nextafter(hi, 1.0)
+    assert 256.0 / lo == math.inf and 256.0 / hi < math.inf
+    counts = [pe_required_samples(2, 4, delta, REGIME_FOURTH_MOMENT, m4=9.0)
+              for delta in (lo, hi)]
+    assert 0 <= counts[0] - counts[1] <= 1
 
 
 # --------------------------------------------------------------- pe_certificate
@@ -279,6 +328,8 @@ def test_m4_gaussian_matches_exact_fourth_moment(p, L):
     est = estimate_m4(InputDesign.gaussian(p), L=L, n_directions=5,
                       n_samples=100_000, seed=7, directions=directions)
     exact = np.array([_gaussian_m4_exact(v, p, L) for v in directions])
+    unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    assert est.directions.tobytes() == unit.tobytes()
     assert exact[-1] == pytest.approx(GAUSSIAN_M4, rel=1e-12)
     assert np.all(exact <= GAUSSIAN_M4 * (1.0 + 1e-12))
     assert np.all(np.abs(est.estimates - exact) <= 4.0 * est.std_errors)

@@ -11,11 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilinid import (
+    GAUSSIAN_M4,
+    InputDesign,
     NoiseSpec,
     ParameterError,
     StateSpaceModel,
     derive_rng,
     estimator,
+    excitation,
     fit,
     random_model,
     simulate,
@@ -31,6 +34,7 @@ from bilinid.experiments import (
     _autocov_false_failure_rate,
     _coverage_false_failure_rate,
     _final_output_moments,
+    _m4_false_failure_rate,
     batch_simulate_outputs,
     bound_coverage_trials,
     format_aggregate_csv,
@@ -215,6 +219,53 @@ def test_pe_campaign_tiny_T_rank_deficient():
     cfg = _small_config(p=1, L_values=(2,), T_values=(100,), trials=5)
     out = run_pe_campaign(cfg, T=3)  # one row, two columns
     assert out["frequency"] == 0.0
+
+
+def _campaign_against_full_length_designs(p, L, kind, trials, base_seed, T, block):
+    """run_pe_campaign's frequency and its trials' design lengths, with
+    block-row blocks, checked against the full-length certificates."""
+    config = _small_config(p=p, L_values=(L,), trials=trials, base_seed=base_seed,
+                           input=InputConfig(kind=kind))
+    design_in = config.input.to_design(p)
+    lengths = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "BLOCK_ROWS", block)
+        build = estimator.design_from_inputs
+
+        def spy(*args, **kwargs):
+            design = build(*args, **kwargs)
+            lengths.append(design.T)
+            return design
+
+        mp.setattr(estimator, "design_from_inputs", spy)
+        frequency = run_pe_campaign(config, T=T)["frequency"]
+        full = [excitation.pe_certificate(
+                    build(design_in, L, T=T, rng=derive_rng(base_seed, 0, j)), 0.1,
+                    excitation.REGIME_FOURTH_MOMENT, m4=GAUSSIAN_M4).passed
+                for j in range(trials)]
+    assert frequency == float(np.mean(full))
+    return frequency, lengths
+
+
+@settings(max_examples=40)
+@given(p=st.integers(1, 2), L=st.integers(1, 3),
+       kind=st.sampled_from(["gaussian_isotropic", "bounded_sphere"]),
+       trials=st.integers(1, 6), base_seed=st.integers(0, 2**32 - 1),
+       extra=st.integers(1, 80), block=st.integers(1, 9))
+def test_stopped_campaign_frequency_is_the_full_length_frequency(p, L, kind, trials,
+                                                                 base_seed, extra, block):
+    _campaign_against_full_length_designs(p, L, kind, trials, base_seed,
+                                          L + p * p * L + extra, block)
+
+
+@pytest.mark.parametrize("kind", ["gaussian_isotropic", "bounded_sphere"])
+def test_stopped_campaign_with_mixed_verdicts(kind):
+    # p = 2, L = 2, 32 rows of 8 columns in blocks of 3: trials pass and fail,
+    # and passing trials stop short of T
+    T = 34
+    frequency, lengths = _campaign_against_full_length_designs(2, 2, kind, 40, 5, T, 3)
+    assert 0.0 < frequency < 1.0
+    assert min(lengths) < T and max(lengths) == T
 
 
 # ------------------------------------------------------------------ validation
@@ -467,6 +518,31 @@ def test_coverage_nominal_false_failure_rate():
     details = rep["checks"][2]["details"]
     assert details["nominal_false_failure_rate"] == _coverage_false_failure_rate(10, 0.1, target)
     assert details["nominal_rate_basis"] == "upper bound"
+
+
+def test_m4_nominal_false_failure_rate():
+    # p = 2, L = 1, W = I/sqrt(2): M = I/2, so u^T M u ~ Exp(1) with
+    # E Q^2 = 2 and E Q^4 = 24; m4 = 6 and a sample's variance is
+    # 105 * 24 - 36 = 2484
+    half = np.array([[1.0, 0.0, 0.0, 1.0]]) / math.sqrt(2.0)
+    se = math.sqrt(2484.0 / 100)
+    rate, m4_max = _m4_false_failure_rate(half, 2, 1, 100)
+    assert m4_max == pytest.approx(6.0, rel=1e-15)
+    assert rate == pytest.approx(0.5 * math.erfc((3.0 + 3.0 / se) / math.sqrt(2.0)), rel=1e-12)
+    # p = 1: every direction is rank one, m4 = 9, and each fails with Phi(-3)
+    rate, m4_max = _m4_false_failure_rate(np.full((50, 3), 1.0 / math.sqrt(3.0)), 1, 3, 10)
+    assert m4_max == pytest.approx(9.0, rel=1e-15)
+    assert rate == pytest.approx(1.0 - (1.0 - 0.5 * math.erfc(3.0 / math.sqrt(2.0)))**50,
+                                 rel=1e-12)
+    rep = run_validation(_small_config(p=2, L_values=(3,), T_values=(150,)),
+                         autocov_draws=2_000, m4_directions=4, m4_samples=2_000,
+                         coverage_trials=3)
+    details = rep["checks"][1]["details"]
+    est = excitation.estimate_m4(InputDesign.gaussian(2), 3, 4, 2_000, seed=3 + 20)
+    assert (details["nominal_false_failure_rate"], details["m4_exact_max"]) == (
+        _m4_false_failure_rate(est.directions, 2, 3, 2_000))
+    assert details["nominal_rate_basis"] == "normal approximation"
+    assert details["m4_exact_max"] < 9.0
 
 
 def _row_major_outputs(model, noise, u, times, n_draws, seed):
@@ -840,6 +916,44 @@ def test_cli_overflowing_design_exits_3(tmp_path, capsys, command):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     if command == "pe-campaign":
         assert "Kronecker design rows overflow" in capsys.readouterr().err
+
+
+_HUGE_OUTPUTS = {"noise": {"family": "exponential", "rate": 1e-154}}  # y ~ 1e154
+_HUGE_ROWS = {"input": {"kind": "bounded_sphere", "beta": 1e80}}  # rows ~ 1e160
+
+
+@pytest.mark.parametrize("command, extra, code", [
+    (["estimate"], _HUGE_OUTPUTS, 3),
+    (["pe-check", "--regime", "bounded_a"], _HUGE_ROWS, 3),
+    # the certificate reads only the Gram, so pe-check takes no outputs
+    (["pe-check"], _HUGE_OUTPUTS, 0),
+], ids=["estimate huge outputs", "pe-check huge rows", "pe-check huge outputs"])
+def test_cli_overflowing_gram_sums_print_one_line(tmp_path, capsys, command, extra, code):
+    # the outputs or rows are finite, their Gram sums are not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+                                "trials": 1, **extra}))
+    assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: design Gram sums overflow the float range\n"
+                   if code else "")
+
+
+@pytest.mark.parametrize("regime, count", [("fourth_moment_b", 18_354_970),
+                                           ("bounded_a", None)])
+def test_cli_pe_check_at_the_smallest_delta(tmp_path, capsys, regime, count):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 2, "p": 2, "L_values": [4], "T_values": [40], "trials": 1, '
+                    '"delta": 5e-324}')
+    out = tmp_path / "pe.json"
+    assert main(["pe-check", "--regime", regime, "--config", str(path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["delta"] == 5e-324
+    if count is not None:
+        assert report["required_T"] == 4 + count
+    assert 4 < report["required_T"] < 10**8
 
 
 def test_cli_seed_override_changes_results(config_file, tmp_path):
