@@ -5,7 +5,8 @@ exp double-descent, validate.  All read an ExperimentConfig JSON file;
 single-run commands use the first entry of each sweep list.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(or memory exhaustion), 4 validation-suite failure.
+(any float overflow included, or memory exhaustion), 4 validation-suite
+failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiments import (
     run_sweep,
     run_validation,
 )
-from .sysmodel import derive_rng, markov_params, random_model, simulate
+from .sysmodel import derive_rng, random_model, simulate
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -75,7 +76,7 @@ def cmd_estimate(args) -> int:
         "residual_norm": fit.report.residual_norm,
         "solver_mode": fit.report.solver_mode,
         "err_fro": fit.err_fro,
-        "err_ellipsoidal": estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design),
+        "err_ellipsoidal": fit.err_ellipsoidal,
         "bound_value": fit.bound.value if fit.bound else None,
         "bound_fro": fit.bound.fro_value if fit.bound else None,
         "bound_terms": fit.terms.to_dict() if fit.terms else None,
@@ -94,21 +95,18 @@ def cmd_estimate(args) -> int:
 
 def cmd_hokalman(args) -> int:
     config = _load_config(args)
-    model, _, traj, L = _single_run_pieces(config)
-    report = estimator.estimate_markov(estimator.design_from_inputs(traj.u, L, traj.y))
-    n = config.n
-    G_true = markov_params(model, L).G
-    hankel = hokalman.build_hankel(G_true, n)
-    realization = hokalman.ho_kalman(report.G_hat, n)
-    err_fro = float(np.linalg.norm(report.G_hat - G_true))
-    bounds = hokalman.realization_error_bounds(
-        hankel.H, realization.hankel.H, hankel.sigma_min_L, err_fro, L)
+    hokalman.check_order(config.L_values[0], config.n)  # before the simulation and the fit
+    model, noise, traj, L = _single_run_pieces(config)
+    fit = estimator.fit(model, noise, traj, L, config.delta)
+    hankel = hokalman.build_hankel(fit.G, config.n)
+    realization = hokalman.ho_kalman(fit.report.G_hat, config.n)
+    bounds = hokalman.realization_error_bounds(hankel, realization.hankel, fit.err_fro)
     base = _out_path(args, config.output_path + ".realization")
     for name, M in (("A", realization.A), ("B", realization.B), ("C", realization.C)):
         serialize.save_matrix(Path(f"{base}.{name}.csv"), M)
     meta_path = Path(f"{base}.json")
     serialize.save_json(meta_path, {
-        "n": n,
+        "n": config.n,
         "p": config.p,
         "L": L,
         "sigma_min_L": hankel.sigma_min_L,
@@ -244,7 +242,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a float overflow anywhere in a command raises FloatingPointError, an
+        # ArithmeticError: exit 3 with one line instead of numpy warnings
+        with np.errstate(over="raise"):
+            return args.func(args)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

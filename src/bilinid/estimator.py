@@ -33,8 +33,8 @@ Besides the estimator this module evaluates the finite-sample machinery
 around it: the design-weighted (ellipsoidal) error norm, a high-probability
 error bound with fully explicit constants, one-step output prediction with
 its mean-squared-error bound, and the closed-form autocovariance of the
-effective noise zeta.  fit chains design,
-least squares and bound for every sweep trial, coverage trial and CLI estimate.
+effective noise zeta.  fit chains design, least squares, errors and bound
+for every sweep trial, coverage trial and CLI estimate or realization.
 """
 
 from __future__ import annotations
@@ -184,14 +184,6 @@ class DesignSystem:
         """U^T U, the p^2 L x p^2 L Gram matrix; a design that keeps its
         rows forms it from them on each call."""
         return _column_gram(self.U_tilde) if self.V is None else self.V
-
-
-def stack_recent_inputs(u: np.ndarray, t: int, L: int) -> np.ndarray:
-    """ubar_t = [u_t; u_{t-1}; ...; u_{t-L+1}] as a flat vector of length pL."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if t - L + 1 < 0 or t >= u.shape[0]:
-        raise ParameterError("not enough inputs to stack the requested window")
-    return u[t - L + 1: t + 1][::-1].reshape(-1)
 
 
 def _kron_rows(lags: list[np.ndarray], cur: np.ndarray,
@@ -524,17 +516,18 @@ class FitResult:
     report: EstimateReport
     G: np.ndarray
     err_fro: float  # ||G_hat - G||_F
+    err_ellipsoidal: float  # ellipsoidal_error(G_hat, G, design)
     terms: BoundTerms | None
     bound: BoundReport | None
 
 
 def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
         delta: float, terms: BoundTerms | None = None) -> FitResult:
-    """Design, least-squares G and, for a full-rank fit, the data-dependent
-    error bound.  Its constants are terms, when the caller has them (from a
-    batched bound_terms call, for this model, L and delta, with whatever
-    beta the caller needs), or else those of the batch [model] with beta
-    the largest input norm of the trajectory."""
+    """Design, least-squares G, its errors and, for a full-rank fit, the
+    data-dependent error bound.  Its constants are terms, when the caller
+    has them (from a batched bound_terms call, for this model, L and delta,
+    with whatever beta the caller needs), or else those of the batch
+    [model] with beta the largest input norm of the trajectory."""
     design = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(design)
     G = markov_params(model, L).G
@@ -544,8 +537,9 @@ def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
         if terms is None:
             terms = bound_terms([model], noise, L, [empirical_input_bound(traj.u)], delta)[0]
         bound = bound_data_dependent(model.p, terms, L, design.T, lambda_min=report.lambda_min)
-    return FitResult(design=design, report=report, G=G,
-                     err_fro=float(np.linalg.norm(report.G_hat - G)), terms=terms, bound=bound)
+    return FitResult(design=design, report=report, G=G, terms=terms, bound=bound,
+                     err_fro=float(np.linalg.norm(report.G_hat - G)),
+                     err_ellipsoidal=ellipsoidal_error(report.G_hat, G, design))
 
 
 def predict(G_hat: np.ndarray, u_hist: np.ndarray, u_next: np.ndarray) -> float:
@@ -585,7 +579,7 @@ def prediction_state_norms(models: Sequence[StateSpaceModel], noise: NoiseSpec,
     return np.linalg.norm(gamma_u + gamma_w, 2, axis=(1, 2))
 
 
-def prediction_bound(fit: FitResult, err: float, noise: NoiseSpec, traj: Trajectory,
+def prediction_bound(fit: FitResult, noise: NoiseSpec, traj: Trajectory,
                      u_next: np.ndarray, state_norm: float) -> float | None:
     """Mean-squared-error bound for the one-step prediction (oracle mode):
 
@@ -595,9 +589,9 @@ def prediction_bound(fit: FitResult, err: float, noise: NoiseSpec, traj: Traject
 
     Given u, y_{T+1} - y_hat = -k^T Delta + u_{T+1}^T C A^L x_{T+1-L} plus
     noise, so the state term is that of x_{T+1-L}.  fit is the fit of traj
-    by its model, err its design-weighted error
-    ellipsoidal_error(fit.report.G_hat, fit.G, fit.design), state_norm
-    the model's prediction_state_norms entry for traj.u[:T+1-L], and beta,
+    by its model, whose fit.err_ellipsoidal is ||vec(G_hat) - vec(G)||_V,
+    ubar_T = [u_T; ...; u_{T-L+1}], state_norm the model's
+    prediction_state_norms entry for traj.u[:T+1-L], and beta,
     ||C A^L||^2, ||Sigma_w|| and ||F||_F^2 the fit's fit.terms; beta must
     cover u_next as well: fit with
     beta = max(empirical_input_bound(traj.u), ||u_next||).  Requires the
@@ -607,11 +601,11 @@ def prediction_bound(fit: FitResult, err: float, noise: NoiseSpec, traj: Traject
     if fit.terms is None:
         return None
     L, T, beta = fit.design.L, fit.design.T, fit.terms.beta
-    ubar = stack_recent_inputs(traj.u, T, L)
+    ubar = traj.u[T - L + 1:T + 1][::-1].reshape(-1)
     k = np.kron(ubar, np.asarray(u_next, dtype=float).ravel())
     k_weight = float(k @ np.linalg.solve(fit.design.gram(), k))
     terms = fit.terms
-    return (2.0 * err**2 * k_weight
+    return (2.0 * fit.err_ellipsoidal**2 * k_weight
             + 2.0 * beta**2 * terms.CAL_sq * float(state_norm)
             + beta**2 * terms.sigma_w_norm * terms.F_fro_sq
             + noise.sigma_z**2)

@@ -11,6 +11,7 @@ count.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import numbers
@@ -262,10 +263,14 @@ def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign
 
 
 def _map(tasks, fn, threads: int):
+    """[fn(t) for t in tasks], over threads workers when threads > 1.  Each
+    task runs in a copy of the caller's context, so it keeps the caller's
+    np.errstate, which numpy holds in a context variable."""
     if threads <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, tasks))
+        futures = [ex.submit(contextvars.copy_context().run, fn, t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -571,8 +576,8 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     def one(j: int) -> CoverageTrial:
         model, u_next, traj = models[j], u_nexts[j], trajs[j]
         fit = estimator.fit(model, noise, traj, L, config.delta, terms=terms[j])
-        err = estimator.ellipsoidal_error(fit.report.G_hat, fit.G, fit.design)
-        pred_bound = estimator.prediction_bound(fit, err, noise, traj, u_next, state_norms[j])
+        err = fit.err_ellipsoidal
+        pred_bound = estimator.prediction_bound(fit, noise, traj, u_next, state_norms[j])
         if pred_bound is None:
             return CoverageTrial(err_ellipsoidal=err, bound_value=math.nan, covered=False,
                                  pred_mse=None, pred_bound=None, pred_ok=None)

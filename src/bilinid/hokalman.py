@@ -80,21 +80,28 @@ class RealizationBounds:
     robustness_ok: bool
 
 
+def check_order(L: int, n: int) -> None:
+    """Raise ParameterError unless a realization of order n can be read
+    from L Markov blocks: L even and at least 2, n at least 1, and
+    L >= 2n, so that H_minus has at least n block rows and columns."""
+    if L % 2 != 0 or L < 2:
+        raise ParameterError(f"L must be even and >= 2, got {L}")
+    if n < 1 or L < 2 * n:
+        raise ParameterError(f"need L >= 2n, got L={L}, n={n}")
+
+
 def build_hankel(G, n: int) -> HankelSet:
     """Assemble H, its clips, and the rank-n SVD factors of H_minus.
 
-    G is the p x pL block matrix (MarkovParams.G or an estimate); L must
-    be even, at least 2, and at least 2n.
+    G is the p x pL block matrix (MarkovParams.G or an estimate), and L
+    and n pass check_order.
     """
     Gm = np.atleast_2d(np.asarray(G, dtype=float))
     p = Gm.shape[0]
     if Gm.shape[1] % p != 0:
         raise ParameterError("Markov matrix width must be a multiple of p")
     L = Gm.shape[1] // p
-    if L % 2 != 0 or L < 2:
-        raise ParameterError(f"L must be even and >= 2, got {L}")
-    if n < 1 or L < 2 * n:
-        raise ParameterError(f"need L >= 2n, got L={L}, n={n}")
+    check_order(L, n)
     half = L // 2
     # entry (a, b) of block (i, j) is entry (a, b) of block i + j of G: one
     # gather from G's (p, L, p) view into H's (half, p, half + 1, p) layout
@@ -165,9 +172,10 @@ def align_realizations(ref: Realization, other: Realization) -> Alignment:
     return Alignment(T=T, dA=dA, dB=dB, dC=dC)
 
 
-def realization_error_bounds(H: np.ndarray, H_hat: np.ndarray, sigma_min_L: float,
-                             G_err_fro: float, L: int) -> RealizationBounds:
-    """Explicit perturbation bounds on Procrustes-aligned errors.
+def realization_error_bounds(hankel: HankelSet, hankel_hat: HankelSet,
+                             G_err_fro: float) -> RealizationBounds:
+    """Perturbation bounds on Procrustes-aligned errors; L, sigma_min and H
+    come from hankel (of G), H_hat from hankel_hat (of G_hat, same shape):
 
         bound_BC = sqrt(10 L / sigma_min) * ||G - G_hat||_F,
         bound_A  = (9 sqrt(L) (||H|| + ||H_hat||) / sigma_min^2
@@ -176,12 +184,11 @@ def realization_error_bounds(H: np.ndarray, H_hat: np.ndarray, sigma_min_L: floa
     valid whenever the perturbation respects the robustness condition
     ||G - G_hat||_F <= sigma_min / (2 sqrt(2 L)) (boundary inclusive).
     """
-    if sigma_min_L <= 0.0:
-        raise ParameterError("sigma_min of the rank-n truncation must be positive")
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    H_hat = np.atleast_2d(np.asarray(H_hat, dtype=float))
-    h_norm = float(np.linalg.norm(H, 2))
-    h_hat_norm = float(np.linalg.norm(H_hat, 2))
+    sigma_min_L, L = hankel.sigma_min_L, hankel.L
+    if sigma_min_L <= 0.0 or hankel_hat.H.shape != hankel.H.shape:
+        raise ParameterError("need a positive sigma_min_L and two Hankel matrices of one shape")
+    h_norm = float(np.linalg.norm(hankel.H, 2))
+    h_hat_norm = float(np.linalg.norm(hankel_hat.H, 2))
     bound_BC = math.sqrt(10.0 * L / sigma_min_L) * G_err_fro
     bound_A = (9.0 * math.sqrt(L) * (h_norm + h_hat_norm) / sigma_min_L**2
                + math.sqrt(2.0 * L) / sigma_min_L) * G_err_fro

@@ -189,8 +189,7 @@ def test_criterion_7_realization_recovery_and_perturbation_bounds():
         target = rng.uniform(0.05, 1.0) * cap
         G_hat = mp.G + direction * (target / np.linalg.norm(direction))
         err = float(np.linalg.norm(G_hat - mp.G))
-        bounds = realization_error_bounds(hank.H, build_hankel(G_hat, n).H,
-                                          hank.sigma_min_L, err, L)
+        bounds = realization_error_bounds(hank, build_hankel(G_hat, n), err)
         assert bounds.robustness_ok
         al = align_realizations(real, ho_kalman(G_hat, n))
         hits += (al.dB <= bounds.bound_BC and al.dC <= bounds.bound_BC

@@ -41,7 +41,6 @@ from bilinid.estimator import (
     DesignSystem,
     design_from_inputs,
     prediction_state_norms,
-    stack_recent_inputs,
     unvec,
     vec,
 )
@@ -81,7 +80,7 @@ def test_design_row_norm_kronecker_identity():
     L = 4
     d = design_from_inputs(u, L)
     for i, t in enumerate(range(L + 1, 15)):
-        ubar = stack_recent_inputs(u, t - 1, L)
+        ubar = u[t - L:t][::-1].reshape(-1)
         expected = np.linalg.norm(ubar) * np.linalg.norm(u[t])
         assert np.linalg.norm(d.U_tilde[i]) == pytest.approx(expected, rel=1e-12)
 
@@ -92,7 +91,7 @@ def test_design_rows_match_explicit_kron():
     L = 3
     d = design_from_inputs(u, L)
     for i, t in enumerate(range(L + 1, 12)):
-        row = np.kron(stack_recent_inputs(u, t - 1, L), u[t])
+        row = np.kron(u[t - L:t][::-1].reshape(-1), u[t])
         assert np.array_equal(d.U_tilde[i], row)
 
 
@@ -530,7 +529,7 @@ def test_regression_identity_against_effective_noise():
     mp = markov_params(m, L)
     AL = np.linalg.matrix_power(m.A, L)
     zeta = np.array([
-        np.kron(stack_recent_inputs(traj.w, t - 1, L), traj.u[t]) @ vec(mp.F)
+        np.kron(traj.w[t - L:t][::-1].reshape(-1), traj.u[t]) @ vec(mp.F)
         + traj.u[t] @ (m.C @ AL @ traj.x[t - L]) + traj.z[t]
         for t in range(L + 1, T + 1)
     ])
@@ -784,6 +783,7 @@ def test_fit_full_rank_is_design_solve_and_bound():
     assert f.report.solver_mode == "full_rank"
     assert np.array_equal(f.G, markov_params(m, L).G)
     assert f.err_fro == float(np.linalg.norm(f.report.G_hat - f.G))
+    assert f.err_ellipsoidal == ellipsoidal_error(f.report.G_hat, f.G, design)
     [terms] = bound_terms([m], noise, L, [empirical_input_bound(traj.u)], delta)
     assert f.terms == terms
     assert f.bound == bound_data_dependent(m.p, terms, L, T, lambda_min=f.report.lambda_min)
@@ -799,6 +799,7 @@ def test_fit_min_norm_has_no_bound():
     assert f.report.solver_mode == "min_norm"
     assert f.terms is None and f.bound is None
     assert f.err_fro == float(np.linalg.norm(f.report.G_hat - markov_params(m, L).G))
+    assert f.err_ellipsoidal == ellipsoidal_error(f.report.G_hat, f.G, f.design)
 
 
 def test_fit_takes_an_explicit_beta():
@@ -876,6 +877,12 @@ def test_fit_is_the_one_path_to_the_bound():
     # the batched callers compute the constants a cell's fits then take
     assert _callers("bound_terms") == [("estimator", "fit"), ("experiments", "_run_cell"),
                                        ("experiments", "bound_coverage_trials")]
+
+
+def test_fit_is_the_one_path_to_the_estimate_and_its_errors():
+    # every command fits G through fit, and reads the errors fit computed
+    for name in ("estimate_markov", "markov_params", "ellipsoidal_error"):
+        assert _callers(name) == [("estimator", "fit")], name
 
 
 def test_prediction_bound_reads_the_fits_constants():
@@ -1013,9 +1020,8 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     u_next = u_full[T + 1]
     beta = max(empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
     f = fit(m, noise, traj, L, delta=0.1, terms=bound_terms([m], noise, L, [beta], 0.1)[0])
-    err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
     (state_norm,) = prediction_state_norms([m], noise, traj.u[None, :T + 1 - L])
-    bound = prediction_bound(f, err, noise, traj, u_next, state_norm)
+    bound = prediction_bound(f, noise, traj, u_next, state_norm)
     assert bound is not None
     y_hat = predict(f.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
     ys = batch_simulate_outputs(m, noise, u_full, [T + 1], 100_000, 34)
@@ -1031,14 +1037,13 @@ def test_prediction_bound_omitted_when_gram_singular():
     traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=5)
     u_next = np.ones(2)
     f = fit(m, noise, traj, L, delta=0.1)
-    err = ellipsoidal_error(f.report.G_hat, f.G, f.design)
     (state_norm,) = prediction_state_norms([m], noise, traj.u[None])
-    assert prediction_bound(f, err, noise, traj, u_next, state_norm) is None
+    assert prediction_bound(f, noise, traj, u_next, state_norm) is None
 
 
 def _prediction_batch(k, T=80, L=3, n=3, p=2):
-    """k fits of distinct non-diagonal models with their errors, trajectories
-    and next inputs; with k > 1 the second trial's inputs are all zero, so
+    """k fits of distinct non-diagonal models with their trajectories and
+    next inputs; with k > 1 the second trial's inputs are all zero, so
     its Gram is singular and it has no bound."""
     rng = np.random.default_rng(50 + k)
     noise = NoiseSpec.gaussian(0.2 * np.eye(n), 0.4)
@@ -1056,26 +1061,25 @@ def _prediction_batch(k, T=80, L=3, n=3, p=2):
         for traj, u_next in zip(trajs, u_nexts)], 0.1)
     fits = [fit(m, noise, traj, L, delta=0.1, terms=t)
             for m, traj, t in zip(models, trajs, terms)]
-    errs = [ellipsoidal_error(f.report.G_hat, f.G, f.design) for f in fits]
-    return fits, errs, models, noise, trajs, u_nexts
+    return fits, models, noise, trajs, u_nexts
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_prediction_bound_batch_equals_batches_of_one(k):
     # the batched state norms give every trial the bits it gets alone, so a
     # trial's prediction bound does not depend on the batch it was in
-    fits, errs, models, noise, trajs, u_nexts = _prediction_batch(k)
+    fits, models, noise, trajs, u_nexts = _prediction_batch(k)
     batch = prediction_state_norms(models, noise, np.stack([traj.u for traj in trajs]))
     alone = [prediction_state_norms([m], noise, traj.u[None])[0]
              for m, traj in zip(models, trajs)]
     assert batch.tolist() == alone
-    bounds = [prediction_bound(f, err, noise, traj, u_next, state_norm)
-              for f, err, traj, u_next, state_norm in zip(fits, errs, trajs, u_nexts, batch)]
+    bounds = [prediction_bound(f, noise, traj, u_next, state_norm)
+              for f, traj, u_next, state_norm in zip(fits, trajs, u_nexts, batch)]
     assert [b is None for b in bounds] == [j == 1 for j in range(k)]
 
 
 def test_prediction_state_norms_need_one_input_sequence_per_model():
-    _, _, models, noise, trajs, _ = _prediction_batch(2)
+    _, models, noise, trajs, _ = _prediction_batch(2)
     with pytest.raises(ParameterError):
         prediction_state_norms(models, noise, trajs[0].u[None])
     with pytest.raises(ParameterError):

@@ -35,6 +35,7 @@ from bilinid.experiments import (
     _coverage_false_failure_rate,
     _final_output_moments,
     _m4_false_failure_rate,
+    _map,
     batch_simulate_outputs,
     bound_coverage_trials,
     format_aggregate_csv,
@@ -939,6 +940,43 @@ def test_cli_overflowing_gram_sums_print_one_line(tmp_path, capsys, command, ext
                    if code else "")
 
 
+_HUGE_INPUTS = {"input": {"kind": "bounded_sphere", "beta": 1e200}}  # ||u||^2 ~ 1e400
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command", [["exp", "figure1"], ["validate"]], ids=" ".join)
+@pytest.mark.parametrize("extra", [_HUGE_OUTPUTS, _HUGE_INPUTS],
+                         ids=["huge outputs", "huge inputs"])
+def test_cli_overflow_anywhere_prints_one_line(tmp_path, capsys, extra, command, threads):
+    # every command runs under np.errstate(over="raise"), its worker threads
+    # too, so its first overflow ends it with exit 3 and no numpy warning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+                                "trials": 2, **extra}))
+    assert main(command + ["--config", str(path), "--out", str(tmp_path / "o"),
+                           "--threads", str(threads)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_map_tasks_keep_the_callers_errstate():
+    with np.errstate(over="raise"):
+        assert _map(range(3), lambda _: np.geterr()["over"], threads=2) == ["raise"] * 3
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_cli_hokalman_checks_its_order_before_any_work(tmp_path, capsys, L):
+    # huge outputs would fail the fit with exit 3, but L < 2n (or an odd L)
+    # is a config error, found before the simulation
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [L], "T_values": [40],
+                                "trials": 1, **_HUGE_OUTPUTS}))
+    assert main(["hokalman", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("o*"))
+
+
 @pytest.mark.parametrize("regime, count", [("fourth_moment_b", 18_354_970),
                                            ("bounded_a", None)])
 def test_cli_pe_check_at_the_smallest_delta(tmp_path, capsys, regime, count):
@@ -1031,6 +1069,8 @@ def test_cli_unallocatable_horizon_exits_3(tmp_path, capsys, command):
     # fails the same way
     path = tmp_path / "cfg.json"
     for size in ({"T_values": [10**17]}, {"T_values": [10**30]}, {"n": 10**30}):
+        if command == ["hokalman"] and "n" in size:  # an L below 2n is a config error
+            size = {**size, "L_values": [2 * 10**30], "T_values": [2 * 10**30 + 60]}
         path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
                                     "trials": 1, **size}))
         assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3, size

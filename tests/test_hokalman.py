@@ -241,7 +241,7 @@ def test_align_rejects_dimension_mismatch():
 def test_bounds_zero_perturbation():
     m = random_model(3, 2, 0.8, seed=14)
     h = build_hankel(markov_params(m, 8).G, n=3)
-    b = realization_error_bounds(h.H, h.H, h.sigma_min_L, 0.0, 8)
+    b = realization_error_bounds(h, h, 0.0)
     assert b.bound_BC == 0.0 and b.bound_A == 0.0
     assert b.robustness_ok
 
@@ -250,15 +250,25 @@ def test_bounds_robustness_boundary_inclusive():
     m = random_model(3, 2, 0.8, seed=15)
     h = build_hankel(markov_params(m, 8).G, n=3)
     at_boundary = h.sigma_min_L / (2.0 * np.sqrt(2.0 * 8))
-    b = realization_error_bounds(h.H, h.H, h.sigma_min_L, at_boundary, 8)
+    b = realization_error_bounds(h, h, at_boundary)
     assert b.robustness_ok
-    b2 = realization_error_bounds(h.H, h.H, h.sigma_min_L, at_boundary * (1 + 1e-9), 8)
+    b2 = realization_error_bounds(h, h, at_boundary * (1 + 1e-9))
     assert not b2.robustness_ok
 
 
 def test_bounds_require_positive_sigma_min():
+    h = build_hankel(np.zeros((2, 8)), n=1)
+    assert h.sigma_min_L == 0.0
     with pytest.raises(ParameterError):
-        realization_error_bounds(np.eye(2), np.eye(2), 0.0, 0.1, 4)
+        realization_error_bounds(h, h, 0.1)
+
+
+def test_bounds_require_hankel_sets_of_one_shape():
+    m = random_model(3, 2, 0.8, seed=14)
+    h8 = build_hankel(markov_params(m, 8).G, n=3)
+    h6 = build_hankel(markov_params(m, 6).G, n=3)
+    with pytest.raises(ParameterError):
+        realization_error_bounds(h8, h6, 0.0)
 
 
 def test_perturbation_suite_respects_bounds():
@@ -277,8 +287,7 @@ def test_perturbation_suite_respects_bounds():
         G_hat = mp.G + direction * (target / np.linalg.norm(direction))
         err = float(np.linalg.norm(G_hat - mp.G))
         other = ho_kalman(G_hat, n=3)
-        bounds = realization_error_bounds(hank.H, build_hankel(G_hat, n=3).H,
-                                          hank.sigma_min_L, err, L)
+        bounds = realization_error_bounds(hank, build_hankel(G_hat, n=3), err)
         assert bounds.robustness_ok
         al = align_realizations(ref, other)
         assert al.dB <= bounds.bound_BC
