@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,9 @@ def cmd_hokalman(args) -> int:
         "L": L,
         "sigma_min_L": hankel.sigma_min_L,
         "robustness_ok": bounds.robustness_ok,
+        "err_fro": fit.err_fro,
+        "bound_BC": bounds.bound_BC,
+        "bound_A": bounds.bound_A,
     })
     print(f"wrote realization matrices and metadata to {base}.*")
     return 0
@@ -238,6 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stage(exc: BaseException) -> str:
+    """" (in module.function)" naming the innermost bilinid frame of exc's
+    traceback, worker threads' frames included, or "" when it has none."""
+    stage = ""
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("bilinid."):
+            code = frame.f_code
+            name = getattr(code, "co_qualname", code.co_name)  # co_qualname: Python 3.11+
+            stage = f" (in {module[len('bilinid.'):]}.{name})"
+    return stage
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -249,8 +266,11 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}{_stage(exc)}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -103,10 +103,11 @@ class DesignSystem:
 
     Row t (for t = L+1 .. T) of the design U is ubar_{t-1} (x) u_t, a
     vector of length p^2 L, aligned with the output y_t; there are
-    rows = T - L of them.  A design of at most p^2 L rows keeps them:
-    U_tilde is U, y the aligned outputs, and V, Uty and yty are None.  A
-    taller design keeps only V = U^T U, Uty = U^T y and yty = y^T y, and
-    its U_tilde and y are empty, of shapes (0, p^2 L) and (0,).
+    rows = T - L of them.  Every design carries Uty = U^T y, and V alone
+    marks its representation.  A design of at most p^2 L rows keeps its
+    rows: U_tilde is U, y the aligned outputs, and V and yty are None.  A
+    taller design keeps only V = U^T U, Uty and yty = y^T y, and its
+    U_tilde and y are empty, of shapes (0, p^2 L) and (0,).
 
     A U_tilde built by design_from_inputs is column-major (Fortran order):
     each of its p^2 L columns is one contiguous product of an input
@@ -121,7 +122,7 @@ class DesignSystem:
     p: int
     rows: int
     V: np.ndarray | None
-    Uty: np.ndarray | None
+    Uty: np.ndarray
     yty: float | None
 
     @classmethod
@@ -131,11 +132,12 @@ class DesignSystem:
         """The design of T - L rows given as consecutive blocks (U_i, y_i).
 
         y_i None stands for outputs that are not given, read as zeros.  A
-        design of at most p^2 L rows keeps them, so they come as one block
-        (U, y), which the design holds.  A taller one sums U_i^T U_i,
-        U_i^T y_i and y_i^T y_i over its blocks and holds none of them, so
-        the caller may refill one buffer for every block.  A sum past the
-        float range raises NumericalError.
+        design of at most p^2 L rows keeps them, so they come as exactly one
+        block (U, y) of T - L rows, which the design holds beside U^T y.  A
+        taller one sums U_i^T U_i, U_i^T y_i and y_i^T y_i over blocks that
+        add up to T - L rows and holds none of them, so the caller may
+        refill one buffer for every block; a sum past the float range raises
+        NumericalError.  Blocks of any other row count raise ParameterError.
 
         Given lambda_min_target, a taller design stops early: after a block
         that leaves more rows to come, once the running Gram is tall and its
@@ -143,7 +145,8 @@ class DesignSystem:
         excitation.min_eig_design reports) is at least the target plus
         STOP_MARGIN times its largest eigenvalue, no further block is taken
         from blocks.  The design returned is then that of the rows taken so
-        far, T = L + those rows: its sums are bitwise those of the shorter
+        far, T = L + those rows (the one case where the blocks add up to
+        fewer than T - L rows): its sums are bitwise those of the shorter
         design built from the same blocks.  Later rows only add a positive
         semidefinite Gram, so the full design's lambda_min would have
         cleared the target as well (STOP_MARGIN covers the rounding).  A
@@ -151,9 +154,14 @@ class DesignSystem:
         """
         d, rows = p * p * L, T - L
         if rows <= d:
+            blocks = list(blocks)
+            sizes = [U.shape[0] for U, _ in blocks]
+            if sizes != [rows]:
+                raise ParameterError(f"a design of {rows} <= {d} rows comes as one block "
+                                     f"of {rows} rows, got blocks of {sizes} rows")
             [(U, y)] = blocks
             y = np.zeros(rows) if y is None else np.array(y, dtype=float)
-            V = Uty = yty = None
+            V, Uty, yty = None, U.T @ y, None
         else:
             V, Uty, yty, U = None, np.zeros(d), np.float64(0.0), np.empty((0, d))
             taken = 0
@@ -177,6 +185,8 @@ class DesignSystem:
                                                        + STOP_MARGIN * float(eigs[-1])):
                         rows, T = taken, L + taken
                         break
+            if taken != rows:
+                raise ParameterError(f"a design of {rows} rows got blocks of {taken} rows")
             y, yty = np.empty(0), float(yty)
         return cls(U_tilde=U, y=y, L=L, T=T, p=p, rows=rows, V=V, Uty=Uty, yty=yty)
 
@@ -316,10 +326,11 @@ def estimate_markov(design: DesignSystem) -> EstimateReport:
     U^T U when rows >= columns and the row Gram S = U U^T when rows <
     columns, and certify it when its smallest eigenvalue is above
     RANK_TOL times its largest.  A certified Gram is solved by the normal
-    equations.
+    equations, one solve per Gram shape.
 
-    - rows >= columns, certified: the unique solution theta = (U^T U)^-1 U^T y,
-      flagged full_rank.
+    - rows >= columns, certified: the unique solution
+      theta = (U^T U)^-1 U^T y, from the design's Uty, square designs
+      included; flagged full_rank.
     - rows < columns, certified: U has full row rank and
       theta = U^T S^-1 y is its exact minimum-norm interpolator.  S and
       U^T U share their nonzero spectrum, so lambda_max is that of S, and
@@ -328,34 +339,32 @@ def estimate_markov(design: DesignSystem) -> EstimateReport:
       design that keeps its rows, and by lstsq(V, U^T y, rcond=RANK_TOL)
       on V = U^T U for a taller one.
 
-    A taller design holds no rows, so its residual norm is
+    A design that keeps its rows gets ||y - U theta|| directly.  A taller
+    design holds no rows, so its residual norm is
     sqrt(y^T y - theta^T U^T y), whose square is accurate to about
-    eps y^T y; a design that keeps its rows gets ||y - U theta|| directly.  Every fit but the
-    certified tall one is flagged min_norm, which keeps
-    interpolation-regime sweeps running instead of failing.
+    eps y^T y.  Every fit but a certified one with rows >= columns is
+    flagged min_norm, which keeps interpolation-regime sweeps running
+    instead of failing.
     """
     U, y = design.U_tilde, design.y
     wide = design.rows < U.shape[1]
     gram = U @ U.T if wide else design.gram()
     eigs = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    certified = lam_min > RANK_TOL * lam_max and lam_max > 0.0
-    # Normal equations on a certified Gram: accurate to about eps * cond(U)^2,
-    # and the certificate keeps cond(U)^2 below 1 / RANK_TOL.
-    if design.V is not None:
-        if certified:
-            theta = np.linalg.solve(gram, design.Uty)
-        else:
-            theta = np.linalg.lstsq(gram, design.Uty, rcond=RANK_TOL)[0]
-        residual = math.sqrt(max(design.yty - float(theta @ design.Uty), 0.0))
+    # eigs ascend, so a lam_max <= 0 (or NaN) fails this test as well
+    certified = lam_min > RANK_TOL * lam_max
+    if certified:
+        # Normal equations on a certified Gram: accurate to about eps * cond(U)^2,
+        # and the certificate keeps cond(U)^2 below 1 / RANK_TOL.
+        theta = U.T @ np.linalg.solve(gram, y) if wide else np.linalg.solve(gram, design.Uty)
+    elif design.V is None:
+        theta = np.linalg.lstsq(U, y, rcond=None)[0]
     else:
-        if certified and wide:
-            theta = U.T @ np.linalg.solve(gram, y)
-        elif certified:
-            theta = np.linalg.solve(gram, U.T @ y)
-        else:
-            theta = np.linalg.lstsq(U, y, rcond=None)[0]
+        theta = np.linalg.lstsq(gram, design.Uty, rcond=RANK_TOL)[0]
+    if design.V is None:
         residual = float(np.linalg.norm(y - U @ theta))
+    else:
+        residual = math.sqrt(max(design.yty - float(theta @ design.Uty), 0.0))
     full_rank = certified and not wide
     return EstimateReport(
         G_hat=unvec(theta, design.p, design.p * design.L),

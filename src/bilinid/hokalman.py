@@ -129,18 +129,13 @@ def ho_kalman(G, n: int) -> Realization:
     C is the first block row of O, B the first block column of Q, and
     A = pinv(O) H^+ pinv(Q).  Refuses near-degenerate truncations
     (sigma_n below 1e-10 of sigma_1), which would poison every
-    downstream bound.
+    downstream bound.  An all-zero H^- is not refused: its O and Q are
+    zero, pinv of a zero matrix is zero, and so the same path returns
+    the zero system, whatever H^+ holds.
     """
     hankel = build_hankel(G, n)
     s = hankel.singular_values
-    if s[0] == 0.0:
-        # identically zero Markov blocks realize the zero system
-        p = hankel.p
-        return Realization(A=np.zeros((n, n)), B=np.zeros((n, p)), C=np.zeros((p, n)),
-                           O=np.zeros((hankel.H_minus.shape[0], n)),
-                           Q=np.zeros((n, hankel.H_minus.shape[1])), n=n, p=p,
-                           hankel=hankel)
-    if s[n - 1] / s[0] < DEGENERATE_RATIO:
+    if s[n - 1] < DEGENERATE_RATIO * s[0]:
         raise DegenerateRealizationError(
             f"rank-{n} truncation refused: sigma_{n} = {s[n - 1]:.3e} "
             f"(ratio {s[n - 1] / s[0]:.3e} to sigma_1)")

@@ -1,0 +1,23 @@
+"""tools/compare_outputs.py digests outputs without their wall times."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+
+def test_digest_ignores_only_the_runtime_ms_column(tmp_path):
+    def digest(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return compare_outputs.digest(path)
+
+    base = digest("a.csv", "rho,T,runtime_ms,err\n0.5,40,1.25,0.1\n")
+    assert digest("b.csv", "rho,T,runtime_ms,err\n0.5,40,9.75,0.1\n") == base
+    assert digest("c.csv", "rho,T,runtime_ms,err\n0.5,40,1.25,0.2\n") != base
+    # a file without the column, CSV or not, is digested as it stands
+    assert digest("d.csv", "key,value\nx,1\n") != digest("e.csv", "key,value\nx,2\n")
+    assert digest("f.json", '{"runtime_ms": 1}') != digest("g.json", '{"runtime_ms": 2}')

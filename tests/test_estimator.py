@@ -313,6 +313,35 @@ def test_design_keeps_its_rows_exactly_when_rows_at_most_columns(p, L):
         assert (d.V is None) == kept
         if kept:
             assert np.array_equal(d.U_tilde, _einsum_design_rows(u, L))
+            # every design carries U^T y; a kept one forms it from its rows
+            assert d.Uty.tobytes() == (d.U_tilde.T @ d.y).tobytes()
+
+
+def test_certified_square_fit_is_the_normal_equations_solve():
+    p, L = 2, 3
+    cols = p * p * L
+    rng = np.random.default_rng(41)
+    d = design_from_inputs(rng.standard_normal((L + 1 + cols, p)), L,
+                           rng.standard_normal(L + 1 + cols))
+    U, y = d.U_tilde, d.y
+    assert U.shape == (cols, cols)
+    report = estimate_markov(d)
+    assert report.solver_mode == "full_rank"
+    assert vec(report.G_hat).tobytes() == np.linalg.solve(U.T @ U, U.T @ y).tobytes()
+
+
+@pytest.mark.parametrize("sizes, rows", [
+    ([50, 50], 998),  # tall, blocks short of the design
+    ([100, 100], 50),  # blocks past the design
+    ([1], 2),  # a kept design's one block too short
+    ([1, 1], 2),  # a kept design in two blocks
+    ([], 2),  # a kept design with no block
+], ids=["tall short", "tall past", "kept short", "kept two", "kept none"])
+def test_design_blocks_must_add_up_to_its_rows(sizes, rows):
+    # p = 1, L = 2: a design of at most 2 rows keeps them, in one block
+    blocks = [(np.ones((k, 2)), None) for k in sizes]
+    with pytest.raises(ParameterError, match="rows"):
+        DesignSystem.from_blocks(blocks, L=2, T=2 + rows, p=1)
 
 
 def test_tall_residual_and_ellipsoidal_error_match_the_dense_design():

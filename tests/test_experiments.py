@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import sys
@@ -16,11 +18,14 @@ from bilinid import (
     NoiseSpec,
     ParameterError,
     StateSpaceModel,
+    build_hankel,
     derive_rng,
     estimator,
     excitation,
     fit,
+    ho_kalman,
     random_model,
+    realization_error_bounds,
     simulate,
 )
 from bilinid.cli import main
@@ -677,7 +682,29 @@ def test_cli_simulate_estimate_hokalman(config_file, tmp_path):
                                           "beta", "rho", "phi", "delta"}
     assert main(["hokalman", "--config", str(config_file)]) == 0
     meta = json.loads((tmp_path / "out.realization.json").read_text())
-    assert {"n", "p", "L", "sigma_min_L", "robustness_ok"} == set(meta)
+    assert {"n", "p", "L", "sigma_min_L", "robustness_ok", "err_fro", "bound_BC",
+            "bound_A"} == set(meta)
+
+
+def test_cli_hokalman_writes_the_fit_error_and_its_bounds(tmp_path):
+    # the metadata carries the fit's ||G_hat - G||_F beside the realization
+    # bounds it gives, as fit and realization_error_bounds compute them
+    cfg = ExperimentConfig(n=2, p=1, rho_values=(0.5,), L_values=(4,), T_values=(60,),
+                           trials=1, base_seed=7)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["hokalman", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+    meta = json.loads((tmp_path / "r.json").read_text())
+    rng = derive_rng(cfg.base_seed, 0)
+    model = random_model(cfg.n, cfg.p, cfg.rho_values[0], rng)
+    noise = cfg.noise.to_spec(cfg.n)
+    traj = simulate(model, noise, cfg.input.to_design(cfg.p), cfg.T_values[0], rng)
+    fitted = fit(model, noise, traj, 4, cfg.delta)
+    bounds = realization_error_bounds(build_hankel(fitted.G, 2),
+                                      ho_kalman(fitted.report.G_hat, 2).hankel, fitted.err_fro)
+    assert (meta["err_fro"], meta["bound_BC"], meta["bound_A"]) == (
+        fitted.err_fro, bounds.bound_BC, bounds.bound_A)
+    assert meta["robustness_ok"] == bounds.robustness_ok
 
 
 @pytest.mark.parametrize("command, suffixes", [
@@ -943,20 +970,34 @@ def test_cli_overflowing_gram_sums_print_one_line(tmp_path, capsys, command, ext
 _HUGE_INPUTS = {"input": {"kind": "bounded_sphere", "beta": 1e200}}  # ||u||^2 ~ 1e400
 
 
+# the innermost bilinid function of each overflow's traceback, by the
+# command's last word and the config key that makes it overflow
+_OVERFLOW_STAGES = {
+    ("figure1", "noise"): "sysmodel._infinite_gramians",
+    ("validate", "noise"): "sysmodel._truncated_gramians",
+    ("figure1", "input"): "estimator.empirical_input_bound",
+    ("validate", "input"): "sysmodel._input_gramians",
+}
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("command", [["exp", "figure1"], ["validate"]], ids=" ".join)
 @pytest.mark.parametrize("extra", [_HUGE_OUTPUTS, _HUGE_INPUTS],
                          ids=["huge outputs", "huge inputs"])
 def test_cli_overflow_anywhere_prints_one_line(tmp_path, capsys, extra, command, threads):
     # every command runs under np.errstate(over="raise"), its worker threads
-    # too, so its first overflow ends it with exit 3 and no numpy warning
+    # too, so its first overflow ends it with exit 3 and no numpy warning;
+    # the line names the stage, at either thread count
+    [key] = extra
+    stage = _OVERFLOW_STAGES[command[-1], key]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
                                 "trials": 2, **extra}))
     assert main(command + ["--config", str(path), "--out", str(tmp_path / "o"),
                            "--threads", str(threads)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert err.startswith("numerical failure: overflow encountered in ")
+    assert err.endswith(f" (in {stage})\n") and err.count("\n") == 1
 
 
 def test_map_tasks_keep_the_callers_errstate():
@@ -1128,9 +1169,11 @@ def _config_object(bases: tuple, keys: tuple):
 @example(n=2, p=1, L=2, T=20, noise={"rate": 10**400}, inputs={})
 @example(n=2, p=1, L=2, T=20, noise={}, inputs={"kind": "bounded_sphere", "beta": 10**400})
 def test_cli_config_contract(n, p, L, T, noise, inputs):
-    # every subcommand keeps to the 0/2/3/4 exit codes, and a config that
+    # every subcommand keeps to the 0/2/3/4 exit codes, prints exactly one
+    # stderr line on exit 2 or 3 and none on exit 0 or 4, and a config that
     # does not parse exits 2 on every one of them.  validate runs only where
-    # it stops at parse or at its T - L > p^2 L check, before its Monte Carlo
+    # it stops at parse or at its T - L > p^2 L check, before its Monte Carlo.
+    # hypothesis refuses the function-scoped capsys, so stderr is redirected
     text = json.dumps({"n": n, "p": p, "L_values": [L], "T_values": [T], "trials": 1,
                        "noise": noise, "input": inputs})
     try:
@@ -1143,8 +1186,16 @@ def test_cli_config_contract(n, p, L, T, noise, inputs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(text)
-        codes = [main([*c, "--config", str(path), "--out", str(Path(tmp) / "o")])
-                 for c in commands]
+        codes, errs = [], []
+        for c in commands:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                codes.append(main([*c, "--config", str(path), "--out", str(Path(tmp) / "o")]))
+            errs.append(err.getvalue())
     assert set(codes) <= {0, 2, 3, 4}
+    for code, err in zip(codes, errs):
+        if code in (2, 3):
+            assert err.count("\n") == 1 and err.endswith("\n"), (code, err)
+        else:
+            assert err == "", (code, err)
     if not parsed:
         assert codes == [2] * len(commands)

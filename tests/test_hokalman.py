@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -158,6 +160,24 @@ def test_ho_kalman_refuses_degenerate_truncation():
     G = markov_params(m, 4).G
     with pytest.raises(DegenerateRealizationError, match="sigma_2"):
         ho_kalman(G, n=2)  # order-1 system: sigma_2 = 0
+
+
+@pytest.mark.parametrize("p, L, n", [(2, 8, 2), (1, 6, 3), (3, 4, 1), (2, 10, 4)])
+@pytest.mark.parametrize("last_block", [False, True], ids=["G = 0", "H+ only"])
+def test_ho_kalman_zero_h_minus_realizes_the_zero_system(p, L, n, last_block):
+    # H^- reads blocks 0..L-2 and H^+ blocks 1..L-1, so a G nonzero only in
+    # its last block has H^- = 0 but H^+ != 0; both realize the zero system
+    G = np.zeros((p, p * L))
+    if last_block:
+        G[:, -p:] = np.random.default_rng(p * L + n).standard_normal((p, p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real = ho_kalman(G, n=n)
+    assert np.any(real.hankel.H_plus != 0.0) == last_block
+    half = L // 2
+    for M, shape in ((real.A, (n, n)), (real.B, (n, p)), (real.C, (p, n)),
+                     (real.O, (p * half, n)), (real.Q, (n, p * half))):
+        assert M.shape == shape and np.all(M == 0.0)
 
 
 def test_ho_kalman_deterministic_sign_convention():
