@@ -22,7 +22,6 @@ from .estimator import (
     empirical_input_bound,
     estimate_markov,
     fit,
-    predict,
     prediction_bound,
     unvec,
     vec,
@@ -62,7 +61,6 @@ from .hokalman import (
 )
 from .sysmodel import (
     InputDesign,
-    MarkovParams,
     NoiseSpec,
     StateSpaceModel,
     Trajectory,

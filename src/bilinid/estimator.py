@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,16 @@ def _column_gram(U: np.ndarray) -> np.ndarray:
     return U.T @ U
 
 
+@contextmanager
+def _gram_sums_guard():
+    """Raise NumericalError for an overflow in a design's sums U^T U, U^T y, y^T y."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError("design Gram sums overflow the float range") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class DesignSystem:
     """Regression data extracted from one trajectory.
@@ -136,8 +147,8 @@ class DesignSystem:
         block (U, y) of T - L rows, which the design holds beside U^T y.  A
         taller one sums U_i^T U_i, U_i^T y_i and y_i^T y_i over blocks that
         add up to T - L rows and holds none of them, so the caller may
-        refill one buffer for every block; a sum past the float range raises
-        NumericalError.  Blocks of any other row count raise ParameterError.
+        refill one buffer for every block; in either form a sum past the
+        float range raises NumericalError.  Other row counts raise ParameterError.
 
         Given lambda_min_target, a taller design stops early: after a block
         that leaves more rows to come, once the running Gram is tall and its
@@ -161,23 +172,21 @@ class DesignSystem:
                                      f"of {rows} rows, got blocks of {sizes} rows")
             [(U, y)] = blocks
             y = np.zeros(rows) if y is None else np.array(y, dtype=float)
-            V, Uty, yty = None, U.T @ y, None
+            with _gram_sums_guard():
+                V, Uty, yty = None, U.T @ y, None
         else:
             V, Uty, yty, U = None, np.zeros(d), np.float64(0.0), np.empty((0, d))
             taken = 0
             for block, y_block in blocks:
-                try:
-                    with np.errstate(over="raise"):
-                        gram = _column_gram(block)
-                        if V is None:
-                            V = gram
-                        else:
-                            V += gram
-                        if y_block is not None:
-                            Uty += block.T @ y_block
-                            yty += y_block @ y_block
-                except FloatingPointError as exc:
-                    raise NumericalError("design Gram sums overflow the float range") from exc
+                with _gram_sums_guard():
+                    gram = _column_gram(block)
+                    if V is None:
+                        V = gram
+                    else:
+                        V += gram
+                    if y_block is not None:
+                        Uty += block.T @ y_block
+                        yty += y_block @ y_block
                 taken += block.shape[0]
                 if lambda_min_target is not None and d < taken < rows:
                     eigs = np.linalg.eigvalsh(V)
@@ -549,22 +558,6 @@ def fit(model: StateSpaceModel, noise: NoiseSpec, traj: Trajectory, L: int,
     return FitResult(design=design, report=report, G=G, terms=terms, bound=bound,
                      err_fro=float(np.linalg.norm(report.G_hat - G)),
                      err_ellipsoidal=ellipsoidal_error(report.G_hat, G, design))
-
-
-def predict(G_hat: np.ndarray, u_hist: np.ndarray, u_next: np.ndarray) -> float:
-    """One-step output prediction u_next^T G_hat ubar.
-
-    u_hist holds the last L inputs in chronological order (oldest first).
-    """
-    G_hat = np.atleast_2d(np.asarray(G_hat, dtype=float))
-    u_hist = np.atleast_2d(np.asarray(u_hist, dtype=float))
-    u_next = np.asarray(u_next, dtype=float).ravel()
-    p = G_hat.shape[0]
-    L = G_hat.shape[1] // p
-    if u_hist.shape != (L, p):
-        raise ParameterError(f"history must be the last {L} inputs of dimension {p}")
-    ubar = u_hist[::-1].reshape(-1)
-    return float(u_next @ G_hat @ ubar)
 
 
 def prediction_state_norms(models: Sequence[StateSpaceModel], noise: NoiseSpec,

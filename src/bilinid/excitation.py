@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimator import DesignSystem, _lambda_min
-from .exceptions import ParameterError
+from .exceptions import NumericalError, ParameterError
 from .sysmodel import InputDesign, derive_rng
 
 REGIME_BOUNDED = "bounded_a"
@@ -79,20 +79,24 @@ def _regime_terms(regime: str, p: int, L: int, delta: float,
     if p < 1 or L < 1:
         raise ParameterError("p and L must be >= 1")
     d = p * p * L
-    if regime == REGIME_BOUNDED:
-        if beta is None or not 0.0 < beta < math.inf:
-            raise ParameterError("regime bounded_a requires a finite beta > 0")
-        gamma1, gamma2 = beta**4 * L, 1.0
-        need = (8.0 * (L + 1) * L * beta**4
-                * (_log_over_delta(2.0 * (L + 1), delta) + d * math.log(9.0)))
-    elif regime == REGIME_FOURTH_MOMENT:
-        if m4 is None or not 0.0 < m4 < math.inf:
-            raise ParameterError("regime fourth_moment_b requires a finite m4 > 0")
-        gamma1, gamma2 = m4, _log_over_delta(16.0 * d, delta, one=1.0)
-        need = 32.0 * (L + 1) * m4 * (_log_over_delta(2.0 * (L + 1), delta) + d * gamma2)
-    else:
-        raise ParameterError(f"unknown regime {regime!r}")
-    return float(gamma1), float(gamma2), int(math.ceil(need))
+    try:
+        if regime == REGIME_BOUNDED:
+            if beta is None or not 0.0 < beta < math.inf:
+                raise ParameterError("regime bounded_a requires a finite beta > 0")
+            gamma1, gamma2 = beta**4 * L, 1.0
+            need = (8.0 * (L + 1) * L * beta**4
+                    * (_log_over_delta(2.0 * (L + 1), delta) + d * math.log(9.0)))
+        elif regime == REGIME_FOURTH_MOMENT:
+            if m4 is None or not 0.0 < m4 < math.inf:
+                raise ParameterError("regime fourth_moment_b requires a finite m4 > 0")
+            gamma1, gamma2 = m4, _log_over_delta(16.0 * d, delta, one=1.0)
+            need = 32.0 * (L + 1) * m4 * (_log_over_delta(2.0 * (L + 1), delta) + d * gamma2)
+        else:
+            raise ParameterError(f"unknown regime {regime!r}")
+        return float(gamma1), float(gamma2), int(math.ceil(need))
+    except OverflowError as exc:  # beta**4 or the requirement past the float range
+        raise NumericalError(f"regime {regime}: the sample requirement is past the "
+                             "float range") from exc
 
 
 def pe_required_samples(p: int, L: int, delta: float, regime: str,

@@ -17,7 +17,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -166,13 +166,6 @@ class ExperimentConfig:
         if not (0.0 < self.delta < 1.0):
             raise ParameterError("delta must lie in (0, 1)")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rho_values"] = list(self.rho_values)
-        d["L_values"] = list(self.L_values)
-        d["T_values"] = list(self.T_values)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
@@ -186,9 +179,6 @@ class ExperimentConfig:
             return cls(**d)
         except TypeError as exc:
             raise ParameterError(f"invalid config: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ExperimentConfig":
@@ -212,9 +202,6 @@ class TrialRecord:
     solver_mode: str
     bound_value: float
     runtime_ms: int
-
-    def row(self) -> list:
-        return list(astuple(self))
 
 
 def _trial_record(config: ExperimentConfig, noise: NoiseSpec, model: StateSpaceModel,
@@ -312,7 +299,7 @@ def run_double_descent(config: ExperimentConfig, threads: int = 1) -> SweepResul
 def format_trial_csv(result: SweepResult) -> str:
     lines = [",".join(TRIAL_COLUMNS)]
     for rec in result.records:
-        lines.append(",".join(_cell_str(v) for v in rec.row()))
+        lines.append(",".join(_cell_str(v) for v in astuple(rec)))
     return "\n".join(lines) + "\n"
 
 
@@ -581,7 +568,7 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
         if pred_bound is None:
             return CoverageTrial(err_ellipsoidal=err, bound_value=math.nan, covered=False,
                                  pred_mse=None, pred_bound=None, pred_ok=None)
-        y_hat = estimator.predict(fit.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
+        y_hat = float(u_next @ fit.report.G_hat @ traj.u[T - L + 1:T + 1][::-1].reshape(-1))
         pred_mse = (y_hat - means[j]) ** 2 + variances[j]
         return CoverageTrial(
             err_ellipsoidal=err, bound_value=fit.bound.value, covered=bool(err <= fit.bound.value),

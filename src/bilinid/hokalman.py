@@ -93,8 +93,8 @@ def check_order(L: int, n: int) -> None:
 def build_hankel(G, n: int) -> HankelSet:
     """Assemble H, its clips, and the rank-n SVD factors of H_minus.
 
-    G is the p x pL block matrix (MarkovParams.G or an estimate), and L
-    and n pass check_order.
+    G is the p x pL block matrix (markov_params(model, L).G or an
+    estimate), and L and n pass check_order.
     """
     Gm = np.atleast_2d(np.asarray(G, dtype=float))
     p = Gm.shape[0]

@@ -1,10 +1,10 @@
-"""Flat-file formats: CSV for matrices and trajectories, JSON for reports.
+"""Write-only flat files: CSV for matrices and trajectories, JSON for reports.
 
 Matrix CSV carries a single comment header `# rows=<r> cols=<c>` followed
 by comma-separated rows.  Trajectory CSV has a column-name header
 `t,u_1..u_p,y` plus optional diagnostic columns `x_1..x_n,w_1..w_n,z`.
-Floats are written with shortest round-trip repr, so rewriting identical
-data yields byte-identical files.  Every output is written by write_text.
+Floats are written with shortest round-trip repr, which np.loadtxt reads
+bitwise, so identical data yields identical bytes.  write_text writes all.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import NumericalError
 from .sysmodel import Trajectory
 
 
@@ -63,26 +63,14 @@ def save_matrix(path, M: np.ndarray) -> None:
     write_text(path, "\n".join(matrix_to_lines(M)) + "\n")
 
 
-def load_matrix(path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ParameterError(f"{path}: missing '# rows=<r> cols=<c>' header")
-    header = lines[0].lstrip("#").split()
-    fields = dict(kv.split("=") for kv in header)
-    rows, cols = int(fields["rows"]), int(fields["cols"])
-    data = [[float(x) for x in line.split(",")] for line in lines[1:] if line.strip()]
-    M = np.asarray(data, dtype=float)
-    if M.size == 0:
-        M = M.reshape(rows, cols)
-    if M.shape != (rows, cols):
-        raise ParameterError(f"{path}: header says {(rows, cols)}, data is {M.shape}")
-    return M
-
-
 def save_trajectory(path, traj: Trajectory) -> None:
+    """Write traj; a u, y, x, w or z value that is not finite raises NumericalError first."""
     p = traj.p
     cols = ["t"] + [f"u_{i+1}" for i in range(p)] + ["y"]
     diag = traj.has_diagnostics
+    arrays = (traj.u, traj.y, traj.x, traj.w, traj.z) if diag else (traj.u, traj.y)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{path}: the trajectory holds a value that is not finite")
     if diag:
         n = traj.x.shape[1]
         cols += [f"x_{i+1}" for i in range(n)] + [f"w_{i+1}" for i in range(n)] + ["z"]
@@ -97,28 +85,6 @@ def save_trajectory(path, traj: Trajectory) -> None:
             row += [_fmt(traj.z[t])]
         lines.append(",".join(row))
     write_text(path, "\n".join(lines) + "\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ParameterError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
-    if header[0] != "t" or "y" not in header:
-        raise ParameterError(f"{path}: not a trajectory CSV")
-    p = sum(1 for h in header if h.startswith("u_"))
-    n = sum(1 for h in header if h.startswith("x_"))
-    diag = n > 0
-    data = np.asarray([[float(x) for x in line.split(",")] for line in lines[1:]])
-    T = data.shape[0] - 1
-    u = data[:, 1:1 + p]
-    y = data[:, 1 + p]
-    if not diag:
-        return Trajectory(u=u, y=y, T=T)
-    x = data[:, 2 + p:2 + p + n]
-    w = data[:T, 2 + p + n:2 + p + 2 * n]
-    z = data[:, 2 + p + 2 * n]
-    return Trajectory(u=u, y=y, T=T, x=x, w=w, z=z)
 
 
 def save_json(path, obj: dict) -> None:

@@ -369,29 +369,12 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class MarkovParams:
-    """Impulse-response blocks of the system.
-
-    G = [C B | C A B | ... | C A^(L-1) B]  (p x pL) drives the
-    input/output behavior; F = [C | C A | ... | C A^(L-1)]  (p x nL)
-    plays the same role for the process noise.
-    """
+    """Impulse-response matrix G = [C B | C A B | ... | C A^(L-1) B] (p x pL)."""
 
     G: np.ndarray
-    F: np.ndarray
-    L: int
 
     def __post_init__(self):
         object.__setattr__(self, "G", _freeze(np.atleast_2d(self.G)))
-        object.__setattr__(self, "F", _freeze(np.atleast_2d(self.F)))
-
-    @property
-    def p(self) -> int:
-        return self.G.shape[0]
-
-    def block(self, i: int) -> np.ndarray:
-        """The p x p block C A^i B."""
-        p = self.p
-        return self.G[:, i * p:(i + 1) * p]
 
 
 def random_model(n: int, p: int, rho: float, seed) -> StateSpaceModel:
@@ -503,12 +486,12 @@ def _markov_blocks(A: np.ndarray, B: np.ndarray, C: np.ndarray,
 
 
 def markov_params(model: StateSpaceModel, L: int) -> MarkovParams:
-    """First L impulse-response blocks, by iterated multiplication: the
-    batch of one of _markov_blocks."""
+    """G of the first L impulse-response blocks (block i, C A^i B, is the
+    slice G[:, i p:(i+1) p]): the batch of one of _markov_blocks."""
     if L < 1:
         raise ParameterError("L must be >= 1")
-    G, F = _markov_blocks(model.A[None], model.B[None], model.C[None], L)
-    return MarkovParams(G=G[0], F=F[0], L=L)
+    G = _markov_blocks(model.A[None], model.B[None], model.C[None], L)[0]
+    return MarkovParams(G=G[0])
 
 
 def transient_factor(A: np.ndarray, rho: Sequence[float]) -> np.ndarray:

@@ -177,7 +177,7 @@ def test_criterion_7_realization_recovery_and_perturbation_bounds():
     match = 0.0
     CAi = real.C.copy()
     for i in range(L):
-        match = max(match, float(np.linalg.norm(CAi @ real.B - mp.block(i))))
+        match = max(match, float(np.linalg.norm(CAi @ real.B - mp.G[:, i * p:(i + 1) * p])))
         CAi = CAi @ real.A
 
     hank = build_hankel(mp.G, n)

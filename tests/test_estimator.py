@@ -28,7 +28,6 @@ from bilinid import (
     estimate_markov,
     fit,
     markov_params,
-    predict,
     prediction_bound,
     random_model,
     simulate,
@@ -46,7 +45,7 @@ from bilinid.estimator import (
 )
 from bilinid.excitation import min_eig_design
 from bilinid.experiments import batch_simulate_outputs, zeta_covariance_mc
-from bilinid.sysmodel import _truncated_gramians
+from bilinid.sysmodel import _markov_blocks, _truncated_gramians
 
 
 def _nilpotent_model(n, p, seed):
@@ -279,6 +278,9 @@ def test_design_gram_sums_past_the_float_range_raise_numerical_error():
             DesignSystem.from_blocks([(U, y)], L=2, T=22, p=1)
     with pytest.raises(NumericalError, match="Gram sums overflow"):
         DesignSystem.from_blocks([(np.ones((20, 2)), np.full(20, 1e160))], L=2, T=22, p=1)
+    # a design of 2 <= p^2 L rows keeps them, and its U^T y overflows alike
+    with pytest.raises(NumericalError, match="Gram sums overflow"):
+        DesignSystem.from_blocks([(np.full((2, 2), 1e160), np.full(2, 1e160))], L=2, T=4, p=1)
 
 
 def test_drawn_design_needs_T_and_rng_and_takes_no_outputs():
@@ -555,14 +557,14 @@ def test_regression_identity_against_effective_noise():
     traj = simulate(m, noise, InputDesign.gaussian(2), T, seed=13, diagnostics=True)
     d = design_from_inputs(traj.u, L, traj.y)
     report = estimate_markov(d)
-    mp = markov_params(m, L)
+    F = _markov_blocks(m.A[None], m.B[None], m.C[None], L)[1][0]
     AL = np.linalg.matrix_power(m.A, L)
     zeta = np.array([
-        np.kron(traj.w[t - L:t][::-1].reshape(-1), traj.u[t]) @ vec(mp.F)
+        np.kron(traj.w[t - L:t][::-1].reshape(-1), traj.u[t]) @ vec(F)
         + traj.u[t] @ (m.C @ AL @ traj.x[t - L]) + traj.z[t]
         for t in range(L + 1, T + 1)
     ])
-    delta = vec(report.G_hat) - vec(mp.G)
+    delta = vec(report.G_hat) - vec(markov_params(m, L).G)
     U = _einsum_design_rows(traj.u, L)
     oracle = np.linalg.solve(U.T @ U, U.T @ zeta)
     assert np.linalg.norm(delta - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
@@ -1029,14 +1031,9 @@ def test_predict_exact_for_noiseless_nilpotent_model():
     traj = simulate(m, NoiseSpec.none(3), u_full[:T + 1], T, seed=0)
     report = estimate_markov(design_from_inputs(traj.u, L, traj.y))
     full = simulate(m, NoiseSpec.none(3), u_full, T + 1, seed=0)
-    y_hat = predict(report.G_hat, traj.u[T - L + 1: T + 1], u_full[T + 1])
+    # y_hat = u_{T+1}^T G_hat ubar_T, ubar_T = [u_T; ...; u_{T-L+1}]
+    y_hat = float(u_full[T + 1] @ report.G_hat @ traj.u[T - L + 1:T + 1][::-1].reshape(-1))
     assert y_hat == pytest.approx(full.y[T + 1], abs=1e-8)
-
-
-def test_predict_zero_next_input_gives_zero():
-    G = np.random.default_rng(1).standard_normal((2, 6))
-    hist = np.random.default_rng(2).standard_normal((3, 2))
-    assert predict(G, hist, np.zeros(2)) == 0.0
 
 
 def test_prediction_mse_bound_holds_under_monte_carlo():
@@ -1052,7 +1049,7 @@ def test_prediction_mse_bound_holds_under_monte_carlo():
     (state_norm,) = prediction_state_norms([m], noise, traj.u[None, :T + 1 - L])
     bound = prediction_bound(f, noise, traj, u_next, state_norm)
     assert bound is not None
-    y_hat = predict(f.report.G_hat, traj.u[T - L + 1: T + 1], u_next)
+    y_hat = float(u_next @ f.report.G_hat @ traj.u[T - L + 1:T + 1][::-1].reshape(-1))
     ys = batch_simulate_outputs(m, noise, u_full, [T + 1], 100_000, 34)
     mse = float(np.mean((y_hat - ys[:, 0]) ** 2))
     assert mse <= bound

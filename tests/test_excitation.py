@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bilinid import (
     GAUSSIAN_M4,
     InputDesign,
+    NumericalError,
     ParameterError,
     estimate_m4,
     estimate_markov,
@@ -131,6 +132,15 @@ def test_required_samples_argument_validation():
         pe_required_samples(2, 4, 1.5, REGIME_FOURTH_MOMENT, m4=9.0)
     with pytest.raises(ParameterError):
         pe_required_samples(2, 4, 0.1, "no_such_regime", m4=9.0)
+
+
+@pytest.mark.parametrize("beta", [1e80, 1e77], ids=["beta**4 overflows", "product overflows"])
+def test_required_samples_past_the_float_range_raise_numerical_error(beta):
+    # beta**4 raises OverflowError at 1e80; at 1e77 it is finite (1e308) and
+    # only the requirement 8 (L+1) L beta^4 (...) overflows
+    with pytest.raises(NumericalError, match="^regime bounded_a: the sample requirement "
+                                             "is past the float range$"):
+        pe_required_samples(2, 2, 0.1, REGIME_BOUNDED, beta=beta)
 
 
 def _quotient_required_samples(p, L, delta, regime, beta=None, m4=None):

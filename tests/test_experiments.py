@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -77,7 +78,7 @@ def _strip_runtime(csv_text: str) -> str:
 def test_config_json_round_trip():
     cfg = _small_config(rho_values=(0.3, 0.9), T_values=(100, 150),
                         noise=NoiseConfig(family="exponential", rate=2.0, centered=False))
-    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    assert ExperimentConfig.from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
 
 
 def test_config_validation():
@@ -167,7 +168,7 @@ def test_wide_cells_compute_no_bound_constants(monkeypatch):
         rng = derive_rng(cfg.base_seed, 0, 0, cfg.T_values.index(rec.T), rec.trial)
         model = random_model(cfg.n, cfg.p, rec.rho, rng)
         f = fit(model, noise, simulate(model, noise, design_in, rec.T, rng), rec.L, cfg.delta)
-        assert repr(rec.row()[:-1]) == repr([
+        assert repr(list(dataclasses.astuple(rec))[:-1]) == repr([
             rec.rho, rec.L, rec.T, rec.trial, f.err_fro ** 2, f.report.lambda_min,
             f.report.solver_mode, f.bound.value if f.bound else math.nan])
 
@@ -692,7 +693,7 @@ def test_cli_hokalman_writes_the_fit_error_and_its_bounds(tmp_path):
     cfg = ExperimentConfig(n=2, p=1, rho_values=(0.5,), L_values=(4,), T_values=(60,),
                            trials=1, base_seed=7)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert main(["hokalman", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
     meta = json.loads((tmp_path / "r.json").read_text())
     rng = derive_rng(cfg.base_seed, 0)
@@ -932,7 +933,8 @@ def test_noise_config_defaults_only_the_keys_of_its_family():
     spec = NoiseConfig(rate=4.0, centered=False).to_spec(2)
     assert spec.sigma_z == 0.25 and not spec.centered
     cfg = ExperimentConfig(noise=NoiseConfig(family="gaussian", sigma_w=0.25))
-    assert ExperimentConfig.from_dict({**cfg.to_dict(), "base_seed": 3}).noise == cfg.noise
+    d = {**dataclasses.asdict(cfg), "base_seed": 3}
+    assert ExperimentConfig.from_dict(d).noise == cfg.noise
 
 
 @pytest.mark.parametrize("command", ["pe-campaign", "pe-check"])
@@ -950,16 +952,20 @@ _HUGE_OUTPUTS = {"noise": {"family": "exponential", "rate": 1e-154}}  # y ~ 1e15
 _HUGE_ROWS = {"input": {"kind": "bounded_sphere", "beta": 1e80}}  # rows ~ 1e160
 
 
-@pytest.mark.parametrize("command, extra, code", [
-    (["estimate"], _HUGE_OUTPUTS, 3),
-    (["pe-check", "--regime", "bounded_a"], _HUGE_ROWS, 3),
+@pytest.mark.parametrize("command, extra, T, code", [
+    (["estimate"], _HUGE_OUTPUTS, 40, 3),
+    (["pe-check", "--regime", "bounded_a"], _HUGE_ROWS, 40, 3),
+    # T = 10 leaves 8 rows for 8 unknowns: the design keeps its rows and U^T y
+    (["estimate"], _HUGE_ROWS, 10, 3),
     # the certificate reads only the Gram, so pe-check takes no outputs
-    (["pe-check"], _HUGE_OUTPUTS, 0),
-], ids=["estimate huge outputs", "pe-check huge rows", "pe-check huge outputs"])
-def test_cli_overflowing_gram_sums_print_one_line(tmp_path, capsys, command, extra, code):
-    # the outputs or rows are finite, their Gram sums are not
+    (["pe-check"], _HUGE_OUTPUTS, 40, 0),
+], ids=["estimate huge outputs", "pe-check huge rows", "estimate huge rows kept",
+        "pe-check huge outputs"])
+def test_cli_overflowing_gram_sums_print_one_line(tmp_path, capsys, command, extra, T, code):
+    # the outputs or rows are finite, their Gram sums are not, whether the
+    # design is tall or keeps its rows
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [T],
                                 "trials": 1, **extra}))
     assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
@@ -968,6 +974,35 @@ def test_cli_overflowing_gram_sums_print_one_line(tmp_path, capsys, command, ext
 
 
 _HUGE_INPUTS = {"input": {"kind": "bounded_sphere", "beta": 1e200}}  # ||u||^2 ~ 1e400
+
+
+def test_cli_simulate_refuses_an_output_past_the_float_range(tmp_path, capsys):
+    # y = u^T C x ~ 1e400 overflows inside an einsum, which raises no
+    # FloatingPointError; the writer refuses it before anything is written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+                                "trials": 1, **_HUGE_INPUTS}))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"numerical failure: {out}: the trajectory holds "
+                                       "a value that is not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", [1e80, 1e77], ids=["beta**4 overflows", "product overflows"])
+def test_cli_bounded_a_requirement_past_the_float_range_prints_one_line(tmp_path, capsys,
+                                                                         beta):
+    # T = 10 keeps the design's rows and takes no outputs, so the Gram sums
+    # stay finite and the regime's sample requirement is the first overflow
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [10], "trials": 1,
+                                "input": {"kind": "bounded_sphere", "beta": beta}}))
+    out = tmp_path / "pe.json"
+    assert main(["pe-check", "--regime", "bounded_a", "--config", str(path),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: regime bounded_a: the sample "
+                                       "requirement is past the float range\n")
+    assert not out.exists()
 
 
 # the innermost bilinid function of each overflow's traceback, by the

@@ -23,12 +23,7 @@ from bilinid import (
 )
 from bilinid.estimator import prediction_state_norms
 from bilinid.experiments import _final_output_moments
-from bilinid.serialize import (
-    load_matrix,
-    load_trajectory,
-    save_matrix,
-    save_trajectory,
-)
+from bilinid.serialize import save_matrix, save_trajectory
 from bilinid.sysmodel import _input_gramians, _truncated_gramians
 
 
@@ -235,10 +230,10 @@ def test_markov_blocks_nilpotent_order_one():
     B = rng.standard_normal((3, 2))
     C = rng.standard_normal((2, 3))
     m = StateSpaceModel(A=np.zeros((3, 3)), B=B, C=C)
-    mp = markov_params(m, 5)
-    assert np.allclose(mp.block(0), C @ B)
+    G = markov_params(m, 5).G
+    assert np.allclose(G[:, :2], C @ B)
     for i in range(1, 5):
-        assert np.all(mp.block(i) == 0.0)
+        assert np.all(G[:, 2 * i:2 * i + 2] == 0.0)
 
 
 def test_markov_blocks_scalar_powers():
@@ -261,10 +256,10 @@ def test_markov_blocks_match_matrix_power_oracle():
         rng = np.random.default_rng(seed)
         n, p, L = rng.integers(1, 5), rng.integers(1, 5), rng.integers(1, 9)
         m = random_model(int(n), int(p), 0.9, seed=seed)
-        mp = markov_params(m, int(L))
+        G, p = markov_params(m, int(L)).G, int(p)
         for i in range(int(L)):
             oracle = m.C @ np.linalg.matrix_power(m.A, i) @ m.B
-            assert np.linalg.norm(mp.block(i) - oracle) <= 1e-12
+            assert np.linalg.norm(G[:, i * p:(i + 1) * p] - oracle) <= 1e-12
 
 
 # ----------------------------------------------------------- transient_factor
@@ -597,12 +592,14 @@ def test_derive_rng_is_stable_and_key_sensitive():
 
 # -------------------------------------------------------------- serialization
 
+# the formats are write-only; np.loadtxt reads them back bitwise
+
 def test_matrix_csv_round_trip(tmp_path):
     M = np.random.default_rng(0).standard_normal((3, 5))
     path = tmp_path / "m.csv"
     save_matrix(path, M)
     assert path.read_text().startswith("# rows=3 cols=5\n")
-    assert np.array_equal(load_matrix(path), M)
+    assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), M)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -611,13 +608,17 @@ def test_trajectory_csv_round_trip(tmp_path):
     traj = simulate(m, noise, InputDesign.gaussian(2), T=9, seed=4, diagnostics=True)
     path = tmp_path / "traj.csv"
     save_trajectory(path, traj)
-    back = load_trajectory(path)
-    assert back.T == traj.T
-    assert np.array_equal(back.u, traj.u)
-    assert np.array_equal(back.y, traj.y)
-    assert np.array_equal(back.x, traj.x)
-    assert np.array_equal(back.w, traj.w)
-    assert np.array_equal(back.z, traj.z)
+    assert path.read_text().splitlines()[0] == "t,u_1,u_2,y,x_1,x_2,w_1,w_2,z"
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert back.shape == (traj.T + 1, 9)
+    assert np.array_equal(back[:, 0], np.arange(traj.T + 1))
+    assert np.array_equal(back[:, 1:3], traj.u)
+    assert np.array_equal(back[:, 3], traj.y)
+    assert np.array_equal(back[:, 4:6], traj.x)
+    # w has T draws: the last row's w columns hold the format's NaN filler
+    assert np.array_equal(back[:-1, 6:8], traj.w)
+    assert np.all(np.isnan(back[-1, 6:8]))
+    assert np.array_equal(back[:, 8], traj.z)
 
 
 def test_trajectory_csv_round_trip_without_diagnostics(tmp_path):
@@ -625,6 +626,7 @@ def test_trajectory_csv_round_trip_without_diagnostics(tmp_path):
     traj = simulate(m, NoiseSpec.none(2), InputDesign.gaussian(1), T=5, seed=1)
     path = tmp_path / "t.csv"
     save_trajectory(path, traj)
-    back = load_trajectory(path)
-    assert not back.has_diagnostics
-    assert np.array_equal(back.u, traj.u) and np.array_equal(back.y, traj.y)
+    assert path.read_text().splitlines()[0] == "t,u_1,y"
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert back.shape == (traj.T + 1, 3)
+    assert np.array_equal(back[:, 1:2], traj.u) and np.array_equal(back[:, 2], traj.y)
