@@ -513,16 +513,25 @@ def bound_data_dependent(p: int, terms: BoundTerms, L: int, T: int,
 
     on the design-weighted error of a p-output model.  Dividing by
     sqrt(lambda_min) of the Gram matrix gives the Frobenius-norm version.
+    A delta near the smallest subnormal overflows the quotient although
+    its root is finite: the root is then sqrt(p^2 L Xi) / sqrt(delta), and
+    every quotient that does not overflow keeps its direct form.  A bound
+    past the float range raises NumericalError.
     """
     if T <= L:
         raise ParameterError("need T > L")
-    first = math.sqrt(p * p * L * terms.Xi / terms.delta)
+    a = p * p * L * terms.Xi
+    q = a / terms.delta
+    first = math.sqrt(q) if q < math.inf else math.sqrt(a) / math.sqrt(terms.delta)
     second = (terms.beta**2 * terms.K**2 * terms.phi * terms.rho**L
               / (1.0 - terms.rho) * math.sqrt(T - L))
     value = first + second
     fro = None
     if lambda_min is not None and lambda_min > 0.0:
         fro = value / math.sqrt(lambda_min)
+    # fro is value / sqrt(lambda_min): not finite whenever value is not
+    if not math.isfinite(value if fro is None else fro):
+        raise NumericalError("the data-dependent error bound is past the float range")
     return BoundReport(value=value, fro_value=fro)
 
 

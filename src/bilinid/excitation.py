@@ -153,12 +153,12 @@ class M4Estimate:
     directions: np.ndarray
 
 
-def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
-                n_samples: int, seed: int, directions: np.ndarray | None = None) -> M4Estimate:
-    """Estimate sup_v E[(v^T (ubar (x) u))^4] over sampled unit directions.
+def estimate_m4(p: int, L: int, n_directions: int, n_samples: int, seed: int,
+                directions: np.ndarray | None = None) -> M4Estimate:
+    """Estimate sup_v E[(v^T (ubar (x) u))^4] over sampled unit directions
+    for Gaussian inputs u ~ N(0, I_p) (InputDesign.gaussian(p)).
 
-    Accepts Gaussian designs only (InputDesign.gaussian); any other raises
-    ParameterError.  For those, v^T (ubar (x) u) = ubar^T W u with
+    For those, v^T (ubar (x) u) = ubar^T W u with
     W = v.reshape(p L, p), the C-order layout of _kron_rows' column
     (j p + i) p + k.  Given u, ubar is independent of it and N(0, I), so
     the projection is exactly N(0, ||W u||^2): it has the law of
@@ -174,12 +174,9 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
     Explicit directions can be supplied (they are normalized); otherwise
     n_directions uniform random directions are drawn.
     """
-    if input_design.kind != "gaussian_isotropic":
-        raise ParameterError("estimate_m4 samples Gaussian input designs only, "
-                             f"got {input_design.kind!r}")
+    inputs = InputDesign.gaussian(p)
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
-    p = input_design.p
     d = p * p * L
     if directions is None:
         if n_directions < 1:
@@ -199,7 +196,7 @@ def estimate_m4(input_design: InputDesign, L: int, n_directions: int,
     for k in range(directions.shape[0]):
         rng = derive_rng(seed, 1, k)
         R = np.linalg.qr(directions[k].reshape(p * L, p), mode="r")
-        u = input_design.sample_iid(n_samples, rng)
+        u = inputs.sample_iid(n_samples, rng)
         g = rng.standard_normal(n_samples)
         Ru = u @ R.T
         # (||R u||^2 g^2)^2 by squarings, with no square root and no libm

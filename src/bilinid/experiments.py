@@ -691,8 +691,7 @@ def run_validation(config: ExperimentConfig,
 
     # --- Gaussian fourth-moment constant ------------------------------
     m4_L = 3
-    est = excitation.estimate_m4(InputDesign.gaussian(config.p), m4_L,
-                                 m4_directions, m4_samples,
+    est = excitation.estimate_m4(config.p, m4_L, m4_directions, m4_samples,
                                  seed=config.base_seed + 20)
     slack = excitation.GAUSSIAN_M4 + 3.0 * est.std_errors - est.estimates
     m4_rate, m4_exact_max = _m4_false_failure_rate(est.directions, config.p, m4_L, m4_samples)

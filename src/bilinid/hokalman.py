@@ -178,15 +178,26 @@ def realization_error_bounds(hankel: HankelSet, hankel_hat: HankelSet,
 
     valid whenever the perturbation respects the robustness condition
     ||G - G_hat||_F <= sigma_min / (2 sqrt(2 L)) (boundary inclusive).
+
+    A degenerate true system has no bound: a sigma_min_L whose square is
+    0 (sigma_min_L itself 0 included), or one that puts a bound past the
+    float range, raises DegenerateRealizationError.
     """
+    if hankel_hat.H.shape != hankel.H.shape:
+        raise ParameterError("need two Hankel matrices of one shape")
     sigma_min_L, L = hankel.sigma_min_L, hankel.L
-    if sigma_min_L <= 0.0 or hankel_hat.H.shape != hankel.H.shape:
-        raise ParameterError("need a positive sigma_min_L and two Hankel matrices of one shape")
-    h_norm = float(np.linalg.norm(hankel.H, 2))
-    h_hat_norm = float(np.linalg.norm(hankel_hat.H, 2))
-    bound_BC = math.sqrt(10.0 * L / sigma_min_L) * G_err_fro
-    bound_A = (9.0 * math.sqrt(L) * (h_norm + h_hat_norm) / sigma_min_L**2
-               + math.sqrt(2.0 * L) / sigma_min_L) * G_err_fro
+    sigma_sq = sigma_min_L**2
+    bound_BC = bound_A = math.inf
+    if sigma_sq > 0.0:
+        h_norm = float(np.linalg.norm(hankel.H, 2))
+        h_hat_norm = float(np.linalg.norm(hankel_hat.H, 2))
+        bound_BC = math.sqrt(10.0 * L / sigma_min_L) * G_err_fro
+        bound_A = (9.0 * math.sqrt(L) * (h_norm + h_hat_norm) / sigma_sq
+                   + math.sqrt(2.0 * L) / sigma_min_L) * G_err_fro
+    if not (math.isfinite(bound_BC) and math.isfinite(bound_A)):
+        raise DegenerateRealizationError(
+            f"sigma_min_L = {sigma_min_L:.3e} of the true Hankel matrix gives no "
+            "finite realization error bound")
     robustness_ok = G_err_fro <= sigma_min_L / (2.0 * math.sqrt(2.0 * L))
     return RealizationBounds(bound_BC=bound_BC, bound_A=bound_A,
                              robustness_ok=bool(robustness_ok))

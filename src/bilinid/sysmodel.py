@@ -35,14 +35,9 @@ def derive_rng(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
-
-
 def _spectral_radii(A: np.ndarray) -> np.ndarray:
     """Spectral radius of every matrix of the (k, n, n) stack A, each
-    bitwise the spectral_radius of its own matrix."""
+    bitwise the one its own matrix gets in a stack of one."""
     return np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
 
 
@@ -138,16 +133,22 @@ class StateSpaceModel:
     def p(self) -> int:
         return self.B.shape[1]
 
-    def spectral_radius(self) -> float:
-        return spectral_radius(self.A)
+
+# Tolerance of the noise-covariance checks, relative to the largest |entry|
+_COV_RTOL = 1e-10
 
 
-def _psd_factor(S: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _cov_tol(S: np.ndarray) -> float:
+    return _COV_RTOL * float(np.max(np.abs(S), initial=0.0))
+
+
+def _psd_factor(S: np.ndarray) -> np.ndarray:
     """Factor R with R R^T = S, valid for singular PSD matrices.
 
     Raises ParameterError unless S is symmetric positive semidefinite
-    (to within tol).
+    (to within _cov_tol(S)).
     """
+    tol = _cov_tol(S)
     if np.max(np.abs(S - S.T), initial=0.0) > tol:
         raise ParameterError("process-noise covariance must be symmetric")
     lam, V = np.linalg.eigh(S)
@@ -199,7 +200,8 @@ class NoiseSpec:
         if self.family == "exponential":
             if not self.sigma_z > 0:
                 raise ParameterError("exponential noise needs sigma_z > 0")
-            if not np.allclose(S, self.sigma_z**2 * np.eye(S.shape[0]), atol=1e-10):
+            mismatch = np.abs(S - self.sigma_z**2 * np.eye(S.shape[0]))
+            if np.max(mismatch, initial=0.0) > _cov_tol(S):
                 raise ParameterError(
                     "exponential noise has entrywise covariance sigma_z^2 I; "
                     "construct it with NoiseSpec.exponential()")

@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from bilinid import (
-    GAUSSIAN_M4,
     InputDesign,
     NoiseSpec,
-    StateSpaceModel,
     align_realizations,
     build_hankel,
-    effective_noise_autocov,
-    estimate_m4,
     fit,
     ho_kalman,
     markov_params,
@@ -26,6 +22,9 @@ from bilinid import (
     realization_error_bounds,
     simulate,
 )
+from bilinid.estimator import effective_noise_autocov
+from bilinid.excitation import GAUSSIAN_M4, estimate_m4
+from bilinid.sysmodel import StateSpaceModel
 from bilinid.experiments import (
     ExperimentConfig,
     InputConfig,
@@ -128,11 +127,11 @@ def test_criterion_5_gaussian_fourth_moment_constant():
     worst_excess = -np.inf
     for p in (1, 2):
         for L in (1, 3):
-            est = estimate_m4(InputDesign.gaussian(p), L=L, n_directions=100,
+            est = estimate_m4(p, L=L, n_directions=100,
                               n_samples=100_000, seed=1000 + 10 * p + L)
             excess = float(np.max(est.estimates - (GAUSSIAN_M4 + 3.0 * est.std_errors)))
             worst_excess = max(worst_excess, excess)
-    anchor = estimate_m4(InputDesign.gaussian(1), L=1, n_directions=1,
+    anchor = estimate_m4(1, L=1, n_directions=1,
                          n_samples=100_000, seed=2000,
                          directions=np.array([[1.0]]))
     anchor_dev = abs(float(anchor.estimates[0]) - GAUSSIAN_M4)

@@ -1,6 +1,7 @@
 """tools/compare_outputs.py digests outputs without their wall times."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
@@ -21,3 +22,17 @@ def test_digest_ignores_only_the_runtime_ms_column(tmp_path):
     # a file without the column, CSV or not, is digested as it stands
     assert digest("d.csv", "key,value\nx,1\n") != digest("e.csv", "key,value\nx,2\n")
     assert digest("f.json", '{"runtime_ms": 1}') != digest("g.json", '{"runtime_ms": 2}')
+
+
+def test_runs_cover_every_subcommand():
+    # the workloads' jobs and the extra commands together run all eight
+    spec = importlib.util.spec_from_file_location(
+        "_compare_workloads", TOOL.parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve annotations through it
+    spec.loader.exec_module(workloads)
+    argvs = [job.argv for w in workloads.WORKLOADS for job in workloads.build(w, 1, tiny=True)]
+    argvs += [argv for _, argv in compare_outputs.EXTRA_COMMANDS]
+    commands = {" ".join(argv[:2]) if argv[0] == "exp" else argv[0] for argv in argvs}
+    assert commands == {"simulate", "estimate", "hokalman", "pe-check", "pe-campaign",
+                        "exp figure1", "exp double-descent", "validate"}

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,34 +19,32 @@ from bilinid import (
     NoiseSpec,
     NumericalError,
     ParameterError,
-    StateSpaceModel,
     bound_data_dependent,
     bound_terms,
     controllability_gramian,
-    effective_noise_autocov,
-    ellipsoidal_error,
-    empirical_input_bound,
+    design_from_inputs,
     estimate_markov,
     fit,
     markov_params,
-    prediction_bound,
     random_model,
     simulate,
-    spectral_radius,
     transient_factor,
 )
 from bilinid import estimator
 from bilinid.estimator import (
     BoundTerms,
     DesignSystem,
-    design_from_inputs,
+    effective_noise_autocov,
+    ellipsoidal_error,
+    empirical_input_bound,
+    prediction_bound,
     prediction_state_norms,
     unvec,
     vec,
 )
 from bilinid.excitation import min_eig_design
 from bilinid.experiments import batch_simulate_outputs, zeta_covariance_mc
-from bilinid.sysmodel import _markov_blocks, _truncated_gramians
+from bilinid.sysmodel import StateSpaceModel, _markov_blocks, _spectral_radii, _truncated_gramians
 
 
 def _nilpotent_model(n, p, seed):
@@ -672,6 +671,27 @@ def test_bound_fro_variant_divides_by_sqrt_lambda_min():
     assert rep.fro_value == pytest.approx(rep.value / 4.0, rel=1e-12)
 
 
+def test_bound_at_the_smallest_delta_is_finite():
+    # p^2 L Xi / delta overflows at delta = 5e-324 although its root is finite
+    m = random_model(2, 2, 0.5, seed=3)
+    [terms] = bound_terms([m], NoiseSpec.gaussian(np.eye(2), 1.0), 2, [2.0], delta=5e-324)
+    rep = bound_data_dependent(m.p, terms, 2, 40, lambda_min=4.0)
+    second = (terms.beta**2 * terms.K**2 * terms.phi * terms.rho**2
+              / (1.0 - terms.rho) * math.sqrt(38))
+    assert rep.value == math.sqrt(8 * terms.Xi) / math.sqrt(5e-324) + second
+    assert 1e160 < rep.value < math.inf
+    assert rep.fro_value == rep.value / 2.0
+
+
+@pytest.mark.parametrize("Xi, lambda_min", [(1e308, None), (1.0, 1e-320)])
+def test_bound_past_the_float_range_raises_numerical_error(Xi, lambda_min):
+    m = random_model(2, 2, 0.5, seed=3)
+    [terms] = bound_terms([m], NoiseSpec.gaussian(np.eye(2), 1.0), 2, [2.0], delta=1e-300)
+    terms = dataclasses.replace(terms, Xi=Xi)
+    with pytest.raises(NumericalError, match="past the float range"):
+        bound_data_dependent(m.p, terms, 2, 40, lambda_min=lambda_min)
+
+
 def test_bound_terms_precondition_errors():
     m = random_model(2, 1, 0.5, seed=0)
     noise = NoiseSpec.gaussian(np.eye(2), 1.0)
@@ -718,7 +738,7 @@ def _loop_gramian(A, S):
 def _loop_bound_terms(model, noise, L, beta, delta):
     # bound_terms of one model by 2-D computations: the oracle of the stacked pass
     A, B, C = model.A, model.B, model.C
-    rho = 0.5 * (1.0 + spectral_radius(A))
+    rho = 0.5 * (1.0 + float(_spectral_radii(A[None])[0]))
     phi = _loop_transient_factor(A, rho)
     blocks, CAi = [], C
     for _ in range(L):
@@ -749,7 +769,7 @@ def test_stacked_bound_constants_equal_their_loops_bitwise(n, p, L, k, seed):
     models = []
     for radius in [0.99, *rng.uniform(0.0, 0.99, k - 1)]:
         A = rng.standard_normal((n, n))
-        A *= radius / spectral_radius(A)
+        A *= radius / _spectral_radii(A[None])[0]
         models.append(StateSpaceModel(A=A, B=rng.standard_normal((n, p)),
                                       C=rng.standard_normal((p, n))))
     R = rng.standard_normal((n, n))
@@ -1076,7 +1096,7 @@ def _prediction_batch(k, T=80, L=3, n=3, p=2):
     models, trajs, u_nexts = [], [], []
     for j in range(k):
         A = rng.standard_normal((n, n))
-        A *= 0.7 / spectral_radius(A)
+        A *= 0.7 / _spectral_radii(A[None])[0]
         models.append(StateSpaceModel(A=A, B=rng.standard_normal((n, p)),
                                       C=rng.standard_normal((p, n))))
         u = np.zeros((T + 1, p)) if j == 1 else rng.standard_normal((T + 1, p))
@@ -1188,7 +1208,7 @@ def _autocov_pair(model, noise, u, tau, tau_p):
 def test_autocov_lag_matrix_equals_its_pairs_bitwise(n, p, L, family, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
-    A *= rng.uniform(0.1, 0.95) / spectral_radius(A)
+    A *= rng.uniform(0.1, 0.95) / _spectral_radii(A[None])[0]
     model = StateSpaceModel(A=A, B=rng.standard_normal((n, p)), C=rng.standard_normal((p, n)))
     if family == "gaussian":
         R = rng.standard_normal((n, n))

@@ -8,19 +8,23 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bilinid import (
-    GAUSSIAN_M4,
     InputDesign,
     NumericalError,
     ParameterError,
-    estimate_m4,
+    design_from_inputs,
     estimate_markov,
-    min_eig_design,
     pe_certificate,
-    pe_required_samples,
 )
 from bilinid import excitation
-from bilinid.estimator import DesignSystem, _kron_rows, design_from_inputs
-from bilinid.excitation import REGIME_BOUNDED, REGIME_FOURTH_MOMENT
+from bilinid.estimator import DesignSystem, _kron_rows
+from bilinid.excitation import (
+    GAUSSIAN_M4,
+    REGIME_BOUNDED,
+    REGIME_FOURTH_MOMENT,
+    estimate_m4,
+    min_eig_design,
+    pe_required_samples,
+)
 from bilinid.sysmodel import derive_rng
 
 
@@ -316,7 +320,7 @@ def test_certificate_serializes_expected_fields():
 # ------------------------------------------------------------------ estimate_m4
 
 def test_m4_gaussian_scalar_direction_near_nine():
-    est = estimate_m4(InputDesign.gaussian(1), L=1, n_directions=1,
+    est = estimate_m4(1, L=1, n_directions=1,
                       n_samples=100_000, seed=3, directions=np.array([[1.0]]))
     assert abs(est.estimates[0] - GAUSSIAN_M4) <= 3.0 * est.std_errors[0]
 
@@ -335,7 +339,7 @@ def test_m4_gaussian_matches_exact_fourth_moment(p, L):
     rng = np.random.default_rng(100 * p + L)
     rank_one = np.kron(rng.standard_normal(p * L), rng.standard_normal(p))
     directions = np.vstack([rng.standard_normal((4, p * p * L)), rank_one])
-    est = estimate_m4(InputDesign.gaussian(p), L=L, n_directions=5,
+    est = estimate_m4(p, L=L, n_directions=5,
                       n_samples=100_000, seed=7, directions=directions)
     exact = np.array([_gaussian_m4_exact(v, p, L) for v in directions])
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
@@ -347,15 +351,15 @@ def test_m4_gaussian_matches_exact_fourth_moment(p, L):
 
 @pytest.mark.parametrize("p,L", [(2, 3), (3, 4), (1, 4), (3, 1)])
 def test_m4_gaussian_bounded_by_nine_plus_noise(p, L):
-    est = estimate_m4(InputDesign.gaussian(p), L=L, n_directions=20,
+    est = estimate_m4(p, L=L, n_directions=20,
                       n_samples=50_000, seed=5)
     assert np.all(est.estimates <= GAUSSIAN_M4 + 3.0 * est.std_errors)
 
 
 def test_m4_deterministic_given_seed():
-    a = estimate_m4(InputDesign.gaussian(2), L=2, n_directions=4,
+    a = estimate_m4(2, L=2, n_directions=4,
                     n_samples=2000, seed=11)
-    b = estimate_m4(InputDesign.gaussian(2), L=2, n_directions=4,
+    b = estimate_m4(2, L=2, n_directions=4,
                     n_samples=2000, seed=11)
     assert np.array_equal(a.estimates, b.estimates)
     assert a.value == b.value
@@ -382,7 +386,7 @@ def test_m4_matches_brute_force_fourth_power():
     # each sample is ||W u|| g: u, then g, from the direction's own stream
     p, L, seed, count = 2, 2, 13, 5000
     directions = np.random.default_rng(1).standard_normal((3, 8))
-    est = estimate_m4(InputDesign.gaussian(p), L=L, n_directions=3, n_samples=count,
+    est = estimate_m4(p, L=L, n_directions=3, n_samples=count,
                       seed=seed, directions=directions)
     for k, v in enumerate(directions):
         rng = derive_rng(seed, 1, k)
@@ -395,7 +399,8 @@ def test_m4_matches_brute_force_fourth_power():
             np.std(proj**4, ddof=1) / math.sqrt(count), rel=1e-12)
 
 
-def test_m4_refuses_non_gaussian_designs():
-    # the conditional-Gaussian sampler holds only for Gaussian inputs
-    with pytest.raises(ParameterError, match="Gaussian"):
-        estimate_m4(InputDesign.sphere(2), L=2, n_directions=3, n_samples=100, seed=0)
+def test_m4_takes_the_input_dimension_of_its_gaussian_inputs():
+    # the Gaussian law is the only one the conditional sampler holds for, so
+    # estimate_m4 takes p alone, checked as InputDesign.gaussian(p) checks it
+    with pytest.raises(ParameterError, match="input dimension"):
+        estimate_m4(0, L=2, n_directions=3, n_samples=100, seed=0)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -14,13 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilinid import (
-    GAUSSIAN_M4,
     InputDesign,
     NoiseSpec,
     ParameterError,
-    StateSpaceModel,
     build_hankel,
-    derive_rng,
     estimator,
     excitation,
     fit,
@@ -52,6 +50,8 @@ from bilinid.experiments import (
     run_validation,
     zeta_covariance_mc,
 )
+from bilinid.excitation import GAUSSIAN_M4
+from bilinid.sysmodel import StateSpaceModel, derive_rng
 
 
 def _small_config(**overrides):
@@ -545,7 +545,7 @@ def test_m4_nominal_false_failure_rate():
                          autocov_draws=2_000, m4_directions=4, m4_samples=2_000,
                          coverage_trials=3)
     details = rep["checks"][1]["details"]
-    est = excitation.estimate_m4(InputDesign.gaussian(2), 3, 4, 2_000, seed=3 + 20)
+    est = excitation.estimate_m4(2, 3, 4, 2_000, seed=3 + 20)
     assert (details["nominal_false_failure_rate"], details["m4_exact_max"]) == (
         _m4_false_failure_rate(est.directions, 2, 3, 2_000))
     assert details["nominal_rate_basis"] == "normal approximation"
@@ -1053,6 +1053,19 @@ def test_cli_hokalman_checks_its_order_before_any_work(tmp_path, capsys, L):
     assert not list(tmp_path.glob("o*"))
 
 
+@pytest.mark.parametrize("rho", [1e-100, 1e-150, 1e-170, 1e-200, 1e-300])
+def test_cli_hokalman_on_a_degenerate_drawn_system_exits_3(tmp_path, capsys, rho):
+    # the drawn A is about rho, so the true Hankel clip's sigma_min_L, or its
+    # square, is 0: a degenerate system, not a config error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "rho_values": [rho], "L_values": [4],
+                                "T_values": [60], "trials": 1}))
+    assert main(["hokalman", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: sigma_min_L = ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("o*"))
+
+
 @pytest.mark.parametrize("regime, count", [("fourth_moment_b", 18_354_970),
                                            ("bounded_a", None)])
 def test_cli_pe_check_at_the_smallest_delta(tmp_path, capsys, regime, count):
@@ -1068,6 +1081,22 @@ def test_cli_pe_check_at_the_smallest_delta(tmp_path, capsys, regime, count):
     if count is not None:
         assert report["required_T"] == 4 + count
     assert 4 < report["required_T"] < 10**8
+
+
+def test_cli_bound_at_the_smallest_delta_is_finite(tmp_path, capsys):
+    # p^2 L Xi / delta overflows at delta = 5e-324; the bound is its finite root
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 2, "p": 2, "L_values": [2], "T_values": [40], "trials": 2, '
+                    '"delta": 5e-324}')
+    assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "e")]) == 0
+    assert main(["exp", "figure1", "--config", str(path), "--out", str(tmp_path / "f")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "e.report.json").read_text(), parse_constant=_reject_constant)
+    assert report["solver_mode"] == "full_rank"
+    assert 1e160 < report["bound_fro"] < report["bound_value"] < 1e170
+    with open(tmp_path / "f.csv", newline="") as fh:
+        bounds = [float(row["bound_value"]) for row in csv.DictReader(fh)]
+    assert len(bounds) == 2 and all(1e160 < b < 1e170 for b in bounds)
 
 
 def test_cli_seed_override_changes_results(config_file, tmp_path):
@@ -1122,6 +1151,32 @@ def test_cli_validate_report_is_strict_json(config_file, tmp_path):
     assert all(c["passed"] == (c["margin"] >= 0.0) for c in report["checks"])
     assert report["passed"] == all(c["passed"] for c in report["checks"])
     assert code == (0 if report["passed"] else 4)
+
+
+def test_min_norm_coverage_trials_count_as_misses(tmp_path, capsys):
+    # T - L = 3 rows for p^2 L = 2 unknowns: validate accepts the cell, and
+    # a quarter of its sphere-input designs are still rank-deficient
+    cfg = _small_config(L_values=(2,), T_values=(5,), input=InputConfig(kind="bounded_sphere"))
+    trials = bound_coverage_trials(cfg, 40, 7)
+    assert sum(math.isnan(t.bound_value) for t in trials) == 10
+    for t in trials:
+        if math.isnan(t.bound_value):
+            assert t.covered is False and (t.pred_mse, t.pred_bound, t.pred_ok) == (None, None, None)
+        else:
+            assert t.covered == (t.err_ellipsoidal <= t.bound_value) and t.pred_ok is not None
+    # the CLI's 100 coverage trials: 23 min-norm misses fail the gate, though
+    # no bounded trial's error comes near its bound
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "rho_values": [0.6], "L_values": [2],
+                                "T_values": [5], "trials": 1, "base_seed": 7,
+                                "noise": {"family": "gaussian", "sigma_w": 0.25, "sigma_z": 0.5},
+                                "input": {"kind": "bounded_sphere"}}))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "val.json")]) == 4
+    report = json.loads((tmp_path / "val.json").read_text(), parse_constant=_reject_constant)
+    coverage, prediction = report["checks"][2:]
+    assert coverage["details"]["frequency"] == 0.77 and not coverage["passed"]
+    assert coverage["details"]["err_bound_ratio_max"] < 0.31
+    assert prediction["details"]["trials_checked"] == 77 and prediction["passed"]
 
 
 @pytest.mark.parametrize("T", [12, 20])

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from bilinid import (
     DegenerateRealizationError,
     ParameterError,
-    StateSpaceModel,
     align_realizations,
     build_hankel,
     ho_kalman,
     markov_params,
     random_model,
     realization_error_bounds,
-    spectral_radius,
 )
 from bilinid.hokalman import Realization
+from bilinid.sysmodel import StateSpaceModel, _spectral_radii
 
 
 # ----------------------------------------------------------------- build_hankel
@@ -153,7 +152,7 @@ def test_ho_kalman_factorization_invariants():
 def test_ho_kalman_preserves_spectral_radius_on_exact_data():
     m = random_model(4, 2, 0.85, seed=7)
     real = ho_kalman(markov_params(m, 10).G, n=4)
-    assert abs(spectral_radius(real.A) - m.spectral_radius()) <= 1e-6
+    assert abs(_spectral_radii(real.A[None])[0] - _spectral_radii(m.A[None])[0]) <= 1e-6
 
 
 def test_ho_kalman_refuses_degenerate_truncation():
@@ -280,8 +279,20 @@ def test_bounds_robustness_boundary_inclusive():
 def test_bounds_require_positive_sigma_min():
     h = build_hankel(np.zeros((2, 8)), n=1)
     assert h.sigma_min_L == 0.0
-    with pytest.raises(ParameterError):
+    with pytest.raises(DegenerateRealizationError, match="sigma_min_L"):
         realization_error_bounds(h, h, 0.1)
+
+
+@pytest.mark.parametrize("scale, err", [(1e-170, 0.0), (1e-150, 1e160), (1.0, 1e306)])
+def test_bounds_past_the_float_range_are_degenerate(scale, err):
+    # sigma_min_L^2 underflows to 0 at 1e-170; at 1e-150 it is about 8e-303,
+    # and an error of 1e160 puts bound_A past the float range, as 1e306 does
+    # for a well-conditioned system
+    m = random_model(3, 2, 0.8, seed=14)
+    h = build_hankel(markov_params(m, 8).G * scale, n=3)
+    assert h.sigma_min_L > 0.0
+    with pytest.raises(DegenerateRealizationError, match="sigma_min_L"):
+        realization_error_bounds(h, h, err)
 
 
 def test_bounds_require_hankel_sets_of_one_shape():

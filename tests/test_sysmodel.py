@@ -10,21 +10,24 @@ from bilinid import (
     InputDesign,
     NoiseSpec,
     ParameterError,
-    StateSpaceModel,
     bound_terms,
     controllability_gramian,
-    derive_rng,
     markov_params,
     random_model,
     simulate,
     simulate_batch,
-    spectral_radius,
     transient_factor,
 )
 from bilinid.estimator import prediction_state_norms
 from bilinid.experiments import _final_output_moments
 from bilinid.serialize import save_matrix, save_trajectory
-from bilinid.sysmodel import _input_gramians, _truncated_gramians
+from bilinid.sysmodel import (
+    StateSpaceModel,
+    _input_gramians,
+    _spectral_radii,
+    _truncated_gramians,
+    derive_rng,
+)
 
 
 # ---------------------------------------------------------------- random_model
@@ -36,7 +39,7 @@ def test_random_model_degenerate_rho_gives_zero_dynamics():
 
 def test_random_model_respects_spectral_bound():
     m = random_model(5, 3, 0.9, seed=7)
-    assert m.spectral_radius() <= 0.9
+    assert _spectral_radii(m.A[None])[0] <= 0.9
     assert m.A.shape == (5, 5) and m.B.shape == (5, 3) and m.C.shape == (3, 5)
     # A is diagonal
     assert np.count_nonzero(m.A - np.diag(np.diag(m.A))) == 0
@@ -151,7 +154,7 @@ def test_frozen_types_copy_the_callers_arrays():
     big = np.diag([0.5, 0.25, 0.125])
     m = StateSpaceModel(A=big[:2, :2], B=np.ones((2, 1)), C=np.ones((1, 2)))
     big[0, 0] = 1.5
-    assert m.spectral_radius() == 0.5 and not m.A.flags.writeable
+    assert _spectral_radii(m.A[None])[0] == 0.5 and not m.A.flags.writeable
     S = 0.5 * np.eye(2)
     noise = NoiseSpec.gaussian(S, 0.1)
     S[0, 0] = 9.0
@@ -288,7 +291,7 @@ def test_transient_factor_requires_rho_above_spectral_radius():
 def test_transient_factor_dominates_all_powers():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
-    A *= 0.6 / spectral_radius(A)
+    A *= 0.6 / _spectral_radii(A[None])[0]
     rho = 0.8
     phi = transient_factor(A[None], [rho])[0]
     for k in range(64):
@@ -309,7 +312,7 @@ def _brute_force_transient_factor(A, rho, k_max):
 def test_transient_factor_matches_brute_force_scan_nonnormal(seed):
     rng = np.random.default_rng(seed)
     A = 3.0 * np.triu(rng.standard_normal((5, 5))) + 0.1 * rng.standard_normal((5, 5))
-    A *= 0.9 / spectral_radius(A)
+    A *= 0.9 / _spectral_radii(A[None])[0]
     # decay is certified within 40 powers for these seeds; scan 50x further
     assert transient_factor(A[None], [0.93])[0] == _brute_force_transient_factor(A, 0.93, 2000)
 
@@ -346,7 +349,7 @@ def test_gramian_zero_noise_is_zero():
 @pytest.mark.parametrize("radius", [0.95, 0.999])
 def test_gramian_fixed_point_residual(radius):
     m = random_model(4, 2, radius, seed=8)
-    m = StateSpaceModel(A=m.A * (radius / spectral_radius(m.A)), B=m.B, C=m.C)
+    m = StateSpaceModel(A=m.A * (radius / _spectral_radii(m.A[None])[0]), B=m.B, C=m.C)
     S = 0.7 * np.eye(4)
     g = controllability_gramian([m], S)[0]
     res = np.linalg.norm(m.A @ g @ m.A.T + S - g) / np.linalg.norm(g)
@@ -521,6 +524,25 @@ def test_exponential_spec_rejects_sigma_z_that_disagrees_with_sigma_w():
         NoiseSpec(sigma_w=np.eye(2), sigma_z=5.0, family="exponential")
     with pytest.raises(ParameterError):
         NoiseSpec(sigma_w=np.zeros((2, 2)), sigma_z=0.0, family="exponential")
+
+
+@pytest.mark.parametrize("build", [
+    # sigma_z^2 = 1e-12 against a zero covariance, and a 40x variance mismatch
+    lambda: NoiseSpec(sigma_w=0.0, sigma_z=1e-6, family="exponential"),
+    lambda: NoiseSpec(sigma_w=4e-11 * np.eye(2), sigma_z=1e-6, family="exponential"),
+    # indefinite and asymmetric, at a scale below any absolute tolerance
+    lambda: NoiseSpec.gaussian(1e-20 * np.array([[1.0, 5.0], [5.0, 1.0]]), 1.0),
+    lambda: NoiseSpec.gaussian(1e-20 * np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0),
+])
+def test_noise_covariance_checks_scale_with_the_covariance(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
+def test_noise_covariance_tolerance_is_relative():
+    # an asymmetry of 1e-21 relative to the largest entry is roundoff
+    S = np.array([[1e12, 1e-9], [0.0, 1e12]])
+    assert np.array_equal(NoiseSpec.gaussian(S, 1.0).sigma_w, S)
 
 
 def test_gaussian_spec_rejects_centered_false():

@@ -6,8 +6,11 @@
 CHECKOUT is the root of a bilinid checkout.  Its perfbench/workloads.py
 builds the jobs of every workload at seeds 1 and 1009, and each job runs
 once through that checkout's bilinid.cli.main with --threads 1, in a
-temporary directory.  Each workload and seed prints one line per job,
-"<workload> seed<seed> <job> exit <code>", then one per output file,
+temporary directory.  The commands no workload runs (simulate
+--diagnostics, and estimate and pe-check in both report formats) run on
+each workload's first config, so every subcommand is covered.  Each
+workload and seed prints one line per run,
+"<workload> seed<seed> <run> exit <code>", then one per output file,
 "<workload> seed<seed> <file> <sha256>", in name order.  A CSV's runtime_ms
 column is dropped before its digest, since it holds wall times.  Two
 checkouts whose outputs agree print the same lines:
@@ -28,6 +31,14 @@ from pathlib import Path
 
 SEEDS = (1, 1009)
 DROPPED_COLUMN = "runtime_ms"
+# (run name suffix, CLI words) of the commands run on each workload's first config
+EXTRA_COMMANDS = (
+    ("simulate.traj.csv", ["simulate", "--diagnostics"]),
+    ("estimate-json", ["estimate", "--format", "json"]),
+    ("estimate-csv", ["estimate", "--format", "csv"]),
+    ("pe.json", ["pe-check", "--format", "json"]),
+    ("pe.csv", ["pe-check", "--format", "csv"]),
+)
 
 
 def digest(path: Path) -> str:
@@ -59,13 +70,17 @@ def main(argv: list[str]) -> int:
                 out_dir, cfg_dir = Path(tmp, "out"), Path(tmp, "configs")
                 out_dir.mkdir()
                 cfg_dir.mkdir()
-                for job in workloads.build(workload, seed):
-                    cfg = cfg_dir / f"{job.name}.json"
-                    cfg.write_text(json.dumps(job.config, indent=2, sort_keys=True))
+                jobs = workloads.build(workload, seed)
+                runs = [(job.name, job.argv, job.config) for job in jobs]
+                runs += [(f"{jobs[0].name}.{suffix}", argv, jobs[0].config)
+                         for suffix, argv in EXTRA_COMMANDS]
+                for name, argv, config in runs:
+                    cfg = cfg_dir / f"{name}.json"
+                    cfg.write_text(json.dumps(config, indent=2, sort_keys=True))
                     with contextlib.redirect_stdout(io.StringIO()):
-                        code = cli.main([*job.argv, "--config", str(cfg),
-                                         "--out", str(out_dir / job.name), "--threads", "1"])
-                    print(f"{workload} seed{seed} {job.name} exit {code}")
+                        code = cli.main([*argv, "--config", str(cfg),
+                                         "--out", str(out_dir / name), "--threads", "1"])
+                    print(f"{workload} seed{seed} {name} exit {code}")
                 for path in sorted(out_dir.iterdir()):
                     print(f"{workload} seed{seed} {path.name} {digest(path)}")
     return 0
