@@ -40,8 +40,7 @@ for every sweep trial, coverage trial and CLI estimate or realization.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,7 @@ RANK_TOL = 1e-10
 # Rows of a tall design built and accumulated at a time, in one reused
 # (p^2 L) x BLOCK_ROWS buffer.
 BLOCK_ROWS = 16384
-# A design built to a lambda_min target (DesignSystem.from_blocks) stops once
+# A design built to a lambda_min target (design_from_inputs) stops once
 # its running Gram clears the target by STOP_MARGIN times its largest
 # eigenvalue.  Later blocks add positive semidefinite Grams, so the full
 # design's exact lambda_min is at least the prefix's (Weyl); the margin
@@ -96,16 +95,6 @@ def unvec(v: np.ndarray, p: int, cols: int) -> np.ndarray:
 def _column_gram(U: np.ndarray) -> np.ndarray:
     """U^T U; the package forms a column Gram matrix only here."""
     return U.T @ U
-
-
-@contextmanager
-def _gram_sums_guard():
-    """Raise NumericalError for an overflow in a design's sums U^T U, U^T y, y^T y."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericalError("design Gram sums overflow the float range") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,69 +124,6 @@ class DesignSystem:
     V: np.ndarray | None
     Uty: np.ndarray
     yty: float | None
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray | None]],
-                    L: int, T: int, p: int,
-                    lambda_min_target: float | None = None) -> DesignSystem:
-        """The design of T - L rows given as consecutive blocks (U_i, y_i).
-
-        y_i None stands for outputs that are not given, read as zeros.  A
-        design of at most p^2 L rows keeps them, so they come as exactly one
-        block (U, y) of T - L rows, which the design holds beside U^T y.  A
-        taller one sums U_i^T U_i, U_i^T y_i and y_i^T y_i over blocks that
-        add up to T - L rows and holds none of them, so the caller may
-        refill one buffer for every block; in either form a sum past the
-        float range raises NumericalError.  Other row counts raise ParameterError.
-
-        Given lambda_min_target, a taller design stops early: after a block
-        that leaves more rows to come, once the running Gram is tall and its
-        lambda_min (estimator._lambda_min of eigvalsh, the value
-        excitation.min_eig_design reports) is at least the target plus
-        STOP_MARGIN times its largest eigenvalue, no further block is taken
-        from blocks.  The design returned is then that of the rows taken so
-        far, T = L + those rows (the one case where the blocks add up to
-        fewer than T - L rows): its sums are bitwise those of the shorter
-        design built from the same blocks.  Later rows only add a positive
-        semidefinite Gram, so the full design's lambda_min would have
-        cleared the target as well (STOP_MARGIN covers the rounding).  A
-        generator that draws the blocks is left after the last block taken.
-        """
-        d, rows = p * p * L, T - L
-        if rows <= d:
-            blocks = list(blocks)
-            sizes = [U.shape[0] for U, _ in blocks]
-            if sizes != [rows]:
-                raise ParameterError(f"a design of {rows} <= {d} rows comes as one block "
-                                     f"of {rows} rows, got blocks of {sizes} rows")
-            [(U, y)] = blocks
-            y = np.zeros(rows) if y is None else np.array(y, dtype=float)
-            with _gram_sums_guard():
-                V, Uty, yty = None, U.T @ y, None
-        else:
-            V, Uty, yty, U = None, np.zeros(d), np.float64(0.0), np.empty((0, d))
-            taken = 0
-            for block, y_block in blocks:
-                with _gram_sums_guard():
-                    gram = _column_gram(block)
-                    if V is None:
-                        V = gram
-                    else:
-                        V += gram
-                    if y_block is not None:
-                        Uty += block.T @ y_block
-                        yty += y_block @ y_block
-                taken += block.shape[0]
-                if lambda_min_target is not None and d < taken < rows:
-                    eigs = np.linalg.eigvalsh(V)
-                    if _lambda_min(float(eigs[0])) >= (lambda_min_target
-                                                       + STOP_MARGIN * float(eigs[-1])):
-                        rows, T = taken, L + taken
-                        break
-            if taken != rows:
-                raise ParameterError(f"a design of {rows} rows got blocks of {taken} rows")
-            y, yty = np.empty(0), float(yty)
-        return cls(U_tilde=U, y=y, L=L, T=T, p=p, rows=rows, V=V, Uty=Uty, yty=yty)
 
     def gram(self) -> np.ndarray:
         """U^T U, the p^2 L x p^2 L Gram matrix; a design that keeps its
@@ -245,19 +171,26 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
     those of sample_sequence(T, rng).
 
     y, when given, must hold the full output sequence y_0..y_T; the
-    design uses the slice aligned with the rows.  A design of more than
-    p^2 L rows is built BLOCK_ROWS rows at a time into one buffer and
-    keeps only its statistics (see DesignSystem).  A NaN or infinite
-    input raises ParameterError; a Kronecker product beyond the float
-    range, or a NaN or infinite output in that slice (an overflow of the
-    simulated system), raises NumericalError.  A buffer past numpy's size
-    limit raises MemoryError before any buffer is made.
+    design uses the slice aligned with the rows.  A design of at most
+    p^2 L rows is built as one block and keeps its rows; a taller one is
+    built BLOCK_ROWS rows at a time into one buffer and keeps only the sums
+    U^T U, U^T y and y^T y over its blocks (see DesignSystem).  A NaN or
+    infinite input raises ParameterError; a Kronecker product or a sum
+    beyond the float range, or a NaN or infinite output in that slice (an
+    overflow of the simulated system), raises NumericalError.  A buffer
+    past numpy's size limit raises MemoryError before any buffer is made.
 
-    lambda_min_target goes to DesignSystem.from_blocks: a taller design
-    whose running Gram clears it stops after that block and is the design
-    of T' = L + (rows built so far) < T, bitwise the one this function
-    builds for T'.  A drawn design that stops leaves its generator where
-    u.sample_sequence(T', rng) leaves it, with the rows after T' not drawn.
+    Given lambda_min_target, a taller design stops early: after a block
+    that leaves more rows to come, once the running Gram is tall and its
+    lambda_min (_lambda_min of eigvalsh, the value
+    excitation.min_eig_design reports) is at least the target plus
+    STOP_MARGIN times its largest eigenvalue, no further block is built.
+    The design is then that of T' = L + (rows built so far) < T, bitwise
+    the one this function builds for T'.  Later rows only add a positive
+    semidefinite Gram, so the full design's lambda_min would have cleared
+    the target as well (STOP_MARGIN covers the rounding).  A drawn design
+    that stops leaves its generator where u.sample_sequence(T', rng)
+    leaves it, with the rows after T' not drawn.
     """
     drawn = isinstance(u, InputDesign)
     if drawn:
@@ -285,28 +218,52 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
         if not np.all(np.isfinite(y)):
             raise NumericalError("output sequence y must be finite")
     d = p * p * L
-    block = rows if rows <= d else min(rows, BLOCK_ROWS)
+    kept = rows <= d
+    block = rows if kept else min(rows, BLOCK_ROWS)
     _require_allocatable(d, block)
     buf = np.empty((d, block))
     window = np.empty((L + block, p))
     window[:L] = u.sample_sequence(L, rng)[1:] if drawn else u[1:L + 1]
-
-    def blocks():
-        # window[:L + count] holds u_{start+1}..u_{start+count+L}; row r of the block
-        # has lags u_{start+r+L-j} = window[r+L-1-j] and current input window[r+L]
-        for start in range(0, rows, block):
-            count = min(block, rows - start)
-            cur = window[L:L + count]
-            if drawn:
-                u.sample_iid(count, rng, out=cur)
-            else:
-                cur[:] = u[start + L + 1: start + L + 1 + count]
-            lags = [window[L - 1 - j: L - 1 - j + count] for j in range(L)]
-            U = _kron_rows(lags, cur, out=buf[:, :count])
-            yield U, None if y is None else y[start:start + count]
-            window[:L] = window[count:count + L]
-
-    return DesignSystem.from_blocks(blocks(), L, T, p, lambda_min_target)
+    V, Uty, yty, taken = None, np.zeros(d), np.float64(0.0), 0
+    while taken < rows:
+        # window[:L + count] holds u_{taken+1}..u_{taken+count+L}; row r of the block
+        # has lags u_{taken+r+L-j} = window[r+L-1-j] and current input window[r+L]
+        count = min(block, rows - taken)
+        cur = window[L:L + count]
+        if drawn:
+            u.sample_iid(count, rng, out=cur)
+        else:
+            cur[:] = u[taken + L + 1: taken + L + 1 + count]
+        lags = [window[L - 1 - j: L - 1 - j + count] for j in range(L)]
+        U = _kron_rows(lags, cur, out=buf[:, :count])
+        try:
+            with np.errstate(over="raise"):
+                if kept:
+                    y = np.zeros(rows) if y is None else y.copy()
+                    Uty = U.T @ y
+                else:
+                    gram = _column_gram(U)
+                    if V is None:
+                        V = gram
+                    else:
+                        V += gram
+                    if y is not None:
+                        y_block = y[taken:taken + count]
+                        Uty += U.T @ y_block
+                        yty += y_block @ y_block
+        except FloatingPointError as exc:
+            raise NumericalError("design Gram sums overflow the float range") from exc
+        taken += count
+        if lambda_min_target is not None and d < taken < rows:
+            eigs = np.linalg.eigvalsh(V)
+            if _lambda_min(float(eigs[0])) >= (lambda_min_target
+                                               + STOP_MARGIN * float(eigs[-1])):
+                rows, T = taken, L + taken
+        window[:L] = window[count:count + L]
+    if kept:
+        return DesignSystem(U_tilde=U, y=y, L=L, T=T, p=p, rows=rows, V=None, Uty=Uty, yty=None)
+    return DesignSystem(U_tilde=np.empty((0, d)), y=np.empty(0), L=L, T=T, p=p, rows=rows,
+                        V=V, Uty=Uty, yty=float(yty))
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,55 +439,60 @@ def bound_terms(models: Sequence[StateSpaceModel], noise: NoiseSpec, L: int,
     Ks = np.maximum(_spectral_norms(B), _spectral_norms(C)).tolist()
     sigma_w_norm = float(np.linalg.norm(noise.sigma_w, 2))
     terms = []
-    for beta, rho, phi, gamma_inf_norm, F_norm, CAL_norm, K in zip(
-            betas, rates, phis, gamma_inf_norms, F_norms, CAL_norms, Ks):
-        F_fro_sq, CAL_sq = F_norm ** 2, CAL_norm ** 2
-        tail = phi * rho**L / (1.0 - rho)
-        Xi = (noise.sigma_z**2
-              + 3.0 * sigma_w_norm * F_fro_sq * beta**2 * L * (1.0 + tail)
-              + 2.0 * gamma_inf_norm * CAL_sq * beta**2 * phi / (1.0 - rho))
-        terms.append(BoundTerms(sigma_w_sq=sigma_w_norm * F_fro_sq * (1.0 + tail),
-                                sigma_e_sq=gamma_inf_norm * CAL_sq * phi / (1.0 - rho),
-                                K=K, Xi=Xi, beta=beta, rho=rho, phi=phi, delta=delta,
-                                F_fro_sq=F_fro_sq, CAL_sq=CAL_sq, sigma_w_norm=sigma_w_norm))
+    try:
+        for beta, rho, phi, gamma_inf_norm, F_norm, CAL_norm, K in zip(
+                betas, rates, phis, gamma_inf_norms, F_norms, CAL_norms, Ks):
+            F_fro_sq, CAL_sq = F_norm ** 2, CAL_norm ** 2
+            tail = phi * rho**L / (1.0 - rho)
+            Xi = (noise.sigma_z**2
+                  + 3.0 * sigma_w_norm * F_fro_sq * beta**2 * L * (1.0 + tail)
+                  + 2.0 * gamma_inf_norm * CAL_sq * beta**2 * phi / (1.0 - rho))
+            terms.append(BoundTerms(sigma_w_sq=sigma_w_norm * F_fro_sq * (1.0 + tail),
+                                    sigma_e_sq=gamma_inf_norm * CAL_sq * phi / (1.0 - rho),
+                                    K=K, Xi=Xi, beta=beta, rho=rho, phi=phi, delta=delta,
+                                    F_fro_sq=F_fro_sq, CAL_sq=CAL_sq,
+                                    sigma_w_norm=sigma_w_norm))
+    except OverflowError as exc:  # a float power such as beta**2 past the float range
+        raise NumericalError("the bound constants are past the float range") from exc
     return terms
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Ellipsoidal-norm bound plus its Frobenius-norm companion
-    (value / sqrt(lambda_min) when lambda_min is available)."""
+    value / sqrt(lambda_min)."""
 
     value: float
-    fro_value: float | None
+    fro_value: float
 
 
 def bound_data_dependent(p: int, terms: BoundTerms, L: int, T: int,
-                         lambda_min: float | None = None) -> BoundReport:
+                         lambda_min: float) -> BoundReport:
     """Error bound holding with probability at least 1 - delta:
 
         sqrt(p^2 L Xi / delta) + beta^2 K^2 phi rho^L / (1 - rho) * sqrt(T - L)
 
     on the design-weighted error of a p-output model.  Dividing by
-    sqrt(lambda_min) of the Gram matrix gives the Frobenius-norm version.
-    A delta near the smallest subnormal overflows the quotient although
-    its root is finite: the root is then sqrt(p^2 L Xi) / sqrt(delta), and
-    every quotient that does not overflow keeps its direct form.  A bound
-    past the float range raises NumericalError.
+    sqrt(lambda_min) of the Gram matrix, which must be positive (that of
+    a full-rank fit), gives the Frobenius-norm version.  A delta near the
+    smallest subnormal overflows the quotient although its root is
+    finite: the root is then sqrt(p^2 L Xi) / sqrt(delta), and every
+    quotient that does not overflow keeps its direct form.  A bound past
+    the float range raises NumericalError.
     """
     if T <= L:
         raise ParameterError("need T > L")
+    if not lambda_min > 0.0:
+        raise ParameterError(f"lambda_min must be positive, got {lambda_min!r}")
     a = p * p * L * terms.Xi
     q = a / terms.delta
     first = math.sqrt(q) if q < math.inf else math.sqrt(a) / math.sqrt(terms.delta)
     second = (terms.beta**2 * terms.K**2 * terms.phi * terms.rho**L
               / (1.0 - terms.rho) * math.sqrt(T - L))
     value = first + second
-    fro = None
-    if lambda_min is not None and lambda_min > 0.0:
-        fro = value / math.sqrt(lambda_min)
+    fro = value / math.sqrt(lambda_min)
     # fro is value / sqrt(lambda_min): not finite whenever value is not
-    if not math.isfinite(value if fro is None else fro):
+    if not math.isfinite(fro):
         raise NumericalError("the data-dependent error bound is past the float range")
     return BoundReport(value=value, fro_value=fro)
 

@@ -26,9 +26,9 @@ class HankelSet:
     """Hankel structures derived from a p x pL Markov matrix.
 
     H_minus / H_plus drop the last / first p columns of H; sigma_min_L is
-    the n-th of H_minus's singular_values.  U_n and Vt_n are its rank-n
-    singular vectors, signed so that the largest-magnitude entry of each
-    column of U_n is positive.
+    the n-th of H_minus's singular_values, all nonnegative (no -0.0).
+    U_n and Vt_n are its rank-n singular vectors, signed so that the
+    largest-magnitude entry of each column of U_n is positive.
     """
 
     H: np.ndarray
@@ -110,6 +110,7 @@ def build_hankel(G, n: int) -> HankelSet:
     H_minus = H[:, :-p]
     H_plus = H[:, p:]
     U, s, Vt = np.linalg.svd(H_minus, full_matrices=False)
+    s = np.abs(s)  # LAPACK may return a zero singular value as -0.0
     U_n, Vt_n = U[:, :n].copy(), Vt[:n].copy()
     # Fixed sign convention: the largest-magnitude entry of each left
     # singular vector is positive.  Flipping a pair leaves U_n diag(s) Vt_n unchanged.

@@ -1,10 +1,13 @@
-"""Shared test settings: one deterministic hypothesis profile, and the
-small CLI config that the command-line tests run."""
+"""Shared test settings: one deterministic hypothesis profile, the small
+CLI config that the command-line tests run, and designs with given rows."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from bilinid.estimator import DesignSystem
 
 # Every run of the same command line draws the same examples, so the suite
 # stays deterministic; no example database is written.  The examples still
@@ -25,3 +28,21 @@ def config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture()
+def rows_design():
+    """design(U, y=None, p=1): the DesignSystem of p outputs with the given
+    rows U (and outputs y, zeros when None), L = columns / p^2, in the form
+    design_from_inputs gives: kept rows up to p^2 L rows, sums past that."""
+    def design(U, y=None, p=1):
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        rows, d = U.shape
+        L = d // (p * p)
+        y = np.zeros(rows) if y is None else np.asarray(y, dtype=float)
+        if rows <= d:
+            return DesignSystem(U_tilde=U, y=y, L=L, T=L + rows, p=p, rows=rows,
+                                V=None, Uty=U.T @ y, yty=None)
+        return DesignSystem(U_tilde=np.empty((0, d)), y=np.empty(0), L=L, T=L + rows, p=p,
+                            rows=rows, V=U.T @ U, Uty=U.T @ y, yty=float(y @ y))
+    return design

@@ -33,7 +33,6 @@ from bilinid import (
 from bilinid import estimator
 from bilinid.estimator import (
     BoundTerms,
-    DesignSystem,
     effective_noise_autocov,
     ellipsoidal_error,
     empirical_input_bound,
@@ -269,17 +268,18 @@ def test_design_short_of_its_target_is_the_full_design(monkeypatch, rows):
         assert got.V.tobytes() == plain.V.tobytes()
 
 
-def test_design_gram_sums_past_the_float_range_raise_numerical_error():
-    # finite rows (1e160) whose Gram and output sums are not
-    U = np.full((20, 2), 1e160)
-    for y in (None, np.full(20, 1.0)):
+@pytest.mark.parametrize("rows", [2, 20], ids=["kept", "tall"])
+def test_design_gram_sums_past_the_float_range_raise_numerical_error(rows):
+    # p = 1, L = 2: a design of at most 2 rows keeps them, and sums only
+    # U^T y.  Inputs of 1e80 give finite rows (1e160) whose sums are not
+    T = 2 + rows
+    cases = [(np.full(T + 1, 1e80), np.full(T + 1, 1e160))]
+    if rows > 2:
+        # a tall design's Gram overflows alone, and so does its y^T y
+        cases += [(np.full(T + 1, 1e80), None), (np.ones(T + 1), np.full(T + 1, 1e160))]
+    for u, y in cases:
         with pytest.raises(NumericalError, match="Gram sums overflow"):
-            DesignSystem.from_blocks([(U, y)], L=2, T=22, p=1)
-    with pytest.raises(NumericalError, match="Gram sums overflow"):
-        DesignSystem.from_blocks([(np.ones((20, 2)), np.full(20, 1e160))], L=2, T=22, p=1)
-    # a design of 2 <= p^2 L rows keeps them, and its U^T y overflows alike
-    with pytest.raises(NumericalError, match="Gram sums overflow"):
-        DesignSystem.from_blocks([(np.full((2, 2), 1e160), np.full(2, 1e160))], L=2, T=4, p=1)
+            design_from_inputs(u, 2, y)
 
 
 def test_drawn_design_needs_T_and_rng_and_takes_no_outputs():
@@ -329,20 +329,6 @@ def test_certified_square_fit_is_the_normal_equations_solve():
     report = estimate_markov(d)
     assert report.solver_mode == "full_rank"
     assert vec(report.G_hat).tobytes() == np.linalg.solve(U.T @ U, U.T @ y).tobytes()
-
-
-@pytest.mark.parametrize("sizes, rows", [
-    ([50, 50], 998),  # tall, blocks short of the design
-    ([100, 100], 50),  # blocks past the design
-    ([1], 2),  # a kept design's one block too short
-    ([1, 1], 2),  # a kept design in two blocks
-    ([], 2),  # a kept design with no block
-], ids=["tall short", "tall past", "kept short", "kept two", "kept none"])
-def test_design_blocks_must_add_up_to_its_rows(sizes, rows):
-    # p = 1, L = 2: a design of at most 2 rows keeps them, in one block
-    blocks = [(np.ones((k, 2)), None) for k in sizes]
-    with pytest.raises(ParameterError, match="rows"):
-        DesignSystem.from_blocks(blocks, L=2, T=2 + rows, p=1)
 
 
 def test_tall_residual_and_ellipsoidal_error_match_the_dense_design():
@@ -464,7 +450,7 @@ def test_normal_equations_residual_in_full_rank_mode():
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
-def test_full_rank_solve_agrees_with_lstsq_on_ill_conditioned_design():
+def test_full_rank_solve_agrees_with_lstsq_on_ill_conditioned_design(rows_design):
     # singular values spaced from 1 to 1e-3: kappa^2 = 1e6, still full rank
     rng = np.random.default_rng(21)
     p, L, rows = 2, 3, 200
@@ -474,7 +460,7 @@ def test_full_rank_solve_agrees_with_lstsq_on_ill_conditioned_design():
     sv = np.logspace(0.0, -3.0, cols)
     U = (Q1 * sv) @ Q2.T
     y = U @ rng.standard_normal(cols) + 1e-3 * rng.standard_normal(rows)
-    d = DesignSystem.from_blocks([(U, y)], L=L, T=rows + L, p=p)
+    d = rows_design(U, y, p=p)
     report = estimate_markov(d)
     assert report.solver_mode == "full_rank"
     ref = np.linalg.lstsq(U, y, rcond=None)[0]
@@ -483,7 +469,7 @@ def test_full_rank_solve_agrees_with_lstsq_on_ill_conditioned_design():
     assert np.linalg.norm(vec(report.G_hat) - ref) <= tol
 
 
-def test_wide_solve_agrees_with_lstsq_on_ill_conditioned_design():
+def test_wide_solve_agrees_with_lstsq_on_ill_conditioned_design(rows_design):
     # rows < cols, singular values spaced from 1 to 1e-3: kappa^2 = 1e6, full row rank
     rng = np.random.default_rng(22)
     p, L, rows = 3, 5, 30
@@ -493,7 +479,7 @@ def test_wide_solve_agrees_with_lstsq_on_ill_conditioned_design():
     sv = np.logspace(0.0, -3.0, rows)
     U = (Q1 * sv) @ Q2.T
     y = rng.standard_normal(rows)
-    d = DesignSystem.from_blocks([(U, y)], L=L, T=rows + L, p=p)
+    d = rows_design(U, y, p=p)
     report = estimate_markov(d)
     assert report.solver_mode == "min_norm"
     ref = np.linalg.lstsq(U, y, rcond=None)[0]
@@ -505,23 +491,23 @@ def test_wide_solve_agrees_with_lstsq_on_ill_conditioned_design():
     assert report.lambda_max == pytest.approx(sigma_max_sq, rel=1e-12)
 
 
-def test_wide_design_with_repeated_rows_falls_back_to_lstsq():
+def test_wide_design_with_repeated_rows_falls_back_to_lstsq(rows_design):
     # two identical rows with different targets: the row Gram is singular
     rng = np.random.default_rng(23)
     p, L, rows = 2, 3, 6
     U = rng.standard_normal((rows, p * p * L))
     U[3] = U[1]
     y = rng.standard_normal(rows)
-    report = estimate_markov(DesignSystem.from_blocks([(U, y)], L=L, T=rows + L, p=p))
+    report = estimate_markov(rows_design(U, y, p=p))
     assert report.solver_mode == "min_norm"
     assert report.lambda_min == 0.0
     assert np.array_equal(vec(report.G_hat), np.linalg.lstsq(U, y, rcond=None)[0])
 
 
-def test_all_zero_wide_design_gives_zero_estimate_without_warnings():
+def test_all_zero_wide_design_gives_zero_estimate_without_warnings(rows_design):
     p, L, rows = 2, 3, 6
     y = np.random.default_rng(24).standard_normal(rows)
-    d = DesignSystem.from_blocks([(np.zeros((rows, p * p * L)), y)], L=L, T=rows + L, p=p)
+    d = rows_design(np.zeros((rows, p * p * L)), y, p=p)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = estimate_markov(d)
@@ -579,9 +565,9 @@ def test_ellipsoidal_error_zero_at_truth():
     assert ellipsoidal_error(G, G, d) == 0.0
 
 
-def test_ellipsoidal_error_orthonormal_design_is_euclidean():
+def test_ellipsoidal_error_orthonormal_design_is_euclidean(rows_design):
     k = 6
-    d = DesignSystem.from_blocks([(np.eye(k), None)], L=k, T=2 * k, p=1)
+    d = rows_design(np.eye(k))
     rng = np.random.default_rng(5)
     Ga = rng.standard_normal((1, 6))
     Gb = rng.standard_normal((1, 6))
@@ -622,7 +608,7 @@ def test_bound_vanishes_in_noiseless_large_L_limit():
     values = []
     for L in (4, 20, 60, 120):
         [terms] = bound_terms([m], noise, L, [1.0], delta=0.1)
-        values.append(bound_data_dependent(m.p, terms, L, 10_000).value)
+        values.append(bound_data_dependent(m.p, terms, L, 10_000, lambda_min=1.0).value)
     assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
     assert values[-1] <= 1e-10 * values[0]
 
@@ -635,8 +621,8 @@ def test_bound_first_term_scales_as_inverse_sqrt_delta():
     [t2] = bound_terms([m], noise, L, [1.5], delta=0.2)
     second = (t1.beta**2 * t1.K**2 * t1.phi * t1.rho**L / (1 - t1.rho)
               * math.sqrt(T - L))
-    first1 = bound_data_dependent(m.p, t1, L, T).value - second
-    first2 = bound_data_dependent(m.p, t2, L, T).value - second
+    first1 = bound_data_dependent(m.p, t1, L, T, lambda_min=1.0).value - second
+    first2 = bound_data_dependent(m.p, t2, L, T, lambda_min=1.0).value - second
     assert first1 == pytest.approx(first2 * math.sqrt(2.0), rel=1e-12)
 
 
@@ -647,7 +633,7 @@ def test_bound_matches_independent_formula_oracle():
     noise = NoiseSpec.gaussian([[1.0]], 1.0)
     L, T, beta, delta, rho = 4, 100, 1.0, 0.1, 0.75
     [terms] = bound_terms([m], noise, L, [beta], delta=delta)
-    got = bound_data_dependent(m.p, terms, L, T).value
+    got = bound_data_dependent(m.p, terms, L, T, lambda_min=1.0).value
 
     phi = 1.0  # scalar a=0.5 < rho: ratio (a/rho)^k maximized at k=0
     F2 = sum(0.5 ** (2 * i) for i in range(L))
@@ -683,13 +669,27 @@ def test_bound_at_the_smallest_delta_is_finite():
     assert rep.fro_value == rep.value / 2.0
 
 
-@pytest.mark.parametrize("Xi, lambda_min", [(1e308, None), (1.0, 1e-320)])
+@pytest.mark.parametrize("Xi, lambda_min", [(1e308, 1.0), (1.0, 1e-320)])
 def test_bound_past_the_float_range_raises_numerical_error(Xi, lambda_min):
     m = random_model(2, 2, 0.5, seed=3)
     [terms] = bound_terms([m], NoiseSpec.gaussian(np.eye(2), 1.0), 2, [2.0], delta=1e-300)
     terms = dataclasses.replace(terms, Xi=Xi)
     with pytest.raises(NumericalError, match="past the float range"):
         bound_data_dependent(m.p, terms, 2, 40, lambda_min=lambda_min)
+
+
+@pytest.mark.parametrize("lambda_min", [0.0, -1.0, math.nan])
+def test_bound_needs_a_positive_lambda_min(lambda_min):
+    m = random_model(2, 1, 0.5, seed=3)
+    [terms] = bound_terms([m], NoiseSpec.gaussian(np.eye(2), 1.0), 4, [2.0], delta=0.1)
+    with pytest.raises(ParameterError, match="lambda_min"):
+        bound_data_dependent(m.p, terms, 4, 100, lambda_min=lambda_min)
+
+
+def test_bound_terms_past_the_float_range_raise_numerical_error():
+    # beta**2 is a float power past the float range
+    with pytest.raises(NumericalError, match="past the float range"):
+        bound_terms([random_model(2, 2, 0.5, seed=1)], NoiseSpec.none(2), 2, [1e200], 0.1)
 
 
 def test_bound_terms_precondition_errors():
@@ -838,7 +838,7 @@ def test_fit_full_rank_is_design_solve_and_bound():
     [terms] = bound_terms([m], noise, L, [empirical_input_bound(traj.u)], delta)
     assert f.terms == terms
     assert f.bound == bound_data_dependent(m.p, terms, L, T, lambda_min=f.report.lambda_min)
-    assert f.bound.fro_value is not None
+    assert f.bound.fro_value > 0.0
 
 
 def test_fit_min_norm_has_no_bound():
@@ -928,6 +928,11 @@ def test_fit_is_the_one_path_to_the_bound():
     # the batched callers compute the constants a cell's fits then take
     assert _callers("bound_terms") == [("estimator", "fit"), ("experiments", "_run_cell"),
                                        ("experiments", "bound_coverage_trials")]
+
+
+def test_design_from_inputs_is_the_one_design_builder():
+    # one constructor call per representation: kept rows, and sums
+    assert _callers("DesignSystem") == [("estimator", "design_from_inputs")] * 2
 
 
 def test_fit_is_the_one_path_to_the_estimate_and_its_errors():

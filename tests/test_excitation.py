@@ -28,23 +28,16 @@ from bilinid.excitation import (
 from bilinid.sysmodel import derive_rng
 
 
-def _toy_design(U):
-    """The p = 1 design with the given rows and no outputs; L is the column count."""
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    rows, L = U.shape
-    return DesignSystem.from_blocks([(U, None)], L=L, T=L + rows, p=1)
-
-
 # -------------------------------------------------------------- min_eig_design
 
-def test_min_eig_identity_rows():
-    d = _toy_design(np.eye(6))
+def test_min_eig_identity_rows(rows_design):
+    d = rows_design(np.eye(6))
     assert min_eig_design(d) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_min_eig_rank_deficient_is_zero():
+def test_min_eig_rank_deficient_is_zero(rows_design):
     rng = np.random.default_rng(0)
-    d = _toy_design(rng.standard_normal((4, 6)))
+    d = rows_design(rng.standard_normal((4, 6)))
     assert min_eig_design(d) == 0.0
 
 
@@ -80,10 +73,10 @@ def test_wide_designs_never_form_the_column_gram(monkeypatch):
     assert estimate_markov(d).solver_mode == "min_norm"
 
 
-def test_min_eig_matches_dense_eigensolver_oracle():
+def test_min_eig_matches_dense_eigensolver_oracle(rows_design):
     rng = np.random.default_rng(1)
     U = rng.standard_normal((50, 6))
-    d = _toy_design(U)
+    d = rows_design(U)
     oracle = float(np.min(np.linalg.eigvalsh(U.T @ U)))
     assert min_eig_design(d) == pytest.approx(oracle, abs=1e-9)
 
@@ -197,10 +190,10 @@ def test_required_samples_continue_across_the_quotient_overflow():
 
 # --------------------------------------------------------------- pe_certificate
 
-def test_certificate_toy_orthonormal_rows():
+def test_certificate_toy_orthonormal_rows(rows_design):
     # rows = identity: lambda_min = 1, threshold = rows/4
     for k in (2, 8):
-        d = _toy_design(np.eye(k))
+        d = rows_design(np.eye(k))
         cert = pe_certificate(d, 0.1, REGIME_FOURTH_MOMENT, m4=9.0)
         assert cert.lambda_min == pytest.approx(1.0, abs=1e-12)
         assert cert.threshold == k / 4.0
@@ -222,8 +215,8 @@ def test_certificate_repeated_input_vector_fails():
     assert not cert.passed
 
 
-def test_certificate_regime_constants():
-    d = _toy_design(np.eye(4))
+def test_certificate_regime_constants(rows_design):
+    d = rows_design(np.eye(4))
     beta = 1.7
     cert_a = pe_certificate(d, 0.2, REGIME_BOUNDED, beta=beta)
     assert cert_a.gamma1 == pytest.approx(beta**4 * d.L)
@@ -233,11 +226,11 @@ def test_certificate_regime_constants():
     assert cert_b.gamma2 == pytest.approx(math.log(1.0 + 16.0 * d.p**2 * d.L / 0.2))
 
 
-def test_certificate_threshold_is_literal_comparison():
+def test_certificate_threshold_is_literal_comparison(rows_design):
     # scale identity rows so lambda_min straddles rows/4 exactly
     rows = 8
-    just_below = _toy_design(np.sqrt(rows / 4.0 - 1e-9) * np.eye(rows))
-    just_at = _toy_design(np.sqrt(rows / 4.0) * np.eye(rows))
+    just_below = rows_design(np.sqrt(rows / 4.0 - 1e-9) * np.eye(rows))
+    just_at = rows_design(np.sqrt(rows / 4.0) * np.eye(rows))
     cert_lo = pe_certificate(just_below, 0.1, REGIME_FOURTH_MOMENT, m4=9.0)
     cert_at = pe_certificate(just_at, 0.1, REGIME_FOURTH_MOMENT, m4=9.0)
     assert not cert_lo.passed
@@ -310,8 +303,8 @@ def test_certificate_constants_match_required_samples(p, L, delta, beta, m4):
         assert (cert.gamma1, cert.gamma2) == gammas
 
 
-def test_certificate_serializes_expected_fields():
-    d = _toy_design(np.eye(4))
+def test_certificate_serializes_expected_fields(rows_design):
+    d = rows_design(np.eye(4))
     cert = pe_certificate(d, 0.1, REGIME_FOURTH_MOMENT, m4=9.0)
     assert set(cert.to_dict()) == {"lambda_min", "threshold", "passed", "regime",
                                    "required_T", "gamma1", "gamma2", "delta"}

@@ -1066,6 +1066,15 @@ def test_cli_hokalman_on_a_degenerate_drawn_system_exits_3(tmp_path, capsys, rho
     assert not list(tmp_path.glob("o*"))
 
 
+def test_cli_hokalman_prints_a_zero_sigma_min_L_unsigned(tmp_path, capsys):
+    # LAPACK returns this true Hankel clip's sigma_min_L as -0.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "rho_values": [1e-300], "L_values": [4],
+                                "T_values": [60], "trials": 1, "base_seed": 0}))
+    assert main(["hokalman", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: sigma_min_L = 0.000e+00 ")
+
+
 @pytest.mark.parametrize("regime, count", [("fourth_moment_b", 18_354_970),
                                            ("bounded_a", None)])
 def test_cli_pe_check_at_the_smallest_delta(tmp_path, capsys, regime, count):

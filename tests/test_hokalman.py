@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from bilinid import (
     realization_error_bounds,
 )
 from bilinid.hokalman import Realization
-from bilinid.sysmodel import StateSpaceModel, _spectral_radii
+from bilinid.sysmodel import StateSpaceModel, _spectral_radii, derive_rng
 
 
 # ----------------------------------------------------------------- build_hankel
@@ -281,6 +282,14 @@ def test_bounds_require_positive_sigma_min():
     assert h.sigma_min_L == 0.0
     with pytest.raises(DegenerateRealizationError, match="sigma_min_L"):
         realization_error_bounds(h, h, 0.1)
+
+
+def test_zero_singular_values_are_positive_zeros():
+    # LAPACK returns this clip's second singular value as -0.0
+    G = markov_params(random_model(2, 1, 1e-300, derive_rng(0, 0)), 4).G
+    h = build_hankel(G, 2)
+    assert math.copysign(1.0, h.sigma_min_L) == 1.0
+    assert np.all(np.copysign(1.0, h.singular_values) == 1.0)
 
 
 @pytest.mark.parametrize("scale, err", [(1e-170, 0.0), (1e-150, 1e160), (1.0, 1e306)])
