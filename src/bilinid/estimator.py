@@ -131,25 +131,24 @@ class DesignSystem:
         return _column_gram(self.U_tilde) if self.V is None else self.V
 
 
-def _kron_rows(lags: list[np.ndarray], cur: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Kronecker rows [lags[0][t]; ...; lags[L-1][t]] (x) cur[t], shape (count, p^2 L).
+def _kron_rows(window: np.ndarray, L: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Kronecker rows ubar_{t-1} (x) u_t of the (count + L, p) input window
+    u_{t0-L}..u_{t0+count-1}, one per t = t0..t0+count-1: shape (count, p^2 L).
 
-    Column (j p + i) p + k is lags[j][:, i] * cur[:, k].  The columns are
-    written as contiguous rows of a (p^2 L, count) buffer, out or a new
-    one, one vector product per column, and the result is the buffer's
-    transpose: a column-major view.  A product that overflows raises
-    NumericalError.
+    Column (j p + i) p + k of row r is window[r+L-1-j, i] * window[r+L, k],
+    written by one product per lag into that lag's p x p x count slab of a
+    (p^2 L, count) buffer, out or a new one (the reshape splits its leading
+    axis, so it is a view); the result is the buffer's transpose, a
+    column-major view.  A product that overflows raises NumericalError.
     """
-    count, p = cur.shape
-    buf = np.empty((p * p * len(lags), count)) if out is None else out
-    cur_t = cur.T
+    count, p = window.shape[0] - L, window.shape[1]
+    buf = np.empty((p * p * L, count)) if out is None else out
+    slabs = buf.reshape(L, p, p, count)
+    cur = window[L:].T[None]
     try:
         with np.errstate(over="raise"):
-            for j, lag in enumerate(lags):
-                for i in range(p):
-                    k0 = (j * p + i) * p
-                    np.multiply(lag[:, i], cur_t, out=buf[k0:k0 + p])
+            for j in range(L):
+                np.multiply(window[L - 1 - j:L - 1 - j + count].T[:, None], cur, out=slabs[j])
     except FloatingPointError as exc:
         raise NumericalError("Kronecker design rows overflow the float range") from exc
     return buf.T
@@ -226,16 +225,14 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
     window[:L] = u.sample_sequence(L, rng)[1:] if drawn else u[1:L + 1]
     V, Uty, yty, taken = None, np.zeros(d), np.float64(0.0), 0
     while taken < rows:
-        # window[:L + count] holds u_{taken+1}..u_{taken+count+L}; row r of the block
-        # has lags u_{taken+r+L-j} = window[r+L-1-j] and current input window[r+L]
+        # window[:L + count] holds u_{taken+1}..u_{taken+count+L}, the inputs of
+        # rows taken+1..taken+count
         count = min(block, rows - taken)
-        cur = window[L:L + count]
         if drawn:
-            u.sample_iid(count, rng, out=cur)
+            u.sample_iid(count, rng, out=window[L:L + count])
         else:
-            cur[:] = u[taken + L + 1: taken + L + 1 + count]
-        lags = [window[L - 1 - j: L - 1 - j + count] for j in range(L)]
-        U = _kron_rows(lags, cur, out=buf[:, :count])
+            window[L:L + count] = u[taken + L + 1: taken + L + 1 + count]
+        U = _kron_rows(window[:L + count], L, out=buf[:, :count])
         try:
             with np.errstate(over="raise"):
                 if kept:
@@ -487,8 +484,11 @@ def bound_data_dependent(p: int, terms: BoundTerms, L: int, T: int,
     a = p * p * L * terms.Xi
     q = a / terms.delta
     first = math.sqrt(q) if q < math.inf else math.sqrt(a) / math.sqrt(terms.delta)
-    second = (terms.beta**2 * terms.K**2 * terms.phi * terms.rho**L
-              / (1.0 - terms.rho) * math.sqrt(T - L))
+    try:
+        second = (terms.beta**2 * terms.K**2 * terms.phi * terms.rho**L
+                  / (1.0 - terms.rho) * math.sqrt(T - L))
+    except OverflowError as exc:  # a float power such as K**2 past the float range
+        raise NumericalError("the data-dependent error bound is past the float range") from exc
     value = first + second
     fro = value / math.sqrt(lambda_min)
     # fro is value / sqrt(lambda_min): not finite whenever value is not
@@ -574,8 +574,8 @@ def prediction_bound(fit: FitResult, noise: NoiseSpec, traj: Trajectory,
     if fit.terms is None:
         return None
     L, T, beta = fit.design.L, fit.design.T, fit.terms.beta
-    ubar = traj.u[T - L + 1:T + 1][::-1].reshape(-1)
-    k = np.kron(ubar, np.asarray(u_next, dtype=float).ravel())
+    # ubar_T (x) u_{T+1}: the one covariate row of the window u_{T-L+1}..u_T, u_next
+    k = _kron_rows(np.vstack([traj.u[T - L + 1:T + 1], np.reshape(u_next, (1, -1))]), L)[0]
     k_weight = float(k @ np.linalg.solve(fit.design.gram(), k))
     terms = fit.terms
     return (2.0 * fit.err_ellipsoidal**2 * k_weight

@@ -40,6 +40,17 @@ TRIAL_COLUMNS = ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
 AGG_COLUMNS = ("rho", "L", "T", "mean_err", "std_err")
 # noise draws zeta_covariance_mc simulates per batch_simulate_outputs call
 MC_BLOCK_DRAWS = 16384
+# Most trials a sweep or a campaign runs.  A sweep cell holds a generator
+# (about 1 KB), a model and a trajectory per trial at once, so a count far
+# below numpy's size limit can still exhaust memory, or run for days.
+MAX_TRIALS = 100_000
+
+
+def _require_trials(trials: int) -> None:
+    """Raise MemoryError, as sysmodel._require_allocatable does, when trials
+    is past MAX_TRIALS."""
+    if trials > MAX_TRIALS:
+        raise MemoryError(f"cannot run {trials} trials, past the ceiling of {MAX_TRIALS}")
 
 
 def _require_int(name: str, value) -> None:
@@ -271,7 +282,9 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Estimation-error sweep over the config grid, one model per trial;
     threads > 1 runs whole cells in parallel.  A cell's simulation holds a
     (T+1, trials, n) stack of states, so a grid whose largest one is past
-    numpy's size limit raises MemoryError before any generator is built."""
+    numpy's size limit, or whose trials are past MAX_TRIALS, raises
+    MemoryError before any generator is built."""
+    _require_trials(config.trials)
     _require_allocatable(max(config.T_values) + 1, config.trials, config.n)
     cells = [(rho, L, T, (i_r, i_L, i_T))
              for i_r, rho in enumerate(config.rho_values)
@@ -341,7 +354,7 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
     lambda_min, so every verdict, and with it the report, is that of the
     full-length designs, which a failing trial builds whole.  The
     reported threshold is the full-length (T - L)/4.  A `trials` past
-    numpy's size limit raises MemoryError before any trial runs.
+    MAX_TRIALS raises MemoryError before any trial runs.
     """
     p, L, delta = config.p, config.L_values[0], config.delta
     m4 = excitation.GAUSSIAN_M4
@@ -352,7 +365,7 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
         T = L + required
     if T <= L:
         raise ParameterError("campaign length T must exceed L")
-    _require_allocatable(config.trials)  # the trials' pass flags
+    _require_trials(config.trials)
     threshold = (T - L) / 4.0
 
     def one(trial: int) -> bool:

@@ -686,6 +686,15 @@ def test_bound_needs_a_positive_lambda_min(lambda_min):
         bound_data_dependent(m.p, terms, 4, 100, lambda_min=lambda_min)
 
 
+def test_data_dependent_bound_past_the_float_range_raises_numerical_error():
+    # the terms are finite, but K**2 = 1e400 is a float power past the float range
+    m = StateSpaceModel(A=np.array([[0.5]]), B=np.array([[1e200]]), C=np.array([[1e-200]]))
+    traj = simulate(m, NoiseSpec.none(1), InputDesign.gaussian(1), 40, seed=1)
+    with pytest.raises(NumericalError,
+                       match="^the data-dependent error bound is past the float range$"):
+        fit(m, NoiseSpec.none(1), traj, 2, 0.1)
+
+
 def test_bound_terms_past_the_float_range_raise_numerical_error():
     # beta**2 is a float power past the float range
     with pytest.raises(NumericalError, match="past the float range"):
@@ -935,6 +944,13 @@ def test_design_from_inputs_is_the_one_design_builder():
     assert _callers("DesignSystem") == [("estimator", "design_from_inputs")] * 2
 
 
+def test_kron_rows_is_the_one_covariate_kernel():
+    # the design blocks and the prediction covariate both come from _kron_rows
+    assert _callers("kron") == []
+    assert _callers("_kron_rows") == [("estimator", "design_from_inputs"),
+                                      ("estimator", "prediction_bound")]
+
+
 def test_fit_is_the_one_path_to_the_estimate_and_its_errors():
     # every command fits G through fit, and reads the errors fit computed
     for name in ("estimate_markov", "markov_params", "ellipsoidal_error"):
@@ -1127,6 +1143,27 @@ def test_prediction_bound_batch_equals_batches_of_one(k):
     bounds = [prediction_bound(f, noise, traj, u_next, state_norm)
               for f, traj, u_next, state_norm in zip(fits, trajs, u_nexts, batch)]
     assert [b is None for b in bounds] == [j == 1 for j in range(k)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 3])
+def test_prediction_bound_is_the_kronecker_formula(p, L):
+    # the covariate ubar_T (x) u_{T+1}, bitwise that of np.kron
+    m = random_model(3, p, 0.6, seed=10 * p + L)
+    noise = NoiseSpec.gaussian(0.2 * np.eye(3), 0.4)
+    T = 2 * p * p * L + 20
+    traj = simulate(m, noise, InputDesign.gaussian(p), T, seed=p + L)
+    u_next = np.random.default_rng(p * L).standard_normal(p)
+    [terms] = bound_terms([m], noise, L, [max(empirical_input_bound(traj.u),
+                                              float(np.linalg.norm(u_next)))], 0.1)
+    f = fit(m, noise, traj, L, 0.1, terms=terms)
+    assert f.report.solver_mode == "full_rank"
+    (state_norm,) = prediction_state_norms([m], noise, traj.u[None, :T + 1 - L])
+    k = np.kron(traj.u[T - L + 1:T + 1][::-1].reshape(-1), u_next)
+    expected = (2.0 * f.err_ellipsoidal**2 * float(k @ np.linalg.solve(f.design.gram(), k))
+                + 2.0 * terms.beta**2 * terms.CAL_sq * float(state_norm)
+                + terms.beta**2 * terms.sigma_w_norm * terms.F_fro_sq + noise.sigma_z**2)
+    assert prediction_bound(f, noise, traj, u_next, state_norm) == expected
 
 
 def test_prediction_state_norms_need_one_input_sequence_per_model():

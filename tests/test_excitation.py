@@ -361,15 +361,15 @@ def test_m4_deterministic_given_seed():
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("L", [1, 3])
 def test_covariate_rows_are_kronecker_rows_of_sequence_windows(p, L):
-    # 40 windows u_{t-L}..u_t, their covariate rows ubar_{t-1} (x) u_t, and the
-    # identity estimate_m4 samples by: v^T (ubar (x) u) = ubar^T W u with
-    # W = v.reshape(p L, p)
-    windows = np.random.default_rng(2).standard_normal((40, L + 1, p))
-    rows = _kron_rows([windows[:, L - 1 - j] for j in range(L)], windows[:, L])
+    # the 40 windows u_{t-L}..u_t of a sequence of 40 + L inputs, their
+    # covariate rows ubar_{t-1} (x) u_t, and the identity estimate_m4 samples
+    # by: v^T (ubar (x) u) = ubar^T W u with W = v.reshape(p L, p)
+    seq = np.random.default_rng(2).standard_normal((40 + L, p))
+    rows = _kron_rows(seq, L)
     v = np.random.default_rng(3).standard_normal(p * p * L)
     W = v.reshape(p * L, p)
     assert rows.shape == (40, p * p * L)
-    for row, w in zip(rows, windows):
+    for row, w in zip(rows, (seq[t:t + L + 1] for t in range(40))):
         ubar = w[:L][::-1].reshape(-1)
         assert np.array_equal(row, np.kron(ubar, w[L]))
         assert row @ v == pytest.approx(ubar @ W @ w[L], rel=1e-12, abs=1e-12)

@@ -21,6 +21,7 @@ from bilinid import (
     build_hankel,
     estimator,
     excitation,
+    experiments,
     fit,
     ho_kalman,
     random_model,
@@ -30,6 +31,7 @@ from bilinid import (
 from bilinid.cli import main
 from bilinid.experiments import (
     AGG_COLUMNS,
+    MAX_TRIALS,
     MC_BLOCK_DRAWS,
     TRIAL_COLUMNS,
     ExperimentConfig,
@@ -334,7 +336,6 @@ def test_validation_autocovariance_margin_is_finite_for_huge_noise(noise):
 
 def test_validation_err_bound_ratios_null_without_a_bound(monkeypatch):
     # no coverage trial has a bound: the ratio details are null, not NaN
-    from bilinid import experiments
     no_bound = experiments.CoverageTrial(err_ellipsoidal=0.1, bound_value=float("nan"),
                                          covered=False, pred_mse=None, pred_bound=None,
                                          pred_ok=None)
@@ -1235,8 +1236,8 @@ def test_cli_input_width_past_dimension_limit_exits_3(tmp_path, capsys, size, co
 @pytest.mark.parametrize("command", [["exp", "figure1"], ["exp", "double-descent"],
                                      ["pe-campaign"]], ids=" ".join)
 def test_cli_trial_count_past_dimension_limit_exits_3(tmp_path, capsys, command):
-    # a sweep cell stacks (T+1, trials, n) states and a campaign keeps one
-    # pass flag per trial; both refuse such a count before any trial runs
+    # a sweep cell stacks (T+1, trials, n) states and a campaign runs trials
+    # one by one; both refuse such a count before any trial runs
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
                                 "trials": 10**30}))
@@ -1244,6 +1245,40 @@ def test_cli_trial_count_past_dimension_limit_exits_3(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [path]
+
+
+class _GeneratorBuilt(Exception):
+    pass
+
+
+def _refuse_generators(*key):
+    raise _GeneratorBuilt(key)
+
+
+@pytest.mark.parametrize("command", [["exp", "figure1"], ["exp", "double-descent"],
+                                     ["pe-campaign"]], ids=" ".join)
+def test_cli_trial_count_past_the_ceiling_exits_3_before_any_generator(
+        tmp_path, capsys, monkeypatch, command):
+    # MAX_TRIALS + 1 is far below numpy's size limit; it is refused before
+    # the first generator is built, so no trial runs
+    monkeypatch.setattr(experiments, "derive_rng", _refuse_generators)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "L_values": [4], "T_values": [60],
+                                "trials": MAX_TRIALS + 1}))
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"out of memory: cannot run {MAX_TRIALS + 1} trials, past the ceiling " \
+                  f"of {MAX_TRIALS}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("run", [run_sweep, run_double_descent, run_pe_campaign])
+def test_trial_count_at_the_ceiling_is_run(monkeypatch, run):
+    # the ceiling itself passes the check: the first generator is built
+    monkeypatch.setattr(experiments, "derive_rng", _refuse_generators)
+    config = ExperimentConfig(n=2, p=1, L_values=(4,), T_values=(60,), trials=MAX_TRIALS)
+    with pytest.raises(_GeneratorBuilt):
+        run(config)
 
 
 # a noise or input object is a valid base, or none, with at most one key set
