@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -55,21 +56,15 @@ def _single_run_pieces(config: ExperimentConfig, diagnostics: bool = False):
     return model, noise, traj, config.L_values[0]
 
 
-def _out_path(args, default: str) -> Path:
-    return Path(args.out if args.out else default)
-
-
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
+def cmd_simulate(args, config: ExperimentConfig) -> int:
     _, _, traj, _ = _single_run_pieces(config, diagnostics=args.diagnostics)
-    out = _out_path(args, config.output_path + ".traj.csv")
+    out = Path(args.out or config.output_path + ".traj.csv")
     serialize.save_trajectory(out, traj)
     print(f"wrote trajectory ({traj.T + 1} steps) to {out}")
     return 0
 
 
-def cmd_estimate(args) -> int:
-    config = _load_config(args)
+def cmd_estimate(args, config: ExperimentConfig) -> int:
     model, noise, traj, L = _single_run_pieces(config)
     fit = estimator.fit(model, noise, traj, L, config.delta)
     record = {  # a min-norm fit has no bound: its three bound keys are None
@@ -82,7 +77,7 @@ def cmd_estimate(args) -> int:
         "bound_fro": fit.bound.fro_value if fit.bound else None,
         "bound_terms": fit.terms.to_dict() if fit.terms else None,
     }
-    base = _out_path(args, config.output_path + ".estimate")
+    base = Path(args.out or config.output_path + ".estimate")
     serialize.save_matrix(Path(f"{base}.G.csv"), fit.report.G_hat)
     if args.format == "csv":
         report_path = Path(f"{base}.report.csv")
@@ -94,15 +89,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_hokalman(args) -> int:
-    config = _load_config(args)
+def cmd_hokalman(args, config: ExperimentConfig) -> int:
     hokalman.check_order(config.L_values[0], config.n)  # before the simulation and the fit
     model, noise, traj, L = _single_run_pieces(config)
     fit = estimator.fit(model, noise, traj, L, config.delta)
     hankel = hokalman.build_hankel(fit.G, config.n)
     realization = hokalman.ho_kalman(fit.report.G_hat, config.n)
     bounds = hokalman.realization_error_bounds(hankel, realization.hankel, fit.err_fro)
-    base = _out_path(args, config.output_path + ".realization")
+    base = Path(args.out or config.output_path + ".realization")
     for name, M in (("A", realization.A), ("B", realization.B), ("C", realization.C)):
         serialize.save_matrix(Path(f"{base}.{name}.csv"), M)
     meta_path = Path(f"{base}.json")
@@ -120,8 +114,7 @@ def cmd_hokalman(args) -> int:
     return 0
 
 
-def cmd_pe_check(args) -> int:
-    config = _load_config(args)
+def cmd_pe_check(args, config: ExperimentConfig) -> int:
     _, _, traj, L = _single_run_pieces(config)
     # the certificate reads only the Gram, so the design takes no outputs
     design = estimator.design_from_inputs(traj.u, L)
@@ -129,7 +122,7 @@ def cmd_pe_check(args) -> int:
     cert = excitation.pe_certificate(design, config.delta, args.regime,
                                      beta=estimator.empirical_input_bound(traj.u),
                                      m4=excitation.GAUSSIAN_M4)
-    out = _out_path(args, config.output_path + f".pe.{args.format}")
+    out = Path(args.out or config.output_path + f".pe.{args.format}")
     if args.format == "csv":
         serialize.write_text(out, serialize.report_to_flat_csv(cert.to_dict()))
     else:
@@ -148,26 +141,23 @@ def _write_sweep(result, base: Path) -> None:
     print(f"wrote {trial_path} and {agg_path}")
 
 
-def cmd_exp_figure1(args) -> int:
-    config = _load_config(args)
+def cmd_exp_figure1(args, config: ExperimentConfig) -> int:
     result = run_sweep(config, threads=args.threads)
-    _write_sweep(result, _out_path(args, config.output_path + ".figure1"))
+    _write_sweep(result, Path(args.out or config.output_path + ".figure1"))
     return 0
 
 
-def cmd_exp_double_descent(args) -> int:
-    config = _load_config(args)
+def cmd_exp_double_descent(args, config: ExperimentConfig) -> int:
     result = run_double_descent(config, threads=args.threads)
     for L, thr in sorted(result.threshold_T.items()):
         print(f"interpolation threshold for L={L}: T={thr}")
-    _write_sweep(result, _out_path(args, config.output_path + ".double_descent"))
+    _write_sweep(result, Path(args.out or config.output_path + ".double_descent"))
     return 0
 
 
-def cmd_validate(args) -> int:
-    config = _load_config(args)
+def cmd_validate(args, config: ExperimentConfig) -> int:
     report = run_validation(config, threads=args.threads)
-    out = _out_path(args, config.output_path + ".validation.json")
+    out = Path(args.out or config.output_path + ".validation.json")
     serialize.save_json(out, report)
     for check in report["checks"]:
         print(f"{check['name']}: {'PASS' if check['passed'] else 'FAIL'} "
@@ -176,67 +166,65 @@ def cmd_validate(args) -> int:
     return 0 if report["passed"] else 4
 
 
-def cmd_pe_campaign(args) -> int:
-    config = _load_config(args)
+def cmd_pe_campaign(args, config: ExperimentConfig) -> int:
     summary = run_pe_campaign(config, threads=args.threads)
-    out = _out_path(args, config.output_path + ".pe_campaign.json")
+    out = Path(args.out or config.output_path + ".pe_campaign.json")
     serialize.save_json(out, summary)
     print(f"frequency={summary['frequency']:.4g} at required_T={summary['required_T']}")
     print(f"wrote campaign summary to {out}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; a subcommand's func takes (args, config)."""
     parser = argparse.ArgumentParser(
         prog="bilinid",
         description="Identify linear systems with bilinear observations from one trajectory.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="ExperimentConfig JSON file")
+    common.add_argument("--seed", type=int, default=None, help="override base_seed")
+    common.add_argument("--out", default=None, help="output path")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker threads; sweeps run cells in parallel, "
+                             "campaigns and coverage checks trials")
 
-    def common(p_cmd):
-        p_cmd.add_argument("--config", required=True, help="ExperimentConfig JSON file")
-        p_cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
-        p_cmd.add_argument("--out", default=None, help="output path")
-        p_cmd.add_argument("--threads", type=int, default=1,
-                           help="worker threads; sweeps run cells in parallel, "
-                                "campaigns and coverage checks trials")
-
-    p_sim = sub.add_parser("simulate", help="simulate one trajectory to CSV")
-    common(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[common], help="simulate one trajectory to CSV")
     p_sim.add_argument("--diagnostics", action="store_true",
                        help="record states and noises alongside inputs/outputs")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_est = sub.add_parser("estimate", help="estimate Markov blocks from one trajectory")
-    common(p_est)
+    p_est = sub.add_parser("estimate", parents=[common],
+                           help="estimate Markov blocks from one trajectory")
     p_est.add_argument("--format", choices=("csv", "json"), default="json")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_hk = sub.add_parser("hokalman", help="recover a state-space realization")
-    common(p_hk)
+    p_hk = sub.add_parser("hokalman", parents=[common], help="recover a state-space realization")
     p_hk.set_defaults(func=cmd_hokalman)
 
-    p_pe = sub.add_parser("pe-check", help="excitation certificate for one design")
-    common(p_pe)
+    p_pe = sub.add_parser("pe-check", parents=[common],
+                          help="excitation certificate for one design")
     p_pe.add_argument("--format", choices=("csv", "json"), default="json")
     p_pe.add_argument("--regime", default=excitation.REGIME_FOURTH_MOMENT,
                       choices=(excitation.REGIME_BOUNDED, excitation.REGIME_FOURTH_MOMENT))
     p_pe.set_defaults(func=cmd_pe_check)
 
-    p_camp = sub.add_parser("pe-campaign", help="excitation frequency at the required length")
-    common(p_camp)
+    p_camp = sub.add_parser("pe-campaign", parents=[common],
+                            help="excitation frequency at the required length")
     p_camp.set_defaults(func=cmd_pe_campaign)
 
     p_exp = sub.add_parser("exp", help="experiment sweeps")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
-    p_fig = exp_sub.add_parser("figure1", help="estimation error over (rho, L, T)")
-    common(p_fig)
+    p_fig = exp_sub.add_parser("figure1", parents=[common],
+                               help="estimation error over (rho, L, T)")
     p_fig.set_defaults(func=cmd_exp_figure1)
-    p_dd = exp_sub.add_parser("double-descent", help="sweep across the interpolation threshold")
-    common(p_dd)
+    p_dd = exp_sub.add_parser("double-descent", parents=[common],
+                              help="sweep across the interpolation threshold")
     p_dd.set_defaults(func=cmd_exp_double_descent)
 
-    p_val = sub.add_parser("validate", help="oracle-equivalence validation suite")
-    common(p_val)
+    p_val = sub.add_parser("validate", parents=[common],
+                           help="oracle-equivalence validation suite")
     p_val.set_defaults(func=cmd_validate)
 
     return parser
@@ -256,13 +244,12 @@ def _stage(exc: BaseException) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # a float overflow anywhere in a command raises FloatingPointError, an
         # ArithmeticError: exit 3 with one line instead of numpy warnings
         with np.errstate(over="raise"):
-            return args.func(args)
+            return args.func(args, _load_config(args))
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -266,6 +265,7 @@ def _map(tasks, fn, threads: int):
     np.errstate, which numpy holds in a context variable."""
     if threads <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
     with ThreadPoolExecutor(max_workers=threads) as ex:
         futures = [ex.submit(contextvars.copy_context().run, fn, t) for t in tasks]
         return [f.result() for f in futures]

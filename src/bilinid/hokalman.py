@@ -187,14 +187,18 @@ def realization_error_bounds(hankel: HankelSet, hankel_hat: HankelSet,
     if hankel_hat.H.shape != hankel.H.shape:
         raise ParameterError("need two Hankel matrices of one shape")
     sigma_min_L, L = hankel.sigma_min_L, hankel.L
-    sigma_sq = sigma_min_L**2
+    try:
+        sigma_sq = sigma_min_L**2
+    except OverflowError:  # sigma_min_L above about 1.34e154: divided by twice below
+        sigma_sq = math.inf
     bound_BC = bound_A = math.inf
     if sigma_sq > 0.0:
         h_norm = float(np.linalg.norm(hankel.H, 2))
         h_hat_norm = float(np.linalg.norm(hankel_hat.H, 2))
+        h_term = 9.0 * math.sqrt(L) * (h_norm + h_hat_norm)
+        h_term = h_term / sigma_min_L / sigma_min_L if math.isinf(sigma_sq) else h_term / sigma_sq
         bound_BC = math.sqrt(10.0 * L / sigma_min_L) * G_err_fro
-        bound_A = (9.0 * math.sqrt(L) * (h_norm + h_hat_norm) / sigma_sq
-                   + math.sqrt(2.0 * L) / sigma_min_L) * G_err_fro
+        bound_A = (h_term + math.sqrt(2.0 * L) / sigma_min_L) * G_err_fro
     if not (math.isfinite(bound_BC) and math.isfinite(bound_A)):
         raise DegenerateRealizationError(
             f"sigma_min_L = {sigma_min_L:.3e} of the true Hankel matrix gives no "

@@ -322,9 +322,12 @@ class InputDesign:
             return raw
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        # (beta raw) / norms, in this order, in place
-        np.multiply(raw, self.beta, out=raw)
-        return np.divide(raw, norms, out=raw)
+        # (beta raw) / norms in place, beta's power of two applied last: the
+        # same bits wherever beta raw is finite, and no overflow, as |raw| <= norms
+        mantissa, exponent = math.frexp(self.beta)
+        np.multiply(raw, mantissa, out=raw)
+        np.divide(raw, norms, out=raw)
+        return np.ldexp(raw, exponent, out=raw)
 
     def sample_sequence(self, T: int, rng: np.random.Generator) -> np.ndarray:
         """Input sequence u_0..u_T, shape (T+1, p)."""

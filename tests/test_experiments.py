@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -28,7 +30,7 @@ from bilinid import (
     realization_error_bounds,
     simulate,
 )
-from bilinid.cli import main
+from bilinid.cli import build_parser, main
 from bilinid.experiments import (
     AGG_COLUMNS,
     MAX_TRIALS,
@@ -783,6 +785,22 @@ def test_cli_reports_independent_of_thread_count(config_file, tmp_path, command)
         reports.append(out.read_bytes())
     assert codes[0] == codes[1]
     assert reports[0] == reports[1]
+
+
+def test_cli_parser_is_built_once_and_keeps_no_parsed_state():
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["estimate", "--config", "c.json", "--seed", "5"]).seed == 5
+    assert build_parser().parse_args(["estimate", "--config", "c.json"]).seed is None
+
+
+def test_cli_import_loads_no_thread_pool():
+    # only _map with threads > 1 imports concurrent.futures, and with it logging
+    script = ("import sys, bilinid.cli\n"
+              "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_cli_double_descent(config_file, tmp_path):

@@ -304,6 +304,18 @@ def test_bounds_past_the_float_range_are_degenerate(scale, err):
         realization_error_bounds(h, h, err)
 
 
+def test_bounds_past_a_squared_sigma_min_overflow_are_finite():
+    # sigma_min_L = 1.08e160: its square overflows, both bounds do not
+    h = build_hankel(np.array([[1e160, 3e159, 1e158, 1e157]]), n=1)
+    assert h.sigma_min_L > 1.34e154
+    b = realization_error_bounds(h, h, 1e150)
+    h_norm = float(np.linalg.norm(h.H, 2))
+    h_term = 9.0 * math.sqrt(4) * (h_norm + h_norm) / h.sigma_min_L / h.sigma_min_L
+    assert b.bound_A == (h_term + math.sqrt(8.0) / h.sigma_min_L) * 1e150
+    assert b.bound_BC == math.sqrt(40.0 / h.sigma_min_L) * 1e150
+    assert b.robustness_ok
+
+
 def test_bounds_require_hankel_sets_of_one_shape():
     m = random_model(3, 2, 0.8, seed=14)
     h8 = build_hankel(markov_params(m, 8).G, n=3)

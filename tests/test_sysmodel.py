@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from bilinid import (
     simulate_batch,
     transient_factor,
 )
-from bilinid.estimator import prediction_state_norms
+from bilinid.estimator import design_from_inputs, prediction_state_norms
+from bilinid.exceptions import NumericalError
 from bilinid.experiments import _final_output_moments
 from bilinid.serialize import save_matrix, save_trajectory
 from bilinid.sysmodel import (
@@ -602,6 +604,18 @@ def test_input_draws_in_chunks_into_out_are_one_draw(design):
         chunk = design.sample_iid(stop - start, rng, out=out[start:stop])
         assert np.shares_memory(chunk, out)
     assert out.tobytes() == expected.tobytes()
+
+
+def test_sphere_draws_near_the_float_maximum_are_finite():
+    # beta u / ||u|| is at most beta, though beta u itself overflows
+    design = InputDesign.sphere(2, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = design.sample_iid(1000, np.random.default_rng(9))
+        assert np.all(np.isfinite(u)) and np.max(np.abs(u)) <= 1e308
+        # the Kronecker rows u_t (x) u_s overflow: refused with no warning
+        with pytest.raises(NumericalError, match="Kronecker design rows overflow"):
+            design_from_inputs(design, 1, T=10, rng=np.random.default_rng(9))
 
 
 def test_derive_rng_is_stable_and_key_sensitive():
