@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ from .experiments import (
     ExperimentConfig,
     format_aggregate_csv,
     format_trial_csv,
-    run_double_descent,
     run_pe_campaign,
     run_sweep,
     run_validation,
@@ -95,7 +93,8 @@ def cmd_hokalman(args, config: ExperimentConfig) -> int:
     fit = estimator.fit(model, noise, traj, L, config.delta)
     hankel = hokalman.build_hankel(fit.G, config.n)
     realization = hokalman.ho_kalman(fit.report.G_hat, config.n)
-    bounds = hokalman.realization_error_bounds(hankel, realization.hankel, fit.err_fro)
+    bound_BC, bound_A, robustness_ok = hokalman.realization_error_bounds(
+        hankel, realization.hankel, fit.err_fro)
     base = Path(args.out or config.output_path + ".realization")
     for name, M in (("A", realization.A), ("B", realization.B), ("C", realization.C)):
         serialize.save_matrix(Path(f"{base}.{name}.csv"), M)
@@ -105,10 +104,10 @@ def cmd_hokalman(args, config: ExperimentConfig) -> int:
         "p": config.p,
         "L": L,
         "sigma_min_L": hankel.sigma_min_L,
-        "robustness_ok": bounds.robustness_ok,
+        "robustness_ok": robustness_ok,
         "err_fro": fit.err_fro,
-        "bound_BC": bounds.bound_BC,
-        "bound_A": bounds.bound_A,
+        "bound_BC": bound_BC,
+        "bound_A": bound_A,
     })
     print(f"wrote realization matrices and metadata to {base}.*")
     return 0
@@ -133,11 +132,14 @@ def cmd_pe_check(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _write_sweep(result, base: Path) -> None:
+def _write_sweep(result: tuple[list, list], base: Path, threshold_T: dict | None = None) -> None:
+    """Write run_sweep's (records, aggregate) as the trial and aggregate
+    CSVs; given threshold_T, the aggregate marks the threshold cells."""
+    records, aggregate = result
     trial_path = Path(f"{base}.csv")
     agg_path = Path(f"{base}.agg.csv")
-    serialize.write_text(trial_path, format_trial_csv(result))
-    serialize.write_text(agg_path, format_aggregate_csv(result))
+    serialize.write_text(trial_path, format_trial_csv(records))
+    serialize.write_text(agg_path, format_aggregate_csv(aggregate, threshold_T))
     print(f"wrote {trial_path} and {agg_path}")
 
 
@@ -148,10 +150,13 @@ def cmd_exp_figure1(args, config: ExperimentConfig) -> int:
 
 
 def cmd_exp_double_descent(args, config: ExperimentConfig) -> int:
-    result = run_double_descent(config, threads=args.threads)
-    for L, thr in sorted(result.threshold_T.items()):
+    """The sweep across the interpolation threshold T = L + p^2 L, where the
+    minimum-norm solver keeps rank-deficient cells running."""
+    result = run_sweep(config, threads=args.threads)
+    thresholds = {L: L + config.p**2 * L for L in config.L_values}
+    for L, thr in sorted(thresholds.items()):
         print(f"interpolation threshold for L={L}: T={thr}")
-    _write_sweep(result, Path(args.out or config.output_path + ".double_descent"))
+    _write_sweep(result, Path(args.out or config.output_path + ".double_descent"), thresholds)
     return 0
 
 
@@ -232,7 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _stage(exc: BaseException) -> str:
     """" (in module.function)" naming the innermost bilinid frame of exc's
-    traceback, worker threads' frames included, or "" when it has none."""
+    traceback, worker threads' frames included, or "" when it has none.
+    Only a failing command pays the import of traceback."""
+    import traceback
+
     stage = ""
     for frame, _ in traceback.walk_tb(exc.__traceback__):
         module = frame.f_globals.get("__name__", "")
@@ -257,7 +265,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}{_stage(exc)}", file=sys.stderr)
+        # a Python float power past the float range raises a bare OverflowError,
+        # whose own message is an errno tuple
+        what = "a value is past the float range" if isinstance(exc, OverflowError) else exc
+        print(f"numerical failure: {what}{_stage(exc)}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

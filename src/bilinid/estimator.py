@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +80,9 @@ BLOCK_ROWS = 16384
 # inputs raise lambda_max about in proportion to the rows, and a prefix
 # reaches lambda_min >= (T - L)/4 only past about a quarter of them.
 STOP_MARGIN = 1e-9
+# sqrt of the smallest normal float: a vector with a smaller norm has
+# squares that lose bits to underflow (_rescale_tiny)
+TINY_NORM = 1.4916681462400413e-154
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -97,8 +100,7 @@ def _column_gram(U: np.ndarray) -> np.ndarray:
     return U.T @ U
 
 
-@dataclass(frozen=True, eq=False)
-class DesignSystem:
+class DesignSystem(NamedTuple):
     """Regression data extracted from one trajectory.
 
     Row t (for t = L+1 .. T) of the design U is ubar_{t-1} (x) u_t, a
@@ -263,8 +265,7 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
                         V=V, Uty=Uty, yty=float(yty))
 
 
-@dataclass(frozen=True, eq=False)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """Least-squares solution together with its conditioning diagnostics."""
 
     G_hat: np.ndarray
@@ -355,14 +356,26 @@ def ellipsoidal_error(G_hat: np.ndarray, G_true: np.ndarray, design: DesignSyste
     return math.sqrt(max(float(delta @ design.gram() @ delta), 0.0))
 
 
+def _rescale_tiny(norm: float, u: np.ndarray, axis: int | None = None) -> float:
+    """norm, the largest of np.linalg.norm(u, axis=axis) (the norm of a 1-D
+    u, or the largest row norm of a 2-D u with axis 1), kept with its bits
+    unless it is below TINY_NORM.  There the squares of the entries
+    underflow (1e-170 reads as 0.0), so it is taken again of u scaled by
+    the power of two 2^e just above its largest absolute entry, as
+    math.hypot scales, and multiplied back by 2^e."""
+    if norm < TINY_NORM:
+        e = int(np.frexp(np.max(np.abs(u)))[1])
+        norm = math.ldexp(float(np.max(np.linalg.norm(np.ldexp(u, -e), axis=axis))), e)
+    return norm
+
+
 def empirical_input_bound(u: np.ndarray) -> float:
     """Largest input norm observed in the sequence; the default beta."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    return float(np.max(np.linalg.norm(u, axis=1)))
+    return _rescale_tiny(float(np.max(np.linalg.norm(u, axis=1))), u, axis=1)
 
 
-@dataclass(frozen=True)
-class BoundTerms:
+class BoundTerms(NamedTuple):
     """Constants entering the high-probability error bound.
 
     sigma_w_sq and sigma_e_sq are the process-noise and truncated-state
@@ -454,8 +467,7 @@ def bound_terms(models: Sequence[StateSpaceModel], noise: NoiseSpec, L: int,
     return terms
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Ellipsoidal-norm bound plus its Frobenius-norm companion
     value / sqrt(lambda_min)."""
 
@@ -497,9 +509,10 @@ def bound_data_dependent(p: int, terms: BoundTerms, L: int, T: int,
     return BoundReport(value=value, fro_value=fro)
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
-    """A fit of G beside the true G; a min-norm fit has no terms or bound (None)."""
+class FitResult(NamedTuple):
+    """A fit of G beside the true G; a min-norm fit has no terms or bound
+    (None).  Like every record here that holds arrays, it is read by field
+    name, never compared with ==, hashed or iterated."""
 
     design: DesignSystem
     report: EstimateReport

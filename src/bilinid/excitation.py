@@ -15,7 +15,7 @@ holds with probability 1 - delta:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ REGIME_FOURTH_MOMENT = "fourth_moment_b"
 GAUSSIAN_M4 = 9.0
 
 
-@dataclass(frozen=True)
-class PECertificate:
+class PECertificate(NamedTuple):
     """Outcome of the excitation check on one design."""
 
     lambda_min: float
@@ -42,7 +41,7 @@ class PECertificate:
     delta: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def min_eig_design(design: DesignSystem) -> float:
@@ -142,19 +141,9 @@ def pe_certificate(design: DesignSystem, delta: float, regime: str,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class M4Estimate:
-    """Monte Carlo estimate of the directional fourth-moment constant, per
-    unit direction (the rows of directions)."""
-
-    value: float
-    estimates: np.ndarray
-    std_errors: np.ndarray
-    directions: np.ndarray
-
-
 def estimate_m4(p: int, L: int, n_directions: int, n_samples: int, seed: int,
-                directions: np.ndarray | None = None) -> M4Estimate:
+                directions: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Estimate sup_v E[(v^T (ubar (x) u))^4] over sampled unit directions
     for Gaussian inputs u ~ N(0, I_p) (InputDesign.gaussian(p)).
 
@@ -169,8 +158,9 @@ def estimate_m4(p: int, L: int, n_directions: int, n_samples: int, seed: int,
     standard error have the same joint law as for direct covariate draws.
 
     Each direction gets an independent derived stream of n_samples
-    draws; the reported value is the largest per-direction mean, with
-    per-direction standard errors and the unit directions alongside.
+    draws.  Returns (estimates, std_errors, directions): the mean and the
+    standard error of each direction, and the unit directions as rows; the
+    constant's estimate is the largest mean.
     Explicit directions can be supplied (they are normalized); otherwise
     n_directions uniform random directions are drawn.
     """
@@ -208,5 +198,4 @@ def estimate_m4(p: int, L: int, n_directions: int, n_samples: int, seed: int,
         estimates[k] = float(np.mean(proj4))
         if n_samples > 1:
             std_errors[k] = float(np.std(proj4, ddof=1) / math.sqrt(n_samples))
-    return M4Estimate(value=float(np.max(estimates)), estimates=estimates,
-                      std_errors=std_errors, directions=directions)
+    return estimates, std_errors, directions

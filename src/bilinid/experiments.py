@@ -16,7 +16,8 @@ import json
 import math
 import numbers
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from .sysmodel import (
     simulate_batch,
 )
 
-TRIAL_COLUMNS = ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
-                 "solver_mode", "bound_value", "runtime_ms")
 AGG_COLUMNS = ("rho", "L", "T", "mean_err", "std_err")
 # noise draws zeta_covariance_mc simulates per batch_simulate_outputs call
 MC_BLOCK_DRAWS = 16384
@@ -116,6 +115,8 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class InputConfig:
+    """Input law of a config: an InputDesign kind and its beta."""
+
     kind: str = "gaussian_isotropic"
     beta: float | None = None
 
@@ -129,6 +130,9 @@ class InputConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A JSON config: dimensions, the (rho, L, T) grid, trials, noise, input,
+    delta, base seed and output path, checked when it is built."""
+
     n: int = 5
     p: int = 3
     rho_values: tuple = (0.5,)
@@ -201,8 +205,9 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
+    """One row of the sweep CSV, its fields the columns in order."""
+
     rho: float
     L: int
     T: int
@@ -212,6 +217,9 @@ class TrialRecord:
     solver_mode: str
     bound_value: float
     runtime_ms: int
+
+
+TRIAL_COLUMNS = TrialRecord._fields
 
 
 def _trial_record(config: ExperimentConfig, noise: NoiseSpec, model: StateSpaceModel,
@@ -271,19 +279,14 @@ def _map(tasks, fn, threads: int):
         return [f.result() for f in futures]
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    records: list
-    aggregate: list  # rows [rho, L, T, mean_err, std_err]
-    threshold_T: dict | None = None  # L -> interpolation threshold, when relevant
-
-
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Estimation-error sweep over the config grid, one model per trial;
-    threads > 1 runs whole cells in parallel.  A cell's simulation holds a
-    (T+1, trials, n) stack of states, so a grid whose largest one is past
-    numpy's size limit, or whose trials are past MAX_TRIALS, raises
-    MemoryError before any generator is built."""
+def run_sweep(config: ExperimentConfig, threads: int = 1) -> tuple[list, list]:
+    """Estimation-error sweep over the config grid, one model per trial:
+    (records, aggregate), every cell's TrialRecords and its aggregate row
+    [rho, L, T, mean_err, std_err].  threads > 1 runs whole cells in
+    parallel.  A cell's simulation holds a (T+1, trials, n) stack of
+    states, so a grid whose largest one is past numpy's size limit, or
+    whose trials are past MAX_TRIALS, raises MemoryError before any
+    generator is built."""
     _require_trials(config.trials)
     _require_allocatable(max(config.T_values) + 1, config.trials, config.n)
     cells = [(rho, L, T, (i_r, i_L, i_T))
@@ -293,39 +296,28 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     noise = config.noise.to_spec(config.n)
     design_in = config.input.to_design(config.p)
     per_cell = _map(cells, lambda c: _run_cell(config, noise, design_in, *c), threads)
-    return SweepResult(records=[rec for records, _ in per_cell for rec in records],
-                       aggregate=[row for _, row in per_cell])
+    return [rec for records, _ in per_cell for rec in records], [row for _, row in per_cell]
 
 
-def run_double_descent(config: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Sweep across the interpolation threshold T = L + p^2 L.
-
-    The minimum-norm solver keeps rank-deficient cells running; the
-    aggregate marks the threshold cells.
-    """
-    result = run_sweep(config, threads=threads)
-    thresholds = {L: L + config.p**2 * L for L in config.L_values}
-    return SweepResult(records=result.records, aggregate=result.aggregate,
-                       threshold_T=thresholds)
-
-
-def format_trial_csv(result: SweepResult) -> str:
+def format_trial_csv(records: list[TrialRecord]) -> str:
     lines = [",".join(TRIAL_COLUMNS)]
-    for rec in result.records:
-        lines.append(",".join(_cell_str(v) for v in astuple(rec)))
+    for rec in records:
+        lines.append(",".join(_cell_str(v) for v in rec))
     return "\n".join(lines) + "\n"
 
 
-def format_aggregate_csv(result: SweepResult) -> str:
+def format_aggregate_csv(aggregate: list, threshold_T: dict | None = None) -> str:
+    """The aggregate CSV; given threshold_T (L -> interpolation threshold
+    T = L + p^2 L), an at_threshold column marks the threshold cells."""
     cols = list(AGG_COLUMNS)
-    mark = result.threshold_T is not None
+    mark = threshold_T is not None
     if mark:
         cols.append("at_threshold")
     lines = [",".join(cols)]
-    for row in result.aggregate:
+    for row in aggregate:
         cells = [_cell_str(v) for v in row]
         if mark:
-            cells.append(str(int(row[2] == result.threshold_T.get(row[1]))))
+            cells.append(str(int(row[2] == threshold_T.get(row[1]))))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -521,8 +513,7 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
     return np.ldexp(cov, 2 * e), np.ldexp(se, 2 * e)
 
 
-@dataclass(frozen=True)
-class CoverageTrial:
+class CoverageTrial(NamedTuple):
     err_ellipsoidal: float
     bound_value: float
     covered: bool
@@ -569,7 +560,8 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
     # the state term is that of x_{T+1-L}, driven by u_0..u_{T-L}
     state_norms = estimator.prediction_state_norms(models, noise, us[:, :T + 1 - L])
     means, variances = _final_output_moments(models, noise, us)
-    betas = [max(estimator.empirical_input_bound(traj.u), float(np.linalg.norm(u_next)))
+    betas = [max(estimator.empirical_input_bound(traj.u),
+                 estimator._rescale_tiny(float(np.linalg.norm(u_next)), u_next))
              for traj, u_next in zip(trajs, u_nexts)]
     terms = estimator.bound_terms(models, noise, L, betas, config.delta)
 
@@ -704,12 +696,12 @@ def run_validation(config: ExperimentConfig,
 
     # --- Gaussian fourth-moment constant ------------------------------
     m4_L = 3
-    est = excitation.estimate_m4(config.p, m4_L, m4_directions, m4_samples,
-                                 seed=config.base_seed + 20)
-    slack = excitation.GAUSSIAN_M4 + 3.0 * est.std_errors - est.estimates
-    m4_rate, m4_exact_max = _m4_false_failure_rate(est.directions, config.p, m4_L, m4_samples)
+    estimates, std_errors, directions = excitation.estimate_m4(
+        config.p, m4_L, m4_directions, m4_samples, seed=config.base_seed + 20)
+    slack = excitation.GAUSSIAN_M4 + 3.0 * std_errors - estimates
+    m4_rate, m4_exact_max = _m4_false_failure_rate(directions, config.p, m4_L, m4_samples)
     checks.append(_check("m4_gaussian", float(np.min(slack)),
-                         {"max_estimate": float(est.value), "directions": int(len(est.estimates)),
+                         {"max_estimate": float(np.max(estimates)), "directions": len(estimates),
                           "samples": m4_samples, "L": m4_L, "p": config.p,
                           "m4_exact_max": m4_exact_max,
                           "nominal_false_failure_rate": m4_rate,

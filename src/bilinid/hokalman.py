@@ -12,7 +12,7 @@ errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .exceptions import DegenerateRealizationError, ParameterError
 DEGENERATE_RATIO = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class HankelSet:
+class HankelSet(NamedTuple):
     """Hankel structures derived from a p x pL Markov matrix.
 
     H_minus / H_plus drop the last / first p columns of H; sigma_min_L is
@@ -43,8 +42,7 @@ class HankelSet:
     L: int
 
 
-@dataclass(frozen=True, eq=False)
-class Realization:
+class Realization(NamedTuple):
     """Recovered (A, B, C) with the factors they came from (O Q = U_n diag(s) Vt_n).
 
     hankel is the HankelSet that ho_kalman built and factored (None for a
@@ -59,25 +57,6 @@ class Realization:
     n: int
     p: int
     hankel: HankelSet | None = None
-
-
-@dataclass(frozen=True)
-class Alignment:
-    """Orthogonal change of coordinates and the aligned parameter errors."""
-
-    T: np.ndarray
-    dA: float
-    dB: float
-    dC: float
-
-
-@dataclass(frozen=True)
-class RealizationBounds:
-    """Perturbation bounds on the aligned realization errors."""
-
-    bound_BC: float
-    bound_A: float
-    robustness_ok: bool
 
 
 def check_order(L: int, n: int) -> None:
@@ -149,12 +128,14 @@ def ho_kalman(G, n: int) -> Realization:
                        hankel=hankel)
 
 
-def align_realizations(ref: Realization, other: Realization) -> Alignment:
-    """Best orthogonal change of coordinates from `other` to `ref`.
+def align_realizations(ref: Realization, other: Realization
+                       ) -> tuple[np.ndarray, float, float, float]:
+    """Best orthogonal change of coordinates from `other` to `ref`, and the
+    aligned errors: (T, dA, dB, dC).
 
     T solves the orthogonal Procrustes problem
     min_T ||O_ref - O_other T||_F via the SVD of O_other^T O_ref, and the
-    reported errors are the aligned parameter distances
+    errors are the aligned parameter distances
     dA = ||A_ref - T^T A_other T||, dB = ||B_ref - T^T B_other||,
     dC = ||C_ref - C_other T|| (Frobenius).
     """
@@ -165,13 +146,14 @@ def align_realizations(ref: Realization, other: Realization) -> Alignment:
     dA = float(np.linalg.norm(ref.A - T.T @ other.A @ T))
     dB = float(np.linalg.norm(ref.B - T.T @ other.B))
     dC = float(np.linalg.norm(ref.C - other.C @ T))
-    return Alignment(T=T, dA=dA, dB=dB, dC=dC)
+    return T, dA, dB, dC
 
 
 def realization_error_bounds(hankel: HankelSet, hankel_hat: HankelSet,
-                             G_err_fro: float) -> RealizationBounds:
-    """Perturbation bounds on Procrustes-aligned errors; L, sigma_min and H
-    come from hankel (of G), H_hat from hankel_hat (of G_hat, same shape):
+                             G_err_fro: float) -> tuple[float, float, bool]:
+    """Perturbation bounds on Procrustes-aligned errors,
+    (bound_BC, bound_A, robustness_ok); L, sigma_min and H come from hankel
+    (of G), H_hat from hankel_hat (of G_hat, same shape):
 
         bound_BC = sqrt(10 L / sigma_min) * ||G - G_hat||_F,
         bound_A  = (9 sqrt(L) (||H|| + ||H_hat||) / sigma_min^2
@@ -204,5 +186,4 @@ def realization_error_bounds(hankel: HankelSet, hankel_hat: HankelSet,
             f"sigma_min_L = {sigma_min_L:.3e} of the true Hankel matrix gives no "
             "finite realization error bound")
     robustness_ok = G_err_fro <= sigma_min_L / (2.0 * math.sqrt(2.0 * L))
-    return RealizationBounds(bound_BC=bound_BC, bound_A=bound_A,
-                             robustness_ok=bool(robustness_ok))
+    return bound_BC, bound_A, bool(robustness_ok)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import os
 import subprocess
@@ -673,7 +672,7 @@ def test_bound_at_the_smallest_delta_is_finite():
 def test_bound_past_the_float_range_raises_numerical_error(Xi, lambda_min):
     m = random_model(2, 2, 0.5, seed=3)
     [terms] = bound_terms([m], NoiseSpec.gaussian(np.eye(2), 1.0), 2, [2.0], delta=1e-300)
-    terms = dataclasses.replace(terms, Xi=Xi)
+    terms = terms._replace(Xi=Xi)
     with pytest.raises(NumericalError, match="past the float range"):
         bound_data_dependent(m.p, terms, 2, 40, lambda_min=lambda_min)
 
@@ -826,6 +825,26 @@ def test_bound_terms_batch_checks_every_model_before_any_scan(bad, j, monkeypatc
 def test_input_bound_helpers():
     u = np.array([[3.0, 4.0], [1.0, 0.0]])
     assert empirical_input_bound(u) == 5.0
+    assert empirical_input_bound(np.zeros((3, 2))) == 0.0
+
+
+@pytest.mark.parametrize("radius", [1e-160, 1e-200, 1e-300])
+def test_input_norms_of_tiny_inputs_do_not_underflow(radius):
+    # the squares of these entries are subnormal or zero, so the direct norm
+    # loses bits (1e-160 reads as 9.99994e-161) or reads 0.0; the norms are
+    # taken at a power-of-two scale instead
+    u = InputDesign.sphere(3, radius).sample_iid(50, np.random.default_rng(0))
+    assert abs(empirical_input_bound(u) - radius) <= 4 * math.ulp(radius)
+    for v in u[:5]:
+        norm = estimator._rescale_tiny(float(np.linalg.norm(v)), v)
+        assert abs(norm - radius) <= 4 * math.ulp(radius)
+
+
+def test_input_norms_above_the_underflow_keep_their_bits():
+    u = 1e-150 * np.random.default_rng(0).standard_normal((50, 3))
+    assert empirical_input_bound(u) == float(np.max(np.linalg.norm(u, axis=1)))
+    v = u[0]
+    assert estimator._rescale_tiny(float(np.linalg.norm(v)), v) == float(np.linalg.norm(v))
 
 
 # ------------------------------------------------------------------------- fit

@@ -48,7 +48,6 @@ from bilinid.experiments import (
     bound_coverage_trials,
     format_aggregate_csv,
     format_trial_csv,
-    run_double_descent,
     run_pe_campaign,
     run_sweep,
     run_validation,
@@ -110,15 +109,15 @@ def test_config_validation():
 def test_figure1_schema_and_determinism():
     # three cells, so that threads=4 runs cells in parallel
     cfg = _small_config(trials=2, T_values=(60, 90, 120))
-    a = run_sweep(cfg)
-    b = run_sweep(cfg, threads=4)
+    records, aggregate = run_sweep(cfg)
+    threaded, _ = run_sweep(cfg, threads=4)
     assert TRIAL_COLUMNS == ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
                              "solver_mode", "bound_value", "runtime_ms")
-    csv_a = format_trial_csv(a)
+    csv_a = format_trial_csv(records)
     assert csv_a.splitlines()[0] == ",".join(TRIAL_COLUMNS)
     # threaded and serial runs agree on everything but wall-clock
-    assert _strip_runtime(csv_a) == _strip_runtime(format_trial_csv(b))
-    agg = format_aggregate_csv(a)
+    assert _strip_runtime(csv_a) == _strip_runtime(format_trial_csv(threaded))
+    agg = format_aggregate_csv(aggregate)
     assert agg.splitlines()[0] == ",".join(AGG_COLUMNS)
     assert len(agg.strip().splitlines()) == 4  # header + three cells
 
@@ -126,14 +125,14 @@ def test_figure1_schema_and_determinism():
 def test_figure1_zero_noise_near_nilpotent_cell_is_exact():
     cfg = _small_config(rho_values=(1e-12,), trials=3,
                         noise=NoiseConfig(family="gaussian", sigma_w=0.0, sigma_z=0.0))
-    res = run_sweep(cfg)
-    assert res.aggregate[0][3] <= 1e-12
+    _, aggregate = run_sweep(cfg)
+    assert aggregate[0][3] <= 1e-12
 
 
 def test_figure1_repeat_run_identical_up_to_runtime():
     cfg = _small_config(trials=1)
-    a = format_trial_csv(run_sweep(cfg))
-    b = format_trial_csv(run_sweep(cfg))
+    a = format_trial_csv(run_sweep(cfg)[0])
+    b = format_trial_csv(run_sweep(cfg)[0])
     assert _strip_runtime(a) == _strip_runtime(b)
 
 
@@ -142,7 +141,7 @@ def test_sweep_records_are_the_fits_of_each_trial_alone():
     # record is bitwise the fit of its trial alone, with fit's own constants
     cfg = _small_config(trials=3, rho_values=(0.3, 0.9), T_values=(60, 90))
     noise, design_in = cfg.noise.to_spec(cfg.n), cfg.input.to_design(cfg.p)
-    records = run_sweep(cfg).records
+    records, _ = run_sweep(cfg)
     assert len(records) == 12
     for rec in records:
         rng = derive_rng(cfg.base_seed, cfg.rho_values.index(rec.rho), 0,
@@ -163,7 +162,7 @@ def test_wide_cells_compute_no_bound_constants(monkeypatch):
     batched = estimator.bound_terms
     monkeypatch.setattr(estimator, "bound_terms",
                         lambda *args: calls.append(args[3]) or batched(*args))
-    records = run_double_descent(cfg).records
+    records, _ = run_sweep(cfg)
     monkeypatch.undo()
     assert len(calls) == 2 and all(len(betas) == cfg.trials for betas in calls)
     noise, design_in = cfg.noise.to_spec(cfg.n), cfg.input.to_design(cfg.p)
@@ -172,34 +171,45 @@ def test_wide_cells_compute_no_bound_constants(monkeypatch):
         rng = derive_rng(cfg.base_seed, 0, 0, cfg.T_values.index(rec.T), rec.trial)
         model = random_model(cfg.n, cfg.p, rec.rho, rng)
         f = fit(model, noise, simulate(model, noise, design_in, rec.T, rng), rec.L, cfg.delta)
-        assert repr(list(dataclasses.astuple(rec))[:-1]) == repr([
+        assert repr(list(rec)[:-1]) == repr([
             rec.rho, rec.L, rec.T, rec.trial, f.err_fro ** 2, f.report.lambda_min,
             f.report.solver_mode, f.bound.value if f.bound else math.nan])
 
 
-def test_double_descent_threshold_annotation():
+def _double_descent(cfg: ExperimentConfig, tmp_path: Path, capsys) -> tuple[str, str]:
+    """stdout and aggregate CSV of `exp double-descent` on cfg."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    assert main(["exp", "double-descent", "--config", str(path),
+                 "--out", str(tmp_path / "dd")]) == 0
+    return capsys.readouterr().out, (tmp_path / "dd.agg.csv").read_text()
+
+
+def test_double_descent_threshold_annotation(tmp_path, capsys):
     cfg30 = _small_config(n=5, p=3, L_values=(30,), T_values=(250, 300, 350),
                           trials=2, noise=NoiseConfig(family="exponential"))
-    res30 = run_double_descent(cfg30)
-    assert res30.threshold_T == {30: 300}
-    agg = format_aggregate_csv(res30)
+    out, agg = _double_descent(cfg30, tmp_path, capsys)
+    assert out.splitlines()[0] == "interpolation threshold for L=30: T=300"
     header = agg.splitlines()[0].split(",")
     assert header == list(AGG_COLUMNS) + ["at_threshold"]
     marks = {int(line.split(",")[2]): int(line.split(",")[-1])
              for line in agg.strip().splitlines()[1:]}
     assert marks == {250: 0, 300: 1, 350: 0}
+    _, aggregate = run_sweep(cfg30)
+    assert format_aggregate_csv(aggregate, {30: 300}) == agg
 
     cfg50 = _small_config(n=5, p=3, L_values=(50,), T_values=(500,), trials=1,
                           noise=NoiseConfig(family="exponential"))
-    assert run_double_descent(cfg50).threshold_T == {50: 500}
+    out, _ = _double_descent(cfg50, tmp_path, capsys)
+    assert out.splitlines()[0] == "interpolation threshold for L=50: T=500"
 
 
 def test_double_descent_interpolation_cells_use_min_norm():
     # strictly below the threshold the design is rank deficient
     cfg = _small_config(n=5, p=3, L_values=(30,), T_values=(250,), trials=2,
                         noise=NoiseConfig(family="exponential"))
-    res = run_double_descent(cfg)
-    for rec in res.records:
+    records, _ = run_sweep(cfg)
+    for rec in records:
         assert rec.solver_mode == "min_norm"
         assert np.isnan(rec.bound_value)
 
@@ -315,11 +325,11 @@ def test_sweep_trials_hold_one_fit_at_a_time():
     run_sweep(_small_config(p=3, L_values=(40,), T_values=(240,), trials=2))  # warm caches
     tracemalloc.start()
     try:
-        result = run_sweep(cfg)
+        records, _ = run_sweep(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [r.solver_mode for r in result.records] == ["min_norm"] * 4
+    assert [r.solver_mode for r in records] == ["min_norm"] * 4
     assert peak < 1.2 * (1 << 20)
 
 
@@ -548,9 +558,9 @@ def test_m4_nominal_false_failure_rate():
                          autocov_draws=2_000, m4_directions=4, m4_samples=2_000,
                          coverage_trials=3)
     details = rep["checks"][1]["details"]
-    est = excitation.estimate_m4(2, 3, 4, 2_000, seed=3 + 20)
+    _, _, directions = excitation.estimate_m4(2, 3, 4, 2_000, seed=3 + 20)
     assert (details["nominal_false_failure_rate"], details["m4_exact_max"]) == (
-        _m4_false_failure_rate(est.directions, 2, 3, 2_000))
+        _m4_false_failure_rate(directions, 2, 3, 2_000))
     assert details["nominal_rate_basis"] == "normal approximation"
     assert details["m4_exact_max"] < 9.0
 
@@ -704,11 +714,11 @@ def test_cli_hokalman_writes_the_fit_error_and_its_bounds(tmp_path):
     noise = cfg.noise.to_spec(cfg.n)
     traj = simulate(model, noise, cfg.input.to_design(cfg.p), cfg.T_values[0], rng)
     fitted = fit(model, noise, traj, 4, cfg.delta)
-    bounds = realization_error_bounds(build_hankel(fitted.G, 2),
-                                      ho_kalman(fitted.report.G_hat, 2).hankel, fitted.err_fro)
+    bound_BC, bound_A, robustness_ok = realization_error_bounds(
+        build_hankel(fitted.G, 2), ho_kalman(fitted.report.G_hat, 2).hankel, fitted.err_fro)
     assert (meta["err_fro"], meta["bound_BC"], meta["bound_A"]) == (
-        fitted.err_fro, bounds.bound_BC, bounds.bound_A)
-    assert meta["robustness_ok"] == bounds.robustness_ok
+        fitted.err_fro, bound_BC, bound_A)
+    assert meta["robustness_ok"] == robustness_ok
 
 
 @pytest.mark.parametrize("command, suffixes", [
@@ -1054,6 +1064,34 @@ def test_cli_overflow_anywhere_prints_one_line(tmp_path, capsys, extra, command,
     assert err.endswith(f" (in {stage})\n") and err.count("\n") == 1
 
 
+def test_cli_names_a_python_float_overflow(tmp_path, capsys):
+    # sigma_z**2 of the output moments overflows a Python float, which raises
+    # a bare OverflowError whose message is only an errno tuple
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+                                "noise": {"family": "gaussian", "sigma_w": 1.0,
+                                          "sigma_z": 1e200}}))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "past the float range" in err and "_final_output_moments" in err
+
+
+@pytest.mark.parametrize("command, code", [(["exp", "figure1"], 0), (["validate"], 4),
+                                           (["pe-check", "--regime", "bounded_a"], 0)],
+                         ids=["exp figure1", "validate", "pe-check"])
+def test_cli_tiny_inputs_are_not_read_as_beta_zero(tmp_path, capsys, command, code):
+    # the squares of sphere inputs of radius 1e-200 underflow to zero; their
+    # norms are taken at a power-of-two scale, so beta is 1e-200, not 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+                                "trials": 2,
+                                "input": {"kind": "bounded_sphere", "beta": 1e-200}}))
+    assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "beta must be positive" not in err and "requires a finite beta > 0" not in err
+
+
 def test_map_tasks_keep_the_callers_errstate():
     with np.errstate(over="raise"):
         assert _map(range(3), lambda _: np.geterr()["over"], threads=2) == ["raise"] * 3
@@ -1290,7 +1328,7 @@ def test_cli_trial_count_past_the_ceiling_exits_3_before_any_generator(
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("run", [run_sweep, run_double_descent, run_pe_campaign])
+@pytest.mark.parametrize("run", [run_sweep, run_pe_campaign])
 def test_trial_count_at_the_ceiling_is_run(monkeypatch, run):
     # the ceiling itself passes the check: the first generator is built
     monkeypatch.setattr(experiments, "derive_rng", _refuse_generators)
