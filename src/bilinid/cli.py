@@ -22,9 +22,9 @@ import numpy as np
 from . import estimator, excitation, hokalman, serialize
 from .exceptions import NumericalError, ParameterError
 from .experiments import (
+    AGG_COLUMNS,
+    TRIAL_COLUMNS,
     ExperimentConfig,
-    format_aggregate_csv,
-    format_trial_csv,
     run_pe_campaign,
     run_sweep,
     run_validation,
@@ -77,12 +77,8 @@ def cmd_estimate(args, config: ExperimentConfig) -> int:
     }
     base = Path(args.out or config.output_path + ".estimate")
     serialize.save_matrix(Path(f"{base}.G.csv"), fit.report.G_hat)
-    if args.format == "csv":
-        report_path = Path(f"{base}.report.csv")
-        serialize.write_text(report_path, serialize.report_to_flat_csv(record))
-    else:
-        report_path = Path(f"{base}.report.json")
-        serialize.save_json(report_path, record)
+    report_path = Path(f"{base}.report.{args.format}")
+    serialize.save_report(report_path, record, args.format)
     print(f"wrote estimate report to {report_path}")
     return 0
 
@@ -122,10 +118,7 @@ def cmd_pe_check(args, config: ExperimentConfig) -> int:
                                      beta=estimator.empirical_input_bound(traj.u),
                                      m4=excitation.GAUSSIAN_M4)
     out = Path(args.out or config.output_path + f".pe.{args.format}")
-    if args.format == "csv":
-        serialize.write_text(out, serialize.report_to_flat_csv(cert.to_dict()))
-    else:
-        serialize.save_json(out, cert.to_dict())
+    serialize.save_report(out, cert.to_dict(), args.format)
     print(f"lambda_min={cert.lambda_min:.6g} threshold={cert.threshold:.6g} "
           f"passed={cert.passed}")
     print(f"wrote certificate to {out}")
@@ -138,8 +131,12 @@ def _write_sweep(result: tuple[list, list], base: Path, threshold_T: dict | None
     records, aggregate = result
     trial_path = Path(f"{base}.csv")
     agg_path = Path(f"{base}.agg.csv")
-    serialize.write_text(trial_path, format_trial_csv(records))
-    serialize.write_text(agg_path, format_aggregate_csv(aggregate, threshold_T))
+    agg_columns = AGG_COLUMNS
+    if threshold_T is not None:
+        agg_columns += ("at_threshold",)
+        aggregate = [row + [int(row[2] == threshold_T.get(row[1]))] for row in aggregate]
+    serialize.save_csv(trial_path, TRIAL_COLUMNS, records)
+    serialize.save_csv(agg_path, agg_columns, aggregate)
     print(f"wrote {trial_path} and {agg_path}")
 
 

@@ -123,6 +123,8 @@ class InputConfig:
     def __post_init__(self):
         if self.beta is not None:
             _require_finite("input.beta", self.beta)
+        # the design's own checks (kind, beta) run when the config is parsed
+        self.to_design(1)
 
     def to_design(self, p: int) -> InputDesign:
         return InputDesign(kind=self.kind, p=p, beta=self.beta)
@@ -297,35 +299,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> tuple[list, list]:
     design_in = config.input.to_design(config.p)
     per_cell = _map(cells, lambda c: _run_cell(config, noise, design_in, *c), threads)
     return [rec for records, _ in per_cell for rec in records], [row for _, row in per_cell]
-
-
-def format_trial_csv(records: list[TrialRecord]) -> str:
-    lines = [",".join(TRIAL_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_cell_str(v) for v in rec))
-    return "\n".join(lines) + "\n"
-
-
-def format_aggregate_csv(aggregate: list, threshold_T: dict | None = None) -> str:
-    """The aggregate CSV; given threshold_T (L -> interpolation threshold
-    T = L + p^2 L), an at_threshold column marks the threshold cells."""
-    cols = list(AGG_COLUMNS)
-    mark = threshold_T is not None
-    if mark:
-        cols.append("at_threshold")
-    lines = [",".join(cols)]
-    for row in aggregate:
-        cells = [_cell_str(v) for v in row]
-        if mark:
-            cells.append(str(int(row[2] == threshold_T.get(row[1]))))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _cell_str(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def run_pe_campaign(config: ExperimentConfig, T: int | None = None,

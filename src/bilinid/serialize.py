@@ -1,10 +1,22 @@
-"""Write-only flat files: CSV for matrices and trajectories, JSON for reports.
+"""Write-only flat files: CSV for matrices, trajectories, sweeps and
+reports, JSON for reports.
 
-Matrix CSV carries a single comment header `# rows=<r> cols=<c>` followed
-by comma-separated rows.  Trajectory CSV has a column-name header
-`t,u_1..u_p,y` plus optional diagnostic columns `x_1..x_n,w_1..w_n,z`.
-Floats are written with shortest round-trip repr, which np.loadtxt reads
-bitwise, so identical data yields identical bytes.  write_text writes all.
+Every CSV line is written by save_csv, and every cell by one rule: a float
+is its shortest round-trip repr, which np.loadtxt and float() read back
+bitwise, NaN and infinities included, and anything else is str().  So
+identical data yields identical bytes.
+
+- Matrix CSV (save_matrix): a single comment header `# rows=<r> cols=<c>`
+  followed by comma-separated rows.
+- Trajectory CSV (save_trajectory): a column-name header `t,u_1..u_p,y`
+  plus optional diagnostic columns `x_1..x_n,w_1..w_n,z`.
+- Sweep CSVs (the CLI's `exp` commands): one row per trial under
+  experiments.TRIAL_COLUMNS, and one per cell under
+  experiments.AGG_COLUMNS, plus `at_threshold` for double-descent.
+- Report CSV (save_report with fmt "csv"): `key,value` rows of a nested
+  report, its keys joined by "." in sorted order.
+
+write_text writes all.
 """
 
 from __future__ import annotations
@@ -18,10 +30,6 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .sysmodel import Trajectory
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_text(path, text: str) -> None:
@@ -51,16 +59,22 @@ def write_text(path, text: str) -> None:
     Path(path).write_text(text)
 
 
-def matrix_to_lines(M: np.ndarray) -> list[str]:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [f"# rows={M.shape[0]} cols={M.shape[1]}"]
-    for row in M:
-        lines.append(",".join(_fmt(x) for x in row))
-    return lines
+def _cell(v) -> str:
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def save_csv(path, columns, rows) -> None:
+    """Write the header line of columns and one line per row, every cell by
+    the one cell rule (module docstring)."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def save_matrix(path, M: np.ndarray) -> None:
-    write_text(path, "\n".join(matrix_to_lines(M)) + "\n")
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    # the header line is the one comment cell
+    save_csv(path, [f"# rows={M.shape[0]} cols={M.shape[1]}"], M.tolist())
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
@@ -71,36 +85,35 @@ def save_trajectory(path, traj: Trajectory) -> None:
     arrays = (traj.u, traj.y, traj.x, traj.w, traj.z) if diag else (traj.u, traj.y)
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalError(f"{path}: the trajectory holds a value that is not finite")
+    blocks = [traj.u, traj.y[:, None]]
     if diag:
         n = traj.x.shape[1]
         cols += [f"x_{i+1}" for i in range(n)] + [f"w_{i+1}" for i in range(n)] + ["z"]
-    lines = [",".join(cols)]
-    for t in range(traj.T + 1):
-        row = [str(t)] + [_fmt(v) for v in traj.u[t]] + [_fmt(traj.y[t])]
-        if diag:
-            row += [_fmt(v) for v in traj.x[t]]
-            # w has T entries; the final row has no process-noise draw
-            w_t = traj.w[t] if t < traj.T else np.full(traj.w.shape[1], np.nan)
-            row += [_fmt(v) for v in w_t]
-            row += [_fmt(traj.z[t])]
-        lines.append(",".join(row))
-    write_text(path, "\n".join(lines) + "\n")
+        # w has T entries; the final row has no process-noise draw
+        w = np.vstack([traj.w, np.full((1, n), np.nan)])
+        blocks += [traj.x, w, traj.z[:, None]]
+    values = np.hstack(blocks).tolist()
+    save_csv(path, cols, ([t, *row] for t, row in enumerate(values)))
 
 
 def save_json(path, obj: dict) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def report_to_flat_csv(report: dict) -> str:
-    """Two-column key,value rendering of a (possibly nested) report dict."""
-    lines = ["key,value"]
+def save_report(path, report: dict, fmt: str) -> None:
+    """Write a (possibly nested) report as JSON, or with fmt "csv" as
+    key,value rows."""
+    if fmt != "csv":
+        save_json(path, report)
+        return
+    rows = []
 
     def walk(prefix: str, obj) -> None:
         if isinstance(obj, dict):
             for k in sorted(obj):
                 walk(f"{prefix}{k}.", obj[k])
         else:
-            lines.append(f"{prefix.rstrip('.')},{obj}")
+            rows.append((prefix.rstrip("."), obj))
 
     walk("", report)
-    return "\n".join(lines) + "\n"
+    save_csv(path, ("key", "value"), rows)

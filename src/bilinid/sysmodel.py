@@ -16,6 +16,7 @@ controllability Gramians).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -136,6 +137,8 @@ class StateSpaceModel:
 
 # Tolerance of the noise-covariance checks, relative to the largest |entry|
 _COV_RTOL = 1e-10
+# the largest sigma_z whose square sigma_z^2 is a finite float
+_MAX_SIGMA_Z = math.sqrt(sys.float_info.max)
 
 
 def _cov_tol(S: np.ndarray) -> float:
@@ -194,6 +197,9 @@ class NoiseSpec:
             raise ParameterError("sigma_w must have finite entries")
         if not 0.0 <= self.sigma_z < math.inf:
             raise ParameterError("sigma_z must be finite and nonnegative")
+        if self.sigma_z > _MAX_SIGMA_Z:
+            raise ParameterError(f"sigma_z {self.sigma_z!r} gives a noise variance "
+                                 f"sigma_z^2 past the float range")
         factor = _psd_factor(S)
         if self.family not in ("gaussian", "exponential"):
             raise ParameterError(f"unknown noise family {self.family!r}")

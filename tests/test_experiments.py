@@ -28,9 +28,10 @@ from bilinid import (
     ho_kalman,
     random_model,
     realization_error_bounds,
+    serialize,
     simulate,
 )
-from bilinid.cli import build_parser, main
+from bilinid.cli import build_parser, console_entry, main
 from bilinid.experiments import (
     AGG_COLUMNS,
     MAX_TRIALS,
@@ -46,8 +47,6 @@ from bilinid.experiments import (
     _map,
     batch_simulate_outputs,
     bound_coverage_trials,
-    format_aggregate_csv,
-    format_trial_csv,
     run_pe_campaign,
     run_sweep,
     run_validation,
@@ -63,6 +62,12 @@ def _small_config(**overrides):
                 input=InputConfig(), delta=0.1, base_seed=3, output_path="out")
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _csv_text(path: Path, columns, rows) -> str:
+    """The text serialize.save_csv writes for columns and rows."""
+    serialize.save_csv(path, columns, rows)
+    return path.read_text()
 
 
 def _strip_runtime(csv_text: str) -> str:
@@ -104,20 +109,33 @@ def test_config_validation():
             _small_config(**{name: values})
 
 
+@pytest.mark.parametrize("law", [
+    {"kind": "nope"},
+    {"kind": "gaussian_isotropic", "beta": 2.0},
+    {"kind": "bounded_sphere", "beta": -1},
+], ids=["unknown kind", "gaussian with beta", "negative sphere beta"])
+def test_config_refuses_a_bad_input_law_when_parsed(law):
+    # the input law is checked as the config is parsed, before any command
+    # builds its design
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_dict({"input": law})
+
+
 # --------------------------------------------------------------------- sweeps
 
-def test_figure1_schema_and_determinism():
+def test_figure1_schema_and_determinism(tmp_path):
     # three cells, so that threads=4 runs cells in parallel
     cfg = _small_config(trials=2, T_values=(60, 90, 120))
     records, aggregate = run_sweep(cfg)
     threaded, _ = run_sweep(cfg, threads=4)
     assert TRIAL_COLUMNS == ("rho", "L", "T", "trial", "err_G_fro2", "lambda_min",
                              "solver_mode", "bound_value", "runtime_ms")
-    csv_a = format_trial_csv(records)
+    csv_a = _csv_text(tmp_path / "a.csv", TRIAL_COLUMNS, records)
     assert csv_a.splitlines()[0] == ",".join(TRIAL_COLUMNS)
     # threaded and serial runs agree on everything but wall-clock
-    assert _strip_runtime(csv_a) == _strip_runtime(format_trial_csv(threaded))
-    agg = format_aggregate_csv(aggregate)
+    assert _strip_runtime(csv_a) == _strip_runtime(
+        _csv_text(tmp_path / "threaded.csv", TRIAL_COLUMNS, threaded))
+    agg = _csv_text(tmp_path / "agg.csv", AGG_COLUMNS, aggregate)
     assert agg.splitlines()[0] == ",".join(AGG_COLUMNS)
     assert len(agg.strip().splitlines()) == 4  # header + three cells
 
@@ -129,10 +147,10 @@ def test_figure1_zero_noise_near_nilpotent_cell_is_exact():
     assert aggregate[0][3] <= 1e-12
 
 
-def test_figure1_repeat_run_identical_up_to_runtime():
+def test_figure1_repeat_run_identical_up_to_runtime(tmp_path):
     cfg = _small_config(trials=1)
-    a = format_trial_csv(run_sweep(cfg)[0])
-    b = format_trial_csv(run_sweep(cfg)[0])
+    a = _csv_text(tmp_path / "a.csv", TRIAL_COLUMNS, run_sweep(cfg)[0])
+    b = _csv_text(tmp_path / "b.csv", TRIAL_COLUMNS, run_sweep(cfg)[0])
     assert _strip_runtime(a) == _strip_runtime(b)
 
 
@@ -196,7 +214,8 @@ def test_double_descent_threshold_annotation(tmp_path, capsys):
              for line in agg.strip().splitlines()[1:]}
     assert marks == {250: 0, 300: 1, 350: 0}
     _, aggregate = run_sweep(cfg30)
-    assert format_aggregate_csv(aggregate, {30: 300}) == agg
+    marked = [row + [int(row[2] == 300)] for row in aggregate]
+    assert _csv_text(tmp_path / "agg.csv", AGG_COLUMNS + ("at_threshold",), marked) == agg
 
     cfg50 = _small_config(n=5, p=3, L_values=(50,), T_values=(500,), trials=1,
                           noise=NoiseConfig(family="exponential"))
@@ -846,6 +865,18 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert main(["estimate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("config, code", [("cfg.json", 0), ("nope.json", 2)],
+                         ids=["ok", "missing config"])
+def test_console_entry_exits_with_the_code_of_main(config_file, monkeypatch, config, code):
+    # the installed `bilinid` script calls console_entry, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["bilinid", "pe-check", "--config",
+                                      str(config_file.parent / config),
+                                      "--out", str(config_file.parent / "cert.json")])
+    with pytest.raises(SystemExit) as exc:
+        console_entry()
+    assert exc.value.code == code
+
+
 @pytest.mark.parametrize("rate, code", [(1e155, 0), (1e200, 0), (1e-300, 2), (1e-160, 2)])
 def test_cli_exponential_rate_extremes(tmp_path, capsys, rate, code):
     # 1/rate^2 underflowing builds the spec; overflowing it is refused in
@@ -1064,17 +1095,31 @@ def test_cli_overflow_anywhere_prints_one_line(tmp_path, capsys, extra, command,
     assert err.endswith(f" (in {stage})\n") and err.count("\n") == 1
 
 
-def test_cli_names_a_python_float_overflow(tmp_path, capsys):
-    # sigma_z**2 of the output moments overflows a Python float, which raises
-    # a bare OverflowError whose message is only an errno tuple
+def test_cli_names_a_python_float_overflow(tmp_path, capsys, monkeypatch):
+    # a Python float power past the float range raises a bare OverflowError
+    # whose message is only an errno tuple; the output moments raise one here
+    def overflow(*args):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(experiments, "_stack", overflow)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
-                                "noise": {"family": "gaussian", "sigma_w": 1.0,
-                                          "sigma_z": 1e200}}))
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40]}))
     assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "past the float range" in err and "_final_output_moments" in err
+
+
+def test_cli_gaussian_sigma_z_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # sigma_z = 1e200 has a variance sigma_z^2 past the float range
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+                                "noise": {"family": "gaussian", "sigma_w": 1.0,
+                                          "sigma_z": 1e200}}))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:") and "past the float range" in err
 
 
 @pytest.mark.parametrize("command, code", [(["exp", "figure1"], 0), (["validate"], 4),

@@ -1,12 +1,16 @@
-"""The one output writer, serialize.write_text, and the CLI outputs it writes.
+"""The one output writer, serialize.write_text, the one CSV writer,
+serialize.save_csv, and the CLI outputs they write.
 
 A regular file is replaced (unlinked, then created), anything else is
-written through; every file the package writes goes through this writer.
+written through; every file the package writes goes through this writer,
+and every CSV line and cell through save_csv.
 """
 
 import ast
+import math
 import os
 import stat
+import struct
 import warnings
 from pathlib import Path
 
@@ -172,3 +176,70 @@ def test_only_serialize_write_text_writes_files():
         if lines:
             found[path.name] = lines
     assert found == {}
+
+
+def csv_formatting(tree: ast.AST) -> list[int]:
+    """Line of every call in tree that joins cells with "," or takes a repr."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        joins_cells = (isinstance(func, ast.Attribute) and func.attr == "join"
+                       and isinstance(func.value, ast.Constant) and func.value.value == ",")
+        if joins_cells or (isinstance(func, ast.Name) and func.id == "repr"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_csv_formatting_detects_joins_and_reprs():
+    tree = ast.parse(
+        '",".join(cells)\n'
+        "repr(x)\n"
+        '", ".join(names)\n'
+        '"\\n".join(lines)\n'
+        "f'{x!r}'\n")
+    assert csv_formatting(tree) == [1, 2]
+
+
+def test_only_serialize_formats_csv_cells():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = csv_formatting(ast.parse(path.read_text(), filename=str(path)))
+        if lines:
+            found[path.name] = lines
+    assert set(found) == {"serialize.py"}
+
+
+def _same_float(a: float, b: float) -> bool:
+    """a and b are the same float bitwise, or both NaN (repr keeps no NaN payload)."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+_floats = st.floats(width=64, allow_subnormal=True)
+_cells = st.one_of(
+    _floats,
+    _floats.map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=","),
+            max_size=8))
+
+
+@given(st.lists(st.lists(_cells, min_size=1, max_size=5), max_size=5))
+def test_save_csv_floats_read_back_bitwise_and_the_rest_as_str(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    serialize.save_csv(path, ("a", "b"), rows)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "a,b" and lines[-1] == ""
+    assert len(lines) == len(rows) + 2
+    for row, line in zip(rows, lines[1:]):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for value, cell in zip(row, cells):
+            if isinstance(value, float):
+                assert _same_float(float(cell), value)
+            else:
+                assert cell == str(value)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -499,6 +500,17 @@ def test_specs_refuse_non_finite_parameters(build):
     # RuntimeWarning of S - S^T on NaN entries into an error
     with pytest.raises(ParameterError):
         build()
+
+
+def test_noise_refuses_sigma_z_whose_square_is_past_the_float_range():
+    # every closed form reads sigma_z^2, which overflows above sqrt(float max)
+    largest = math.sqrt(sys.float_info.max)
+    assert NoiseSpec.gaussian(np.eye(2), largest).sigma_z ** 2 < math.inf
+    for sigma_z in (math.nextafter(largest, math.inf), 1e200, 10**400):
+        with pytest.raises(ParameterError, match="past the float range"):
+            NoiseSpec.gaussian(np.eye(2), sigma_z)
+    with pytest.raises(ParameterError, match="past the float range"):
+        NoiseSpec(sigma_w=np.eye(2), sigma_z=1e200, family="exponential")
 
 
 def test_exponential_spec_pins_implied_covariance():
