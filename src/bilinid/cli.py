@@ -54,15 +54,14 @@ def _single_run_pieces(config: ExperimentConfig, diagnostics: bool = False):
     return model, noise, traj, config.L_values[0]
 
 
-def cmd_simulate(args, config: ExperimentConfig) -> int:
+def cmd_simulate(args, config: ExperimentConfig, out: Path) -> int:
     _, _, traj, _ = _single_run_pieces(config, diagnostics=args.diagnostics)
-    out = Path(args.out or config.output_path + ".traj.csv")
     serialize.save_trajectory(out, traj)
     print(f"wrote trajectory ({traj.T + 1} steps) to {out}")
     return 0
 
 
-def cmd_estimate(args, config: ExperimentConfig) -> int:
+def cmd_estimate(args, config: ExperimentConfig, out: Path) -> int:
     model, noise, traj, L = _single_run_pieces(config)
     fit = estimator.fit(model, noise, traj, L, config.delta)
     record = {  # a min-norm fit has no bound: its three bound keys are None
@@ -75,15 +74,14 @@ def cmd_estimate(args, config: ExperimentConfig) -> int:
         "bound_fro": fit.bound.fro_value if fit.bound else None,
         "bound_terms": fit.terms.to_dict() if fit.terms else None,
     }
-    base = Path(args.out or config.output_path + ".estimate")
-    serialize.save_matrix(Path(f"{base}.G.csv"), fit.report.G_hat)
-    report_path = Path(f"{base}.report.{args.format}")
+    serialize.save_matrix(Path(f"{out}.G.csv"), fit.report.G_hat)
+    report_path = Path(f"{out}.report.{args.format}")
     serialize.save_report(report_path, record, args.format)
     print(f"wrote estimate report to {report_path}")
     return 0
 
 
-def cmd_hokalman(args, config: ExperimentConfig) -> int:
+def cmd_hokalman(args, config: ExperimentConfig, out: Path) -> int:
     hokalman.check_order(config.L_values[0], config.n)  # before the simulation and the fit
     model, noise, traj, L = _single_run_pieces(config)
     fit = estimator.fit(model, noise, traj, L, config.delta)
@@ -91,10 +89,9 @@ def cmd_hokalman(args, config: ExperimentConfig) -> int:
     realization = hokalman.ho_kalman(fit.report.G_hat, config.n)
     bound_BC, bound_A, robustness_ok = hokalman.realization_error_bounds(
         hankel, realization.hankel, fit.err_fro)
-    base = Path(args.out or config.output_path + ".realization")
     for name, M in (("A", realization.A), ("B", realization.B), ("C", realization.C)):
-        serialize.save_matrix(Path(f"{base}.{name}.csv"), M)
-    meta_path = Path(f"{base}.json")
+        serialize.save_matrix(Path(f"{out}.{name}.csv"), M)
+    meta_path = Path(f"{out}.json")
     serialize.save_json(meta_path, {
         "n": config.n,
         "p": config.p,
@@ -105,11 +102,11 @@ def cmd_hokalman(args, config: ExperimentConfig) -> int:
         "bound_BC": bound_BC,
         "bound_A": bound_A,
     })
-    print(f"wrote realization matrices and metadata to {base}.*")
+    print(f"wrote realization matrices and metadata to {out}.*")
     return 0
 
 
-def cmd_pe_check(args, config: ExperimentConfig) -> int:
+def cmd_pe_check(args, config: ExperimentConfig, out: Path) -> int:
     _, _, traj, L = _single_run_pieces(config)
     # the certificate reads only the Gram, so the design takes no outputs
     design = estimator.design_from_inputs(traj.u, L)
@@ -117,8 +114,7 @@ def cmd_pe_check(args, config: ExperimentConfig) -> int:
     cert = excitation.pe_certificate(design, config.delta, args.regime,
                                      beta=estimator.empirical_input_bound(traj.u),
                                      m4=excitation.GAUSSIAN_M4)
-    out = Path(args.out or config.output_path + f".pe.{args.format}")
-    serialize.save_report(out, cert.to_dict(), args.format)
+    serialize.save_report(out, cert._asdict(), args.format)
     print(f"lambda_min={cert.lambda_min:.6g} threshold={cert.threshold:.6g} "
           f"passed={cert.passed}")
     print(f"wrote certificate to {out}")
@@ -140,26 +136,24 @@ def _write_sweep(result: tuple[list, list], base: Path, threshold_T: dict | None
     print(f"wrote {trial_path} and {agg_path}")
 
 
-def cmd_exp_figure1(args, config: ExperimentConfig) -> int:
-    result = run_sweep(config, threads=args.threads)
-    _write_sweep(result, Path(args.out or config.output_path + ".figure1"))
+def cmd_exp_figure1(args, config: ExperimentConfig, out: Path) -> int:
+    _write_sweep(run_sweep(config, threads=args.threads), out)
     return 0
 
 
-def cmd_exp_double_descent(args, config: ExperimentConfig) -> int:
+def cmd_exp_double_descent(args, config: ExperimentConfig, out: Path) -> int:
     """The sweep across the interpolation threshold T = L + p^2 L, where the
     minimum-norm solver keeps rank-deficient cells running."""
     result = run_sweep(config, threads=args.threads)
     thresholds = {L: L + config.p**2 * L for L in config.L_values}
     for L, thr in sorted(thresholds.items()):
         print(f"interpolation threshold for L={L}: T={thr}")
-    _write_sweep(result, Path(args.out or config.output_path + ".double_descent"), thresholds)
+    _write_sweep(result, out, thresholds)
     return 0
 
 
-def cmd_validate(args, config: ExperimentConfig) -> int:
+def cmd_validate(args, config: ExperimentConfig, out: Path) -> int:
     report = run_validation(config, threads=args.threads)
-    out = Path(args.out or config.output_path + ".validation.json")
     serialize.save_json(out, report)
     for check in report["checks"]:
         print(f"{check['name']}: {'PASS' if check['passed'] else 'FAIL'} "
@@ -168,9 +162,8 @@ def cmd_validate(args, config: ExperimentConfig) -> int:
     return 0 if report["passed"] else 4
 
 
-def cmd_pe_campaign(args, config: ExperimentConfig) -> int:
+def cmd_pe_campaign(args, config: ExperimentConfig, out: Path) -> int:
     summary = run_pe_campaign(config, threads=args.threads)
-    out = Path(args.out or config.output_path + ".pe_campaign.json")
     serialize.save_json(out, summary)
     print(f"frequency={summary['frequency']:.4g} at required_T={summary['required_T']}")
     print(f"wrote campaign summary to {out}")
@@ -179,7 +172,9 @@ def cmd_pe_campaign(args, config: ExperimentConfig) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; a subcommand's func takes (args, config)."""
+    """The parser, built once per process.  A subcommand's func takes
+    (args, config, out), and its suffix, formatted with the parsed options,
+    names its output path config.output_path + suffix when --out is not given."""
     parser = argparse.ArgumentParser(
         prog="bilinid",
         description="Identify linear systems with bilinear observations from one trajectory.")
@@ -195,39 +190,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common], help="simulate one trajectory to CSV")
     p_sim.add_argument("--diagnostics", action="store_true",
                        help="record states and noises alongside inputs/outputs")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, suffix=".traj.csv")
 
     p_est = sub.add_parser("estimate", parents=[common],
                            help="estimate Markov blocks from one trajectory")
     p_est.add_argument("--format", choices=("csv", "json"), default="json")
-    p_est.set_defaults(func=cmd_estimate)
+    p_est.set_defaults(func=cmd_estimate, suffix=".estimate")
 
     p_hk = sub.add_parser("hokalman", parents=[common], help="recover a state-space realization")
-    p_hk.set_defaults(func=cmd_hokalman)
+    p_hk.set_defaults(func=cmd_hokalman, suffix=".realization")
 
     p_pe = sub.add_parser("pe-check", parents=[common],
                           help="excitation certificate for one design")
     p_pe.add_argument("--format", choices=("csv", "json"), default="json")
     p_pe.add_argument("--regime", default=excitation.REGIME_FOURTH_MOMENT,
                       choices=(excitation.REGIME_BOUNDED, excitation.REGIME_FOURTH_MOMENT))
-    p_pe.set_defaults(func=cmd_pe_check)
+    p_pe.set_defaults(func=cmd_pe_check, suffix=".pe.{format}")
 
     p_camp = sub.add_parser("pe-campaign", parents=[common],
                             help="excitation frequency at the required length")
-    p_camp.set_defaults(func=cmd_pe_campaign)
+    p_camp.set_defaults(func=cmd_pe_campaign, suffix=".pe_campaign.json")
 
     p_exp = sub.add_parser("exp", help="experiment sweeps")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
     p_fig = exp_sub.add_parser("figure1", parents=[common],
                                help="estimation error over (rho, L, T)")
-    p_fig.set_defaults(func=cmd_exp_figure1)
+    p_fig.set_defaults(func=cmd_exp_figure1, suffix=".figure1")
     p_dd = exp_sub.add_parser("double-descent", parents=[common],
                               help="sweep across the interpolation threshold")
-    p_dd.set_defaults(func=cmd_exp_double_descent)
+    p_dd.set_defaults(func=cmd_exp_double_descent, suffix=".double_descent")
 
     p_val = sub.add_parser("validate", parents=[common],
                            help="oracle-equivalence validation suite")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, suffix=".validation.json")
 
     return parser
 
@@ -254,7 +249,9 @@ def main(argv=None) -> int:
         # a float overflow anywhere in a command raises FloatingPointError, an
         # ArithmeticError: exit 3 with one line instead of numpy warnings
         with np.errstate(over="raise"):
-            return args.func(args, _load_config(args))
+            config = _load_config(args)
+            out = Path(args.out or config.output_path + args.suffix.format_map(vars(args)))
+            return args.func(args, config, out)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

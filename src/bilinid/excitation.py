@@ -40,9 +40,6 @@ class PECertificate(NamedTuple):
     gamma2: float
     delta: float
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def min_eig_design(design: DesignSystem) -> float:
     """Smallest eigenvalue of the Gram matrix, clamped at zero.

@@ -76,7 +76,8 @@ NOISE_DEFAULTS = {
 @dataclass(frozen=True)
 class NoiseConfig:
     """Noise law of a config.  A key left out (None) takes its family's
-    default from NOISE_DEFAULTS; a key the family does not read is refused."""
+    default from NOISE_DEFAULTS; a key the family does not read is refused.
+    to_spec checks the law, and ExperimentConfig calls it when it is built."""
 
     family: str = "exponential"
     rate: float | None = None      # exponential: entry rate; sigma_z = 1/rate
@@ -84,49 +85,38 @@ class NoiseConfig:
     sigma_w: float | None = None   # gaussian: isotropic process-noise variance
     sigma_z: float | None = None   # gaussian: measurement-noise std
 
-    def __post_init__(self):
+    def to_spec(self, n: int) -> NoiseSpec:
         if self.family not in NOISE_DEFAULTS:
             raise ParameterError(f"unknown noise family {self.family!r}")
+        values = dict(NOISE_DEFAULTS[self.family])
         for name in ("rate", "centered", "sigma_w", "sigma_z"):
             value = getattr(self, name)
             if value is None:
                 continue
-            if name not in NOISE_DEFAULTS[self.family]:
+            if name not in values:
                 raise ParameterError(f"noise family {self.family!r} takes no {name}")
             if name != "centered":
                 _require_finite(f"noise.{name}", value)
             elif not isinstance(value, bool):
                 raise ParameterError(f"noise.centered must be true or false, got {value!r}")
-        # the spec's own checks (rate > 0, sigma_w >= 0, sigma_z >= 0) run when
-        # the config is parsed, also for commands that never draw noise
-        self.to_spec(1)
-
-    def _get(self, name: str):
-        value = getattr(self, name)
-        return NOISE_DEFAULTS[self.family][name] if value is None else value
-
-    def to_spec(self, n: int) -> NoiseSpec:
+            values[name] = value
         _require_allocatable(n, n)
         if self.family == "exponential":
-            return NoiseSpec.exponential(n, rate=self._get("rate"),
-                                         centered=self._get("centered"))
-        return NoiseSpec.gaussian(self._get("sigma_w") * np.eye(n), self._get("sigma_z"))
+            return NoiseSpec.exponential(n, **values)
+        return NoiseSpec.gaussian(values["sigma_w"] * np.eye(n), values["sigma_z"])
 
 
 @dataclass(frozen=True)
 class InputConfig:
-    """Input law of a config: an InputDesign kind and its beta."""
+    """Input law of a config: an InputDesign kind and its beta.  to_design
+    checks the law, and ExperimentConfig calls it when it is built."""
 
     kind: str = "gaussian_isotropic"
     beta: float | None = None
 
-    def __post_init__(self):
+    def to_design(self, p: int) -> InputDesign:
         if self.beta is not None:
             _require_finite("input.beta", self.beta)
-        # the design's own checks (kind, beta) run when the config is parsed
-        self.to_design(1)
-
-    def to_design(self, p: int) -> InputDesign:
         return InputDesign(kind=self.kind, p=p, beta=self.beta)
 
 
@@ -181,6 +171,10 @@ class ExperimentConfig:
             raise ParameterError("every T must exceed every L")
         if not (0.0 < self.delta < 1.0):
             raise ParameterError("delta must lie in (0, 1)")
+        # the laws' own checks run when the config is parsed, also for
+        # commands that never draw noise or inputs
+        self.noise.to_spec(1)
+        self.input.to_design(1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -264,9 +258,14 @@ def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign
     shared_s = (time.perf_counter() - start) / config.trials
     records = [_trial_record(config, noise, model, traj, rho, L, trial, shared_s, terms[trial])
                for trial, (model, traj) in enumerate(zip(models, trajs))]
+    # mean and std taken at the power of two 2^e of the largest error, so
+    # that their sum and squares stay in the float range; the scaling is
+    # exact for every error above 2^(e - 1022), a normal float once scaled
     errs = np.array([r.err_G_fro2 for r in records])
-    std = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
-    return records, [rho, L, T, float(np.mean(errs)), std]
+    e = int(np.frexp(errs.max())[1])
+    scaled = np.ldexp(errs, -e)
+    std = float(np.ldexp(np.std(scaled, ddof=1), e)) if errs.size > 1 else 0.0
+    return records, [rho, L, T, float(np.ldexp(np.mean(scaled), e)), std]
 
 
 def _map(tasks, fn, threads: int):

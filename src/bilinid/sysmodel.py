@@ -19,6 +19,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -340,9 +341,9 @@ class InputDesign:
         return self.sample_iid(T + 1, rng)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """A simulated input/output record of horizon T.
+class Trajectory(NamedTuple):
+    """A simulated input/output record of horizon T, built and frozen by
+    simulate_batch.
 
     u has shape (T+1, p) and y shape (T+1,).  When diagnostics were
     requested, x (T+1, n), w (T, n) and z (T+1,) expose the hidden states
@@ -357,18 +358,6 @@ class Trajectory:
     w: np.ndarray | None = None
     z: np.ndarray | None = None
 
-    def __post_init__(self):
-        u = _as_columns(self.u)
-        y = np.asarray(self.y, dtype=float).ravel()
-        if u.shape[0] != self.T + 1 or y.shape[0] != self.T + 1:
-            raise ParameterError("u and y must both have T+1 entries")
-        object.__setattr__(self, "u", _freeze(u))
-        object.__setattr__(self, "y", _freeze(y))
-        for name in ("x", "w", "z"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _freeze(val))
-
     @property
     def p(self) -> int:
         return self.u.shape[1]
@@ -378,14 +367,11 @@ class Trajectory:
         return self.x is not None and self.w is not None and self.z is not None
 
 
-@dataclass(frozen=True, eq=False)
-class MarkovParams:
-    """Impulse-response matrix G = [C B | C A B | ... | C A^(L-1) B] (p x pL)."""
+class MarkovParams(NamedTuple):
+    """Impulse-response matrix G = [C B | C A B | ... | C A^(L-1) B] (p x pL),
+    built and frozen by markov_params."""
 
     G: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "G", _freeze(np.atleast_2d(self.G)))
 
 
 def random_model(n: int, p: int, rho: float, seed) -> StateSpaceModel:
@@ -476,8 +462,8 @@ def simulate_batch(models, noise: NoiseSpec, inputs, T: int, seeds,
         u, z, us[i], zs[i] = us[i], zs[i], None, None  # each freed once its copy is made
         x_i = np.ascontiguousarray(x[:, i])
         y = np.einsum("ti,ij,tj->t", u, C[i], x_i) + z
-        diag = dict(x=x_i, w=W[:, i], z=z) if diagnostics else {}
-        trajectories.append(Trajectory(u=u, y=y, T=T, **diag))
+        diag = dict(x=_freeze(x_i), w=_freeze(W[:, i]), z=_freeze(z)) if diagnostics else {}
+        trajectories.append(Trajectory(u=_freeze(u), y=_freeze(y), T=T, **diag))
     return trajectories
 
 
@@ -502,7 +488,7 @@ def markov_params(model: StateSpaceModel, L: int) -> MarkovParams:
     if L < 1:
         raise ParameterError("L must be >= 1")
     G = _markov_blocks(model.A[None], model.B[None], model.C[None], L)[0]
-    return MarkovParams(G=G[0])
+    return MarkovParams(G=_freeze(G[0]))
 
 
 def transient_factor(A: np.ndarray, rho: Sequence[float]) -> np.ndarray:

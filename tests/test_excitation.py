@@ -306,7 +306,7 @@ def test_certificate_constants_match_required_samples(p, L, delta, beta, m4):
 def test_certificate_serializes_expected_fields(rows_design):
     d = rows_design(np.eye(4))
     cert = pe_certificate(d, 0.1, REGIME_FOURTH_MOMENT, m4=9.0)
-    assert set(cert.to_dict()) == {"lambda_min", "threshold", "passed", "regime",
+    assert set(cert._asdict()) == {"lambda_min", "threshold", "passed", "regime",
                                    "required_T", "gamma1", "gamma2", "delta"}
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -21,6 +23,7 @@ from bilinid import (
     NoiseSpec,
     ParameterError,
     build_hankel,
+    cli,
     estimator,
     excitation,
     experiments,
@@ -877,6 +880,50 @@ def test_console_entry_exits_with_the_code_of_main(config_file, monkeypatch, con
     assert exc.value.code == code
 
 
+def test_python_m_bilinid_cli_runs_console_entry(monkeypatch, capsys):
+    # in-process, so that a line tracer sees the module's __main__ call; the
+    # loaded bilinid.cli is set aside, or runpy warns that it runs it twice
+    monkeypatch.delitem(sys.modules, "bilinid.cli")
+    monkeypatch.setattr(sys, "argv", ["bilinid", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("bilinid.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bilinid")
+
+
+@pytest.mark.parametrize("command, names", [
+    (["simulate"], ["out.traj.csv"]),
+    (["estimate"], ["out.estimate.G.csv", "out.estimate.report.json"]),
+    (["estimate", "--format", "csv"], ["out.estimate.G.csv", "out.estimate.report.csv"]),
+    (["hokalman"], ["out.realization.A.csv", "out.realization.B.csv",
+                    "out.realization.C.csv", "out.realization.json"]),
+    (["pe-check"], ["out.pe.json"]),
+    (["pe-check", "--format", "csv"], ["out.pe.csv"]),
+    (["pe-campaign"], ["out.pe_campaign.json"]),
+    (["exp", "figure1"], ["out.figure1.agg.csv", "out.figure1.csv"]),
+    (["exp", "double-descent"], ["out.double_descent.agg.csv", "out.double_descent.csv"]),
+    (["validate"], ["out.validation.json"]),
+], ids=" ".join)
+def test_cli_default_output_names(tmp_path, config_file, command, names):
+    # without --out, every output is named output_path plus the command's suffix
+    main(command + ["--config", str(config_file)])
+    assert sorted(p.name for p in tmp_path.iterdir() if p != config_file) == names
+
+
+def test_main_alone_resolves_the_output_path():
+    # one place joins --out and output_path, so the commands take out as given
+    tree = ast.parse(Path(cli.__file__).read_text())
+    readers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and (
+                        node.attr == "output_path"
+                        or (node.attr == "out" and getattr(node.value, "id", None) == "args")):
+                    readers.add(func.name)
+    assert readers == {"main"}
+
+
 @pytest.mark.parametrize("rate, code", [(1e155, 0), (1e200, 0), (1e-300, 2), (1e-160, 2)])
 def test_cli_exponential_rate_extremes(tmp_path, capsys, rate, code):
     # 1/rate^2 underflowing builds the spec; overflowing it is refused in
@@ -1047,6 +1094,24 @@ def test_cli_simulate_refuses_an_output_past_the_float_range(tmp_path, capsys):
     assert capsys.readouterr().err == (f"numerical failure: {out}: the trajectory holds "
                                        "a value that is not finite\n")
     assert not out.exists()
+
+
+def test_cli_sweep_aggregates_errors_near_the_top_of_the_float_range(tmp_path, capsys):
+    # every err_G_fro2 is near 1e299 and finite; their squares, which an
+    # unscaled std sums, are not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "L_values": [2], "T_values": [40],
+                                "trials": 20, "noise": {"family": "gaussian", "sigma_w": 1.0,
+                                                        "sigma_z": 1e150}}))
+    out = tmp_path / "sweep"
+    assert main(["exp", "figure1", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    row, = csv.DictReader((tmp_path / "sweep.agg.csv").read_text().splitlines())
+    errs = [float(r["err_G_fro2"])
+            for r in csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines())]
+    mean, std = float(row["mean_err"]), float(row["std_err"])
+    assert 1e298 < mean < 1e301 and 1e298 < std < 1e301
+    assert mean == pytest.approx(math.fsum(errs) / len(errs), rel=1e-12)
 
 
 @pytest.mark.parametrize("beta", [1e80, 1e77], ids=["beta**4 overflows", "product overflows"])

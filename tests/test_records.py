@@ -1,9 +1,10 @@
 """What the package's records are, and what they may not be used for.
 
-A record without checks of its own is a named tuple; the records that
-check their fields in __post_init__ stay dataclasses.  A named tuple
-compares by value, hashes its items and iterates, and none of that means
-anything for a record that holds arrays, so no command may rely on it.
+A record that the package alone builds is a named tuple, checked and
+frozen by the code that builds it; the records that code outside the
+package builds stay dataclasses.  A named tuple compares by value, hashes
+its items and iterates, and none of that means anything for a record that
+holds arrays, so no command may rely on it.
 """
 
 import dataclasses
@@ -11,12 +12,15 @@ import sys
 
 import pytest
 
-from bilinid import estimator, excitation, experiments, hokalman
+from test_estimator import _callers
+
+from bilinid import estimator, excitation, experiments, hokalman, sysmodel
 from bilinid.cli import main
 
 # the named tuples that hold arrays
 ARRAY_RECORDS = (estimator.DesignSystem, estimator.EstimateReport, estimator.FitResult,
-                 hokalman.HankelSet, hokalman.Realization)
+                 hokalman.HankelSet, hokalman.Realization, sysmodel.Trajectory,
+                 sysmodel.MarkovParams)
 NAMED_TUPLES = ARRAY_RECORDS + (estimator.BoundTerms, estimator.BoundReport,
                                 excitation.PECertificate, experiments.TrialRecord,
                                 experiments.CoverageTrial)
@@ -34,16 +38,23 @@ def _package_classes() -> list[type]:
             if isinstance(obj, type) and obj.__module__ == name]
 
 
-def test_only_records_with_a_post_init_are_dataclasses():
+def test_the_dataclasses_are_the_records_outside_code_builds():
+    # a config, a model, a noise law and an input law are built by callers;
+    # dataclasses.asdict round-trips a config through JSON
     classes = _package_classes()
     dataclass_names = sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c))
-    checked = sorted(c.__name__ for c in classes if "__post_init__" in vars(c))
-    assert dataclass_names == checked
-    assert len(dataclass_names) == 8
+    assert dataclass_names == ["ExperimentConfig", "InputConfig", "InputDesign",
+                               "NoiseConfig", "NoiseSpec", "StateSpaceModel"]
     for record in NAMED_TUPLES:
         assert issubclass(record, tuple) and record._fields
         assert record in classes
     assert experiments.TRIAL_COLUMNS == experiments.TrialRecord._fields
+
+
+def test_each_frozen_array_record_has_one_builder():
+    # the builder passes read-only copies, so the record needs no checks
+    assert _callers("Trajectory") == [("sysmodel", "simulate_batch")]
+    assert _callers("MarkovParams") == [("sysmodel", "markov_params")]
 
 
 def test_the_one_caller_records_are_gone():
@@ -51,6 +62,7 @@ def test_the_one_caller_records_are_gone():
                          (excitation, "M4Estimate"), (hokalman, "RealizationBounds"),
                          (hokalman, "Alignment")):
         assert not hasattr(module, name)
+    assert not hasattr(excitation.PECertificate, "to_dict")  # _asdict serves
 
 
 def _refuse(*args):
