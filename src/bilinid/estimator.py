@@ -16,11 +16,13 @@ A design has one of two representations.  With at most p^2 L rows (a
 wide or square design) it keeps its rows, which the minimum-norm solve
 and the exact interpolation residual need, and which hold at most
 (p^2 L)^2 entries.  A taller design is never materialized: its rows are
-built BLOCK_ROWS at a time into one reused buffer, and it keeps only
-V = U^T U, U^T y and y^T y, so building and fitting it take
-O((p^2 L)^2 + BLOCK_ROWS p^2 L) memory whatever T is.  Its squared
-residual y^T y - theta^T U^T y is accurate to about eps y^T y, and a Gram
-that is not certified full rank is solved by lstsq(V, U^T y,
+built BLOCK_ROWS (4096) at a time into one reused buffer, and it keeps
+only V = U^T U, U^T y and y^T y, so building and fitting it take
+O((p^2 L)^2 + BLOCK_ROWS p^2 L) memory whatever T is.  A design of at
+most BLOCK_ROWS rows is one block; a longer one sums V over its blocks,
+which costs about as much per row as one product over all of them.  Its
+squared residual y^T y - theta^T U^T y is accurate to about eps y^T y,
+and a Gram that is not certified full rank is solved by lstsq(V, U^T y,
 rcond=RANK_TOL); a design that keeps its rows falls back to LAPACK gelsd
 on U instead.  Random inputs may be drawn block by block as well
 (design_from_inputs given an InputDesign), so that such a design never
@@ -67,18 +69,19 @@ from .sysmodel import (
 RANK_TOL = 1e-10
 # Rows of a tall design built and accumulated at a time, in one reused
 # (p^2 L) x BLOCK_ROWS buffer.
-BLOCK_ROWS = 16384
+BLOCK_ROWS = 4096
 # A design built to a lambda_min target (design_from_inputs) stops once
 # its running Gram clears the target by STOP_MARGIN times its largest
 # eigenvalue.  Later blocks add positive semidefinite Grams, so the full
 # design's exact lambda_min is at least the prefix's (Weyl); the margin
 # covers rounding.  In the worst case a computed Gram lies within
-# (BLOCK_ROWS + blocks) eps/2 p^2 L lambda_max, about 2e-12 p^2 L lambda_max,
-# of the exact sum, and eigvalsh adds about p^2 L eps lambda_max.  At
-# p^2 L = 16 the margin covers these errors for the prefix and for a full
-# design whose lambda_max is up to about 30 times the prefix's; i.i.d.
-# inputs raise lambda_max about in proportion to the rows, and a prefix
-# reaches lambda_min >= (T - L)/4 only past about a quarter of them.
+# (BLOCK_ROWS + blocks) eps/2 p^2 L lambda_max of the exact sum, about
+# 5e-13 p^2 L lambda_max over the 46 blocks of a 187,453-row campaign
+# design, and eigvalsh adds about p^2 L eps lambda_max.  At p^2 L = 16 the
+# margin covers these errors for the prefix and for a full design whose
+# lambda_max is up to about 130 times the prefix's; i.i.d. inputs raise
+# lambda_max about in proportion to the rows, and a prefix reaches
+# lambda_min >= (T - L)/4 only past about a quarter of them.
 STOP_MARGIN = 1e-9
 # sqrt of the smallest normal float: a vector with a smaller norm has
 # squares that lose bits to underflow (_rescale_tiny)

@@ -312,9 +312,11 @@ def run_pe_campaign(config: ExperimentConfig, T: int | None = None,
     block from derive_rng(base_seed, 0, j) into its design
     (estimator.design_from_inputs given the input design), so it holds
     O(BLOCK_ROWS p^2 L) floats whatever T is.  Each design is built to the
-    target (T - L)/4: a trial whose running Gram clears it stops drawing,
-    leaving its generator after the rows it built, and its shorter
-    design's lambda_min decides the trial.  Later rows could only raise
+    target (T - L)/4 and checked against it after every block of
+    estimator.BLOCK_ROWS (4096) rows: a trial whose running Gram clears it
+    stops drawing within 4096 rows of its first certified prefix, leaving
+    its generator after the rows it built, and its shorter design's
+    lambda_min decides the trial.  Later rows could only raise
     lambda_min, so every verdict, and with it the report, is that of the
     full-length designs, which a failing trial builds whole.  The
     reported threshold is the full-length (T - L)/4.  A `trials` past
@@ -366,9 +368,12 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
     several times faster than on (n_draws, n) rows and give the same bits;
     an output is read from a (n_draws, n) copy of the states, rows, since
     the product with the state-major array can differ in the last bit.
+    No times, or a negative one, raise ParameterError before any draw.
     """
     u = _as_columns(u)
     times = sorted(set(int(t) for t in times))
+    if not times or times[0] < 0:
+        raise ParameterError("output times must be nonempty and >= 0")
     t_max = times[-1]
     if t_max > u.shape[0] - 1:
         raise ParameterError("requested time beyond the input sequence")

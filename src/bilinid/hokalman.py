@@ -73,9 +73,11 @@ def build_hankel(G, n: int) -> HankelSet:
     """Assemble H, its clips, and the rank-n SVD factors of H_minus.
 
     G is the p x pL block matrix (markov_params(model, L).G or an
-    estimate), and L and n pass check_order.
+    estimate), with finite entries, and L and n pass check_order.
     """
     Gm = np.atleast_2d(np.asarray(G, dtype=float))
+    if not np.all(np.isfinite(Gm)):
+        raise ParameterError("Markov matrix G must have finite entries")
     p = Gm.shape[0]
     if Gm.shape[1] % p != 0:
         raise ParameterError("Markov matrix width must be a multiple of p")

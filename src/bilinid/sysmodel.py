@@ -25,6 +25,11 @@ import numpy as np
 
 from .exceptions import NumericalError, ParameterError
 
+# powers transient_factor scans for one whose norm certifies decay
+TRANSIENT_MAX_POWERS = 2_000_000
+# Smith doublings _infinite_gramians takes for a Gramian to converge
+GRAMIAN_MAX_DOUBLINGS = 64
+
 
 def derive_rng(base_seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by (base_seed, key).
@@ -500,7 +505,8 @@ def transient_factor(A: np.ndarray, rho: Sequence[float]) -> np.ndarray:
     at a time, and the scan stops at the first K with ||M^K|| < 1: by
     submultiplicativity every later power M^(qK+r) has norm below
     ||M^r||, a term already seen, so the running supremum is final.
-    Raises NumericalError when no such K appears within 2,000,000 powers.
+    Raises NumericalError when no such K appears within
+    TRANSIENT_MAX_POWERS (2,000,000) powers.
 
     The scans step together, one stacked product and one stacked SVD per
     power, and each matrix leaves the stack at its own K, so every factor
@@ -518,13 +524,12 @@ def transient_factor(A: np.ndarray, rho: Sequence[float]) -> np.ndarray:
         if not (sr < r < 1.0):
             raise ParameterError(
                 f"need spectral_radius(A) < rho < 1, got spectral radius {sr:.6g}, rho {r}")
-    cap = 2_000_000
     M = A / rho[:, None, None]
     power = np.empty_like(M)
     power[:] = np.eye(A.shape[1])
     sup, phi = np.ones(len(M)), np.empty(len(M))  # running suprema from the k = 0 terms
     todo = np.arange(len(M))  # the matrices of M, power and sup, still scanning
-    for _ in range(cap):
+    for _ in range(TRANSIENT_MAX_POWERS):
         power = power @ M
         norms = _spectral_norms(power)
         done = norms < 1.0
@@ -535,7 +540,8 @@ def transient_factor(A: np.ndarray, rho: Sequence[float]) -> np.ndarray:
                 return phi
             todo, power, M, sup, norms = todo[keep], power[keep], M[keep], sup[keep], norms[keep]
         np.maximum(sup, norms, out=sup)
-    raise NumericalError(f"transient factor scan did not certify decay within {cap} powers")
+    raise NumericalError(f"transient factor scan did not certify decay within "
+                         f"{TRANSIENT_MAX_POWERS} powers")
 
 
 def _truncated_gramians(A: np.ndarray, sigma_w: np.ndarray, horizon: int) -> np.ndarray:
@@ -582,17 +588,18 @@ def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
     A_j of the (k, n, n) stack A of stable matrices, by Smith doubling:
     X <- X + A_k X A_k^T with A_k <- A_k^2, so that after s steps X sums
     the first 2^s terms.  A model's sum stops once its added term is at
-    most 1e-13 of ||X|| (2-norm); NumericalError if any takes more than 64
-    doublings.  The sums step together, one stacked product per factor
-    and step, and each model leaves the stack at its own step, so every
-    Gramian is bitwise the one its model gets alone.
+    most 1e-13 of ||X|| (2-norm); NumericalError if any takes more than
+    GRAMIAN_MAX_DOUBLINGS (64) doublings.  The sums step together, one
+    stacked product per factor and step, and each model leaves the stack
+    at its own step, so every Gramian is bitwise the one its model gets
+    alone.
     """
     X = np.empty_like(A)
     X[:] = sigma_w
     Ak, G = A, np.empty_like(A)
     todo = np.arange(len(A))  # the models of X and Ak, still doubling
     tiny = np.finfo(float).tiny
-    for _ in range(64):
+    for _ in range(GRAMIAN_MAX_DOUBLINGS):
         term = Ak @ X @ Ak.transpose(0, 2, 1)
         X = X + term
         Ak = Ak @ Ak
@@ -603,7 +610,7 @@ def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
             if not keep.any():
                 return 0.5 * (G + G.transpose(0, 2, 1))
             todo, X, Ak = todo[keep], X[keep], Ak[keep]
-    raise NumericalError("Gramian doubling did not converge in 64 steps")
+    raise NumericalError(f"Gramian doubling did not converge in {GRAMIAN_MAX_DOUBLINGS} steps")
 
 
 def controllability_gramian(models: Sequence[StateSpaceModel],

@@ -1,6 +1,7 @@
 """tools/compare_outputs.py digests outputs without their wall times."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -36,3 +37,13 @@ def test_runs_cover_every_subcommand():
     commands = {" ".join(argv[:2]) if argv[0] == "exp" else argv[0] for argv in argvs}
     assert commands == {"simulate", "estimate", "hokalman", "pe-check", "pe-campaign",
                         "exp figure1", "exp double-descent", "validate"}
+
+
+def test_loading_the_tool_sets_no_environment():
+    # main pins the BLAS thread knobs; importing the tool, as these tests
+    # do, must leave the test process's environment as it was
+    before = dict(os.environ)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert dict(os.environ) == before
+    assert fresh.BLAS_THREADS == ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -194,6 +194,24 @@ def test_block_statistics_match_the_dense_build(rows):
         assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
+def test_tall_design_holds_one_block_buffer():
+    # p = 3, L = 50: 20,000 rows of 450 columns.  A 4096-row block buffer
+    # is 14 MiB and the build peaks near 19 MiB; 16,384-row blocks took
+    # it to 60 MiB, and the dense U would take 69 MiB
+    p, L, rows = 3, 50, 20_000
+    rng = np.random.default_rng(20)
+    u = rng.standard_normal((L + 1 + rows, p))
+    y = rng.standard_normal(L + 1 + rows)
+    tracemalloc.start()
+    try:
+        d = design_from_inputs(u, L, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.rows == rows and d.V.shape == (450, 450)
+    assert peak < 24 * (1 << 20)
+
+
 @pytest.mark.parametrize("kind", ["gaussian_isotropic", "bounded_sphere"])
 @pytest.mark.parametrize("rows", [1, 12, estimator.BLOCK_ROWS - 1, estimator.BLOCK_ROWS,
                                   estimator.BLOCK_ROWS + 1, 2 * estimator.BLOCK_ROWS + 3])

@@ -55,9 +55,21 @@ CASES = {
     "batch_simulate_outputs time past the inputs": (
         lambda: experiments.batch_simulate_outputs(MODEL, NOISE, U, [10], 2, seed=0),
         "requested time beyond the input sequence"),
+    "batch_simulate_outputs no times": (
+        lambda: experiments.batch_simulate_outputs(MODEL, NOISE, U, [], 2, seed=0),
+        "output times must be nonempty and >= 0"),
+    "batch_simulate_outputs negative time": (
+        lambda: experiments.batch_simulate_outputs(MODEL, NOISE, U, [-1], 3, seed=0),
+        "output times must be nonempty and >= 0"),
     "build_hankel width": (
         lambda: hokalman.build_hankel(np.ones((2, 3)), 1),
         "Markov matrix width must be a multiple of p"),
+    "ho_kalman NaN in G": (
+        lambda: hokalman.ho_kalman(np.array([[1.0, 0.5, np.nan, 0.1]]), 1),
+        "Markov matrix G must have finite entries"),
+    "build_hankel inf in G": (
+        lambda: hokalman.build_hankel(np.array([[1.0, 0.5, np.inf, 0.1]]), 1),
+        "Markov matrix G must have finite entries"),
     "StateSpaceModel A not square": (
         lambda: sysmodel.StateSpaceModel(A=np.ones((2, 3)), B=np.ones((2, 1)),
                                          C=np.ones((1, 2))),

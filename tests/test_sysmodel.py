@@ -20,6 +20,7 @@ from bilinid import (
     simulate_batch,
     transient_factor,
 )
+from bilinid import sysmodel
 from bilinid.estimator import design_from_inputs, prediction_state_norms
 from bilinid.exceptions import NumericalError
 from bilinid.experiments import _final_output_moments
@@ -281,6 +282,16 @@ def test_transient_factor_jordan_block():
     assert transient_factor(A[None], [0.5])[0] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_transient_factor_scan_past_its_cap_raises(monkeypatch):
+    # M = A/rho = [[5/6, 5/3], [0, 5/6]] has ||M^k|| >= 1 for its first 20
+    # powers, so a cap of 3 powers ends the scan undecided
+    monkeypatch.setattr(sysmodel, "TRANSIENT_MAX_POWERS", 3)
+    A = np.array([[0.5, 1.0], [0.0, 0.5]])
+    with pytest.raises(NumericalError,
+                       match="^transient factor scan did not certify decay within 3 powers$"):
+        transient_factor(A[None], [0.6])
+
+
 def test_transient_factor_zero_matrix():
     assert transient_factor(np.zeros((3, 3))[None], [0.5])[0] == 1.0
 
@@ -341,6 +352,14 @@ def test_gramian_scalar_geometric_series():
     m = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
     g = controllability_gramian([m], np.array([[1.0]]))[0]
     assert g[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def test_gramian_doubling_past_its_cap_raises(monkeypatch):
+    # at radius 0.99 one doubling adds a term near ||X||, far above 1e-13 of it
+    monkeypatch.setattr(sysmodel, "GRAMIAN_MAX_DOUBLINGS", 1)
+    m = random_model(3, 1, 0.99, seed=0)
+    with pytest.raises(NumericalError, match="^Gramian doubling did not converge in 1 steps$"):
+        controllability_gramian([m], np.eye(3))
 
 
 def test_gramian_zero_noise_is_zero():

@@ -16,6 +16,11 @@ column is dropped before its digest, since it holds wall times.  Two
 checkouts whose outputs agree print the same lines:
 
     diff <(tools/compare_outputs.py A) <(tools/compare_outputs.py B)
+
+The BLAS thread count changes the last bits of the fits, so main pins
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before it
+loads the checkout (and with it numpy), whatever the shell sets, and
+prints them as its first line.
 """
 
 from __future__ import annotations
@@ -25,11 +30,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 SEEDS = (1, 1009)
+# the BLAS thread knobs, each pinned to one thread
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DROPPED_COLUMN = "runtime_ms"
 # (run name suffix, CLI words) of the commands run on each workload's first config
 EXTRA_COMMANDS = (
@@ -60,6 +68,8 @@ def main(argv: list[str]) -> int:
         print("usage: compare_outputs.py CHECKOUT", file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
+    os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
+    print(" ".join(f"{name}={os.environ[name]}" for name in BLAS_THREADS))
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from bilinid import cli
