@@ -26,6 +26,8 @@ from .sysmodel import InputDesign, derive_rng
 REGIME_BOUNDED = "bounded_a"
 REGIME_FOURTH_MOMENT = "fourth_moment_b"
 GAUSSIAN_M4 = 9.0
+# samples estimate_m4 draws and holds at once per direction
+M4_BLOCK_SAMPLES = 16384
 
 
 class PECertificate(NamedTuple):
@@ -155,9 +157,16 @@ def estimate_m4(p: int, L: int, n_directions: int, n_samples: int, seed: int,
     standard error have the same joint law as for direct covariate draws.
 
     Each direction gets an independent derived stream of n_samples
-    draws.  Returns (estimates, std_errors, directions): the mean and the
-    standard error of each direction, and the unit directions as rows; the
-    constant's estimate is the largest mean.
+    draws, taken M4_BLOCK_SAMPLES at a time: each block draws its u into
+    one reused (block, p) buffer and then its g, so a count of at most
+    M4_BLOCK_SAMPLES draws all of u and then all of g, and a larger count
+    draws u and then g block after block from the same stream.  Only the
+    shifted sums S1 = sum d and S2 = sum d^2 of d = sample - K are kept,
+    K the first block's mean (as in experiments.zeta_covariance_mc), so
+    the memory does not depend on n_samples.  Returns (estimates,
+    std_errors, directions): the mean K + S1/N and the standard error
+    sqrt((S2 - S1^2/N)/(N - 1)/N) of each direction, and the unit
+    directions as rows; the constant's estimate is the largest mean.
     Explicit directions can be supplied (they are normalized); otherwise
     n_directions uniform random directions are drawn.
     """
@@ -178,21 +187,33 @@ def estimate_m4(p: int, L: int, n_directions: int, n_samples: int, seed: int,
     norms[norms == 0.0] = 1.0
     directions = directions / norms
 
+    block = min(M4_BLOCK_SAMPLES, n_samples)
+    u_buf, Ru_buf = np.empty((block, p)), np.empty((block, p))
+    g_buf, proj_buf = np.empty(block), np.empty(block)
     estimates = np.zeros(directions.shape[0])
     std_errors = np.zeros(directions.shape[0])
     for k in range(directions.shape[0]):
         rng = derive_rng(seed, 1, k)
         R = np.linalg.qr(directions[k].reshape(p * L, p), mode="r")
-        u = inputs.sample_iid(n_samples, rng)
-        g = rng.standard_normal(n_samples)
-        Ru = u @ R.T
-        # (||R u||^2 g^2)^2 by squarings, with no square root and no libm
-        # pow, in place so that only one n_samples temporary is made
-        np.square(g, out=g)
-        proj4 = np.einsum("ij,ij->i", Ru, Ru)
-        proj4 *= g
-        np.square(proj4, out=proj4)
-        estimates[k] = float(np.mean(proj4))
+        s1 = s2 = 0.0
+        for start in range(0, n_samples, block):
+            m = min(block, n_samples - start)
+            u = inputs.sample_iid(m, rng, out=u_buf[:m])
+            g = rng.standard_normal(m, out=g_buf[:m])
+            Ru = np.matmul(u, R.T, out=Ru_buf[:m])
+            # (||R u||^2 g^2)^2 by squarings, with no square root and no
+            # libm pow, in the block's buffers
+            np.square(g, out=g)
+            proj4 = np.einsum("ij,ij->i", Ru, Ru, out=proj_buf[:m])
+            proj4 *= g
+            np.square(proj4, out=proj4)
+            if start == 0:
+                shift = float(np.mean(proj4))
+            proj4 -= shift
+            s1 += float(np.sum(proj4))
+            s2 += float(proj4 @ proj4)
+        estimates[k] = shift + s1 / n_samples
         if n_samples > 1:
-            std_errors[k] = float(np.std(proj4, ddof=1) / math.sqrt(n_samples))
+            var = max((s2 - s1 * s1 / n_samples) / (n_samples - 1), 0.0)
+            std_errors[k] = math.sqrt(var) / math.sqrt(n_samples)
     return estimates, std_errors, directions

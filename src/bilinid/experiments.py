@@ -37,7 +37,7 @@ from .sysmodel import (
 
 AGG_COLUMNS = ("rho", "L", "T", "mean_err", "std_err")
 # noise draws zeta_covariance_mc simulates per batch_simulate_outputs call
-MC_BLOCK_DRAWS = 16384
+MC_BLOCK_DRAWS = 4096
 # Most trials a sweep or a campaign runs.  A sweep cell holds a generator
 # (about 1 KB), a model and a trajectory per trial at once, so a count far
 # below numpy's size limit can still exhaust memory, or run for days.
@@ -360,12 +360,14 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
     """Outputs y_t at the requested times for n_draws independent noise
     realizations sharing the fixed input sequence u_0..u_T.
 
-    Vectorized over draws; one process/measurement noise draw per step in
-    a fixed order, so the result is fully determined by the seed.  Every
-    step draws its noise into the same buffers and steps the states in
-    place, instead of allocating fresh arrays.  The states are held
-    state-major, (n, n_draws), where A x and the added input drive run
-    several times faster than on (n_draws, n) rows and give the same bits;
+    Vectorized over draws, and only the noise that is read is drawn, in
+    a fixed order, so the result is fully determined by the seed: at each
+    step t, the measurement noise z_t if t is a requested time, and then
+    the process noise w_t if t < max(times).  Every step draws its noise
+    into the same buffers and steps the states in place, instead of
+    allocating fresh arrays.  The states are held state-major,
+    (n, n_draws), where A x and the added input drive run several times
+    faster than on (n_draws, n) rows and give the same bits;
     an output is read from a (n_draws, n) copy of the states, rows, since
     the product with the state-major array can differ in the last bit.
     No times, or a negative one, raise ParameterError before any draw.
@@ -386,10 +388,12 @@ def batch_simulate_outputs(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarr
     out = np.zeros((n_draws, len(times)))
     col = {t: k for k, t in enumerate(times)}
     for t in range(t_max + 1):
-        noise.sample_z(n_draws, rng, out=z_t)
         if t in col:
+            noise.sample_z(n_draws, rng, out=z_t)
             np.stack(x, axis=1, out=rows)
             out[:, col[t]] = (rows @ (C.T @ u[t])) + z_t
+        if t == t_max:
+            break
         w_t = noise.sample_w(n_draws, rng, out=rows)
         np.matmul(A, x, out=x_next)
         x_next += (B @ u[t])[:, None]
@@ -443,7 +447,10 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
     covariance and std(c_i c_j, ddof=1)/sqrt(N) of the centered outputs c.
 
     The draws are simulated MC_BLOCK_DRAWS at a time from one generator,
-    and only shifted co-moment sums are kept (Pebay 2008): with
+    one batch_simulate_outputs call per block (so the noise is drawn in
+    its order, block after block), each block's outputs are dropped
+    before the next block is simulated, and only shifted co-moment sums
+    are kept (Pebay 2008): with
     d = (y - K) 2^-e, K the first block's column means and 2^e the least
     power of two above the first block's largest |y - K|, S1 = sum d_i,
     S2 = sum d_i d_j, S3 = sum d_i^2 d_j and S4 = sum d_i^2 d_j^2, all
@@ -477,6 +484,7 @@ def zeta_covariance_mc(model: StateSpaceModel, noise: NoiseSpec, u: np.ndarray,
         np.square(E[:, :k], out=E[:, k:])
         s1 += E[:, :k].sum(axis=0)
         moments += E.T @ E
+        del y
     s2, s3, s4 = moments[:k, :k], moments[k:, :k], moments[k:, k:]
     delta = s1 / n_draws
     comoment = s2 - n_draws * np.outer(delta, delta)

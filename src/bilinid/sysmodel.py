@@ -589,28 +589,42 @@ def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
     X <- X + A_k X A_k^T with A_k <- A_k^2, so that after s steps X sums
     the first 2^s terms.  A model's sum stops once its added term is at
     most 1e-13 of ||X|| (2-norm); NumericalError if any takes more than
-    GRAMIAN_MAX_DOUBLINGS (64) doublings.  The sums step together, one
-    stacked product per factor and step, and each model leaves the stack
-    at its own step, so every Gramian is bitwise the one its model gets
-    alone.
+    GRAMIAN_MAX_DOUBLINGS (64) doublings, or if a sum or the symmetrized
+    Gramian leaves the float range (a stable but far from normal A can
+    have powers past it), with no RuntimeWarning.  A numpy error state
+    that raises is left as the caller set it: under the CLI's
+    np.errstate(over="raise") the overflow raises FloatingPointError,
+    whose line names this function.  The sums step together, one stacked
+    product per factor and step, and each model leaves the stack at its
+    own step, so every Gramian is bitwise the one its model gets alone.
     """
     X = np.empty_like(A)
     X[:] = sigma_w
     Ak, G = A, np.empty_like(A)
     todo = np.arange(len(A))  # the models of X and Ak, still doubling
     tiny = np.finfo(float).tiny
-    for _ in range(GRAMIAN_MAX_DOUBLINGS):
-        term = Ak @ X @ Ak.transpose(0, 2, 1)
-        X = X + term
-        Ak = Ak @ Ak
-        done = _spectral_norms(term) <= 1e-13 * np.maximum(_spectral_norms(X), tiny)
-        if done.any():
-            G[todo[done]] = X[done]
-            keep = ~done
-            if not keep.any():
-                return 0.5 * (G + G.transpose(0, 2, 1))
-            todo, X, Ak = todo[keep], X[keep], Ak[keep]
-    raise NumericalError(f"Gramian doubling did not converge in {GRAMIAN_MAX_DOUBLINGS} steps")
+    quiet = {error: "ignore" for error, mode in np.geterr().items() if mode == "warn"}
+    with np.errstate(**quiet):
+        for _ in range(GRAMIAN_MAX_DOUBLINGS):
+            term = Ak @ X @ Ak.transpose(0, 2, 1)
+            X = X + term
+            if not np.isfinite(X).all():  # term is finite wherever X is
+                break
+            Ak = Ak @ Ak
+            done = _spectral_norms(term) <= 1e-13 * np.maximum(_spectral_norms(X), tiny)
+            if done.any():
+                G[todo[done]] = X[done]
+                keep = ~done
+                if not keep.any():
+                    G = 0.5 * (G + G.transpose(0, 2, 1))
+                    if np.isfinite(G).all():
+                        return G
+                    break
+                todo, X, Ak = todo[keep], X[keep], Ak[keep]
+        else:
+            raise NumericalError(
+                f"Gramian doubling did not converge in {GRAMIAN_MAX_DOUBLINGS} steps")
+    raise NumericalError("the infinite Gramian is past the float range")
 
 
 def controllability_gramian(models: Sequence[StateSpaceModel],

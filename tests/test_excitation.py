@@ -19,6 +19,7 @@ from bilinid import excitation
 from bilinid.estimator import DesignSystem, _kron_rows
 from bilinid.excitation import (
     GAUSSIAN_M4,
+    M4_BLOCK_SAMPLES,
     REGIME_BOUNDED,
     REGIME_FOURTH_MOMENT,
     estimate_m4,
@@ -376,20 +377,26 @@ def test_covariate_rows_are_kronecker_rows_of_sequence_windows(p, L):
 
 
 def test_m4_matches_brute_force_fourth_power():
-    # each sample is ||W u|| g: u, then g, from the direction's own stream
-    p, L, seed, count = 2, 2, 13, 5000
+    # each sample is ||W u|| g: per block of M4_BLOCK_SAMPLES, u and then g,
+    # from the direction's own stream; one block, and three
+    p, L, seed = 2, 2, 13
     directions = np.random.default_rng(1).standard_normal((3, 8))
-    estimates, std_errors, _ = estimate_m4(p, L=L, n_directions=3, n_samples=count,
-                                           seed=seed, directions=directions)
-    for k, v in enumerate(directions):
-        rng = derive_rng(seed, 1, k)
-        u = rng.standard_normal((count, p))
-        g = rng.standard_normal(count)
-        W = (v / np.linalg.norm(v)).reshape(p * L, p)
-        proj = np.linalg.norm(u @ W.T, axis=1) * g
-        assert estimates[k] == pytest.approx(np.mean(proj**4), rel=1e-12)
-        assert std_errors[k] == pytest.approx(
-            np.std(proj**4, ddof=1) / math.sqrt(count), rel=1e-12)
+    for count in (5000, 2 * M4_BLOCK_SAMPLES + 5):
+        estimates, std_errors, _ = estimate_m4(p, L=L, n_directions=3, n_samples=count,
+                                               seed=seed, directions=directions)
+        for k, v in enumerate(directions):
+            rng = derive_rng(seed, 1, k)
+            W = (v / np.linalg.norm(v)).reshape(p * L, p)
+            proj = []
+            for start in range(0, count, M4_BLOCK_SAMPLES):
+                m = min(M4_BLOCK_SAMPLES, count - start)
+                u = rng.standard_normal((m, p))
+                g = rng.standard_normal(m)
+                proj.append(np.linalg.norm(u @ W.T, axis=1) * g)
+            proj = np.concatenate(proj)
+            assert estimates[k] == pytest.approx(np.mean(proj**4), rel=1e-12)
+            assert std_errors[k] == pytest.approx(
+                np.std(proj**4, ddof=1) / math.sqrt(count), rel=1e-12)
 
 
 def test_m4_takes_the_input_dimension_of_its_gaussian_inputs():

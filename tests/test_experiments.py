@@ -529,6 +529,36 @@ def test_autocov_monte_carlo_memory_does_not_grow_with_draws(n_draws):
     assert peak < 5 * (1 << 20)
 
 
+@pytest.mark.parametrize("n_samples", [100_000, 800_000])
+def test_m4_monte_carlo_memory_does_not_grow_with_samples(n_samples):
+    # validate's m4 shape (p = 1, L = 3): each direction's samples are
+    # streamed in blocks, so no (n_samples,) array is held
+    excitation.estimate_m4(1, 3, 2, 1_000, seed=1)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        excitation.estimate_m4(1, 3, 2, n_samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_validation_memory_at_default_counts_is_bounded():
+    # the benchmark's validate cell (n=2, p=1, rho=0.6, L=6, T=100, Gaussian
+    # sigma_w = 0.25, sigma_z = 0.5) at the CLI's draw counts: both Monte
+    # Carlo checks stream their draws, so the coverage cell sets the peak
+    cfg = _small_config(L_values=(6,), T_values=(100,), base_seed=0)
+    run_validation(cfg, autocov_draws=2_000, m4_directions=2, m4_samples=2_000,
+                   coverage_trials=3)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        run_validation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (1 << 20)
+
+
 def test_zeta_covariance_mc_needs_two_draws():
     m, u, taus = _autocov_case()
     noise = _AUTOCOV_NOISES["gaussian"]
@@ -588,14 +618,17 @@ def test_m4_nominal_false_failure_rate():
 
 
 def _row_major_outputs(model, noise, u, times, n_draws, seed):
-    # the (n_draws, n) recursion that batch_simulate_outputs steps state-major
+    # the (n_draws, n) recursion that batch_simulate_outputs steps state-major,
+    # drawing z at the output times only and no w after the last of them
     rng = np.random.default_rng(seed)
     x = np.zeros((n_draws, model.n))
     out = np.zeros((n_draws, len(times)))
     for t in range(max(times) + 1):
-        z = noise.sample_z(n_draws, rng)
         if t in times:
+            z = noise.sample_z(n_draws, rng)
             out[:, times.index(t)] = (x @ (model.C.T @ u[t])) + z
+        if t == max(times):
+            break
         w = noise.sample_w(n_draws, rng)
         x = x @ model.A.T + model.B @ u[t] + w
     return out

@@ -2,16 +2,18 @@
 
 One case per refusal that no other test reaches: each calls a public
 function or builds a public record with one bad argument, and asserts
-the exception type and its message.
+the exception type and its message.  A public function whose result
+would leave the float range raises NumericalError, with no RuntimeWarning.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from bilinid import estimator, excitation, experiments, hokalman, sysmodel
-from bilinid.exceptions import ParameterError
+from bilinid.exceptions import NumericalError, ParameterError
 
 MODEL = sysmodel.random_model(2, 1, 0.5, seed=0)
 NOISE = sysmodel.NoiseSpec.none(2)
@@ -103,3 +105,22 @@ def test_a_bad_argument_is_refused_with_its_message(case):
     call, message = CASES[case]
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         call()
+
+
+GRAMIAN_CASES = {
+    # stable, but A^2 holds 1e300 * 1e300: the sums leave the float range
+    "non-normal A": (np.array([[0.5, 1e300], [0.0, 0.5]]), np.eye(2)),
+    # every sum is finite, 1e308/0.99, but X + X^T is not
+    "symmetrization": (0.1 * np.eye(2), 1e308 * np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAMIAN_CASES))
+def test_a_gramian_past_the_float_range_raises_numerical_error(case):
+    # numpy's LinAlgError, or an infinite Gramian, before, after a RuntimeWarning
+    A, sigma_w = GRAMIAN_CASES[case]
+    model = sysmodel.StateSpaceModel(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^the infinite Gramian is past the float range$"):
+            sysmodel.controllability_gramian([model], sigma_w)
