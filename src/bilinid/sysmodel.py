@@ -589,14 +589,16 @@ def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
     X <- X + A_k X A_k^T with A_k <- A_k^2, so that after s steps X sums
     the first 2^s terms.  A model's sum stops once its added term is at
     most 1e-13 of ||X|| (2-norm); NumericalError if any takes more than
-    GRAMIAN_MAX_DOUBLINGS (64) doublings, or if a sum or the symmetrized
-    Gramian leaves the float range (a stable but far from normal A can
-    have powers past it), with no RuntimeWarning.  A numpy error state
-    that raises is left as the caller set it: under the CLI's
-    np.errstate(over="raise") the overflow raises FloatingPointError,
-    whose line names this function.  The sums step together, one stacked
-    product per factor and step, and each model leaves the stack at its
-    own step, so every Gramian is bitwise the one its model gets alone.
+    GRAMIAN_MAX_DOUBLINGS (64) doublings, or if a sum leaves the float
+    range (a stable but far from normal A can have powers past it), with
+    no RuntimeWarning.  A finite sum G whose G + G^T overflows is
+    symmetrized as 0.5 G + 0.5 G^T, which is finite; every other Gramian
+    is 0.5 (G + G^T).  A numpy error state that raises is left as the
+    caller set it: under the CLI's np.errstate(over="raise") an overflow
+    of a sum or of G + G^T raises FloatingPointError, whose line names
+    this function.  The sums step together, one stacked product per factor and
+    step, and each model leaves the stack at its own step, so every
+    Gramian is bitwise the one its model gets alone.
     """
     X = np.empty_like(A)
     X[:] = sigma_w
@@ -616,10 +618,10 @@ def _infinite_gramians(A: np.ndarray, sigma_w: np.ndarray) -> np.ndarray:
                 G[todo[done]] = X[done]
                 keep = ~done
                 if not keep.any():
-                    G = 0.5 * (G + G.transpose(0, 2, 1))
-                    if np.isfinite(G).all():
-                        return G
-                    break
+                    S = 0.5 * (G + G.transpose(0, 2, 1))
+                    if not np.isfinite(S).all():  # G + G^T past the float range, G not
+                        S = 0.5 * G + 0.5 * G.transpose(0, 2, 1)
+                    return S
                 todo, X, Ak = todo[keep], X[keep], Ak[keep]
         else:
             raise NumericalError(

@@ -32,11 +32,11 @@ def test_wilson_interval():
 
 
 def test_tool_counts_the_failures_of_each_seed(tmp_path):
-    # two processes, and the checkout against itself; of base seeds 7-9,
+    # the checkout against itself; of base seeds 7-9,
     # seed 8 fails its autocovariance check at these counts
     out = tmp_path / "gates.json"
     subprocess.run([sys.executable, str(TOOL), str(out), f"a={ROOT}", f"b={ROOT}",
-                    "--seeds", "7:10", "--processes", "2", "--counts", json.dumps(COUNTS)],
+                    "--seeds", "7:10", "--counts", json.dumps(COUNTS)],
                    check=True, timeout=120)
     result = json.loads(out.read_text())
     assert result["seeds"] == [7, 10] and result["counts"] == COUNTS
@@ -63,9 +63,3 @@ def _validate_config():
     spec.loader.exec_module(workloads)
     return workloads.build("mc_validate", 1)[0].config
 
-
-def test_tool_refuses_more_than_two_processes(tmp_path):
-    proc = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "g.json"), f"a={ROOT}",
-                           "--processes", "3"], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and "1 to 2 processes" in proc.stderr
-    assert not (tmp_path / "g.json").exists()

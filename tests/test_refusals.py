@@ -110,17 +110,29 @@ def test_a_bad_argument_is_refused_with_its_message(case):
 GRAMIAN_CASES = {
     # stable, but A^2 holds 1e300 * 1e300: the sums leave the float range
     "non-normal A": (np.array([[0.5, 1e300], [0.0, 0.5]]), np.eye(2)),
-    # every sum is finite, 1e308/0.99, but X + X^T is not
-    "symmetrization": (0.1 * np.eye(2), 1e308 * np.eye(2)),
+    # the sum 1e308 (1 + 0.49 + 0.49^2 + ...) passes the float range at its second doubling
+    "sum": (0.7 * np.eye(2), 1e308 * np.eye(2)),
 }
+
+
+def _gramian_model(A):
+    return sysmodel.StateSpaceModel(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)))
 
 
 @pytest.mark.parametrize("case", sorted(GRAMIAN_CASES))
 def test_a_gramian_past_the_float_range_raises_numerical_error(case):
     # numpy's LinAlgError, or an infinite Gramian, before, after a RuntimeWarning
     A, sigma_w = GRAMIAN_CASES[case]
-    model = sysmodel.StateSpaceModel(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)))
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="^the infinite Gramian is past the float range$"):
-            sysmodel.controllability_gramian([model], sigma_w)
+            sysmodel.controllability_gramian([_gramian_model(A)], sigma_w)
+
+
+def test_a_gramian_in_the_float_range_whose_symmetrization_overflows_is_returned():
+    # every sum is finite, 1e308/0.99 on the diagonal, but G + G^T is not
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        G, = sysmodel.controllability_gramian([_gramian_model(0.1 * np.eye(2))], 1e308 * np.eye(2))
+    assert G[0, 1] == G[1, 0] == 0.0
+    assert G[0, 0] == G[1, 1] == pytest.approx(1e308 / 0.99, rel=1e-15)

@@ -2,15 +2,15 @@
 """Measure how often validate's checks fail, against the rates they report.
 
     tools/gate_rates.py OUT NAME=CHECKOUT [NAME=CHECKOUT ...]
-                        [--seeds FIRST:END] [--processes N] [--counts JSON]
+                        [--seeds FIRST:END] [--counts JSON]
 
 For each NAME=CHECKOUT, the run_validation of that checkout runs on the
 benchmark's validate config (the mc_validate job that the checkout's
 perfbench/workloads.py builds at seed 1) once per base_seed in
 FIRST..END-1 (default 0:600), at run_validation's default draw counts
 unless --counts gives keyword arguments for it, such as
-'{"autocov_draws": 2000, "m4_samples": 2000}'.  The seeds run in N
-spawned processes (default 2, at most 2), each with one BLAS thread.
+'{"autocov_draws": 2000, "m4_samples": 2000}'.  The seeds run in two
+spawned processes, each with one BLAS thread.
 
 OUT is a JSON file.  For each checkout and check it holds the failure
 count over the seeds, the observed rate with its Wilson 95% interval, the
@@ -34,7 +34,7 @@ from pathlib import Path
 
 # the BLAS thread knobs, each pinned to one thread in the workers
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-MAX_PROCESSES = 2
+PROCESSES = 2
 Z95 = 1.959963984540054  # the normal quantile of 0.975
 
 
@@ -71,10 +71,10 @@ def _validate(seed: int) -> list[tuple[str, bool, float | None, str | None]]:
              c["details"].get("nominal_rate_basis")) for c in report["checks"]]
 
 
-def measure(root: Path, seeds: range, processes: int, counts: dict) -> dict:
+def measure(root: Path, seeds: range, counts: dict) -> dict:
     """Each check's failure count, rate, interval and nominal rate for one checkout."""
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes, initializer=_init, initargs=(str(root), counts)) as pool:
+    with ctx.Pool(PROCESSES, initializer=_init, initargs=(str(root), counts)) as pool:
         reports = pool.map(_validate, seeds)
     checks = {}
     for name, *_ in reports[0]:
@@ -97,18 +97,17 @@ def main(argv: list[str]) -> int:
     parser.add_argument("out", type=Path)
     parser.add_argument("checkouts", nargs="+", metavar="NAME=CHECKOUT")
     parser.add_argument("--seeds", default="0:600", metavar="FIRST:END")
-    parser.add_argument("--processes", type=int, default=MAX_PROCESSES)
     parser.add_argument("--counts", type=json.loads, default={}, metavar="JSON")
     args = parser.parse_args(argv)
     first, end = (int(s) for s in args.seeds.split(":"))
-    if not first < end or not 1 <= args.processes <= MAX_PROCESSES:
-        parser.error(f"need FIRST < END and 1 to {MAX_PROCESSES} processes")
+    if not first < end:
+        parser.error("need FIRST < END")
     sides = dict(item.split("=", 1) for item in args.checkouts)
     os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
     result = {"seeds": [first, end], "counts": args.counts, "checkouts": {}}
     base = None
     for name, root in sides.items():
-        checks = measure(Path(root).resolve(), range(first, end), args.processes, args.counts)
+        checks = measure(Path(root).resolve(), range(first, end), args.counts)
         if base is None:
             base = checks
         else:
