@@ -25,11 +25,11 @@ from .experiments import (
     AGG_COLUMNS,
     TRIAL_COLUMNS,
     ExperimentConfig,
+    _draw_trials,
     run_pe_campaign,
     run_sweep,
     run_validation,
 )
-from .sysmodel import derive_rng, random_model, simulate
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -46,11 +46,10 @@ def _load_config(args) -> ExperimentConfig:
 
 def _single_run_pieces(config: ExperimentConfig, diagnostics: bool = False):
     """Model, noise and simulated trajectory of the config's first cell, and its L."""
-    rng = derive_rng(config.base_seed, 0)
-    model = random_model(config.n, config.p, config.rho_values[0], rng)
-    noise = config.noise.to_spec(config.n)
-    traj = simulate(model, noise, config.input.to_design(config.p), config.T_values[0], rng,
-                    diagnostics=diagnostics)
+    noise, design_in = config.noise.to_spec(config.n), config.input.to_design(config.p)
+    _, [model], [traj] = _draw_trials(config.n, config.p, noise, design_in, config.rho_values[0],
+                                      config.T_values[0], config.base_seed,
+                                      diagnostics=diagnostics)
     return model, noise, traj, config.L_values[0]
 
 

@@ -125,10 +125,10 @@ class DesignSystem(NamedTuple):
     L: int
     T: int
     p: int
-    rows: int
     V: np.ndarray | None
     Uty: np.ndarray
     yty: float | None
+    rows = property(lambda self: self.T - self.L)
 
     def gram(self) -> np.ndarray:
         """U^T U, the p^2 L x p^2 L Gram matrix; a design that keeps its
@@ -263,9 +263,9 @@ def design_from_inputs(u: np.ndarray | InputDesign, L: int, y: np.ndarray | None
                 rows, T = taken, L + taken
         window[:L] = window[count:count + L]
     if kept:
-        return DesignSystem(U_tilde=U, y=y, L=L, T=T, p=p, rows=rows, V=None, Uty=Uty, yty=None)
-    return DesignSystem(U_tilde=np.empty((0, d)), y=np.empty(0), L=L, T=T, p=p, rows=rows,
-                        V=V, Uty=Uty, yty=float(yty))
+        return DesignSystem(U_tilde=U, y=y, L=L, T=T, p=p, V=None, Uty=Uty, yty=None)
+    return DesignSystem(U_tilde=np.empty((0, d)), y=np.empty(0), L=L, T=T, p=p, V=V, Uty=Uty,
+                        yty=float(yty))
 
 
 class EstimateReport(NamedTuple):
@@ -581,11 +581,10 @@ def prediction_bound(fit: FitResult, noise: NoiseSpec, traj: Trajectory,
     by its model, whose fit.err_ellipsoidal is ||vec(G_hat) - vec(G)||_V,
     ubar_T = [u_T; ...; u_{T-L+1}], state_norm the model's
     prediction_state_norms entry for traj.u[:T+1-L], and beta,
-    ||C A^L||^2, ||Sigma_w|| and ||F||_F^2 the fit's fit.terms; beta must
-    cover u_next as well: fit with
-    beta = max(empirical_input_bound(traj.u), ||u_next||).  Requires the
-    true G (validation facility).  A min_norm fit, whose Gram matrix is
-    singular, has no bound: None.
+    ||C A^L||^2, ||Sigma_w|| and ||F||_F^2 the fit's fit.terms, with beta
+    the largest norm of u_0..u_T, u_next (their empirical_input_bound).
+    Requires the true G (validation facility).  A min_norm fit, whose Gram
+    matrix is singular, has no bound: None.
     """
     if fit.terms is None:
         return None

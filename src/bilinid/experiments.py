@@ -32,6 +32,7 @@ from .sysmodel import (
     _stack,
     derive_rng,
     random_model,
+    simulate,
     simulate_batch,
 )
 
@@ -234,21 +235,30 @@ def _trial_record(config: ExperimentConfig, noise: NoiseSpec, model: StateSpaceM
                        runtime_ms=runtime_ms)
 
 
+def _draw_trials(n: int, p: int, noise: NoiseSpec, design_in: InputDesign, rho: float, T: int,
+                 seed: int, key: tuple[int, ...] = (), trials: int = 1,
+                 diagnostics: bool = False) -> tuple[list, list, list]:
+    """(rngs, models, trajs): trial j < trials draws its model, then its trajectory from
+    derive_rng(seed, *key, j), and each rng is left where its trajectory left it.  One
+    trial is simulated by simulate, more by one simulate_batch call, bitwise alike."""
+    rngs = [derive_rng(seed, *key, trial) for trial in range(trials)]
+    models = [random_model(n, p, rho, rng) for rng in rngs]
+    if trials == 1:
+        return rngs, models, [simulate(models[0], noise, design_in, T, rngs[0], diagnostics)]
+    return rngs, models, simulate_batch(models, noise, design_in, T, rngs, diagnostics)
+
+
 def _run_cell(config: ExperimentConfig, noise: NoiseSpec, design_in: InputDesign,
               rho: float, L: int, T: int, key: tuple[int, ...]) -> tuple[list, list]:
-    """Every trial of one (rho, L, T) cell, and the cell's aggregate row
-    [rho, L, T, mean_err, std_err] of their err_G_fro2.  Trial j draws its
-    model and then its trajectory from the stream (base_seed, *key, j); the
-    cell's trajectories come from one simulate_batch call and its bound
-    constants (beta the largest input norm of each trajectory, the default
-    of fit) from one batched bound_terms call.  A cell with T - L < p^2 L
-    rows has a wide design, whose fits are all min-norm and read no
-    constants, so it computes none.  The trials are fit one after another
-    in _trial_record, so no finished fit is held while the next one runs."""
+    """Every trial of one (rho, L, T) cell, drawn by _draw_trials on the
+    stream (base_seed, *key), and the cell's aggregate row [rho, L, T,
+    mean_err, std_err] of their err_G_fro2.  The bound constants (beta each
+    trajectory's largest input norm, fit's default) come from one batched
+    bound_terms call, or none where T - L < p^2 L makes every fit min-norm;
+    the trials are fit one by one in _trial_record, so no fit outlives its trial."""
     start = time.perf_counter()
-    rngs = [derive_rng(config.base_seed, *key, trial) for trial in range(config.trials)]
-    models = [random_model(config.n, config.p, rho, rng) for rng in rngs]
-    trajs = simulate_batch(models, noise, design_in, T, rngs)
+    _, models, trajs = _draw_trials(config.n, config.p, noise, design_in, rho, T,
+                                    config.base_seed, key, config.trials)
     if T - L < config.p ** 2 * L:
         terms = [None] * config.trials
     else:
@@ -513,45 +523,37 @@ def bound_coverage_trials(config: ExperimentConfig, trials: int, base_seed: int,
 
     The cell is the config's first (rho, L, T) with its n, p, noise, input
     and delta, as in run_pe_campaign; the config's own trials and base_seed
-    are not read.  Each trial draws a fresh model and trajectory, fits G,
-    and checks the design-weighted error against the high-probability
-    bound.  A min-norm fit, possible only in an ill-conditioned cell just
-    above the T - L > p^2 L that validate requires, has no bound:
+    are not read.  The trials come from _draw_trials on the stream
+    (base_seed, 1), each then drawing u_next, its u_{T+1}.  A min-norm fit,
+    possible only in an ill-conditioned cell just above the T - L > p^2 L
+    that validate requires, has no bound of its design-weighted error:
     bound_value is NaN and covered is False.  A fit with a bound also has
     its one-step prediction checked: with the fitted G frozen and the
     inputs held fixed, the mean squared prediction error over the noise,
     E(y_hat - y)^2 = (y_hat - E y)^2 + Var y, is compared against its
-    bound.  It depends on the noise through its first two moments only,
-    so _final_output_moments gives it exactly for every noise family.
-    The oracles and the bound constants read only models and inputs, so
-    every trial's state norm (estimator.prediction_state_norms), output
-    moments and bound constants (estimator.bound_terms, with
-    beta = max(empirical_input_bound(u), ||u_next||)) come from one batched
-    call each before any fit; then the trials are mapped over threads,
-    each fit takes its trial's constants, and each fit is dropped once its
-    trial is checked.
+    bound; it depends on the noise through its first two moments only, so
+    _final_output_moments gives it exactly for every noise family.
+    Every trial's state norm (estimator.prediction_state_norms), output
+    moments and bound constants (estimator.bound_terms, beta the largest
+    norm of u_0..u_{T+1}) read only models and inputs, so each comes from
+    one batched call before any fit; then the trials are mapped over
+    threads, each fit taking its trial's constants, dropped once checked.
     """
     L, T = config.L_values[0], config.T_values[0]
-    noise = config.noise.to_spec(config.n)
-    design_in = config.input.to_design(config.p)
-    # trial j draws its model, then u_next, then its trajectory from its own
-    # stream; the trajectories come from one batched simulation
-    rngs = [derive_rng(base_seed, 1, trial) for trial in range(trials)]
-    models = [random_model(config.n, config.p, config.rho_values[0], rng) for rng in rngs]
-    u_nexts = [design_in.sample_sequence(0, rng)[0] for rng in rngs]
-    trajs = simulate_batch(models, noise, design_in, T, rngs)
+    noise, design_in = config.noise.to_spec(config.n), config.input.to_design(config.p)
+    rngs, models, trajs = _draw_trials(config.n, config.p, noise, design_in,
+                                       config.rho_values[0], T, base_seed, (1,), trials)
     # (k, T+2, p): each trial's inputs u_0..u_T and then u_next
-    us = np.stack([np.vstack([traj.u, u_next]) for traj, u_next in zip(trajs, u_nexts)])
+    us = np.stack([np.vstack([traj.u, design_in.sample_iid(1, rng)])
+                   for traj, rng in zip(trajs, rngs)])
     # the state term is that of x_{T+1-L}, driven by u_0..u_{T-L}
     state_norms = estimator.prediction_state_norms(models, noise, us[:, :T + 1 - L])
     means, variances = _final_output_moments(models, noise, us)
-    betas = [max(estimator.empirical_input_bound(traj.u),
-                 estimator._rescale_tiny(float(np.linalg.norm(u_next)), u_next))
-             for traj, u_next in zip(trajs, u_nexts)]
-    terms = estimator.bound_terms(models, noise, L, betas, config.delta)
+    terms = estimator.bound_terms(models, noise, L,
+                                  [estimator.empirical_input_bound(u) for u in us], config.delta)
 
     def one(j: int) -> CoverageTrial:
-        model, u_next, traj = models[j], u_nexts[j], trajs[j]
+        model, u_next, traj = models[j], us[j, T + 1], trajs[j]
         fit = estimator.fit(model, noise, traj, L, config.delta, terms=terms[j])
         err = fit.err_ellipsoidal
         pred_bound = estimator.prediction_bound(fit, noise, traj, u_next, state_norms[j])

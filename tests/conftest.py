@@ -41,8 +41,8 @@ def rows_design():
         L = d // (p * p)
         y = np.zeros(rows) if y is None else np.asarray(y, dtype=float)
         if rows <= d:
-            return DesignSystem(U_tilde=U, y=y, L=L, T=L + rows, p=p, rows=rows,
+            return DesignSystem(U_tilde=U, y=y, L=L, T=L + rows, p=p,
                                 V=None, Uty=U.T @ y, yty=None)
         return DesignSystem(U_tilde=np.empty((0, d)), y=np.empty(0), L=L, T=L + rows, p=p,
-                            rows=rows, V=U.T @ U, Uty=U.T @ y, yty=float(y @ y))
+                            V=U.T @ U, Uty=U.T @ y, yty=float(y @ y))
     return design

@@ -339,6 +339,30 @@ def test_coverage_trials_hold_one_fit_at_a_time():
     assert peak < 1.5 * (1 << 20)
 
 
+def test_coverage_trial_is_its_stream_drawn_by_hand():
+    # trial j draws its model, its trajectory and then u_next from
+    # derive_rng(base_seed, 1, j), and its beta is the largest norm of
+    # u_0..u_{T+1}; a batch of one gives every oracle its batched bits
+    cfg = _small_config(p=2, L_values=(3,), T_values=(150,))
+    L, T, base_seed = 3, 150, 5
+    noise, design_in = cfg.noise.to_spec(cfg.n), cfg.input.to_design(cfg.p)
+    trials = bound_coverage_trials(cfg, trials=4, base_seed=base_seed)
+    for j, trial in enumerate(trials):
+        rng = derive_rng(base_seed, 1, j)
+        model = random_model(cfg.n, cfg.p, cfg.rho_values[0], rng)
+        traj = simulate(model, noise, design_in, T, rng)
+        u_next = design_in.sample_iid(1, rng)[0]
+        us = np.vstack([traj.u, u_next])[None]
+        beta = estimator.empirical_input_bound(us[0])
+        [terms] = estimator.bound_terms([model], noise, L, [beta], cfg.delta)
+        f = fit(model, noise, traj, L, cfg.delta, terms=terms)
+        (mean,), (var,) = _final_output_moments([model], noise, us)
+        y_hat = float(u_next @ f.report.G_hat @ traj.u[T - L + 1:T + 1][::-1].reshape(-1))
+        assert trial.err_ellipsoidal == f.err_ellipsoidal
+        assert trial.bound_value == f.bound.value
+        assert trial.pred_mse == (y_hat - mean) ** 2 + var
+
+
 def test_sweep_trials_hold_one_fit_at_a_time():
     # each fit of this wide cell holds its 200 x 360 design (562 KiB); the
     # trials are fit one after another and the sweep peaks near 0.93 MiB,
@@ -383,8 +407,9 @@ def test_validation_err_bound_ratios_null_without_a_bound(monkeypatch):
 
 
 # the benchmark's validate config at config_seed(98, "mc_validate", 0), whose
-# exact prediction margin is the smallest over seeds 1..200; a Monte Carlo
-# estimate over 10^4 noise resamples put it below 0
+# exact prediction margin is the smallest over seeds 1..200 (the next, seed
+# 104, reads 0.0022); a Monte Carlo estimate over 10^4 noise resamples put
+# it below 0
 _SEED_98 = {"n": 2, "p": 1, "rho_values": [0.6], "L_values": [6], "T_values": [100],
             "trials": 1, "input": {"kind": "gaussian_isotropic"}, "delta": 0.1,
             "base_seed": 3816951053}
@@ -398,7 +423,7 @@ def test_cli_validate_seed_98_passes_on_the_exact_prediction_mse(tmp_path):
     assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
     pred = json.loads(out.read_text())["checks"][-1]
     assert pred["name"] == "prediction_bound"
-    assert pred["margin"] == 0.002466167798086616
+    assert pred["margin"] == 0.001220860610349317
 
 
 _ZERO_NOISE = {"n": 2, "p": 2, "rho_values": [0.5], "L_values": [2], "T_values": [40],
@@ -433,7 +458,7 @@ def test_validation_uncentered_exponential_noise_fails_prediction_check():
     rep = run_validation(cfg, autocov_draws=2_000, m4_directions=2, m4_samples=2_000)
     pred = rep["checks"][-1]
     assert pred["name"] == "prediction_bound" and not pred["passed"]
-    assert pred["margin"] == pytest.approx(-0.21, abs=0.01)
+    assert pred["margin"] == pytest.approx(-0.507, abs=0.01)
 
 
 def test_validation_measurement_noise_only_subcase():
@@ -1364,16 +1389,16 @@ def test_cli_validate_report_is_strict_json(config_file, tmp_path):
 
 def test_min_norm_coverage_trials_count_as_misses(tmp_path, capsys):
     # T - L = 3 rows for p^2 L = 2 unknowns: validate accepts the cell, and
-    # a quarter of its sphere-input designs are still rank-deficient
+    # about a third of its sphere-input designs are still rank-deficient
     cfg = _small_config(L_values=(2,), T_values=(5,), input=InputConfig(kind="bounded_sphere"))
     trials = bound_coverage_trials(cfg, 40, 7)
-    assert sum(math.isnan(t.bound_value) for t in trials) == 10
+    assert sum(math.isnan(t.bound_value) for t in trials) == 14
     for t in trials:
         if math.isnan(t.bound_value):
             assert t.covered is False and (t.pred_mse, t.pred_bound, t.pred_ok) == (None, None, None)
         else:
             assert t.covered == (t.err_ellipsoidal <= t.bound_value) and t.pred_ok is not None
-    # the CLI's 100 coverage trials: 23 min-norm misses fail the gate, though
+    # the CLI's 100 coverage trials: 27 min-norm misses fail the gate, though
     # no bounded trial's error comes near its bound
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 2, "p": 1, "rho_values": [0.6], "L_values": [2],
@@ -1383,9 +1408,9 @@ def test_min_norm_coverage_trials_count_as_misses(tmp_path, capsys):
     assert main(["validate", "--config", str(path), "--out", str(tmp_path / "val.json")]) == 4
     report = json.loads((tmp_path / "val.json").read_text(), parse_constant=_reject_constant)
     coverage, prediction = report["checks"][2:]
-    assert coverage["details"]["frequency"] == 0.77 and not coverage["passed"]
-    assert coverage["details"]["err_bound_ratio_max"] < 0.31
-    assert prediction["details"]["trials_checked"] == 77 and prediction["passed"]
+    assert coverage["details"]["frequency"] == 0.73 and not coverage["passed"]
+    assert coverage["details"]["err_bound_ratio_max"] < 0.36
+    assert prediction["details"]["trials_checked"] == 73 and prediction["passed"]
 
 
 @pytest.mark.parametrize("T", [12, 20])

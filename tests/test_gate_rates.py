@@ -31,6 +31,22 @@ def test_wilson_interval():
     assert gate_rates.wilson_interval(600, 600)[1] == 1.0
 
 
+def test_an_upper_bound_is_consistent_at_or_above_the_interval():
+    # 0 failures in 600 give [0, 0.64%]: the coverage check's 4.0% upper
+    # bound agrees with that, a 4.0% approximation does not
+    low, high = gate_rates.wilson_interval(0, 600)
+    assert gate_rates.nominal_consistent(0.04, "upper bound", low, high) is True
+    assert gate_rates.nominal_consistent(0.04, "normal approximation", low, high) is False
+    # 4 failures in 600 give [0.26%, 1.7%]: an upper bound below it is not
+    # consistent, any basis inside it is, and no rate gives None
+    low, high = gate_rates.wilson_interval(4, 600)
+    assert gate_rates.nominal_consistent(0.001, "upper bound", low, high) is False
+    assert gate_rates.nominal_consistent(low, "upper bound", low, high) is True
+    assert gate_rates.nominal_consistent(0.01, "normal approximation", low, high) is True
+    assert gate_rates.nominal_consistent(0.065, "normal approximation", low, high) is False
+    assert gate_rates.nominal_consistent(None, None, low, high) is None
+
+
 def test_tool_counts_the_failures_of_each_seed(tmp_path):
     # the checkout against itself; of base seeds 7-9,
     # seed 8 fails its autocovariance check at these counts

@@ -57,6 +57,22 @@ def test_each_frozen_array_record_has_one_builder():
     assert _callers("MarkovParams") == [("sysmodel", "markov_params")]
 
 
+def test_every_trial_is_drawn_in_one_place():
+    # sweep cells, the coverage cell and the CLI's single run draw their
+    # models and trajectories in _draw_trials, which simulates one trial by
+    # simulate (a batch of one); the autocovariance check draws its one
+    # model on its own stream
+    drawer = ("experiments", "_draw_trials")
+    assert _callers("_draw_trials") == [("cli", "_single_run_pieces"),
+                                        ("experiments", "_run_cell"),
+                                        ("experiments", "bound_coverage_trials")]
+    assert _callers("simulate_batch") == [drawer, ("sysmodel", "simulate")]
+    assert _callers("simulate") == [drawer]
+    assert _callers("random_model") == [drawer, ("experiments", "run_validation")]
+    assert "cli" not in {module for module, _ in _callers("derive_rng")}
+    assert {module for module, _ in _callers("_rescale_tiny")} == {"estimator"}
+
+
 def test_the_one_caller_records_are_gone():
     for module, name in ((experiments, "SweepResult"), (experiments, "run_double_descent"),
                          (excitation, "M4Estimate"), (hokalman, "RealizationBounds"),

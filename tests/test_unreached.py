@@ -2,6 +2,7 @@
 and fails when it finds one."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "unreached.py"
@@ -32,3 +33,20 @@ def test_report_exits_1_exactly_when_it_lists_a_line(tmp_path, capsys):
     (tmp_path / "bilinid.sysmodel.cover").write_text("    1: a = 1\n>>>>>> raise E\n")
     assert unreached.report(tmp_path) == 1
     assert capsys.readouterr().out == "sysmodel:2: raise E\n"
+
+
+def test_the_plugin_puts_back_a_lost_trace_function():
+    # CPython drops a trace function that raises; the next test's setup
+    # installs the one that was there when pytest started
+    def tracer(frame, event, arg):
+        return None
+
+    saved = sys.gettrace()
+    try:
+        sys.settrace(tracer)
+        unreached.pytest_configure(None)
+        sys.settrace(None)
+        unreached.pytest_runtest_setup(None)
+        assert sys.gettrace() is tracer
+    finally:
+        sys.settrace(saved)

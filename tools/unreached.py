@@ -12,7 +12,8 @@ anywhere:
 It takes about three times as long as tier-1 alone.  It exits 1 when it
 lists a line and 0 when every library line ran, whatever the tests do.
 trace counts lines, not branches, and it does not see the code that the
-CLI subprocess tests run.
+CLI subprocess tests run.  pytest loads this file as a plugin, whose
+hooks put trace's function back before a test if an earlier one lost it.
 """
 
 from __future__ import annotations
@@ -51,14 +52,36 @@ def report(coverdir: Path) -> int:
     return 1 if listed else 0
 
 
+# the trace function that trace installed, kept by pytest_configure
+_tracer: dict = {}
+
+
+def pytest_configure(config) -> None:
+    """pytest hook: keep the trace function that trace installed."""
+    _tracer["function"] = sys.gettrace()
+
+
+def pytest_runtest_setup(item) -> None:
+    """pytest hook: install trace's function again if an earlier test lost
+    it.  CPython drops a trace function that raises, and trace's raises
+    RecursionError when a garbage collection runs a finalizer at the
+    recursion limit, as in the config test that nests 100,000 JSON arrays;
+    trace would then count no later test."""
+    if sys.gettrace() is None:
+        sys.settrace(_tracer["function"])
+
+
 def main() -> int:
     ignore = os.pathsep.join(sorted({sysconfig.get_path(name)
                                      for name in ("stdlib", "platstdlib", "purelib", "platlib")}))
+    # pytest imports this file as the plugin "unreached"
+    path = os.pathsep.join(filter(None, [str(ROOT / "tools"), os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as coverdir:
         subprocess.run([sys.executable, "-m", "trace", "--count", "--missing",
                         "--coverdir", coverdir, "--ignore-dir", ignore,
-                        "--module", "pytest", "-q", "-p", "no:cacheprovider"],
-                       cwd=ROOT, stdout=sys.stderr, check=False)
+                        "--module", "pytest", "-q", "-p", "no:cacheprovider", "-p", "unreached"],
+                       cwd=ROOT, stdout=sys.stderr, check=False,
+                       env={**os.environ, "PYTHONPATH": path})
         return report(Path(coverdir))
 
 
